@@ -185,12 +185,35 @@ impl DistanceMap {
 
     /// All reached temporal nodes with their distances, in flat-index order.
     pub fn reached(&self) -> Vec<(TemporalNode, u32)> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != UNREACHED)
-            .map(|(i, &d)| (TemporalNode::from_flat_index(i, self.num_nodes), d))
-            .collect()
+        let mut reached = Vec::with_capacity(self.reached_count);
+        self.for_each_reached(|tn, d, _| reached.push((tn, d)));
+        reached
+    }
+
+    /// Calls `f(tn, distance, parent)` for every reached temporal node in
+    /// flat-index (time-major) order, without allocating. `parent` is what
+    /// [`DistanceMap::parent`] answers for `tn`, read in the same pass.
+    pub fn for_each_reached(&self, mut f: impl FnMut(TemporalNode, u32, Option<TemporalNode>)) {
+        if self.num_nodes == 0 {
+            return;
+        }
+        for (t, row) in self.dist.chunks_exact(self.num_nodes).enumerate() {
+            for (v, &d) in row.iter().enumerate() {
+                if d == UNREACHED {
+                    continue;
+                }
+                let tn = TemporalNode::from_raw(v as u32, t as u32);
+                let parent = match &self.parent {
+                    Some(parents) if tn != self.root => {
+                        let p = parents[t * self.num_nodes + v];
+                        (p != NO_PARENT)
+                            .then(|| TemporalNode::from_flat_index(p as usize, self.num_nodes))
+                    }
+                    _ => None,
+                };
+                f(tn, d, parent);
+            }
+        }
     }
 
     /// The reached temporal nodes at exactly distance `k` (one BFS layer).
@@ -312,11 +335,8 @@ impl DistanceMap {
     pub fn redimensioned(&self, num_nodes: usize, num_timestamps: usize) -> Self {
         debug_assert!(num_nodes >= self.num_nodes && num_timestamps >= self.num_timestamps);
         if self.has_parents() {
-            let entries: Vec<(TemporalNode, u32, Option<TemporalNode>)> = self
-                .reached()
-                .into_iter()
-                .map(|(tn, d)| (tn, d, self.parent(tn)))
-                .collect();
+            let mut entries = Vec::with_capacity(self.reached_count);
+            self.for_each_reached(|tn, d, parent| entries.push((tn, d, parent)));
             DistanceMap::from_reached_with_parents(num_nodes, num_timestamps, self.root, &entries)
         } else {
             DistanceMap::from_reached(num_nodes, num_timestamps, self.root, &self.reached())
@@ -507,29 +527,37 @@ impl MultiSourceMap {
     /// All reached temporal nodes with their nearest-source distances, in
     /// flat-index (time-major) order.
     pub fn reached(&self) -> Vec<(TemporalNode, u32)> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != UNREACHED)
-            .map(|(i, &d)| (TemporalNode::from_flat_index(i, self.num_nodes), d))
-            .collect()
+        let mut reached = Vec::with_capacity(self.reached_count);
+        self.for_each_reached(|tn, d, _| reached.push((tn, d)));
+        reached
     }
 
     /// All reached temporal nodes with their nearest-source distance and
     /// nearest-source index, in flat-index order.
     pub fn reached_with_sources(&self) -> Vec<(TemporalNode, u32, usize)> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != UNREACHED)
-            .map(|(i, &d)| {
-                (
-                    TemporalNode::from_flat_index(i, self.num_nodes),
-                    d,
-                    self.source_idx[i] as usize,
-                )
-            })
-            .collect()
+        let mut reached = Vec::with_capacity(self.reached_count);
+        self.for_each_reached(|tn, d, s| reached.push((tn, d, s)));
+        reached
+    }
+
+    /// Calls `f(tn, distance, source_index)` for every reached temporal
+    /// node in flat-index (time-major) order, without allocating — the walk
+    /// behind [`MultiSourceMap::reached_with_sources`].
+    pub fn for_each_reached(&self, mut f: impl FnMut(TemporalNode, u32, usize)) {
+        if self.num_nodes == 0 {
+            return;
+        }
+        let rows = self
+            .dist
+            .chunks_exact(self.num_nodes)
+            .zip(self.source_idx.chunks_exact(self.num_nodes));
+        for (t, (dist_row, source_row)) in rows.enumerate() {
+            for (v, (&d, &s)) in dist_row.iter().zip(source_row).enumerate() {
+                if d != UNREACHED {
+                    f(TemporalNode::from_raw(v as u32, t as u32), d, s as usize);
+                }
+            }
+        }
     }
 
     /// The distinct node identifiers reached at any snapshot by any source.
@@ -650,6 +678,24 @@ mod tests {
             ]
         );
         assert_eq!(m.path_to(TemporalNode::from_raw(2, 1)), None);
+    }
+
+    #[test]
+    fn walks_agree_with_the_probing_accessors() {
+        let m = toy_map();
+        let mut walked = Vec::new();
+        m.for_each_reached(|tn, d, parent| walked.push((tn, d, parent)));
+        let probed: Vec<_> = m
+            .reached()
+            .into_iter()
+            .map(|(tn, d)| (tn, d, m.parent(tn)))
+            .collect();
+        assert_eq!(walked, probed);
+        assert_eq!(walked.len(), m.num_reached());
+        assert!(walked.iter().skip(1).all(|&(_, _, p)| p.is_some()));
+
+        let bare = DistanceMap::from_reached(3, 2, m.root(), &m.reached());
+        bare.for_each_reached(|_, _, parent| assert_eq!(parent, None));
     }
 
     #[test]

@@ -35,7 +35,8 @@ use egraph_core::distance::DistanceMap;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
-use core::fmt;
+// `write!` into a `String` cannot fail, so its `fmt::Result` is ignored.
+use core::fmt::{self, Write as _};
 use std::io::BufRead;
 
 /// Deepest object/array nesting [`parse_value`] / [`read_value`] accept.
@@ -118,19 +119,19 @@ impl BfsResultDocument {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"root_node\":");
-        out.push_str(&self.root_node.to_string());
+        write_json_u64(&mut out, self.root_node as u64);
         out.push_str(",\"root_time\":");
-        out.push_str(&self.root_time.to_string());
+        write_json_u64(&mut out, self.root_time as u64);
         out.push_str(",\"num_nodes\":");
-        out.push_str(&self.num_nodes.to_string());
+        write_json_u64(&mut out, self.num_nodes as u64);
         out.push_str(",\"num_timestamps\":");
-        out.push_str(&self.num_timestamps.to_string());
+        write_json_u64(&mut out, self.num_timestamps as u64);
         out.push_str(",\"reached\":[");
         for (i, &(v, t, d)) in self.reached.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{v},{t},{d}]"));
+            let _ = write!(out, "[{v},{t},{d}]");
         }
         out.push_str("]}");
         out
@@ -172,22 +173,22 @@ impl BfsResultDocument {
 pub fn graph_to_json(graph: &AdjacencyListGraph) -> Result<String> {
     let mut out = String::new();
     out.push_str("{\"num_nodes\":");
-    out.push_str(&graph.num_nodes().to_string());
+    write_json_u64(&mut out, graph.num_nodes() as u64);
     out.push_str(",\"directed\":");
     out.push_str(if graph.is_directed() { "true" } else { "false" });
     out.push_str(",\"timestamps\":[");
-    for (i, label) in graph.timestamps().iter().enumerate() {
+    for (i, &label) in graph.timestamps().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&label.to_string());
+        write_json_i64(&mut out, label);
     }
     out.push_str("],\"edges\":[");
     for (i, (u, v, t)) in graph.edge_triples().into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{},{},{}]", u.0, v.0, t.0));
+        let _ = write!(out, "[{},{},{}]", u.0, v.0, t.0);
     }
     out.push_str("]}");
     Ok(out)
@@ -338,10 +339,10 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(x) => out.push_str(&x.to_string()),
+            Value::Int(x) => write_json_i64(out, *x),
             Value::Number(x) => {
                 if x.is_finite() {
-                    out.push_str(&format!("{x:?}"));
+                    let _ = write!(out, "{x:?}");
                 } else {
                     out.push_str("null");
                 }
@@ -418,11 +419,109 @@ pub fn write_json_string(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\u{0008}' => out.push_str("\\b"),
             '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Appends the decimal form of `x` to `out` — the integer writer every
+/// encoder in the workspace shares. It formats into a stack buffer, so
+/// writing an integer never allocates beyond `out`'s own growth.
+#[inline]
+pub fn write_json_u64(out: &mut String, x: u64) {
+    let mut buf = [0u8; 20];
+    let len = put_digits(&mut buf, x);
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII"));
+}
+
+/// [`write_json_u64`] for signed integers (`i64::MIN` included).
+#[inline]
+pub fn write_json_i64(out: &mut String, x: i64) {
+    if x < 0 {
+        out.push('-');
+    }
+    write_json_u64(out, x.unsigned_abs());
+}
+
+/// [`write_json_u64`] onto a byte buffer, for bulk writers that assemble a
+/// large ASCII document as bytes and check it as UTF-8 once at the end
+/// instead of once per integer.
+#[inline]
+pub fn push_json_u64(out: &mut Vec<u8>, x: u64) {
+    let mut buf = [0u8; 20];
+    let len = put_digits(&mut buf, x);
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// Appends the array `[x0,x1,...]` onto a byte buffer with one copy per few
+/// elements — the shape of reached entries and parent links.
+#[inline]
+pub fn push_json_u32_array(out: &mut Vec<u8>, xs: &[u32]) {
+    const MAX_U32_DIGITS: usize = 10;
+    let mut buf = [0u8; 64];
+    buf[0] = b'[';
+    let mut len = 1;
+    for (i, &x) in xs.iter().enumerate() {
+        // Room for a comma, the digits and the closing bracket.
+        if len + 2 + MAX_U32_DIGITS > buf.len() {
+            out.extend_from_slice(&buf[..len]);
+            len = 0;
+        }
+        if i > 0 {
+            buf[len] = b',';
+            len += 1;
+        }
+        len += put_digits(&mut buf[len..], x as u64);
+    }
+    buf[len] = b']';
+    out.extend_from_slice(&buf[..=len]);
+}
+
+/// Number of bytes [`write_json_u64`] appends for `x`.
+#[inline]
+pub fn json_u64_len(x: u64) -> usize {
+    x.checked_ilog10().map_or(1, |digits| digits as usize + 1)
+}
+
+/// Number of bytes [`push_json_u32_array`] appends for `xs`.
+#[inline]
+pub fn json_u32_array_len(xs: &[u32]) -> usize {
+    let digits: usize = xs.iter().map(|&x| json_u64_len(x as u64)).sum();
+    2 + xs.len().saturating_sub(1) + digits
+}
+
+/// Writes the decimal digits of `x` at the start of `buf`, two per step
+/// from the last, and returns how many were written.
+#[inline]
+fn put_digits(buf: &mut [u8], mut x: u64) -> usize {
+    if x < 10 {
+        buf[0] = b'0' + x as u8;
+        return 1;
+    }
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                2021222324252627282930313233343536373839\
+                                4041424344454647484950515253545556575859\
+                                6061626364656667686970717273747576777879\
+                                8081828384858687888990919293949596979899";
+    let len = json_u64_len(x);
+    let mut pos = len;
+    while x >= 100 {
+        let pair = (x % 100) as usize * 2;
+        x /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if x >= 10 {
+        let pair = x as usize * 2;
+        buf[..2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        buf[0] = b'0' + x as u8;
+    }
+    len
 }
 
 /// Parses a complete JSON document from `input`. The document must span the
@@ -1025,6 +1124,64 @@ mod tests {
         assert!(obj.get("a").is_err());
         assert_eq!(obj.get_opt("b").unwrap().as_i64("b").unwrap(), 1);
         assert!(obj.get_opt("missing").is_none());
+    }
+
+    #[test]
+    fn integer_writer_matches_std_formatting() {
+        let mut samples: Vec<u64> = (0..=1000).collect();
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            samples.extend([p - 1, p, p + 1]);
+        }
+        samples.extend([u32::MAX as u64, u64::MAX - 1, u64::MAX]);
+        let mut out = String::new();
+        for &x in &samples {
+            out.clear();
+            write_json_u64(&mut out, x);
+            assert_eq!(out, x.to_string());
+            assert_eq!(json_u64_len(x), out.len(), "length of {x}");
+        }
+        let mut bytes = Vec::new();
+        for &x in &samples {
+            bytes.clear();
+            push_json_u64(&mut bytes, x);
+            assert_eq!(bytes, x.to_string().as_bytes());
+        }
+        let xs: Vec<u32> = samples.iter().map(|&x| x as u32).collect();
+        for n in [0, 1, 3, 4, 7, xs.len()] {
+            bytes.clear();
+            push_json_u32_array(&mut bytes, &xs[..n]);
+            let std: Vec<String> = xs[..n].iter().map(u32::to_string).collect();
+            assert_eq!(bytes, format!("[{}]", std.join(",")).as_bytes());
+            assert_eq!(json_u32_array_len(&xs[..n]), bytes.len());
+        }
+        for x in [
+            0i64,
+            -1,
+            -9,
+            -10,
+            -99,
+            -100,
+            42,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+        ] {
+            out.clear();
+            write_json_i64(&mut out, x);
+            assert_eq!(out, x.to_string());
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_as_four_hex_digits() {
+        let mut out = String::new();
+        write_json_string(&mut out, "\u{1}\u{1f}\u{b}");
+        assert_eq!(out, "\"\\u0001\\u001f\\u000b\"");
+        assert_eq!(
+            parse_value(&out).unwrap(),
+            Value::String("\u{1}\u{1f}\u{b}".into())
+        );
     }
 
     #[test]

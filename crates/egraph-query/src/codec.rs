@@ -37,6 +37,26 @@
 //! tables, `"shared"` the single nearest-source map. All coordinates are in
 //! the queried graph's snapshot indices, exactly as [`SearchResult`] stores
 //! them.
+//!
+//! The wire contract is the exact bytes, not just the document's meaning:
+//! compact (no whitespace anywhere), fields in the fixed order below,
+//! entries in flat-index (time-major) order, and `"parents"` present only
+//! when the map recorded at least one parent link. Any two encoders of the
+//! same result produce identical bytes, so bodies can be compared and
+//! cached byte for byte.
+//!
+//! ```text
+//! {"kind":"hops","reversed":false,"num_nodes":N,"num_timestamps":T,
+//!  "maps":[{"root":[n,t],"reached":[[n,t,d],...],"parents":[[n,t,pn,pt],...]},...]}
+//! {"kind":"arrivals","reversed":false,"tables":[{"root":[n,t],"arrivals":[t|null,...]},...]}
+//! {"kind":"shared","reversed":false,"num_nodes":N,"num_timestamps":T,
+//!  "sources":[[n,t],...],"reached":[[n,t,d,source_index],...]}
+//! ```
+//!
+//! (Shown wrapped; each document is one line.) [`search_result_to_json`]
+//! streams this straight from each payload's dense storage into one buffer
+//! of the exact length; [`search_result_to_value`] builds the same document
+//! as a [`Value`] and is the reference it is tested against.
 
 use egraph_core::distance::{DistanceMap, MultiSourceMap};
 use egraph_core::foremost::ForemostResult;
@@ -375,7 +395,10 @@ fn check_coords(tn: TemporalNode, num_nodes: usize, num_timestamps: usize) -> Re
     Ok(())
 }
 
-/// Encodes a result as a [`Value`] (for embedding in subscription frames).
+/// Encodes a result as a [`Value`] DOM. The wire paths do not use it — they
+/// stream through [`write_search_result_json`] — but its
+/// [`to_json`](Value::to_json) is the reference encoding: the streaming
+/// writer's output is pinned byte for byte against it.
 pub fn search_result_to_value(result: &SearchResult) -> Value {
     let reversed = result.is_time_reversed();
     if let Some(maps) = result.try_distance_maps() {
@@ -462,9 +485,206 @@ pub fn search_result_to_value(result: &SearchResult) -> Value {
     }
 }
 
-/// Encodes a result as a JSON string — the `/query` response body.
+/// Encodes a result as a JSON string — the `/query` response body — in one
+/// buffer of exactly the document's length.
 pub fn search_result_to_json(result: &SearchResult) -> String {
-    search_result_to_value(result).to_json()
+    let len = search_result_json_len(result);
+    let mut out = Vec::with_capacity(len);
+    write_result(&mut out, result);
+    debug_assert_eq!(out.len(), len, "sizing pass and writer disagree");
+    String::from_utf8(out).expect("the result writer emits ASCII only")
+}
+
+/// Appends the result document to `out` in one pass over each payload's
+/// dense storage, building no intermediate values. The bytes are exactly
+/// `search_result_to_value(result).to_json()`. `out` is not grown ahead of
+/// time: reserve [`search_result_json_len`] bytes first to write without
+/// regrowth.
+pub fn write_search_result_json(out: &mut String, result: &SearchResult) {
+    // Integers are written as raw bytes and the buffer is checked as UTF-8
+    // once, which is cheaper than checking every integer as it is pushed.
+    let mut bytes = std::mem::take(out).into_bytes();
+    write_result(&mut bytes, result);
+    *out = String::from_utf8(bytes).expect("the result writer emits ASCII only");
+}
+
+/// The exact byte length of the document [`write_search_result_json`]
+/// appends, so callers can size their buffer once.
+pub fn search_result_json_len(result: &SearchResult) -> usize {
+    let mut len = ByteCount::default();
+    write_result(&mut len, result);
+    len.0
+}
+
+/// Where the result writer puts its output: the document itself, or a byte
+/// counter that runs the same writer to size the document beforehand, so
+/// the two can never disagree.
+trait Sink: Default {
+    fn raw(&mut self, s: &str);
+    fn uint(&mut self, x: u64);
+    /// `[x0,x1,...]`.
+    fn uints(&mut self, xs: &[u32]);
+    fn append(&mut self, other: &Self);
+    fn is_empty(&self) -> bool;
+    fn clear(&mut self);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn raw(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+    #[inline]
+    fn uint(&mut self, x: u64) {
+        egraph_io::push_json_u64(self, x);
+    }
+    #[inline]
+    fn uints(&mut self, xs: &[u32]) {
+        egraph_io::push_json_u32_array(self, xs);
+    }
+    fn append(&mut self, other: &Self) {
+        self.extend_from_slice(other);
+    }
+    fn is_empty(&self) -> bool {
+        <[u8]>::is_empty(self)
+    }
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+#[derive(Default)]
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn raw(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+    #[inline]
+    fn uint(&mut self, x: u64) {
+        self.0 += egraph_io::json_u64_len(x);
+    }
+    #[inline]
+    fn uints(&mut self, xs: &[u32]) {
+        self.0 += egraph_io::json_u32_array_len(xs);
+    }
+    fn append(&mut self, other: &Self) {
+        self.0 += other.0;
+    }
+    fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+    fn clear(&mut self) {
+        self.0 = 0;
+    }
+}
+
+fn write_node<S: Sink>(out: &mut S, tn: TemporalNode) {
+    out.uints(&[tn.node.0, tn.time.0]);
+}
+
+/// Writes `[item,item,...]`, one `each` call per item.
+fn write_list<S: Sink, T>(out: &mut S, items: &[T], mut each: impl FnMut(&mut S, &T)) {
+    out.raw("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.raw(",");
+        }
+        each(out, item);
+    }
+    out.raw("]");
+}
+
+/// Writes `,"num_nodes":N,"num_timestamps":T`.
+fn write_dimensions<S: Sink>(out: &mut S, num_nodes: usize, num_timestamps: usize) {
+    out.raw(",\"num_nodes\":");
+    out.uint(num_nodes as u64);
+    out.raw(",\"num_timestamps\":");
+    out.uint(num_timestamps as u64);
+}
+
+fn write_result<S: Sink>(out: &mut S, result: &SearchResult) {
+    let reversed = if result.is_time_reversed() {
+        "true"
+    } else {
+        "false"
+    };
+    if let Some(maps) = result.try_distance_maps() {
+        out.raw("{\"kind\":\"hops\",\"reversed\":");
+        out.raw(reversed);
+        write_dimensions(out, maps[0].num_nodes(), maps[0].num_timestamps());
+        out.raw(",\"maps\":");
+        let mut parents = S::default();
+        write_list(out, maps, |out, map| {
+            write_distance_map(out, &mut parents, map)
+        });
+        out.raw("}");
+    } else if let Some(tables) = result.try_foremost_results() {
+        out.raw("{\"kind\":\"arrivals\",\"reversed\":");
+        out.raw(reversed);
+        out.raw(",\"tables\":");
+        write_list(out, tables, |out, table| {
+            out.raw("{\"root\":");
+            write_node(out, table.root());
+            out.raw(",\"arrivals\":");
+            write_list(out, table.arrivals(), |out, arrival| match arrival {
+                Some(t) => out.uint(t.0 as u64),
+                None => out.raw("null"),
+            });
+            out.raw("}");
+        });
+        out.raw("}");
+    } else {
+        let shared = result
+            .try_shared_map()
+            .expect("every payload is hops, arrivals or shared");
+        out.raw("{\"kind\":\"shared\",\"reversed\":");
+        out.raw(reversed);
+        write_dimensions(out, shared.num_nodes(), shared.num_timestamps());
+        out.raw(",\"sources\":");
+        write_list(out, shared.sources(), |out, &tn| write_node(out, tn));
+        out.raw(",\"reached\":[");
+        let mut first = true;
+        shared.for_each_reached(|tn, d, s| {
+            if !first {
+                out.raw(",");
+            }
+            first = false;
+            out.uints(&[tn.node.0, tn.time.0, d, s as u32]);
+        });
+        out.raw("]}");
+    }
+}
+
+/// Writes one `{"root":..,"reached":[..]}` map. Parents are gathered into
+/// `parents` during the same walk and follow only if any were recorded.
+fn write_distance_map<S: Sink>(out: &mut S, parents: &mut S, map: &DistanceMap) {
+    out.raw("{\"root\":");
+    write_node(out, map.root());
+    out.raw(",\"reached\":[");
+    parents.clear();
+    let mut first = true;
+    map.for_each_reached(|tn, d, parent| {
+        if !first {
+            out.raw(",");
+        }
+        first = false;
+        out.uints(&[tn.node.0, tn.time.0, d]);
+        if let Some(p) = parent {
+            if !parents.is_empty() {
+                parents.raw(",");
+            }
+            parents.uints(&[tn.node.0, tn.time.0, p.node.0, p.time.0]);
+        }
+    });
+    out.raw("]");
+    if !parents.is_empty() {
+        out.raw(",\"parents\":[");
+        out.append(parents);
+        out.raw("]");
+    }
+    out.raw("}");
 }
 
 /// Decodes a result from a [`Value`]. See the module docs for the three

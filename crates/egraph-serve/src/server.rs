@@ -116,8 +116,11 @@ use std::time::Duration;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_io::checkpoint::{decode_checkpoint, encode_checkpoint};
+use egraph_io::{write_json_i64, write_json_string, write_json_u64};
 use egraph_log::{decode_segment, EventLog, Sealed};
-use egraph_query::codec::{descriptor_from_json, search_result_to_json};
+use egraph_query::codec::{
+    descriptor_from_json, search_result_json_len, search_result_to_json, write_search_result_json,
+};
 use egraph_query::QueryDescriptor;
 use egraph_stream::durable::{event_to_record, replay_segment, RecoveredGraph};
 use egraph_stream::{CacheOutcome, CacheStats, EdgeEvent, LiveGraph, QueryCache};
@@ -907,25 +910,35 @@ fn frame_body(
     log: LogLabels,
     result: Result<&egraph_query::SearchResult, &str>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"seq\": {seq}, \"version\": {version}"));
+    // The header is a few hundred bytes at most; the result is sized
+    // exactly, so the frame is written into one buffer with no regrowth.
+    const HEADER_BYTES: usize = 256;
+    let body_len = result.map_or(0, search_result_json_len);
+    let mut out = String::with_capacity(HEADER_BYTES + body_len);
+    out.push_str("{\"seq\": ");
+    write_json_u64(&mut out, seq);
+    out.push_str(", \"version\": ");
+    write_json_u64(&mut out, version);
     if let Some(label) = label {
-        out.push_str(&format!(", \"label\": {label}"));
+        out.push_str(", \"label\": ");
+        write_json_i64(&mut out, label);
     }
-    out.push_str(&format!(
-        ", \"segments_sealed\": {}, \"segments_replayed\": {}, \"follower_lag_seals\": {}",
-        log.segments_sealed, log.segments_replayed, log.follower_lag_seals
-    ));
+    out.push_str(", \"segments_sealed\": ");
+    write_json_u64(&mut out, log.segments_sealed);
+    out.push_str(", \"segments_replayed\": ");
+    write_json_u64(&mut out, log.segments_replayed);
+    out.push_str(", \"follower_lag_seals\": ");
+    write_json_u64(&mut out, log.follower_lag_seals);
     out.push_str(", \"outcome\": ");
-    egraph_io::write_json_string(&mut out, outcome);
+    write_json_string(&mut out, outcome);
     match result {
         Ok(result) => {
             out.push_str(", \"result\": ");
-            out.push_str(&search_result_to_json(result));
+            write_search_result_json(&mut out, result);
         }
         Err(message) => {
             out.push_str(", \"error\": ");
-            egraph_io::write_json_string(&mut out, message);
+            write_json_string(&mut out, message);
         }
     }
     out.push('}');
@@ -1704,6 +1717,32 @@ mod tests {
         );
         let initial = frame_body(0, 1, None, "miss", labels, Err("x"));
         assert!(!initial.contains("\"label\""));
+    }
+
+    #[test]
+    fn frames_embed_the_streamed_result_document_verbatim() {
+        let g = egraph_core::examples::paper_figure1();
+        let result = egraph_query::Search::from(egraph_core::ids::TemporalNode::from_raw(0, 0))
+            .with_parents()
+            .run(&g)
+            .unwrap();
+        let labels = LogLabels {
+            segments_sealed: 0,
+            segments_replayed: 1 << 40,
+            follower_lag_seals: 7,
+        };
+        let frame = frame_body(1, 2, Some(i64::MIN), "hit", labels, Ok(&result));
+        let head = format!(
+            "{{\"seq\": 1, \"version\": 2, \"label\": {}, \"segments_sealed\": 0, \
+             \"segments_replayed\": {}, \"follower_lag_seals\": 7, \"outcome\": \"hit\", \
+             \"result\": ",
+            i64::MIN,
+            1u64 << 40
+        );
+        assert_eq!(frame, format!("{head}{}}}", search_result_to_json(&result)));
+        let parsed = egraph_io::parse_value(&frame).unwrap();
+        let obj = parsed.as_object("frame").unwrap();
+        assert_eq!(obj.get("label").unwrap().as_i64("label").unwrap(), i64::MIN);
     }
 
     #[test]
