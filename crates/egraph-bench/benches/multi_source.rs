@@ -8,11 +8,10 @@
 //! grows while the per-source loop's grows linearly, at any thread count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egraph_core::bfs::multi_source_shared;
+use egraph_core::bfs::{multi_source_bfs, multi_source_shared};
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::TemporalNode;
 use egraph_core::instrument::CountingView;
-use egraph_core::par_bfs::{multi_source_bfs, par_multi_source_shared};
 use egraph_gen::random::figure5_workload;
 use egraph_query::{Search, Strategy};
 
@@ -73,16 +72,6 @@ fn multi_source(c: &mut Criterion) {
             |b, sources| {
                 b.iter(|| {
                     let map = multi_source_shared(&graph, sources).unwrap();
-                    std::hint::black_box(map.num_reached())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("shared_frontier_par", count),
-            &sources,
-            |b, sources| {
-                b.iter(|| {
-                    let map = par_multi_source_shared(&graph, sources).unwrap();
                     std::hint::black_box(map.num_reached())
                 })
             },

@@ -19,6 +19,10 @@
 //! 3. **The threshold is tuned, not folklore.** A sweep over
 //!    `parallel_threshold` values on the same workload is recorded in the
 //!    JSON so the default (256) is backed by a documented tuning run.
+//! 4. **One thread costs nothing.** `Serial` and `Parallel` run the same
+//!    traversal kernel, and on a one-thread pool every level expands
+//!    serially, so the bench asserts `Parallel` at `threads = 1` runs at
+//!    ≥ 0.9× `Serial` on every scale, on any host.
 //!
 //! Traversals run on the PR 4 `CsrAdjacency` layout — contiguous per-
 //! snapshot pools — which is what makes chunked parallel expansion hit
@@ -41,6 +45,8 @@ const POOL_SIZES: [usize; 3] = [1, 2, 4];
 const THRESHOLDS: [usize; 4] = [64, 256, 1024, 4096];
 /// Assertion bar for multi-core hosts.
 const REQUIRED_SPEEDUP: f64 = 1.5;
+/// Assertion bar for `Parallel` on a one-thread pool, relative to `Serial`.
+const REQUIRED_SINGLE_THREAD_RATIO: f64 = 0.9;
 
 struct ScaleReport {
     scale: usize,
@@ -140,6 +146,13 @@ fn parallel_bfs_bench(c: &mut Criterion) {
                     (threshold, ns)
                 })
                 .collect();
+
+            let single = pools.iter().find(|&&(t, _, _)| t == 1).map(|&(_, _, s)| s);
+            assert!(
+                single.is_some_and(|s| s >= REQUIRED_SINGLE_THREAD_RATIO),
+                "scale {scale}: Parallel on a one-thread pool is the serial loop and must run \
+                 at >= {REQUIRED_SINGLE_THREAD_RATIO}x Serial; measured {single:?}"
+            );
 
             println!(
                 "parallel_bfs/scale{scale}: serial {:.2} ms; pools {}; thresholds {}",
@@ -262,13 +275,16 @@ fn write_json_summary(
     let json = format!(
         "{{\n  \"bench\": \"parallel_bfs\",\n  \"available_parallelism\": {cores},\n  \
          \"speedup_asserted\": {speedup_asserted},\n  \"required_speedup\": {REQUIRED_SPEEDUP},\n  \
+         \"required_single_thread_ratio\": {REQUIRED_SINGLE_THREAD_RATIO},\n  \
          \"best_speedup_measured\": {best_speedup:.2},\n  \
          \"notes\": \"serial = Strategy::Serial on CsrAdjacency; pools = Strategy::Parallel \
          under an explicit ThreadPoolBuilder of N threads (1 = inline); work_counters are \
          CountingView totals, asserted identical between serial and parallel; distances \
-         asserted bit-for-bit identical; on hosts with >= 2 cores the bench asserts \
-         best speedup >= required_speedup, on single-core hosts it records ratios only \
-         (no speedup is physically possible there); threshold_sweep documents the \
+         asserted bit-for-bit identical; the 1-thread pool runs the serial kernel \
+         loop and is asserted at >= required_single_thread_ratio x serial on every host; \
+         on hosts with >= 2 cores the bench asserts best speedup >= required_speedup, \
+         on single-core hosts it records ratios only (no speedup is physically possible \
+         there); threshold_sweep documents the \
          parallel_threshold tuning run at the widest pool\",\n  \"scales\": [\n{rows}\n  ]\n}}\n"
     );
     let path = "BENCH_parallel.json";

@@ -25,7 +25,6 @@ use egraph_core::bfs::bfs;
 use egraph_core::examples::paper_figure1;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex};
-use egraph_core::par_bfs::par_bfs;
 use egraph_core::paths::enumerate_paths;
 use egraph_gen::citation::synthetic_citation_corpus;
 use egraph_gen::random::figure5_workload;
@@ -34,6 +33,7 @@ use egraph_io::report::{linear_fit, SeriesTable};
 use egraph_matrix::algebraic_bfs::{algebraic_bfs_blocked, algebraic_bfs_dense};
 use egraph_matrix::block::BlockAdjacency;
 use egraph_matrix::path_count::{iterate_sequence, total_path_count};
+use egraph_query::{Search, Strategy};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -316,7 +316,8 @@ fn abl_b(scale: usize) {
     for &s in &[scale, scale * 2] {
         let (graph, root) = parallel_bfs_workload(s, 0xB0B + s as u64);
         let serial = time_ms(|| bfs(&graph, root).unwrap().num_reached());
-        let parallel = time_ms(|| par_bfs(&graph, root).unwrap().num_reached());
+        let query = Search::from(root).strategy(Strategy::Parallel);
+        let parallel = time_ms(|| query.run(&graph).unwrap().num_reached());
         t.push_row(&[
             format!("{s}"),
             format!("{}", graph.num_nodes()),

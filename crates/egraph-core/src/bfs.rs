@@ -7,20 +7,17 @@
 //! equivalent static graph `G = (V, Ẽ ∪ E′)`, and by Theorem 2 it runs in
 //! `O(|E| + |V|)` when the graph is stored as adjacency lists.
 //!
-//! Two entry points are provided:
-//!
-//! * [`bfs`] / [`bfs_with_parents`] — generic over any [`EvolvingGraph`];
-//! * [`distance_between`], [`is_reachable`], [`reachable_set`] — small
-//!   conveniences layered on top.
-//!
-//! Backward-in-time traversal (Section V's `T⁻¹`) lives in
-//! [`crate::reverse`], and the frontier-parallel variant in
-//! [`mod@crate::par_bfs`].
+//! [`bfs`] and its siblings are thin wrappers over the level-synchronous
+//! kernel of [`crate::kernel`], with [`distance_between`], [`is_reachable`]
+//! and [`reachable_set`] as small conveniences on top.
+
+use rayon::prelude::*;
 
 use crate::distance::{DistanceMap, MultiSourceMap};
 use crate::error::{GraphError, Result};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
+use crate::kernel;
 
 /// Direction of a temporal traversal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -41,19 +38,19 @@ pub enum Direction {
 /// [`GraphError::TimeOutOfRange`] / [`GraphError::NodeOutOfRange`] if the
 /// root lies outside the graph.
 pub fn bfs<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<DistanceMap> {
-    bfs_impl(graph, root, false, Direction::Forward)
+    kernel::distances(graph, root, Direction::Forward, false, usize::MAX)
 }
 
 /// Runs Algorithm 1 from `root`, additionally recording BFS-tree parents so
 /// shortest temporal paths can be reconstructed.
 pub fn bfs_with_parents<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<DistanceMap> {
-    bfs_impl(graph, root, true, Direction::Forward)
+    kernel::distances(graph, root, Direction::Forward, true, usize::MAX)
 }
 
 /// Runs the backward-in-time BFS from `root` (Section V): distances count
 /// hops along reversed static edges and backward causal edges.
 pub fn backward_bfs<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<DistanceMap> {
-    bfs_impl(graph, root, false, Direction::Backward)
+    kernel::distances(graph, root, Direction::Backward, false, usize::MAX)
 }
 
 /// Backward BFS with parent recording.
@@ -61,7 +58,7 @@ pub fn backward_bfs_with_parents<G: EvolvingGraph>(
     graph: &G,
     root: TemporalNode,
 ) -> Result<DistanceMap> {
-    bfs_impl(graph, root, true, Direction::Backward)
+    kernel::distances(graph, root, Direction::Backward, true, usize::MAX)
 }
 
 /// Validates that `root` is inside the graph and active.
@@ -87,46 +84,6 @@ pub fn check_root<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<()>
     Ok(())
 }
 
-fn bfs_impl<G: EvolvingGraph>(
-    graph: &G,
-    root: TemporalNode,
-    with_parents: bool,
-    direction: Direction,
-) -> Result<DistanceMap> {
-    check_root(graph, root)?;
-
-    let mut reached = DistanceMap::new(
-        graph.num_nodes(),
-        graph.num_timestamps(),
-        root,
-        with_parents,
-    );
-
-    // `frontier` holds all temporal nodes at distance k-1; `next` collects
-    // distance-k nodes, exactly as in the pseudocode of Algorithm 1.
-    let mut frontier: Vec<TemporalNode> = vec![root];
-    let mut next: Vec<TemporalNode> = Vec::new();
-    let mut k: u32 = 1;
-
-    while !frontier.is_empty() {
-        next.clear();
-        for &tn in &frontier {
-            let visit = &mut |nbr: TemporalNode| {
-                if reached.try_reach(nbr, k, tn) {
-                    next.push(nbr);
-                }
-            };
-            match direction {
-                Direction::Forward => graph.for_each_forward_neighbor(tn, visit),
-                Direction::Backward => graph.for_each_backward_neighbor(tn, visit),
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        k += 1;
-    }
-    Ok(reached)
-}
-
 /// Runs a *shared-frontier* multi-source BFS: one traversal seeded with every
 /// source at distance 0, instead of one traversal per source.
 ///
@@ -147,59 +104,21 @@ pub fn multi_source_shared<G: EvolvingGraph>(
     graph: &G,
     sources: &[TemporalNode],
 ) -> Result<MultiSourceMap> {
-    if sources.is_empty() {
-        return Err(GraphError::NoSources);
-    }
-    for &s in sources {
-        check_root(graph, s)?;
-    }
-    let num_nodes = graph.num_nodes();
-    let size = num_nodes * graph.num_timestamps();
+    kernel::nearest_sources(graph, sources, usize::MAX)
+}
 
-    // Packed claim keys: (distance << 32) | source_index, u64::MAX =
-    // unreached. Taking the minimum key implements "nearest source, ties to
-    // the smallest source index" in a single comparison.
-    let mut key: Vec<u64> = vec![u64::MAX; size];
-    let mut frontier: Vec<TemporalNode> = Vec::new();
-    for (i, &s) in sources.iter().enumerate() {
-        let slot = &mut key[s.flat_index(num_nodes)];
-        if *slot == u64::MAX {
-            frontier.push(s);
-        }
-        *slot = (*slot).min(i as u64);
-    }
-
-    let mut next: Vec<TemporalNode> = Vec::new();
-    let mut level: u32 = 1;
-    while !frontier.is_empty() {
-        next.clear();
-        for &tn in &frontier {
-            // The attribution of `tn` settled while the previous level was
-            // expanded, so children inherit the final (minimal) source index.
-            let src = key[tn.flat_index(num_nodes)] & 0xFFFF_FFFF;
-            let claim = (u64::from(level) << 32) | src;
-            graph.for_each_forward_neighbor(tn, &mut |nbr| {
-                let slot = &mut key[nbr.flat_index(num_nodes)];
-                if *slot == u64::MAX {
-                    *slot = claim;
-                    next.push(nbr);
-                } else if claim < *slot {
-                    // Same level (levels are non-decreasing in discovery
-                    // order), smaller source index: update the attribution
-                    // without re-enqueueing.
-                    *slot = claim;
-                }
-            });
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        level += 1;
-    }
-    Ok(MultiSourceMap::from_keys(
-        num_nodes,
-        graph.num_timestamps(),
-        sources.to_vec(),
-        &key,
-    ))
+/// Runs BFS from many roots in parallel (one serial BFS per root, roots
+/// distributed over the rayon pool). This is the access pattern of the
+/// citation-mining workload of Section V, where an influence set is wanted
+/// for every author.
+pub fn multi_source_bfs<G: EvolvingGraph>(
+    graph: &G,
+    roots: &[TemporalNode],
+) -> Vec<Result<DistanceMap>> {
+    roots
+        .par_iter()
+        .map(|&root| crate::bfs::bfs(graph, root))
+        .collect()
 }
 
 /// Distance (Definition 6) from `from` to `to`, or `None` if `to` is not
@@ -405,12 +324,17 @@ mod tests {
         let g = paper_figure1();
         let sources = g.active_nodes();
         let shared = multi_source_shared(&g, &sources).unwrap();
-        let per_source: Vec<_> = sources.iter().map(|&s| bfs(&g, s).unwrap()).collect();
+        // Theorem 1's oracle: per-source BFS on the equivalent static graph.
+        let eq = crate::static_equiv::EquivalentStaticGraph::build(&g);
+        let per_source: Vec<_> = sources
+            .iter()
+            .map(|&s| eq.bfs_distances_from(s).unwrap())
+            .collect();
         for tn in g.active_nodes() {
             let oracle = per_source
                 .iter()
                 .enumerate()
-                .filter_map(|(i, m)| m.distance(tn).map(|d| (d, i)))
+                .filter_map(|(i, m)| m.iter().find(|&&(r, _)| r == tn).map(|&(_, d)| (d, i)))
                 .min();
             assert_eq!(
                 shared.distance(tn),
@@ -449,6 +373,19 @@ mod tests {
             multi_source_shared(&g, &[TemporalNode::from_raw(2, 0)]).unwrap_err(),
             GraphError::InactiveRoot { .. }
         ));
+    }
+
+    #[test]
+    fn multi_source_runs_every_root() {
+        let g = paper_figure1();
+        let roots = g.active_nodes();
+        let results = multi_source_bfs(&g, &roots);
+        assert_eq!(results.len(), roots.len());
+        for (root, res) in roots.iter().zip(&results) {
+            let map = res.as_ref().unwrap();
+            assert_eq!(map.root(), *root);
+            assert_eq!(map.distance(*root), Some(0));
+        }
     }
 
     #[test]

@@ -30,69 +30,32 @@ pub struct DistanceMap {
 }
 
 impl DistanceMap {
-    /// Creates a map with every temporal node unreached except the root
-    /// (distance 0).
-    pub(crate) fn new(
+    #[inline]
+    fn flat(&self, tn: TemporalNode) -> usize {
+        tn.flat_index(self.num_nodes)
+    }
+
+    /// Wraps a finished table: `dist` (and `parent`, if recorded) laid out
+    /// time-major, the root at distance 0, with its reached count and
+    /// largest distance.
+    pub(crate) fn from_table(
         num_nodes: usize,
         num_timestamps: usize,
         root: TemporalNode,
-        with_parents: bool,
+        dist: Vec<u32>,
+        parent: Option<Vec<u64>>,
+        reached_count: usize,
+        max_distance: u32,
     ) -> Self {
-        let size = num_nodes * num_timestamps;
-        let mut dist = vec![UNREACHED; size];
-        let mut parent = if with_parents {
-            Some(vec![NO_PARENT; size])
-        } else {
-            None
-        };
-        let root_idx = root.flat_index(num_nodes);
-        dist[root_idx] = 0;
-        if let Some(p) = parent.as_mut() {
-            p[root_idx] = NO_PARENT;
-        }
         DistanceMap {
             num_nodes,
             num_timestamps,
             root,
             dist,
             parent,
-            reached_count: 1,
-            max_distance: 0,
+            reached_count,
+            max_distance,
         }
-    }
-
-    #[inline]
-    fn flat(&self, tn: TemporalNode) -> usize {
-        tn.flat_index(self.num_nodes)
-    }
-
-    /// Marks `tn` reached at distance `d` with BFS-tree parent `from`.
-    /// Returns `false` if it was already reached.
-    #[inline]
-    pub(crate) fn try_reach(&mut self, tn: TemporalNode, d: u32, from: TemporalNode) -> bool {
-        let idx = self.flat(tn);
-        if self.dist[idx] != UNREACHED {
-            return false;
-        }
-        self.dist[idx] = d;
-        if let Some(p) = self.parent.as_mut() {
-            p[idx] = from.flat_index(self.num_nodes) as u64;
-        }
-        self.reached_count += 1;
-        self.max_distance = self.max_distance.max(d);
-        true
-    }
-
-    /// Direct access used by the parallel BFS, which computes visited flags
-    /// with atomics and writes the distances afterwards.
-    #[inline]
-    pub(crate) fn set_distance_unchecked(&mut self, tn: TemporalNode, d: u32) {
-        let idx = self.flat(tn);
-        if self.dist[idx] == UNREACHED {
-            self.reached_count += 1;
-        }
-        self.dist[idx] = d;
-        self.max_distance = self.max_distance.max(d);
     }
 
     /// Builds a distance map from an explicit list of `(temporal node,
@@ -106,14 +69,8 @@ impl DistanceMap {
         root: TemporalNode,
         reached: &[(TemporalNode, u32)],
     ) -> Self {
-        let mut map = DistanceMap::new(num_nodes, num_timestamps, root, false);
-        for &(tn, d) in reached {
-            if tn == root {
-                continue;
-            }
-            map.set_distance_unchecked(tn, d);
-        }
-        map
+        let entries = reached.iter().map(|&(tn, d)| (tn, d, None));
+        DistanceMap::from_entries(num_nodes, num_timestamps, root, false, entries)
     }
 
     /// Builds a distance map *with parent pointers* from explicit
@@ -128,17 +85,32 @@ impl DistanceMap {
         root: TemporalNode,
         reached: &[(TemporalNode, u32, Option<TemporalNode>)],
     ) -> Self {
-        let mut map = DistanceMap::new(num_nodes, num_timestamps, root, true);
-        for &(tn, d, parent) in reached {
-            if tn == root {
-                continue;
-            }
-            map.set_distance_unchecked(tn, d);
-            if let (Some(p), Some(parents)) = (parent, map.parent.as_mut()) {
-                parents[tn.flat_index(num_nodes)] = p.flat_index(num_nodes) as u64;
+        let entries = reached.iter().copied();
+        DistanceMap::from_entries(num_nodes, num_timestamps, root, true, entries)
+    }
+
+    /// The root at distance 0 plus every non-root entry, last one winning.
+    fn from_entries(
+        num_nodes: usize,
+        num_timestamps: usize,
+        root: TemporalNode,
+        with_parents: bool,
+        entries: impl Iterator<Item = (TemporalNode, u32, Option<TemporalNode>)>,
+    ) -> Self {
+        let mut dist = vec![UNREACHED; num_nodes * num_timestamps];
+        let mut parent = with_parents.then(|| vec![NO_PARENT; dist.len()]);
+        dist[root.flat_index(num_nodes)] = 0;
+        let (mut reached, mut depth) = (1, 0);
+        for (tn, d, p) in entries.filter(|&(tn, _, _)| tn != root) {
+            let i = tn.flat_index(num_nodes);
+            reached += usize::from(dist[i] == UNREACHED);
+            (dist[i], depth) = (d, depth.max(d));
+            if let (Some(parents), Some(p)) = (parent.as_mut(), p) {
+                parents[i] = p.flat_index(num_nodes) as u64;
             }
         }
-        map
+        let (n, t) = (num_nodes, num_timestamps);
+        DistanceMap::from_table(n, t, root, dist, parent, reached, depth)
     }
 
     /// The root temporal node from which the traversal started.
@@ -270,6 +242,11 @@ impl DistanceMap {
         self.parent.is_some()
     }
 
+    /// The raw parent table (flat indices, `u64::MAX` = none), if recorded.
+    pub(crate) fn parent_table(&self) -> Option<&[u64]> {
+        self.parent.as_deref()
+    }
+
     /// BFS-tree parent of `tn`, if parents were recorded and `tn` is reached
     /// and is not the root.
     pub fn parent(&self, tn: TemporalNode) -> Option<TemporalNode> {
@@ -348,7 +325,7 @@ impl DistanceMap {
 const NO_SOURCE: u32 = u32::MAX;
 
 /// The result of a *shared-frontier* multi-source traversal
-/// ([`crate::bfs::multi_source_shared`] and its parallel twin): for every
+/// ([`crate::bfs::multi_source_shared`] and its pooled form): for every
 /// reached temporal node, the distance to its *nearest* source and the
 /// identity of that source.
 ///
@@ -378,28 +355,17 @@ impl MultiSourceMap {
         keys: &[u64],
     ) -> Self {
         debug_assert_eq!(keys.len(), num_nodes * num_timestamps);
-        let mut dist = vec![UNREACHED; keys.len()];
-        let mut source_idx = vec![NO_SOURCE; keys.len()];
-        let mut reached_count = 0usize;
-        let mut max_distance = 0u32;
-        for (i, &key) in keys.iter().enumerate() {
-            if key == u64::MAX {
-                continue;
-            }
-            let d = (key >> 32) as u32;
-            dist[i] = d;
-            source_idx[i] = (key & 0xFFFF_FFFF) as u32;
-            reached_count += 1;
-            max_distance = max_distance.max(d);
-        }
+        // An unreached key (`u64::MAX`) splits into UNREACHED / NO_SOURCE.
+        let dist: Vec<u32> = keys.iter().map(|&key| (key >> 32) as u32).collect();
+        let reached = dist.iter().copied().filter(|&d| d != UNREACHED);
         MultiSourceMap {
             num_nodes,
             num_timestamps,
             sources,
+            reached_count: reached.clone().count(),
+            max_distance: reached.max().unwrap_or(0),
+            source_idx: keys.iter().map(|&key| key as u32).collect(),
             dist,
-            source_idx,
-            reached_count,
-            max_distance,
         }
     }
 
@@ -417,34 +383,17 @@ impl MultiSourceMap {
         sources: Vec<TemporalNode>,
         entries: &[(TemporalNode, u32, usize)],
     ) -> Self {
-        let size = num_nodes * num_timestamps;
-        let mut dist = vec![UNREACHED; size];
-        let mut source_idx = vec![NO_SOURCE; size];
+        // Last entry wins on duplicates; the counters come from the final
+        // keys, so no stale entry can leave a max_distance no slot has.
+        let mut keys = vec![u64::MAX; num_nodes * num_timestamps];
         for &(tn, d, s) in entries {
             debug_assert!(s < sources.len(), "source index {s} out of range");
-            let i = tn.flat_index(num_nodes);
-            dist[i] = d;
-            source_idx[i] = s as u32;
+            keys[tn.flat_index(num_nodes)] = match d {
+                UNREACHED => u64::MAX,
+                d => (u64::from(d) << 32) | s as u64,
+            };
         }
-        // Counters from the *final* arrays, so duplicate entries (last one
-        // wins) cannot leave a max_distance no stored slot has.
-        let mut reached_count = 0usize;
-        let mut max_distance = 0u32;
-        for &d in &dist {
-            if d != UNREACHED {
-                reached_count += 1;
-                max_distance = max_distance.max(d);
-            }
-        }
-        MultiSourceMap {
-            num_nodes,
-            num_timestamps,
-            sources,
-            dist,
-            source_idx,
-            reached_count,
-            max_distance,
-        }
+        MultiSourceMap::from_keys(num_nodes, num_timestamps, sources, &keys)
     }
 
     #[inline]
@@ -605,14 +554,16 @@ mod tests {
     fn toy_map() -> DistanceMap {
         // 3 nodes, 2 timestamps.
         let root = TemporalNode::from_raw(0, 0);
-        let mut m = DistanceMap::new(3, 2, root, true);
-        assert!(m.try_reach(TemporalNode::from_raw(1, 0), 1, root));
-        assert!(m.try_reach(
-            TemporalNode::from_raw(1, 1),
+        let a = TemporalNode::from_raw(1, 0);
+        DistanceMap::from_reached_with_parents(
+            3,
             2,
-            TemporalNode::from_raw(1, 0)
-        ));
-        m
+            root,
+            &[
+                (a, 1, Some(root)),
+                (TemporalNode::from_raw(1, 1), 2, Some(a)),
+            ],
+        )
     }
 
     #[test]
@@ -620,17 +571,6 @@ mod tests {
         let m = toy_map();
         assert_eq!(m.distance(TemporalNode::from_raw(0, 0)), Some(0));
         assert_eq!(m.root(), TemporalNode::from_raw(0, 0));
-    }
-
-    #[test]
-    fn try_reach_rejects_duplicates() {
-        let mut m = toy_map();
-        assert!(!m.try_reach(
-            TemporalNode::from_raw(1, 0),
-            7,
-            TemporalNode::from_raw(0, 0)
-        ));
-        assert_eq!(m.distance(TemporalNode::from_raw(1, 0)), Some(1));
     }
 
     #[test]

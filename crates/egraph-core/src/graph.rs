@@ -27,7 +27,10 @@ use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timest
 /// * `for_each_active_time` reports snapshot indices in increasing order and
 ///   reports exactly the snapshots at which the node has at least one
 ///   incident static edge (Definition 3).
-pub trait EvolvingGraph {
+///
+/// Every graph is `Sync`: the traversal kernel ([`crate::kernel`]) may
+/// expand a wide BFS level across the rayon pool.
+pub trait EvolvingGraph: Sync {
     /// Size of the node universe. Valid node identifiers are `0..num_nodes`.
     fn num_nodes(&self) -> usize;
 

@@ -58,8 +58,8 @@
 //! | [`adjacency`] | adjacency-list representation (incremental) |
 //! | [`csr`] | CSR-flattened representation (contiguous serve path) |
 //! | [`snapshots`] | snapshot-sequence representation |
-//! | [`mod@bfs`] | Algorithm 1 (serial), backward BFS, shared-frontier multi-source, reachability |
-//! | [`mod@par_bfs`] | frontier-parallel BFS and multi-source BFS (rayon) |
+//! | [`mod@bfs`] | Algorithm 1, backward BFS, shared-frontier and per-root multi-source, reachability |
+//! | [`kernel`] | the one level-synchronous traversal loop behind every hop engine, serial or across the rayon pool |
 //! | [`paths`] | temporal-path validation, enumeration, walk counting |
 //! | [`resume`] | resumable BFS/foremost state for incremental re-search |
 //! | [`static_equiv`] | the equivalent static graph of Theorem 1 |
@@ -80,8 +80,8 @@ pub mod foremost;
 pub mod graph;
 pub mod ids;
 pub mod instrument;
+pub mod kernel;
 pub mod metrics;
-pub mod par_bfs;
 pub mod paths;
 pub mod resume;
 pub mod reverse;
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::adjacency::AdjacencyListGraph;
     pub use crate::bfs::{
         backward_bfs, backward_bfs_with_parents, bfs, bfs_with_parents, distance_between,
-        is_reachable, multi_source_shared, reachable_set, Direction,
+        is_reachable, multi_source_bfs, multi_source_shared, reachable_set, Direction,
     };
     pub use crate::components::{in_component, out_component, weak_components, WeakComponents};
     pub use crate::csr::{CsrAdjacency, CsrParts};
@@ -106,7 +106,6 @@ pub mod prelude {
     pub use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timestamp};
     pub use crate::instrument::{CountingView, TraversalCounters};
     pub use crate::metrics::{eccentricity, reach_counts, GraphMetrics};
-    pub use crate::par_bfs::{multi_source_bfs, par_bfs, par_multi_source_shared};
     pub use crate::paths::{enumerate_paths, is_temporal_path, walk_count_vector};
     pub use crate::resume::{ResumableBfs, ResumableForemost, ResumableShared, StableCoreResettle};
     pub use crate::reverse::ReversedView;
@@ -123,7 +122,6 @@ pub use distance::{DistanceMap, MultiSourceMap};
 pub use error::{GraphError, Result};
 pub use graph::EvolvingGraph;
 pub use ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
-pub use par_bfs::par_bfs;
 pub use snapshots::SnapshotSequence;
 pub use static_equiv::EquivalentStaticGraph;
 pub use static_graph::StaticGraph;

@@ -47,7 +47,7 @@ pub struct GraphMetrics {
 
 impl GraphMetrics {
     /// Computes exact metrics using every active temporal node as a root.
-    pub fn compute<G: EvolvingGraph + Sync>(graph: &G) -> Self {
+    pub fn compute<G: EvolvingGraph>(graph: &G) -> Self {
         let roots = graph.active_nodes();
         Self::from_roots(graph, &roots)
     }
@@ -55,13 +55,13 @@ impl GraphMetrics {
     /// Computes metrics using at most `max_roots` active roots (the first
     /// ones in time-major order), for graphs where the exact all-pairs sweep
     /// is too expensive.
-    pub fn compute_sampled<G: EvolvingGraph + Sync>(graph: &G, max_roots: usize) -> Self {
+    pub fn compute_sampled<G: EvolvingGraph>(graph: &G, max_roots: usize) -> Self {
         let mut roots = graph.active_nodes();
         roots.truncate(max_roots);
         Self::from_roots(graph, &roots)
     }
 
-    fn from_roots<G: EvolvingGraph + Sync>(graph: &G, roots: &[TemporalNode]) -> Self {
+    fn from_roots<G: EvolvingGraph>(graph: &G, roots: &[TemporalNode]) -> Self {
         let num_active_nodes = graph.num_active_nodes();
 
         // One BFS per root, in parallel; fold the per-root summaries.
@@ -135,7 +135,7 @@ pub fn eccentricity<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Option<u
 
 /// The number of temporal nodes reachable from each active node, as
 /// `(root, count)` pairs — the "reach profile" of the whole graph.
-pub fn reach_counts<G: EvolvingGraph + Sync>(graph: &G) -> Vec<(TemporalNode, usize)> {
+pub fn reach_counts<G: EvolvingGraph>(graph: &G) -> Vec<(TemporalNode, usize)> {
     graph
         .active_nodes()
         .par_iter()

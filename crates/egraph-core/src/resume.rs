@@ -13,8 +13,9 @@
 //!   per-node *frontier snapshot* (`node_best`: the minimum distance at which
 //!   each node was ever reached). Appending snapshot `t_new` seeds each node
 //!   active at `t_new` with `node_best + 1` (its cheapest causal entry) and
-//!   relaxes static edges inside `t_new` with a bucket BFS — work
-//!   proportional to the new snapshot, not the history.
+//!   relaxes static edges inside `t_new` with the kernel seeded at several
+//!   levels ([`crate::kernel`]) — work proportional to the new snapshot,
+//!   not the history.
 //! * [`ResumableForemost`] — the earliest-arrival table of the foremost
 //!   sweep. Appending `t_new` can only create arrivals *at* `t_new`, found by
 //!   one static BFS inside the new snapshot seeded from already-reached
@@ -22,9 +23,9 @@
 //! * [`ResumableShared`] — the packed `(dist << 32) | source_index` claim
 //!   keys of the shared-frontier engines, plus a per-node minimum key. One
 //!   hop adds `1 << 32` to a key (distance + 1, same source attribution), so
-//!   the hop engine's bucket BFS carries over verbatim on packed keys and
-//!   the extension reproduces the engines' deterministic
-//!   smallest-source-index tie-break exactly.
+//!   the same seeded kernel runs on packed keys and the extension
+//!   reproduces the engines' deterministic smallest-source-index tie-break
+//!   exactly.
 //! * [`StableCoreResettle`] — the stable-core repair for *time-reversed*
 //!   traversals (backward XOR `.reverse()`), after Afarin et al.'s
 //!   stable-vertex analysis: across an append every previously settled value
@@ -53,20 +54,76 @@
 //! the delta-proportional work claims with
 //! [`crate::instrument::CountingView`] counters.
 
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
-use crate::bfs::bfs;
+use crate::bfs::{bfs, multi_source_shared};
 use crate::distance::{DistanceMap, MultiSourceMap, UNREACHED};
 use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
-
-/// Sentinel parent for unreached temporal nodes / the root.
-const NO_PARENT: u64 = u64::MAX;
+use crate::kernel::{self, Kernel, Slot, NO_PARENT};
 
 /// Packed-key increment for one hop: distance + 1, same source attribution.
 const HOP: u64 = 1 << 32;
+
+/// Runs the kernel over one appended row of `num_nodes` slots — slot `v`
+/// is `(v, t_new)` and a hop follows the static edges inside `t_new` — from
+/// `(key, node, parent)` seeds, and returns the row's keys.
+fn settle_row<G: EvolvingGraph, S: Slot>(
+    graph: &G,
+    t_new: TimeIndex,
+    num_nodes: usize,
+    seeds: impl Iterator<Item = (S::Key, NodeId, u64)>,
+    parents: Option<&mut [u64]>,
+) -> Vec<S::Key> {
+    let row = kernel::table::<S>(num_nodes);
+    let seeds = seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent));
+    Kernel::new(&row, num_nodes, t_new.index() * num_nodes, |tn, f| {
+        graph.for_each_static_out(tn.node, t_new, &mut |w| f(TemporalNode::new(w, t_new)))
+    })
+    .run(seeds.collect(), parents, usize::MAX);
+    kernel::into_keys(row)
+}
+
+/// The snapshot an extension appends: the next uncovered one, which
+/// `graph` must hold, with a node universe no wider than the state's.
+fn next_snapshot<G: EvolvingGraph>(
+    graph: &G,
+    covered: usize,
+    num_nodes: usize,
+    touched: &[NodeId],
+) -> Result<TimeIndex> {
+    let t_new = TimeIndex::from_index(covered);
+    if covered >= graph.num_timestamps() {
+        return Err(GraphError::TimeOutOfRange {
+            time: t_new,
+            num_timestamps: graph.num_timestamps(),
+        });
+    }
+    if graph.num_nodes() > num_nodes {
+        return Err(GraphError::NodeOutOfRange {
+            node: NodeId::from_index(num_nodes),
+            num_nodes: graph.num_nodes(),
+        });
+    }
+    debug_assert!(
+        touched.iter().all(|&v| graph.is_active(v, t_new)),
+        "touched list must contain only nodes active at the new snapshot"
+    );
+    Ok(t_new)
+}
+
+/// Re-lays a time-major table of `rows` rows out for a node universe grown
+/// from `old` to `new`; the new columns hold `fill`.
+fn relayout<T: Copy>(table: &[T], rows: usize, old: usize, new: usize, fill: T) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows * new);
+    for t in 0..rows {
+        out.extend_from_slice(&table[t * old..(t + 1) * old]);
+        out.resize((t + 1) * new, fill);
+    }
+    out
+}
 
 /// Resumable state of a forward hop-distance BFS (Algorithm 1).
 ///
@@ -117,7 +174,6 @@ impl ResumableBfs {
         let dist = map.as_flat_slice().to_vec();
         let mut node_best = vec![UNREACHED; num_nodes];
         let mut node_best_time = vec![0u32; num_nodes];
-        let mut parent = map.has_parents().then(|| vec![NO_PARENT; dist.len()]);
         for (i, &d) in dist.iter().enumerate() {
             if d == UNREACHED {
                 continue;
@@ -129,12 +185,6 @@ impl ResumableBfs {
                 node_best[v] = d;
                 node_best_time[v] = (i / num_nodes) as u32;
             }
-            if let Some(p) = parent.as_mut() {
-                let tn = TemporalNode::from_flat_index(i, num_nodes);
-                if let Some(par) = map.parent(tn) {
-                    p[i] = par.flat_index(num_nodes) as u64;
-                }
-            }
         }
         ResumableBfs {
             root: map.root(),
@@ -143,7 +193,7 @@ impl ResumableBfs {
             dist,
             node_best,
             node_best_time,
-            parent,
+            parent: map.parent_table().map(<[u64]>::to_vec),
         }
     }
 
@@ -189,27 +239,16 @@ impl ResumableBfs {
         if num_nodes <= self.num_nodes {
             return;
         }
-        let mut dist = vec![UNREACHED; num_nodes * self.num_timestamps];
-        for t in 0..self.num_timestamps {
-            let src = &self.dist[t * self.num_nodes..(t + 1) * self.num_nodes];
-            dist[t * num_nodes..t * num_nodes + self.num_nodes].copy_from_slice(src);
-        }
-        if let Some(old) = self.parent.take() {
+        let (rows, old) = (self.num_timestamps, self.num_nodes);
+        self.dist = relayout(&self.dist, rows, old, num_nodes, UNREACHED);
+        if let Some(parent) = self.parent.as_mut() {
             // Parent pointers are flat indices, so they must be *remapped*,
             // not just copied: a flat index bakes in the row stride.
-            let mut parent = vec![NO_PARENT; num_nodes * self.num_timestamps];
-            for t in 0..self.num_timestamps {
-                for v in 0..self.num_nodes {
-                    let p = old[t * self.num_nodes + v];
-                    if p != NO_PARENT {
-                        let tn = TemporalNode::from_flat_index(p as usize, self.num_nodes);
-                        parent[t * num_nodes + v] = tn.flat_index(num_nodes) as u64;
-                    }
-                }
+            for p in parent.iter_mut().filter(|p| **p != NO_PARENT) {
+                *p = TemporalNode::from_flat_index(*p as usize, old).flat_index(num_nodes) as u64;
             }
-            self.parent = Some(parent);
+            *parent = relayout(parent, rows, old, num_nodes, NO_PARENT);
         }
-        self.dist = dist;
         self.node_best.resize(num_nodes, UNREACHED);
         self.node_best_time.resize(num_nodes, 0);
         self.num_nodes = num_nodes;
@@ -224,7 +263,7 @@ impl ResumableBfs {
     /// per seal. Because all causal edges into the new snapshot come from
     /// the same node at an earlier active time, each touched node's cheapest
     /// entry costs `node_best + 1`; static edges inside the snapshot then
-    /// relax those seeds with a bucket (Dial) BFS.
+    /// relax those seeds with the kernel seeded at several levels.
     ///
     /// # Errors
     /// [`GraphError::TimeOutOfRange`] if the graph does not contain the next
@@ -235,64 +274,25 @@ impl ResumableBfs {
         graph: &G,
         touched: &[NodeId],
     ) -> Result<()> {
-        let t_new = TimeIndex::from_index(self.num_timestamps);
-        if t_new.index() >= graph.num_timestamps() {
-            return Err(GraphError::TimeOutOfRange {
-                time: t_new,
-                num_timestamps: graph.num_timestamps(),
-            });
-        }
-        if graph.num_nodes() > self.num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node: NodeId::from_index(self.num_nodes),
-                num_nodes: graph.num_nodes(),
-            });
-        }
-        debug_assert!(
-            touched.iter().all(|&v| graph.is_active(v, t_new)),
-            "touched list must contain only nodes active at the new snapshot"
-        );
+        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
 
-        // Seed every touched node with its cheapest causal entry, then relax
-        // static edges inside the new snapshot in increasing-distance order.
-        // Each bucket entry carries the flat index of the parent proposing
-        // it: a causal seed's parent is the earliest snapshot achieving the
-        // node's best distance, a static relaxation's parent is its
-        // proposer at the new snapshot. First settle at the minimum
-        // distance wins, so every recorded parent sits at distance d − 1
-        // across a valid edge.
-        let track_parents = self.parent.is_some();
-        let mut buckets: BTreeMap<u32, Vec<(NodeId, u64)>> = BTreeMap::new();
-        for &v in touched {
-            let best = self.node_best[v.index()];
-            if best != UNREACHED {
-                let witness = self.node_best_time[v.index()] as u64 * self.num_nodes as u64
-                    + v.index() as u64;
-                buckets.entry(best + 1).or_default().push((v, witness));
-            }
-        }
-        let mut new_row = vec![UNREACHED; self.num_nodes];
-        let mut new_parents = track_parents.then(|| vec![NO_PARENT; self.num_nodes]);
-        let row_base = self.num_timestamps * self.num_nodes;
-        while let Some((&d, _)) = buckets.iter().next() {
-            let nodes = buckets.remove(&d).expect("key taken from the map");
-            for (v, from) in nodes {
-                if new_row[v.index()] <= d {
-                    continue; // settled earlier at an equal or smaller distance
-                }
-                new_row[v.index()] = d;
-                if let Some(ps) = new_parents.as_mut() {
-                    ps[v.index()] = from;
-                }
-                let proposer = (row_base + v.index()) as u64;
-                graph.for_each_static_out(v, t_new, &mut |w| {
-                    if new_row[w.index()] > d + 1 {
-                        buckets.entry(d + 1).or_default().push((w, proposer));
-                    }
-                });
-            }
-        }
-
+        // A causal seed's parent is its witness snapshot, a static
+        // relaxation's its proposer; the first claim at the minimum distance
+        // wins, so every parent sits at distance d − 1 across a valid edge.
+        let (n, best, best_time) = (self.num_nodes, &self.node_best, &self.node_best_time);
+        let seeds = touched
+            .iter()
+            .filter(|v| best[v.index()] != UNREACHED)
+            .map(|&v| {
+                let witness = best_time[v.index()] as usize * n + v.index();
+                (best[v.index()] + 1, v, witness as u64)
+            });
+        let parents = self.parent.as_mut().map(|p| {
+            let start = p.len();
+            p.resize(start + n, NO_PARENT);
+            &mut p[start..]
+        });
+        let new_row = settle_row::<_, AtomicU32>(graph, t_new, n, seeds, parents);
         for (v, &d) in new_row.iter().enumerate() {
             if d < self.node_best[v] {
                 self.node_best[v] = d;
@@ -300,9 +300,6 @@ impl ResumableBfs {
             }
         }
         self.dist.extend_from_slice(&new_row);
-        if let (Some(parent), Some(new_ps)) = (self.parent.as_mut(), new_parents) {
-            parent.extend_from_slice(&new_ps);
-        }
         self.num_timestamps += 1;
         Ok(())
     }
@@ -314,34 +311,11 @@ impl ResumableBfs {
     /// docs), not necessarily the one a from-scratch run's visit order
     /// would pick.
     pub fn to_distance_map(&self) -> DistanceMap {
-        if let Some(parent) = self.parent.as_ref() {
-            let reached: Vec<(TemporalNode, u32, Option<TemporalNode>)> = self
-                .dist
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d != UNREACHED)
-                .map(|(i, &d)| {
-                    let p = parent[i];
-                    let p = (p != NO_PARENT)
-                        .then(|| TemporalNode::from_flat_index(p as usize, self.num_nodes));
-                    (TemporalNode::from_flat_index(i, self.num_nodes), d, p)
-                })
-                .collect();
-            return DistanceMap::from_reached_with_parents(
-                self.num_nodes,
-                self.num_timestamps,
-                self.root,
-                &reached,
-            );
-        }
-        let reached: Vec<(TemporalNode, u32)> = self
-            .dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != UNREACHED)
-            .map(|(i, &d)| (TemporalNode::from_flat_index(i, self.num_nodes), d))
-            .collect();
-        DistanceMap::from_reached(self.num_nodes, self.num_timestamps, self.root, &reached)
+        let reached = self.dist.iter().copied().filter(|&d| d != UNREACHED);
+        let (count, depth) = (reached.clone().count(), reached.max().unwrap_or(0));
+        let (n, t) = (self.num_nodes, self.num_timestamps);
+        let (dist, parent) = (self.dist.clone(), self.parent.clone());
+        DistanceMap::from_table(n, t, self.root, dist, parent, count, depth)
     }
 }
 
@@ -419,37 +393,17 @@ impl ResumableForemost {
         graph: &G,
         touched: &[NodeId],
     ) -> Result<()> {
-        let t_new = TimeIndex::from_index(self.num_timestamps);
-        if t_new.index() >= graph.num_timestamps() {
-            return Err(GraphError::TimeOutOfRange {
-                time: t_new,
-                num_timestamps: graph.num_timestamps(),
-            });
-        }
-        if graph.num_nodes() > self.arrival.len() {
-            return Err(GraphError::NodeOutOfRange {
-                node: NodeId::from_index(self.arrival.len()),
-                num_nodes: graph.num_nodes(),
-            });
-        }
-        debug_assert!(
-            touched.iter().all(|&v| graph.is_active(v, t_new)),
-            "touched list must contain only nodes active at the new snapshot"
-        );
+        let t_new = next_snapshot(graph, self.num_timestamps, self.arrival.len(), touched)?;
 
-        let mut frontier: Vec<NodeId> = touched
+        let seeds = touched
             .iter()
-            .copied()
-            .filter(|&v| self.arrival[v.index()].is_some())
-            .collect();
-        while let Some(u) = frontier.pop() {
-            graph.for_each_static_out(u, t_new, &mut |w| {
-                let slot = &mut self.arrival[w.index()];
-                if slot.is_none() {
-                    *slot = Some(t_new);
-                    frontier.push(w);
-                }
-            });
+            .filter(|v| self.arrival[v.index()].is_some())
+            .map(|&v| (0, v, NO_PARENT));
+        let row = settle_row::<_, AtomicU32>(graph, t_new, self.arrival.len(), seeds, None);
+        for (arrival, d) in self.arrival.iter_mut().zip(row) {
+            if d != UNREACHED && arrival.is_none() {
+                *arrival = Some(t_new);
+            }
         }
         self.num_timestamps += 1;
         Ok(())
@@ -462,13 +416,13 @@ impl ResumableForemost {
 }
 
 /// Resumable state of a forward *shared-frontier* multi-source traversal
-/// ([`crate::bfs::multi_source_shared`] and its parallel twin).
+/// ([`crate::bfs::multi_source_shared`] and its pooled form).
 ///
 /// The retained state is exactly the engines' packed claim keys —
 /// `(distance << 32) | source_index`, `u64::MAX` = unreached — plus a
 /// per-node minimum key over the covered snapshots. One hop adds `HOP`
 /// (`1 << 32`) to a key: distance + 1 with the source attribution carried
-/// along, so the same bucket BFS that extends [`ResumableBfs`] runs on
+/// along, so the same seeded kernel that extends [`ResumableBfs`] runs on
 /// packed keys and settles every temporal node of the appended snapshot at
 /// its minimum key. Minimum packed key *is* the engines' answer — nearest
 /// source first, ties to the smallest source index — so the extension is
@@ -492,11 +446,9 @@ impl ResumableShared {
     ///
     /// # Errors
     /// The same source-validation errors as
-    /// [`multi_source_shared`](crate::bfs::multi_source_shared).
+    /// [`multi_source_shared`].
     pub fn start<G: EvolvingGraph>(graph: &G, sources: &[TemporalNode]) -> Result<Self> {
-        Ok(Self::from_map(&crate::bfs::multi_source_shared(
-            graph, sources,
-        )?))
+        Ok(Self::from_map(&multi_source_shared(graph, sources)?))
     }
 
     /// Captures resumable state from an already-computed *forward*
@@ -546,12 +498,8 @@ impl ResumableShared {
         if num_nodes <= self.num_nodes {
             return;
         }
-        let mut key = vec![u64::MAX; num_nodes * self.num_timestamps];
-        for t in 0..self.num_timestamps {
-            let src = &self.key[t * self.num_nodes..(t + 1) * self.num_nodes];
-            key[t * num_nodes..t * num_nodes + self.num_nodes].copy_from_slice(src);
-        }
-        self.key = key;
+        let (rows, old) = (self.num_timestamps, self.num_nodes);
+        self.key = relayout(&self.key, rows, old, num_nodes, u64::MAX);
         self.node_best.resize(num_nodes, u64::MAX);
         self.num_nodes = num_nodes;
     }
@@ -568,52 +516,17 @@ impl ResumableShared {
         graph: &G,
         touched: &[NodeId],
     ) -> Result<()> {
-        let t_new = TimeIndex::from_index(self.num_timestamps);
-        if t_new.index() >= graph.num_timestamps() {
-            return Err(GraphError::TimeOutOfRange {
-                time: t_new,
-                num_timestamps: graph.num_timestamps(),
-            });
-        }
-        if graph.num_nodes() > self.num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node: NodeId::from_index(self.num_nodes),
-                num_nodes: graph.num_nodes(),
-            });
-        }
-        debug_assert!(
-            touched.iter().all(|&v| graph.is_active(v, t_new)),
-            "touched list must contain only nodes active at the new snapshot"
-        );
+        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
 
-        // Identical structure to the hop extension, on packed keys: seed
-        // every touched node with its cheapest causal claim, relax static
-        // edges inside the new snapshot in increasing-key order. The first
-        // settle at the minimum key carries the winning (distance, source)
-        // pair by construction.
-        let mut buckets: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        for &v in touched {
-            let best = self.node_best[v.index()];
-            if best != u64::MAX {
-                buckets.entry(best + HOP).or_default().push(v);
-            }
-        }
-        let mut new_row = vec![u64::MAX; self.num_nodes];
-        while let Some((&k, _)) = buckets.iter().next() {
-            let nodes = buckets.remove(&k).expect("key taken from the map");
-            for v in nodes {
-                if new_row[v.index()] <= k {
-                    continue; // settled earlier at an equal or smaller key
-                }
-                new_row[v.index()] = k;
-                graph.for_each_static_out(v, t_new, &mut |w| {
-                    if new_row[w.index()] > k + HOP {
-                        buckets.entry(k + HOP).or_default().push(w);
-                    }
-                });
-            }
-        }
-
+        // The hop extension on packed keys: each touched node's cheapest
+        // causal claim carries its source along, and the kernel's minimum
+        // key per node is the engines' answer, ties included.
+        let best = &self.node_best;
+        let seeds = touched
+            .iter()
+            .filter(|v| best[v.index()] != u64::MAX)
+            .map(|&v| (best[v.index()] + HOP, v, NO_PARENT));
+        let new_row = settle_row::<_, AtomicU64>(graph, t_new, self.num_nodes, seeds, None);
         for (v, &k) in new_row.iter().enumerate() {
             if k < self.node_best[v] {
                 self.node_best[v] = k;
@@ -626,15 +539,11 @@ impl ResumableShared {
 
     /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
     /// key-for-key what a from-scratch
-    /// [`multi_source_shared`](crate::bfs::multi_source_shared) over that
+    /// [`multi_source_shared`] over that
     /// prefix produces.
     pub fn to_map(&self) -> MultiSourceMap {
-        MultiSourceMap::from_keys(
-            self.num_nodes,
-            self.num_timestamps,
-            self.sources.clone(),
-            &self.key,
-        )
+        let (n, t) = (self.num_nodes, self.num_timestamps);
+        MultiSourceMap::from_keys(n, t, self.sources.clone(), &self.key)
     }
 }
 
@@ -723,19 +632,7 @@ impl StableCoreResettle {
         graph: &G,
         touched: &[NodeId],
     ) -> Result<Vec<NodeId>> {
-        let t_new = TimeIndex::from_index(self.num_timestamps);
-        if t_new.index() >= graph.num_timestamps() {
-            return Err(GraphError::TimeOutOfRange {
-                time: t_new,
-                num_timestamps: graph.num_timestamps(),
-            });
-        }
-        if graph.num_nodes() > self.num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node: NodeId::from_index(self.num_nodes),
-                num_nodes: graph.num_nodes(),
-            });
-        }
+        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
         let fringe: Vec<NodeId> = touched
             .iter()
             .copied()

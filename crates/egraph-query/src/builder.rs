@@ -3,15 +3,13 @@
 
 use std::sync::Arc;
 
-use egraph_core::bfs::{bfs, bfs_with_parents, check_root, Direction};
+use egraph_core::bfs::{check_root, Direction};
 use egraph_core::distance::MultiSourceMap;
 use egraph_core::error::{GraphError, Result};
 use egraph_core::foremost::{earliest_arrival, ForemostResult};
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex};
-use egraph_core::par_bfs::{
-    default_parallel_threshold, par_bfs_with_threshold, par_multi_source_shared_with_threshold,
-};
+use egraph_core::kernel::{default_parallel_threshold, distances, nearest_sources};
 use egraph_core::reverse::ReversedView;
 use egraph_core::window::TimeWindowView;
 use egraph_matrix::algebraic_bfs::algebraic_bfs;
@@ -37,13 +35,14 @@ pub enum Strategy {
     /// The default, and the only engine that records BFS-tree parents.
     #[default]
     Serial,
-    /// Frontier-parallel Algorithm 1 (`egraph-core::par_bfs`): each BFS
-    /// level wide enough to pay for scheduling (see
-    /// [`Search::parallel_threshold`]) is chunked across the thread pool
-    /// (dynamically self-scheduled chunks, so uneven levels balance), with
-    /// per-worker next-frontier buffers spliced once per level. Results are
-    /// bit-for-bit identical to `Serial` at every pool size (pinned by
-    /// `tests/parallel_determinism.rs`).
+    /// Frontier-parallel Algorithm 1: the same `egraph-core::kernel` loop
+    /// as `Serial`, with each BFS level wide enough to pay for scheduling
+    /// (see [`Search::parallel_threshold`]) chunked across the thread pool
+    /// and per-chunk next-frontier buffers spliced once per level. Narrower
+    /// levels, and every level on a one-thread pool, run the serial
+    /// expansion. Results are bit-for-bit identical to `Serial` at every
+    /// pool size (pinned by `tests/parallel_determinism.rs` and
+    /// `tests/kernel_oracle.rs`).
     Parallel,
     /// Algorithm 2 (`egraph-matrix::algebraic_bfs`): BFS as power iteration
     /// of the transposed block adjacency matrix of Section III-C.
@@ -54,16 +53,16 @@ pub enum Strategy {
     /// composed with `Backward` direction or [`Search::reverse`], the sweep
     /// runs on the reversed view and reports *latest departures*.
     Foremost,
-    /// Shared-frontier multi-source BFS (`egraph-core::par_bfs::
-    /// par_multi_source_shared`): one traversal seeded with every source,
+    /// Shared-frontier multi-source BFS (`egraph-core::kernel` on packed
+    /// `(distance, source)` keys): one traversal seeded with every source,
     /// recording per temporal node the nearest source and its distance —
     /// `O(|E| + |V|)` total regardless of the number of sources, where the
     /// per-source strategies cost that *per source*. Levels above the
-    /// parallel threshold expand across the thread pool; the packed
-    /// `fetch_min` claim protocol keeps the result — distances *and*
-    /// smallest-index tie-breaks — bit-for-bit equal to the serial
-    /// `multi_source_shared` engine at every pool size. The result carries
-    /// a single nearest-source map instead of per-source maps.
+    /// parallel threshold expand across the thread pool; the `fetch_min`
+    /// claim keeps the result — distances *and* smallest-index tie-breaks —
+    /// bit-for-bit equal to the serial expansion at every pool size. The
+    /// result carries a single nearest-source map instead of per-source
+    /// maps.
     SharedFrontier,
 }
 
@@ -333,7 +332,7 @@ impl Search {
     /// expanding a BFS level across the thread pool; narrower levels run
     /// serially because scheduling costs more than it saves. `0` forces
     /// every level onto the pool, `usize::MAX` forces the whole traversal
-    /// serial. Defaults to `egraph_core::par_bfs::default_parallel_threshold`
+    /// serial. Defaults to `egraph_core::kernel::default_parallel_threshold`
     /// (the `EGRAPH_PAR_THRESHOLD` environment variable, or 256 — re-tuned
     /// against the real pool in the `parallel_bfs` bench).
     ///
@@ -414,13 +413,13 @@ impl Search {
     ///   the window;
     /// * the engine's own validation errors ([`GraphError::InactiveRoot`],
     ///   [`GraphError::NodeOutOfRange`], …) for invalid sources.
-    pub fn run<G: EvolvingGraph + Sync>(&self, graph: &G) -> Result<Arc<SearchResult>> {
+    pub fn run<G: EvolvingGraph>(&self, graph: &G) -> Result<Arc<SearchResult>> {
         self.run_owned(graph).map(Arc::new)
     }
 
     /// [`Search::run`] before the [`Arc`] wrap — the single execution path
     /// both entry points share.
-    fn run_owned<G: EvolvingGraph + Sync>(&self, graph: &G) -> Result<SearchResult> {
+    fn run_owned<G: EvolvingGraph>(&self, graph: &G) -> Result<SearchResult> {
         if self.sources.is_empty() {
             return Err(GraphError::NoSources);
         }
@@ -465,7 +464,7 @@ impl Search {
     /// every other shape silently falls back to [`Search::run`] on the
     /// underlying graph. Answers and errors are identical to [`Search::run`]
     /// in all cases.
-    pub fn run_prepared<G: EvolvingGraph + Sync>(
+    pub fn run_prepared<G: EvolvingGraph>(
         &self,
         prepared: &crate::prepared::Prepared<'_, G>,
     ) -> Result<Arc<SearchResult>> {
@@ -513,7 +512,7 @@ impl Search {
 
     /// Runs the configured engine on the composed `view` and maps results
     /// back into original coordinates.
-    fn run_on<V: EvolvingGraph + Sync>(
+    fn run_on<V: EvolvingGraph>(
         &self,
         view: &V,
         map: ViewMap,
@@ -534,7 +533,7 @@ impl Search {
 
     /// The per-source hop-distance path (`Serial` / `Parallel` /
     /// `Algebraic`): one traversal per source.
-    fn run_hops_on<V: EvolvingGraph + Sync>(
+    fn run_hops_on<V: EvolvingGraph>(
         &self,
         view: &V,
         map: ViewMap,
@@ -549,19 +548,19 @@ impl Search {
         for &source in &self.sources {
             let view_source = self.source_to_view(source, map)?;
             let view_result = match strategy {
-                Strategy::Serial => {
-                    if self.with_parents {
-                        bfs_with_parents(view, view_source)?
-                    } else {
-                        bfs(view, view_source)?
-                    }
+                // One kernel: the strategies differ only in the width at
+                // which a level may go to the pool (`run_on` forces Serial
+                // when parents are recorded).
+                Strategy::Serial | Strategy::Parallel => {
+                    let threshold = match strategy {
+                        Strategy::Parallel => self
+                            .parallel_threshold
+                            .unwrap_or_else(default_parallel_threshold),
+                        _ => usize::MAX,
+                    };
+                    let (direction, parents) = (Direction::Forward, self.with_parents);
+                    distances(view, view_source, direction, parents, threshold)?
                 }
-                Strategy::Parallel => par_bfs_with_threshold(
-                    view,
-                    view_source,
-                    self.parallel_threshold
-                        .unwrap_or_else(default_parallel_threshold),
-                )?,
                 Strategy::Algebraic => algebraic_bfs(view, view_source)?,
                 Strategy::Foremost | Strategy::SharedFrontier => {
                     unreachable!("dispatched in run_on")
@@ -605,11 +604,7 @@ impl Search {
     /// per source, `O(|Ẽ| + N·n)` each, with arrivals re-expressed in
     /// original snapshot indices. On a reversed view the sweep's "earliest
     /// arrival" is the original graph's *latest departure*.
-    fn run_foremost_on<V: EvolvingGraph + Sync>(
-        &self,
-        view: &V,
-        map: ViewMap,
-    ) -> Result<SearchResult> {
+    fn run_foremost_on<V: EvolvingGraph>(&self, view: &V, map: ViewMap) -> Result<SearchResult> {
         let num_nodes = view.num_nodes();
         let mut tables = Vec::with_capacity(self.sources.len());
         for &source in &self.sources {
@@ -633,7 +628,7 @@ impl Search {
     /// The shared-frontier path (`Strategy::SharedFrontier`): one traversal
     /// seeded with every source, nearest-source distances re-expressed in
     /// original coordinates.
-    fn run_shared_on<V: EvolvingGraph + Sync>(
+    fn run_shared_on<V: EvolvingGraph>(
         &self,
         view: &V,
         map: ViewMap,
@@ -647,12 +642,11 @@ impl Search {
             .iter()
             .map(|&s| self.source_to_view(s, map))
             .collect::<Result<Vec<TemporalNode>>>()?;
-        // The parallel engine with threshold gating: wide levels go to the
-        // pool, narrow ones run the serial loop inside the same engine. The
-        // packed-key claim protocol makes the answer independent of both the
-        // threshold and the pool size (differential suites pin it to the
-        // serial `multi_source_shared`).
-        let shared = par_multi_source_shared_with_threshold(
+        // Wide levels go to the pool, narrow ones run the kernel's serial
+        // expansion. The packed-key claim makes the answer independent of
+        // both the threshold and the pool size (differential suites pin it
+        // to an independent serial oracle).
+        let shared = nearest_sources(
             view,
             &view_sources,
             self.parallel_threshold
@@ -680,7 +674,7 @@ impl Search {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph_core::bfs::backward_bfs;
+    use egraph_core::bfs::{backward_bfs, bfs};
     use egraph_core::examples::paper_figure1;
 
     #[test]

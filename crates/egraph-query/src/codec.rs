@@ -61,7 +61,7 @@
 use egraph_core::distance::{DistanceMap, MultiSourceMap};
 use egraph_core::foremost::ForemostResult;
 use egraph_core::ids::{TemporalNode, TimeIndex};
-use egraph_io::json::{JsonError, Value};
+use egraph_io::json::{JsonError, Object, Value};
 
 use crate::builder::{Strategy, WindowSpec};
 use crate::descriptor::QueryDescriptor;
@@ -303,6 +303,7 @@ fn distance_map_from_value(
 ) -> Result<DistanceMap> {
     let obj = value.as_object("distance map")?;
     let root = temporal_node_from_value(obj.get("root")?, "map root")?;
+    check_coords(root, num_nodes, num_timestamps)?;
     let reached = obj
         .get("reached")?
         .as_array("reached")?
@@ -379,6 +380,21 @@ fn distance_map_from_value(
             ))
         }
     }
+}
+
+/// Reads a payload's declared `num_nodes × num_timestamps`, refusing
+/// dimensions whose product overflows: constructors allocate that many flat
+/// slots, so a wrapped product from a hostile document must fail here, not
+/// allocate (or index) a wrong-sized table there.
+fn dimensions(obj: &Object<'_>) -> Result<(usize, usize)> {
+    let num_nodes = obj.get("num_nodes")?.as_usize("num_nodes")?;
+    let num_timestamps = obj.get("num_timestamps")?.as_usize("num_timestamps")?;
+    if num_nodes.checked_mul(num_timestamps).is_none() {
+        return Err(shape(format!(
+            "declared dimensions {num_nodes} x {num_timestamps} overflow"
+        )));
+    }
+    Ok((num_nodes, num_timestamps))
 }
 
 /// Rejects coordinates outside the declared dimensions — constructors index
@@ -694,8 +710,7 @@ pub fn search_result_from_value(value: &Value) -> Result<SearchResult> {
     let reversed = obj.get("reversed")?.as_bool("reversed")?;
     match obj.get("kind")?.as_str("kind")? {
         "hops" => {
-            let num_nodes = obj.get("num_nodes")?.as_usize("num_nodes")?;
-            let num_timestamps = obj.get("num_timestamps")?.as_usize("num_timestamps")?;
+            let (num_nodes, num_timestamps) = dimensions(&obj)?;
             let maps = obj
                 .get("maps")?
                 .as_array("maps")?
@@ -736,8 +751,7 @@ pub fn search_result_from_value(value: &Value) -> Result<SearchResult> {
             Ok(SearchResult::from_arrivals(tables, reversed))
         }
         "shared" => {
-            let num_nodes = obj.get("num_nodes")?.as_usize("num_nodes")?;
-            let num_timestamps = obj.get("num_timestamps")?.as_usize("num_timestamps")?;
+            let (num_nodes, num_timestamps) = dimensions(&obj)?;
             let sources = obj
                 .get("sources")?
                 .as_array("sources")?
@@ -932,6 +946,31 @@ mod tests {
                 "sources":[[0,0]],"reached":[[0,0,0,7]]}"#
         )
         .is_err());
+        // A root outside the declared dimensions is a shape error, not an
+        // index panic in the map constructor.
+        assert!(matches!(
+            search_result_from_json(
+                r#"{"kind":"hops","reversed":false,"num_nodes":2,"num_timestamps":1,
+                    "maps":[{"root":[5,0],"reached":[]}]}"#
+            ),
+            Err(JsonError::Shape(_))
+        ));
+        // Dimensions whose product wraps (2^32 x (2^32 + 1)) are refused
+        // before anything is allocated, for both dimensioned kinds.
+        assert!(matches!(
+            search_result_from_json(
+                r#"{"kind":"hops","reversed":false,"num_nodes":4294967296,
+                    "num_timestamps":4294967297,"maps":[{"root":[0,0],"reached":[]}]}"#
+            ),
+            Err(JsonError::Shape(_))
+        ));
+        assert!(matches!(
+            search_result_from_json(
+                r#"{"kind":"shared","reversed":false,"num_nodes":4294967296,
+                    "num_timestamps":4294967297,"sources":[[0,0]],"reached":[]}"#
+            ),
+            Err(JsonError::Shape(_))
+        ));
         assert!(search_result_from_json(r#"{"kind":"nope","reversed":false}"#).is_err());
         assert!(search_result_from_json("[]").is_err());
     }

@@ -51,11 +51,11 @@
 //!
 //! | strategy | engine | cost model | answers | use when |
 //! |---|---|---|---|---|
-//! | [`Strategy::Serial`] (default) | Algorithm 1 adjacency-list BFS | `O(\|E\| + \|V\|)` per source | hop distances, BFS-tree parents | general queries; the only engine that records parents for [`SearchResult::path_to`] |
-//! | [`Strategy::Parallel`] | frontier-parallel Algorithm 1 | `O(\|E\| + \|V\|)` work per source; levels above [`Search::parallel_threshold`] chunked across the self-scheduling thread pool | hop distances | wide frontiers on multi-core hosts — real speedup, bit-for-bit identical results to `Serial` at every pool size |
+//! | [`Strategy::Serial`] (default) | Algorithm 1 on the `egraph-core` traversal kernel, every level serial | `O(\|E\| + \|V\|)` per source | hop distances, BFS-tree parents | general queries; the only engine that records parents for [`SearchResult::path_to`] |
+//! | [`Strategy::Parallel`] | the same kernel, levels at least [`Search::parallel_threshold`] wide chunked across the thread pool | `O(\|E\| + \|V\|)` work per source | hop distances | wide frontiers on multi-core hosts; the serial loop on a one-thread pool; bit-for-bit identical results to `Serial` at every pool size |
 //! | [`Strategy::Algebraic`] | Algorithm 2 block-matrix power iteration | `O(d · \|E\|)` for BFS depth `d` | hop distances | linear-algebra backends / ablations; dense small graphs |
 //! | [`Strategy::Foremost`] | time-ordered earliest-arrival sweep | `O(\|Ẽ\| + N·n)` per source — no temporal-node expansion | arrival snapshots only (latest departures when time-reversed) | arrival-only queries ("when is `v` first reached?"); strictly less work than deriving arrivals from a full hop-BFS |
-//! | [`Strategy::SharedFrontier`] | multi-source BFS, one shared frontier | `O(\|E\| + \|V\|)` **total**, independent of source count | nearest-source distance + source id per temporal node | many sources where only the nearest one matters (facility-location / coverage queries); the per-source loop costs the same *per source* |
+//! | [`Strategy::SharedFrontier`] | the same kernel on packed `(distance, source)` keys, one shared frontier | `O(\|E\| + \|V\|)` **total**, independent of source count | nearest-source distance + source id per temporal node | many sources where only the nearest one matters (facility-location / coverage queries); the per-source loop costs the same *per source* |
 //!
 //! Here `\|Ẽ\|` counts static edges, `\|V\|`/`\|E\|` the active temporal
 //! nodes and equivalent-static-graph edges (causal edges included), `N` the
@@ -70,9 +70,10 @@
 //! |---|---|
 //! | `bfs(&g, root)` | `Search::from(root).run(&g)` |
 //! | `backward_bfs(&g, root)` | `Search::from(root).direction(Direction::Backward).run(&g)` |
-//! | `par_bfs(&g, root)` | `Search::from(root).strategy(Strategy::Parallel).run(&g)` |
+//! | `par_bfs(&g, root)` (removed) | `Search::from(root).strategy(Strategy::Parallel).run(&g)` |
+//! | `par_multi_source_shared(&g, roots)` (removed) | `Search::from_sources(roots).strategy(Strategy::SharedFrontier).run(&g)` |
 //! | `algebraic_bfs(&g, root)` | `Search::from(root).strategy(Strategy::Algebraic).run(&g)` |
-//! | `multi_source_bfs(&g, roots)` | `Search::from_sources(roots).run(&g)` |
+//! | `multi_source_bfs(&g, roots)` (one `bfs` per root, roots over the pool) | `Search::from_sources(roots).run(&g)` |
 //! | `multi_source_shared(&g, roots)` | `Search::from_sources(roots).strategy(Strategy::SharedFrontier).run(&g)` |
 //! | `earliest_arrival(&g, root)` (dedicated sweep) | `Search::from(root).strategy(Strategy::Foremost).run(&g)?.arrival(v)` |
 //! | `reachable_set(&g, root)` | `Search::from(root).run(&g)?.reachable_set()` |
@@ -83,9 +84,10 @@
 //! | `bfs(&TimeWindowView::new(&g, a, b)?, root)` | `Search::from(root).window(a..=b).run(&g)` |
 //! | `bfs(&ReversedView::new(&g), root)` | `Search::from(root).reverse().run(&g)` |
 //!
-//! The legacy functions remain available (the engines live in `egraph-core`
-//! and `egraph-matrix`; the builder dispatches to them), so existing code
-//! keeps working while new code gets a single coherent entry point.
+//! The legacy functions not marked removed remain available as thin
+//! wrappers (the engines live in `egraph-core` and `egraph-matrix`; the
+//! builder dispatches to them), so existing code keeps working while new
+//! code gets a single coherent entry point.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

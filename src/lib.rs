@@ -7,7 +7,8 @@
 //! * [`query`] (`egraph-query`) — the unified [`Search`](egraph_query::Search)
 //!   query builder: **the recommended entry point** for every traversal;
 //! * [`core`] (`egraph-core`) — evolving-graph data structures, temporal
-//!   paths, Algorithm 1 BFS (serial and frontier-parallel engines);
+//!   paths, and the one traversal kernel behind serial and frontier-parallel
+//!   Algorithm 1 BFS;
 //! * [`matrix`] (`egraph-matrix`) — sparse/dense linear algebra, the block
 //!   adjacency matrix, the `⊙` product and Algorithm 2 (algebraic engine);
 //! * [`gen`] (`egraph-gen`) — reproducible workload generators;
@@ -54,9 +55,9 @@
 //! # Ok::<(), GraphError>(())
 //! ```
 //!
-//! The legacy free functions (`bfs`, `backward_bfs`, `par_bfs`,
-//! `multi_source_bfs`, `reachable_set`, `eccentricity`, …) remain exported
-//! and continue to work; the builder dispatches to the same engines.
+//! The legacy free functions (`bfs`, `backward_bfs`, `multi_source_bfs`,
+//! `reachable_set`, `eccentricity`, …) remain exported and continue to work;
+//! the builder dispatches to the same engines.
 //!
 //! [`Search`]: egraph_query::Search
 

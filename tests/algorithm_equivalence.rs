@@ -42,7 +42,11 @@ fn all_bfs_engines_agree() {
             let alg1 = bfs(&g, root).unwrap();
             let alg2 = algebraic_bfs(&g, root).unwrap();
             let dense = algebraic_bfs_dense(&g, root).unwrap();
-            let parallel = par_bfs(&g, root).unwrap();
+            let parallel = Search::from(root)
+                .strategy(Strategy::Parallel)
+                .run(&g)
+                .unwrap();
+            let parallel = parallel.distance_map();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "trial {trial}");
             assert_eq!(alg1.as_flat_slice(), dense.as_flat_slice(), "trial {trial}");
             assert_eq!(

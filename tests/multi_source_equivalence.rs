@@ -1,10 +1,12 @@
 //! Oracle suite for the shared-frontier multi-source engines: the single
-//! shared traversal (`Strategy::SharedFrontier`, `multi_source_shared`,
-//! `par_multi_source_shared`) must agree with the per-source-minimum oracle
+//! shared traversal (`Strategy::SharedFrontier`, `multi_source_shared`)
+//! must agree with the per-source-minimum oracle
 //! built from independent `Strategy::{Serial, Parallel, Algebraic}` runs —
 //! distances *and* nearest-source attribution (ties to the smallest source
 //! index) — including duplicate roots, roots at different snapshots and
 //! unreachable components.
+
+mod common;
 
 use evolving_graphs::prelude::*;
 
@@ -100,17 +102,27 @@ fn shared_frontier_matches_per_source_minimum_of_every_hop_strategy() {
 
 #[test]
 fn serial_and_parallel_shared_engines_are_bit_identical() {
+    // Both expansions of the kernel — the serial free function and the
+    // builder's pooled engine with every level wide — against the
+    // independent serial shared-frontier loop.
     for (name, g) in workloads() {
         let sources = sample_sources(&g);
+        let oracle = common::oracle::multi_source_shared(&g, &sources).unwrap();
         let serial = multi_source_shared(&g, &sources).unwrap();
-        let parallel = par_multi_source_shared(&g, &sources).unwrap();
-        assert_eq!(serial.as_flat_slice(), parallel.as_flat_slice(), "{name}");
-        for tn in g.active_nodes() {
-            assert_eq!(
-                serial.nearest_source_index(tn),
-                parallel.nearest_source_index(tn),
-                "{name} at {tn:?}"
-            );
+        let result = Search::from_sources(sources.iter().copied())
+            .strategy(Strategy::SharedFrontier)
+            .parallel_threshold(0)
+            .run(&g)
+            .unwrap();
+        for engine in [&serial, result.shared_map()] {
+            assert_eq!(engine.as_flat_slice(), oracle.as_flat_slice(), "{name}");
+            for tn in g.active_nodes() {
+                assert_eq!(
+                    engine.nearest_source_index(tn),
+                    oracle.nearest_source_index(tn),
+                    "{name} at {tn:?}"
+                );
+            }
         }
     }
 }

@@ -129,7 +129,11 @@ fn theorem4_algorithm_equivalence_on_the_example() {
         let alg1 = bfs(&g, root).unwrap();
         let alg2 = algebraic_bfs(&g, root).unwrap();
         let alg2_dense = algebraic_bfs_dense(&g, root).unwrap();
-        let parallel = par_bfs(&g, root).unwrap();
+        let parallel = Search::from(root)
+            .strategy(Strategy::Parallel)
+            .run(&g)
+            .unwrap();
+        let parallel = parallel.distance_map();
         assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice());
         assert_eq!(alg1.as_flat_slice(), alg2_dense.as_flat_slice());
         assert_eq!(alg1.as_flat_slice(), parallel.as_flat_slice());

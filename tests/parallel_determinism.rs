@@ -6,9 +6,9 @@
 //! reverse × single/multi-source):
 //!
 //! * **engine**: `Strategy::Parallel` vs `Strategy::Serial`, and
-//!   `Strategy::SharedFrontier` vs the serial `multi_source_shared` free
-//!   function — at a threshold of 1, so the pool path runs even on narrow
-//!   levels;
+//!   `Strategy::SharedFrontier` vs the independent serial loop of
+//!   `common::oracle` — at a threshold of 1, so the pool path runs even on
+//!   narrow levels;
 //! * **schedule**: the same parallel query under pools of 1, 2 and 8
 //!   threads must agree exactly (1-thread pools execute inline, so this
 //!   also pins the parallel path against purely sequential execution).
@@ -18,6 +18,8 @@
 //! structure) and packed `(distance, source)` `fetch_min` claims (ties are
 //! fixed by the key order) — and this suite is what keeps that argument
 //! honest under a real scheduler.
+
+mod common;
 
 use evolving_graphs::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -201,12 +203,12 @@ fn shared_frontier_matches_serial_engine_under_every_pool_size() {
 #[test]
 fn shared_frontier_attribution_matches_the_serial_free_function() {
     // Full-graph forward shape: the builder's parallel shared-frontier
-    // engine against the serial `multi_source_shared`, source attribution
-    // included, under the largest pool.
+    // engine against the independent serial shared-frontier loop, source
+    // attribution included, under the largest pool.
     for (name, g) in workloads() {
         let actives = g.active_nodes();
         let sources: Vec<TemporalNode> = actives.iter().copied().step_by(11).take(8).collect();
-        let serial = multi_source_shared(&g, &sources).unwrap();
+        let serial = common::oracle::multi_source_shared(&g, &sources).unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
         let result = pool
             .install(|| {

@@ -5,6 +5,8 @@
 //! single-source and multi-source queries, and through windowed and
 //! time-reversed view compositions.
 
+mod common;
+
 use evolving_graphs::prelude::*;
 
 /// The generated workloads the suite sweeps. Sizes are chosen so every
@@ -192,9 +194,21 @@ fn reversed_backward_search_equals_forward_bfs() {
 
 #[test]
 fn multi_source_search_matches_legacy_multi_source_bfs() {
+    // Per-root answers come from the independent Algorithm 1 oracle, and
+    // the per-root free function must agree with it too.
     for (name, g) in workloads() {
         let roots = sample_roots(&g);
-        let legacy = multi_source_bfs(&g, &roots);
+        let legacy: Vec<Result<DistanceMap>> = roots
+            .iter()
+            .map(|&root| common::oracle::bfs(&g, root, Direction::Forward, false))
+            .collect();
+        for (free, oracle) in multi_source_bfs(&g, &roots).iter().zip(&legacy) {
+            assert_eq!(
+                free.as_ref().unwrap().as_flat_slice(),
+                oracle.as_ref().unwrap().as_flat_slice(),
+                "{name}: multi_source_bfs"
+            );
+        }
         for strategy in STRATEGIES {
             let result = Search::from_sources(roots.iter().copied())
                 .strategy(strategy)
