@@ -21,6 +21,12 @@
 //!    follower subscriber receiving the pushed frame: the whole
 //!    replication pipe (segment ship over `GET /log/tail`, replay into the
 //!    replica, cache repair, push). Recorded, not gated.
+//! 5. **Checkpoint cost at two history lengths.** A base (the whole graph)
+//!    and then a link (only the snapshots sealed since) are written after
+//!    8 and after 64 snapshots. The run *asserts* the deterministic bytes:
+//!    the base grows with history while the link, covering the same two
+//!    snapshots both times, stays the same size. The write times are
+//!    recorded, not asserted.
 //!
 //! What *is* asserted is correctness under the measurement load: recovery
 //! restores the exact version, the follower converges to zero lag, and
@@ -50,6 +56,10 @@ const LIVE_SEALS: usize = 12;
 /// Checkpoint cadence for the checkpointed-recovery dir: a checkpoint at
 /// version 6 of 8 leaves exactly a two-segment replay suffix.
 const CHECKPOINT_EVERY: u64 = 6;
+/// History lengths the checkpoint cost is measured at.
+const CHECKPOINT_HISTORIES: [usize; 2] = [8, 64];
+/// Snapshots a measured link covers.
+const LINK_SNAPSHOTS: usize = 2;
 
 /// A scratch directory under the system temp root, removed on drop (the
 /// container has no `tempfile` crate).
@@ -88,21 +98,50 @@ fn build_log(dir: &Path, checkpoint_every: u64) -> (u64, Vec<f64>) {
     let mut events = 0u64;
     let mut seal_us = Vec::with_capacity(SNAPSHOTS);
     for label in 0..SNAPSHOTS {
-        let mut inserted = 0;
-        while inserted < EDGES_PER_SNAPSHOT {
-            let u = rng.gen_range(0..NUM_NODES) as u32;
-            let v = rng.gen_range(0..NUM_NODES) as u32;
-            if u != v {
-                durable.insert(NodeId(u), NodeId(v)).unwrap();
-                inserted += 1;
-                events += 1;
-            }
-        }
+        insert_snapshot(&mut durable, &mut rng);
+        events += EDGES_PER_SNAPSHOT as u64;
         let sealed_at = Instant::now();
         durable.seal_snapshot(label as i64).unwrap();
         seal_us.push(sealed_at.elapsed().as_nanos() as f64 / 1_000.0);
     }
     (events, seal_us)
+}
+
+/// Buffers one snapshot's worth of random edges.
+fn insert_snapshot(durable: &mut DurableGraph, rng: &mut SmallRng) {
+    let mut inserted = 0;
+    while inserted < EDGES_PER_SNAPSHOT {
+        let u = rng.gen_range(0..NUM_NODES) as u32;
+        let v = rng.gen_range(0..NUM_NODES) as u32;
+        if u != v {
+            durable.insert(NodeId(u), NodeId(v)).unwrap();
+            inserted += 1;
+        }
+    }
+}
+
+/// What one checkpoint chain costs after `history` snapshots: a base over
+/// the whole history, then a link over `LINK_SNAPSHOTS` more snapshots —
+/// the same seeded snapshots at every history length. Returns the base's
+/// and the link's `(bytes, write µs)`.
+fn measure_checkpoint_cost(history: usize) -> [(u64, f64); 2] {
+    let dir = TempDir::new("ckpt-cost");
+    let mut durable = DurableGraph::create(dir.path(), NUM_NODES, true).unwrap();
+    let write = |durable: &mut DurableGraph, seed: u64, labels: std::ops::Range<usize>| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for label in labels {
+            insert_snapshot(durable, &mut rng);
+            durable.seal_snapshot(label as i64).unwrap();
+        }
+        let started = Instant::now();
+        let receipt = durable.write_checkpoint().unwrap();
+        let us = started.elapsed().as_nanos() as f64 / 1_000.0;
+        (receipt, us)
+    };
+    let (base, base_us) = write(&mut durable, 0x5EA1, 0..history);
+    let (link, link_us) = write(&mut durable, 0x11C4, history..history + LINK_SNAPSHOTS);
+    assert_eq!((base.chain_links, link.chain_links), (0, 1));
+    [(base.bytes, base_us), (link.bytes, link_us)]
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -227,18 +266,44 @@ fn recovery(c: &mut Criterion) {
         measure_checkpoint_recover(ckpt_dir.path(), events);
     let tail_us = sorted(measure_tail_to_serve(dir.path()));
     let seal_us = sorted(seal_us);
+    let [short, long] = CHECKPOINT_HISTORIES.map(measure_checkpoint_cost);
+    let (link_short, link_long) = (short[1].0, long[1].0);
+    assert!(
+        link_short.abs_diff(link_long) * 100 <= link_short,
+        "a link's size must not grow with history: {link_short} B after {} snapshots, \
+         {link_long} B after {}",
+        CHECKPOINT_HISTORIES[0],
+        CHECKPOINT_HISTORIES[1]
+    );
+    assert!(
+        long[0].0 > 4 * short[0].0,
+        "a base holds the whole history: {} B vs {} B",
+        long[0].0,
+        short[0].0
+    );
+    let checkpoint_cost: Vec<String> = CHECKPOINT_HISTORIES
+        .iter()
+        .zip([short, long])
+        .map(|(history, [(base_bytes, base_us), (link_bytes, link_us)])| {
+            format!(
+                "{{\"history_snapshots\": {history}, \"base_bytes\": {base_bytes}, \
+                 \"base_us\": {base_us:.1}, \"link_bytes\": {link_bytes}, \"link_us\": {link_us:.1}}}"
+            )
+        })
+        .collect();
 
     println!(
         "recovery: {events} events over {SNAPSHOTS} segments; replay {:.0} events/s; \
          checkpointed recovery {:.0} events/s ({checkpoint_replayed_events} replayed); \
          seal fsync p50 {:.0} us (max {:.0} us); follower tail-to-serve p50 {:.0} us \
-         (max {:.0} us over {LIVE_SEALS} live seals)",
+         (max {:.0} us over {LIVE_SEALS} live seals); checkpoint cost {}",
         replay_events_per_sec,
         checkpoint_recover_events_per_sec,
         percentile(&seal_us, 0.50),
         seal_us.last().copied().unwrap_or(0.0),
         percentile(&tail_us, 0.50),
         tail_us.last().copied().unwrap_or(0.0),
+        checkpoint_cost.join(", "),
     );
 
     let json = format!(
@@ -254,6 +319,9 @@ fn recovery(c: &mut Criterion) {
          \"live_seals\": {LIVE_SEALS},\n  \
          \"tail_to_serve_p50_us\": {:.1},\n  \"tail_to_serve_max_us\": {:.1},\n  \
          \"fsync_asserted\": false,\n  \"tail_to_serve_asserted\": false,\n  \
+         \"checkpoint_link_snapshots\": {LINK_SNAPSHOTS},\n  \
+         \"checkpoint_cost\": [{}],\n  \
+         \"checkpoint_bytes_asserted\": true,\n  \"checkpoint_us_asserted\": false,\n  \
          \"notes\": \"replay_events_per_sec and checkpoint_recover_events_per_sec are \
          the gated metrics (best of {REPLAY_RUNS} full LiveGraph::recover runs each, \
          recovered state verified every run); the checkpointed run also asserts bounded \
@@ -261,11 +329,15 @@ fn recovery(c: &mut Criterion) {
          regardless of total history; seal fsync and follower tail-to-serve latencies \
          are wall-clock on shared storage/loopback and are recorded, not gated — the \
          recovery and replication test suites assert the correctness half \
-         (byte-identical restarts, zero-lag convergence) deterministically\"\n}}\n",
+         (byte-identical restarts, zero-lag convergence) deterministically; \
+         checkpoint_cost writes a base and then a link after each history length and \
+         asserts the bytes (the link stays the same size while the base grows), recording \
+         the write times without asserting them\"\n}}\n",
         percentile(&seal_us, 0.50),
         seal_us.last().copied().unwrap_or(0.0),
         percentile(&tail_us, 0.50),
         tail_us.last().copied().unwrap_or(0.0),
+        checkpoint_cost.join(", "),
     );
     let path = "BENCH_recovery.json";
     std::fs::write(path, &json).expect("write bench summary");

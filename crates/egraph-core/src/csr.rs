@@ -360,7 +360,64 @@ pub struct CsrParts {
     pub num_static_edges: usize,
 }
 
+/// The columns of [`CsrParts`], borrowed: what a checkpoint encodes from
+/// without copying the graph. Every column is append-only, so the suffix
+/// from any snapshot onward is a plain slice of it.
+#[derive(Clone, Copy, Debug)]
+pub struct CsrColumns<'a> {
+    /// Snapshot labels, strictly increasing.
+    pub timestamps: &'a [Timestamp],
+    /// Size of the node universe.
+    pub num_nodes: usize,
+    /// Whether edges are directed.
+    pub directed: bool,
+    /// Per-snapshot absolute offsets into `out_pool`.
+    pub out_offsets: &'a [Vec<u32>],
+    /// All out-neighbor lists, snapshot-major then node-major.
+    pub out_pool: &'a [NodeId],
+    /// Mirror of `out_offsets` for in-neighbors; empty when undirected.
+    pub in_offsets: &'a [Vec<u32>],
+    /// Mirror of `out_pool` for in-neighbors; empty when undirected.
+    pub in_pool: &'a [NodeId],
+    /// `active[v]` = sorted snapshot indices at which `v` is active.
+    pub active: &'a [Vec<TimeIndex>],
+    /// Total number of static edges (each undirected edge counted once).
+    pub num_static_edges: usize,
+}
+
+impl CsrParts {
+    /// Borrows the columns.
+    pub fn columns(&self) -> CsrColumns<'_> {
+        CsrColumns {
+            timestamps: &self.timestamps,
+            num_nodes: self.num_nodes,
+            directed: self.directed,
+            out_offsets: &self.out_offsets,
+            out_pool: &self.out_pool,
+            in_offsets: &self.in_offsets,
+            in_pool: &self.in_pool,
+            active: &self.active,
+            num_static_edges: self.num_static_edges,
+        }
+    }
+}
+
 impl CsrAdjacency {
+    /// Borrows the graph's raw columns for serialization.
+    pub fn columns(&self) -> CsrColumns<'_> {
+        CsrColumns {
+            timestamps: &self.timestamps,
+            num_nodes: self.num_nodes,
+            directed: self.directed,
+            out_offsets: &self.out_offsets,
+            out_pool: &self.out_pool,
+            in_offsets: &self.in_offsets,
+            in_pool: &self.in_pool,
+            active: &self.active,
+            num_static_edges: self.num_static_edges,
+        }
+    }
+
     /// Copies the graph's raw columns out for serialization.
     pub fn to_parts(&self) -> CsrParts {
         CsrParts {

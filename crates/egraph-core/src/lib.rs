@@ -98,7 +98,7 @@ pub mod prelude {
         is_reachable, multi_source_bfs, multi_source_shared, reachable_set, Direction,
     };
     pub use crate::components::{in_component, out_component, weak_components, WeakComponents};
-    pub use crate::csr::{CsrAdjacency, CsrParts};
+    pub use crate::csr::{CsrAdjacency, CsrColumns, CsrParts};
     pub use crate::distance::{DistanceMap, MultiSourceMap};
     pub use crate::error::{GraphError, Result};
     pub use crate::foremost::{earliest_arrival, temporal_distance_steps, ForemostResult};

@@ -28,11 +28,14 @@
 use std::fmt;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), table-driven, built at compile time.
+// CRC32 (IEEE 802.3, reflected), slicing-by-8, tables built at compile time.
 // ---------------------------------------------------------------------------
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][i]` is
+/// the CRC of byte `i` followed by `k` zero bytes, so eight table lookups
+/// fold eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -45,17 +48,68 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// An incremental IEEE CRC32: feeding a buffer in pieces yields the same
+/// value as [`crc32`] over their concatenation, so a framed file can be
+/// checksummed without first copying its parts into one buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(!0)
+    }
+}
+
+impl Crc32 {
+    /// Folds `bytes` into the running checksum.
+    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        let t = &CRC32_TABLES;
+        let mut crc = self.0;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+        self
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
+}
 
 /// The IEEE CRC32 of `bytes` (the polynomial `zlib`, PNG and Ethernet use).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |crc, &byte| {
-        (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize]
-    })
+    Crc32::default().update(bytes).finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -504,6 +558,47 @@ mod tests {
         // The canonical check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table fold — the oracle slicing-by-8 must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |crc, &byte| {
+            (crc >> 8) ^ CRC32_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize]
+        })
+    }
+
+    #[test]
+    fn slicing_by_8_agrees_with_the_bytewise_fold() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        // Every short length at every alignment, then one large buffer.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer[3..]), crc32_bytewise(&buffer[3..]));
+        // Incremental updates split anywhere equal the one-shot value.
+        for split in [0, 1, 7, 8, 9, 1000, buffer.len()] {
+            let (head, tail) = buffer.split_at(split);
+            assert_eq!(
+                Crc32::default().update(head).update(tail).finish(),
+                crc32(&buffer),
+                "split {split}"
+            );
+        }
     }
 
     #[test]

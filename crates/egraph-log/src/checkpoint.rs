@@ -1,29 +1,38 @@
-//! Checkpoint files: atomically installed snapshots of sealed graph state.
+//! Checkpoint files: atomically installed, chained snapshots of sealed
+//! graph state.
 //!
-//! A checkpoint absorbs a prefix of the segment chain so recovery can skip
-//! replaying it: `checkpoint-<seq>.bin` holds the payload a caller built
-//! (for graphs, the `egraph-io` checkpoint codec's CSR columns + version)
-//! covering every segment with sequence number `<= seq`. Its layout mirrors
-//! the segment format:
+//! `checkpoint-<seq>.bin` absorbs every segment with sequence number
+//! `<= seq`, so recovery can skip replaying them. Checkpoints form
+//! **chains**: a **base** holds a payload that stands alone; a **link**
+//! names its predecessor and holds only what was sealed since (for graphs:
+//! `egraph-io` append records, which concatenate). A checkpoint's state is
+//! its chain's payloads, base first — what [`read_checkpoint`] returns.
 //!
 //! ```text
 //! checkpoint := magic "EGCP" ++ format_version u8 ++ last_seq u64 LE
-//!               ++ varint(payload_len) ++ payload ++ crc32(payload) u32 LE
+//!               ++ prev_seq u64 LE ++ payload_len u64 LE ++ payload
+//!               ++ crc32(every byte before it) u32 LE
 //! ```
 //!
-//! Installation is atomic against crashes at *every* byte offset: the bytes
-//! are written and fsynced to `checkpoint-<seq>.tmp`, then renamed into
-//! place, then the directory is fsynced. A crash before the rename leaves a
-//! `.tmp` file that readers ignore; a crash after it leaves a complete,
-//! valid checkpoint. There is no window in which the installed name holds
-//! torn bytes, which is what makes it safe for compaction to delete the
-//! covered segments — strictly *after* the rename + directory fsync.
+//! `prev_seq` is `u64::MAX` in a base and strictly smaller than `last_seq`
+//! in a link, so every chain walk ends at a base.
 //!
-//! Reading is paranoid in the other direction: magic, version, length and
-//! CRC are all validated, and the file name's sequence number must match
-//! the header's. A checkpoint that fails any check is reported (never
-//! silently used); the recovery layer falls back to an older checkpoint or
-//! to full replay.
+//! Installation is atomic against crashes at *every* byte offset: the
+//! bytes are written and fsynced to `checkpoint-<seq>.tmp`, renamed into
+//! place, then the directory is fsynced. A crash before the rename leaves a
+//! `.tmp` that readers ignore; after it, a complete checkpoint. The
+//! installed name never holds torn bytes, which is what makes it safe for
+//! compaction to delete covered segments — strictly *after* the rename.
+//!
+//! Reading walks from the requested file back to its base and checks every
+//! file's magic, version, length, CRC and name-vs-header sequence. A chain
+//! with any bad file is reported, never used; the recovery layer falls back
+//! to an older checkpoint or to full replay.
+//!
+//! **Retention**: [`retain_checkpoints`] keeps the newest `n` checkpoints
+//! plus every ancestor their chains need and returns the newest `n`; the
+//! oldest of those bounds segment compaction, so each keeps the segment
+//! suffix it replays from.
 //!
 //! ## Failpoints
 //!
@@ -32,21 +41,29 @@
 //! | `ckpt.write` | temp-file write fails (or tears partway) |
 //! | `ckpt.fsync` | temp-file fsync fails after a complete write |
 //! | `ckpt.rename` | crash window between fsync and rename |
-//! | `ckpt.read` | reading a checkpoint back fails |
+//! | `ckpt.read` | reading a checkpoint chain back fails |
 
-use std::fs;
+use std::collections::BTreeSet;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use egraph_io::binary::{crc32, read_varint, write_varint};
+use egraph_io::binary::Crc32;
 
 use crate::log::{corrupt, file_len, io_err, sync_dir, write_durable, Result};
-use crate::segment::FORMAT_VERSION;
 
 /// First bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"EGCP";
 
-/// Fixed header size: magic + version byte + `u64` last covered sequence.
-pub const CHECKPOINT_HEADER_BYTES: usize = 4 + 1 + 8;
+/// Layout version of checkpoint files (2: chained, header under the CRC).
+pub const CHECKPOINT_FORMAT_VERSION: u8 = 2;
+
+/// Fixed header size: magic + version byte + `u64` last covered sequence +
+/// `u64` predecessor sequence + `u64` payload length.
+pub const CHECKPOINT_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8;
+
+/// The `prev_seq` a base carries.
+const NO_PREDECESSOR: u64 = u64::MAX;
 
 /// The file a checkpoint covering segments `..= last_seq` lives in.
 pub fn checkpoint_path(dir: &Path, last_seq: u64) -> PathBuf {
@@ -58,11 +75,10 @@ fn checkpoint_tmp_path(dir: &Path, last_seq: u64) -> PathBuf {
     dir.join(format!("checkpoint-{last_seq:010}.tmp"))
 }
 
-/// Parses `checkpoint-<seq>.bin` file names; anything else (including the
-/// `.tmp` staging residue a crash can leave) returns `None`.
-fn parse_checkpoint_file_name(path: &Path) -> Option<u64> {
+/// Parses `checkpoint-<seq>.<ext>` file names.
+fn parse_checkpoint_file_name(path: &Path, ext: &str) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("checkpoint-")?.strip_suffix(".bin")?;
+    let digits = name.strip_prefix("checkpoint-")?.strip_suffix(ext)?;
     if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -70,50 +86,40 @@ fn parse_checkpoint_file_name(path: &Path) -> Option<u64> {
 }
 
 /// Lists the last-covered sequence numbers of every *installed* checkpoint
-/// in `dir`, ascending. Installed means renamed into place — staging
-/// `.tmp` files are invisible here. Validity is not checked; that happens
-/// per file at read time.
+/// in `dir` — bases and links — ascending. Installed means renamed into
+/// place — staging `.tmp` files are invisible here. Validity is not
+/// checked; that happens per chain at read time.
 pub fn list_checkpoints(dir: &Path) -> Result<Vec<u64>> {
     let mut seqs = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(source) => return io_err(dir, source),
-    };
-    for entry in entries {
-        let entry = match entry {
-            Ok(entry) => entry,
-            Err(source) => return io_err(dir, source),
-        };
-        if let Some(seq) = parse_checkpoint_file_name(&entry.path()) {
-            seqs.push(seq);
-        }
+    for entry in fs::read_dir(dir).or_else(|source| io_err(dir, source))? {
+        let entry = entry.or_else(|source| io_err(dir, source))?;
+        seqs.extend(parse_checkpoint_file_name(&entry.path(), ".bin"));
     }
     seqs.sort_unstable();
     Ok(seqs)
 }
 
-/// Encodes a complete checkpoint file: header, CRC-framed payload.
-pub fn encode_checkpoint_file(last_seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CHECKPOINT_HEADER_BYTES + payload.len() + 16);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.push(FORMAT_VERSION);
-    out.extend_from_slice(&last_seq.to_le_bytes());
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+/// A checkpoint file's header fields.
+struct Header {
+    last_seq: u64,
+    prev: Option<u64>,
+    payload_len: u64,
 }
 
-/// Decodes and validates checkpoint file bytes, returning the last covered
-/// sequence number and the payload. Used both on the recovery path (via
-/// [`read_checkpoint`]) and by followers on bytes fetched over
-/// `GET /checkpoint/latest`.
-///
-/// # Errors
-/// A description of the first failed check. Torn and corrupt files are not
-/// distinguished — either way the checkpoint is unusable and the caller
-/// falls back.
-pub fn decode_checkpoint_file(bytes: &[u8]) -> std::result::Result<(u64, Vec<u8>), String> {
+fn encode_header(last_seq: u64, prev: Option<u64>, payload_len: usize) -> Vec<u8> {
+    let prev = prev.unwrap_or(NO_PREDECESSOR).to_le_bytes();
+    let len = (payload_len as u64).to_le_bytes();
+    [
+        &CHECKPOINT_MAGIC[..],
+        &[CHECKPOINT_FORMAT_VERSION],
+        &last_seq.to_le_bytes(),
+        &prev,
+        &len,
+    ]
+    .concat()
+}
+
+fn decode_header(bytes: &[u8]) -> std::result::Result<Header, String> {
     if bytes.len() < CHECKPOINT_HEADER_BYTES {
         return Err(format!(
             "{} bytes is shorter than the {CHECKPOINT_HEADER_BYTES}-byte header",
@@ -123,54 +129,117 @@ pub fn decode_checkpoint_file(bytes: &[u8]) -> std::result::Result<(u64, Vec<u8>
     if bytes[..4] != CHECKPOINT_MAGIC {
         return Err("bad magic".into());
     }
-    if bytes[4] != FORMAT_VERSION {
+    if bytes[4] != CHECKPOINT_FORMAT_VERSION {
         return Err(format!("unsupported format version {}", bytes[4]));
     }
-    let last_seq = u64::from_le_bytes(bytes[5..13].try_into().expect("8 header bytes"));
-    let (len, used) = read_varint(&bytes[CHECKPOINT_HEADER_BYTES..])
-        .map_err(|err| format!("payload length: {err}"))?;
-    let payload_at = CHECKPOINT_HEADER_BYTES + used;
-    let Ok(len) = usize::try_from(len) else {
-        return Err(format!("payload length {len} exceeds usize"));
-    };
-    let expected = payload_at
-        .checked_add(len)
-        .and_then(|n| n.checked_add(4))
-        .ok_or_else(|| format!("payload length {len} overflows"))?;
-    if bytes.len() < expected {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let (last_seq, prev) = (u64_at(5), u64_at(13));
+    if prev != NO_PREDECESSOR && prev >= last_seq {
         return Err(format!(
-            "payload truncated: {} bytes present, {expected} framed",
-            bytes.len()
+            "link {last_seq} names predecessor {prev}, not an older one"
         ));
     }
-    if bytes.len() > expected {
-        return Err(format!("{} trailing bytes", bytes.len() - expected));
-    }
-    let payload = &bytes[payload_at..payload_at + len];
-    let stored = u32::from_le_bytes(bytes[expected - 4..].try_into().expect("4 crc bytes"));
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(format!(
-            "payload crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
-        ));
-    }
-    Ok((last_seq, payload.to_vec()))
+    Ok(Header {
+        last_seq,
+        prev: (prev != NO_PREDECESSOR).then_some(prev),
+        payload_len: u64_at(21),
+    })
 }
 
-/// Durably installs a checkpoint covering segments `..= last_seq`:
-/// write + fsync the staging `.tmp` (sites `ckpt.write` / `ckpt.fsync`),
-/// rename it into place (site `ckpt.rename` models a crash in the window
-/// between the two), fsync the directory. Returns the installed file's
-/// size in bytes.
+/// The framed size of a file with a `payload_len`-byte payload.
+fn framed_len(payload_len: u64) -> Option<u64> {
+    payload_len.checked_add(CHECKPOINT_HEADER_BYTES as u64 + 4)
+}
+
+/// Encodes a complete base checkpoint file: header, payload, CRC — the
+/// self-contained form `GET /checkpoint/latest` serves.
+pub fn encode_checkpoint_file(last_seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = encode_header(last_seq, None, payload.len());
+    out.extend_from_slice(payload);
+    let crc = egraph_io::crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Validates one checkpoint file's bytes — header, length and CRC — and
+/// returns its header.
+fn check_file(bytes: &[u8]) -> std::result::Result<Header, String> {
+    let header = decode_header(bytes)?;
+    if framed_len(header.payload_len) != Some(bytes.len() as u64) {
+        return Err(format!(
+            "{} bytes present, payload length {}",
+            bytes.len(),
+            header.payload_len
+        ));
+    }
+    let (body, crc) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(crc.try_into().expect("4 crc bytes"));
+    let computed = egraph_io::crc32(body);
+    if stored != computed {
+        return Err(format!(
+            "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        ));
+    }
+    Ok(header)
+}
+
+/// Decodes and validates self-contained checkpoint file bytes (a base),
+/// returning the last covered sequence number and the payload. Used by
+/// followers on bytes fetched over `GET /checkpoint/latest`.
+///
+/// # Errors
+/// A description of the first failed check, including a link (which is
+/// not self-contained). Torn and corrupt files are not distinguished —
+/// either way the checkpoint is unusable and the caller falls back.
+pub fn decode_checkpoint_file(bytes: &[u8]) -> std::result::Result<(u64, &[u8]), String> {
+    let header = check_file(bytes)?;
+    if let Some(prev) = header.prev {
+        return Err(format!("a link onto {prev} is not self-contained"));
+    }
+    Ok((
+        header.last_seq,
+        &bytes[CHECKPOINT_HEADER_BYTES..bytes.len() - 4],
+    ))
+}
+
+/// Durably installs a base covering segments `..= last_seq`; see
+/// [`install_checkpoint`].
+pub fn write_checkpoint(dir: &Path, last_seq: u64, payload: &[u8]) -> Result<u64> {
+    install_checkpoint(dir, last_seq, None, payload)
+}
+
+/// Durably installs a checkpoint covering segments `..= last_seq`: a base,
+/// or with `prev` a link whose payload continues that older checkpoint's.
+/// Writes + fsyncs the staging `.tmp` (sites `ckpt.write` / `ckpt.fsync`),
+/// renames it into place (site `ckpt.rename` models a crash in the window
+/// between the two) and fsyncs the directory. Returns the installed
+/// file's size in bytes.
 ///
 /// On any failure the installed name is untouched — either the old
 /// checkpoint (if one existed) or nothing; the staging file may remain as
 /// inert residue that readers ignore and the next install overwrites.
-pub fn write_checkpoint(dir: &Path, last_seq: u64, payload: &[u8]) -> Result<u64> {
-    let bytes = encode_checkpoint_file(last_seq, payload);
-    let tmp = checkpoint_tmp_path(dir, last_seq);
-    write_durable(&tmp, &bytes, "ckpt.write", "ckpt.fsync")?;
+pub fn install_checkpoint(
+    dir: &Path,
+    last_seq: u64,
+    prev: Option<u64>,
+    payload: &[u8],
+) -> Result<u64> {
     let path = checkpoint_path(dir, last_seq);
+    if let Some(prev) = prev.filter(|&prev| prev >= last_seq) {
+        return corrupt(
+            &path,
+            format!("a link must chain onto an older checkpoint, not {prev}"),
+        );
+    }
+    let header = encode_header(last_seq, prev, payload.len());
+    let crc = Crc32::default().update(&header).update(payload).finish();
+    let tmp = checkpoint_tmp_path(dir, last_seq);
+    write_durable(
+        &tmp,
+        &[&header, payload, &crc.to_le_bytes()],
+        "ckpt.write",
+        "ckpt.fsync",
+    )?;
     if egraph_fault::fired("ckpt.rename").is_some() {
         return io_err(
             &path,
@@ -181,96 +250,117 @@ pub fn write_checkpoint(dir: &Path, last_seq: u64, payload: &[u8]) -> Result<u64
         return io_err(&path, source);
     }
     sync_dir(dir)?;
-    Ok(bytes.len() as u64)
+    Ok(framed_len(payload.len() as u64).expect("an in-memory payload fits u64"))
 }
 
-/// Reads and validates the checkpoint covering `..= last_seq` (site
-/// `ckpt.read`), returning its payload. The header's sequence must match
-/// the file name's.
+/// The predecessor checkpoint `seq`'s header names, if it is a link whose
+/// header reads back.
+fn predecessor(dir: &Path, seq: u64) -> Option<u64> {
+    let mut head = [0u8; CHECKPOINT_HEADER_BYTES];
+    File::open(checkpoint_path(dir, seq))
+        .ok()?
+        .read_exact(&mut head)
+        .ok()?;
+    let header = decode_header(&head).ok()?;
+    header.prev.filter(|_| header.last_seq == seq)
+}
+
+/// One file of a checkpoint chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainFile {
+    /// The last segment the file covers.
+    pub seq: u64,
+    /// The file's size in bytes.
+    pub bytes: u64,
+}
+
+/// Reads checkpoint `last_seq` and every ancestor back to its base (site
+/// `ckpt.read`), checking each file's CRC over its bytes in place: the
+/// chain's files and their payloads concatenated, base first. The base's
+/// buffer becomes the result, so the bulk of the state is never copied.
 ///
 /// # Errors
-/// [`LogError::Io`](crate::log::LogError::Io) if the file cannot be read,
+/// [`LogError::Io`](crate::log::LogError::Io) if a file cannot be read,
 /// [`LogError::Corrupt`](crate::log::LogError::Corrupt) if any validation
 /// fails — the caller treats both as "this candidate is unusable, fall
 /// back".
-pub fn read_checkpoint(dir: &Path, last_seq: u64) -> Result<Vec<u8>> {
-    let path = checkpoint_path(dir, last_seq);
+pub fn read_checkpoint_chain(dir: &Path, last_seq: u64) -> Result<(Vec<ChainFile>, Vec<u8>)> {
     if egraph_fault::fired("ckpt.read").is_some() {
         return io_err(
-            &path,
+            &checkpoint_path(dir, last_seq),
             egraph_fault::injected_io_error("ckpt.read", "checkpoint read"),
         );
     }
-    let bytes = match fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(source) => return io_err(&path, source),
-    };
-    let (stored_seq, payload) = match decode_checkpoint_file(&bytes) {
-        Ok(decoded) => decoded,
-        Err(detail) => return corrupt(&path, detail),
-    };
-    if stored_seq != last_seq {
-        return corrupt(
-            &path,
-            format!("file named seq {last_seq} but header says {stored_seq}"),
-        );
+    let mut newest_first = Vec::new();
+    let mut next = Some(last_seq);
+    while let Some(seq) = next {
+        let path = checkpoint_path(dir, seq);
+        let bytes = fs::read(&path).or_else(|source| io_err(&path, source))?;
+        let header = check_file(&bytes).or_else(|detail| corrupt(&path, detail))?;
+        if header.last_seq != seq {
+            let detail = format!("file named seq {seq} but header says {}", header.last_seq);
+            return corrupt(&path, detail);
+        }
+        next = header.prev;
+        newest_first.push((seq, bytes));
     }
-    Ok(payload)
+    let (seq, mut payload) = newest_first.pop().expect("a walk ends at a base");
+    let mut files = vec![ChainFile {
+        seq,
+        bytes: payload.len() as u64,
+    }];
+    payload.truncate(payload.len() - 4);
+    payload.drain(..CHECKPOINT_HEADER_BYTES);
+    for (seq, bytes) in newest_first.into_iter().rev() {
+        files.push(ChainFile {
+            seq,
+            bytes: bytes.len() as u64,
+        });
+        payload.extend_from_slice(&bytes[CHECKPOINT_HEADER_BYTES..bytes.len() - 4]);
+    }
+    Ok((files, payload))
 }
 
-/// Deletes superseded checkpoints, keeping the newest `retain`, and sweeps
-/// any staging `.tmp` residue older than the newest installed checkpoint.
-/// Returns the retained checkpoints' last-covered sequences (ascending) —
-/// the oldest of which bounds what segment compaction may delete.
+/// The state at checkpoint `last_seq`: its chain's payloads, base first.
+/// See [`read_checkpoint_chain`].
+pub fn read_checkpoint(dir: &Path, last_seq: u64) -> Result<Vec<u8>> {
+    read_checkpoint_chain(dir, last_seq).map(|(_, payload)| payload)
+}
+
+/// Deletes superseded checkpoints, keeping the newest `retain` (at least
+/// one) plus every ancestor their chains need, and sweeps any staging
+/// `.tmp` residue older than the newest installed checkpoint. Returns the
+/// newest `retain` checkpoints' sequences (ascending) — the oldest of
+/// which bounds what segment compaction may delete.
 ///
 /// Deletion failures are not fatal (an extra old checkpoint costs disk,
 /// not correctness); the directory is fsynced when anything was removed.
 pub fn retain_checkpoints(dir: &Path, retain: usize) -> Result<Vec<u64>> {
     let seqs = list_checkpoints(dir)?;
-    let retain = retain.max(1);
-    let cut = seqs.len().saturating_sub(retain);
-    let mut removed = false;
-    for &seq in &seqs[..cut] {
-        if fs::remove_file(checkpoint_path(dir, seq)).is_ok() {
-            removed = true;
+    let newest = &seqs[seqs.len().saturating_sub(retain.max(1))..];
+    let mut keep: BTreeSet<u64> = newest.iter().copied().collect();
+    for &seq in newest {
+        let mut at = seq;
+        while let Some(prev) = predecessor(dir, at) {
+            keep.insert(prev);
+            at = prev;
         }
     }
-    if let Some(&newest) = seqs.last() {
-        for seq in list_checkpoint_tmps(dir) {
-            if seq < newest && fs::remove_file(checkpoint_tmp_path(dir, seq)).is_ok() {
-                removed = true;
+    let mut removed = false;
+    for seq in seqs.iter().filter(|seq| !keep.contains(seq)) {
+        removed |= fs::remove_file(checkpoint_path(dir, *seq)).is_ok();
+    }
+    if let (Some(&newest), Ok(entries)) = (seqs.last(), fs::read_dir(dir)) {
+        for entry in entries.flatten() {
+            if parse_checkpoint_file_name(&entry.path(), ".tmp").is_some_and(|seq| seq < newest) {
+                removed |= fs::remove_file(entry.path()).is_ok();
             }
         }
     }
     if removed {
         sync_dir(dir)?;
     }
-    Ok(seqs[cut..].to_vec())
-}
-
-/// Lists the sequences of staging `.tmp` checkpoint files (crash residue).
-fn list_checkpoint_tmps(dir: &Path) -> Vec<u64> {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut seqs = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(digits) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|rest| rest.strip_suffix(".tmp"))
-        {
-            if digits.len() == 10 && digits.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(seq) = digits.parse() {
-                    seqs.push(seq);
-                }
-            }
-        }
-    }
-    seqs
+    Ok(newest.to_vec())
 }
 
 /// Total on-disk size of every installed checkpoint in `dir` — the
@@ -331,6 +421,30 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_reads_back_base_first_and_names_its_files() {
+        let dir = TempDir::new("chain");
+        let base = write_checkpoint(dir.path(), 2, b"base|").unwrap();
+        let a = install_checkpoint(dir.path(), 5, Some(2), b"link a|").unwrap();
+        let b = install_checkpoint(dir.path(), 9, Some(5), b"link b").unwrap();
+        let (chain, payload) = read_checkpoint_chain(dir.path(), 9).unwrap();
+        assert_eq!(payload, b"base|link a|link b");
+        let files: Vec<_> = [(2, base), (5, a), (9, b)]
+            .map(|(seq, bytes)| ChainFile { seq, bytes })
+            .into();
+        assert_eq!(chain, files);
+        assert_eq!(read_checkpoint(dir.path(), 5).unwrap(), b"base|link a|");
+        // A link must chain onto an older checkpoint.
+        assert!(install_checkpoint(dir.path(), 4, Some(4), b"x").is_err());
+        // A missing or damaged ancestor makes the whole chain unusable.
+        fs::remove_file(checkpoint_path(dir.path(), 2)).unwrap();
+        assert!(read_checkpoint(dir.path(), 9).is_err());
+        assert!(matches!(
+            read_checkpoint(dir.path(), 5),
+            Err(LogError::Io { .. })
+        ));
+    }
+
+    #[test]
     fn every_truncation_and_every_bit_flip_is_rejected() {
         let bytes = encode_checkpoint_file(5, b"payload bytes here");
         assert_eq!(decode_checkpoint_file(&bytes).unwrap().0, 5);
@@ -340,21 +454,45 @@ mod tests {
                 "cut at {cut} must be rejected"
             );
         }
+        // The CRC covers the header too: no single flip survives.
         for i in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0x01;
-            // The only byte a flip may survive in is the sequence number
-            // (it is not CRC-covered; the *name* cross-check in
-            // read_checkpoint catches it).
-            if let Ok((seq, payload)) = decode_checkpoint_file(&flipped) {
-                assert_ne!(seq, 5, "flipping byte {i} must change something");
-                assert_eq!(payload, b"payload bytes here");
-                assert!((5..13).contains(&i));
-            }
+            assert!(decode_checkpoint_file(&flipped).is_err(), "flip at {i}");
         }
         let mut extended = bytes.clone();
         extended.push(9);
         assert!(decode_checkpoint_file(&extended).is_err());
+    }
+
+    #[test]
+    fn on_disk_damage_to_any_chain_file_is_caught() {
+        let dir = TempDir::new("damage");
+        write_checkpoint(dir.path(), 1, b"base payload").unwrap();
+        install_checkpoint(dir.path(), 3, Some(1), b"link payload").unwrap();
+        for seq in [1, 3] {
+            let path = checkpoint_path(dir.path(), seq);
+            let pristine = fs::read(&path).unwrap();
+            for i in 0..pristine.len() {
+                let mut flipped = pristine.clone();
+                flipped[i] ^= 0x10;
+                fs::write(&path, &flipped).unwrap();
+                assert!(
+                    read_checkpoint(dir.path(), 3).is_err(),
+                    "file {seq} flip {i}"
+                );
+                fs::write(&path, &pristine[..i]).unwrap();
+                assert!(
+                    read_checkpoint(dir.path(), 3).is_err(),
+                    "file {seq} cut {i}"
+                );
+            }
+            fs::write(&path, &pristine).unwrap();
+        }
+        assert_eq!(
+            read_checkpoint(dir.path(), 3).unwrap(),
+            b"base payloadlink payload"
+        );
     }
 
     #[test]
@@ -398,5 +536,22 @@ mod tests {
         assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![9, 12]);
         // retain 0 is clamped to 1: the newest checkpoint always survives.
         assert_eq!(retain_checkpoints(dir.path(), 0).unwrap(), vec![12]);
+    }
+
+    #[test]
+    fn retain_keeps_every_ancestor_a_kept_link_needs() {
+        let dir = TempDir::new("retain-chain");
+        // Chain A: 1 <- 3 <- 5. Chain B: base 7 <- 9, plus a link 11 onto 3.
+        write_checkpoint(dir.path(), 1, b"a").unwrap();
+        install_checkpoint(dir.path(), 3, Some(1), b"b").unwrap();
+        install_checkpoint(dir.path(), 5, Some(3), b"c").unwrap();
+        write_checkpoint(dir.path(), 7, b"d").unwrap();
+        install_checkpoint(dir.path(), 9, Some(7), b"e").unwrap();
+        install_checkpoint(dir.path(), 11, Some(3), b"f").unwrap();
+        assert_eq!(retain_checkpoints(dir.path(), 2).unwrap(), vec![9, 11]);
+        assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![1, 3, 7, 9, 11]);
+        assert_eq!(read_checkpoint(dir.path(), 11).unwrap(), b"abf");
+        assert_eq!(retain_checkpoints(dir.path(), 1).unwrap(), vec![11]);
+        assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![1, 3, 11]);
     }
 }

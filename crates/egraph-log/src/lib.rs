@@ -22,6 +22,9 @@
 //!   `checkpoint-<seq>.bin` absorbs the segment prefix `..= seq`, so
 //!   recovery replays only the suffix and compaction
 //!   ([`log::EventLog::compact_through`]) may delete the covered files.
+//!   Checkpoints chain: a link holds only what was sealed since its
+//!   predecessor, so a checkpoint costs what was sealed since the last
+//!   one, not the whole history.
 //!
 //! This crate is graph-agnostic on purpose: it stores and retrieves
 //! [`egraph_io::binary::LogRecord`]s and knows nothing about `LiveGraph`.
@@ -37,7 +40,8 @@ pub mod segment;
 
 pub use checkpoint::{
     checkpoint_path, checkpoints_bytes, decode_checkpoint_file, encode_checkpoint_file,
-    list_checkpoints, read_checkpoint, retain_checkpoints, write_checkpoint,
+    install_checkpoint, list_checkpoints, read_checkpoint, read_checkpoint_chain,
+    retain_checkpoints, write_checkpoint, ChainFile,
 };
 pub use log::{read_log_init, EventLog, LogError, RecoveredLog, Sealed};
 pub use segment::{decode_segment, encode_segment, SealedSegment, SegmentError};

@@ -200,7 +200,7 @@ impl EventLog {
         encode_record(&init, &mut bytes);
         write_durable(
             &manifest_path,
-            &bytes,
+            &[&bytes],
             "log.manifest.write",
             "log.manifest.fsync",
         )?;
@@ -452,7 +452,7 @@ impl EventLog {
         let seq = self.next_seq;
         let bytes = encode_segment(seq, &self.pending, label);
         let path = segment_path(&self.dir, seq);
-        write_durable(&path, &bytes, "log.seal.write", "log.seal.fsync")?;
+        write_durable(&path, &[&bytes], "log.seal.write", "log.seal.fsync")?;
         sync_dir(&self.dir)?;
         self.pending.clear();
         self.next_seq += 1;
@@ -530,7 +530,9 @@ fn read_manifest(path: &Path) -> Result<LogRecord> {
     }
 }
 
-/// Writes `bytes` to a fresh file at `path` and fsyncs it. `write_site`
+/// Writes the concatenation of `parts` to a fresh file at `path` (each
+/// part written as it stands, never copied into one buffer) and fsyncs
+/// it. `write_site`
 /// and `fsync_site` are the failpoint names for the two failure classes:
 /// a scripted *partial* at `write_site` leaves exactly the torn file a
 /// crash mid-write would (and `File::create` truncates, so a retry
@@ -539,7 +541,7 @@ fn read_manifest(path: &Path) -> Result<LogRecord> {
 /// disk is complete and valid.
 pub(crate) fn write_durable(
     path: &Path,
-    bytes: &[u8],
+    parts: &[&[u8]],
     write_site: &str,
     fsync_site: &str,
 ) -> Result<()> {
@@ -547,8 +549,13 @@ pub(crate) fn write_durable(
         let mut file = File::create(path)?;
         match egraph_fault::fired(write_site) {
             Some(egraph_fault::Fired::Partial(percent)) => {
-                let keep = bytes.len() * usize::from(percent) / 100;
-                file.write_all(&bytes[..keep])?;
+                let total: usize = parts.iter().map(|part| part.len()).sum();
+                let mut keep = total * usize::from(percent) / 100;
+                for part in parts {
+                    let n = keep.min(part.len());
+                    file.write_all(&part[..n])?;
+                    keep -= n;
+                }
                 let _ = file.sync_all();
                 return Err(egraph_fault::injected_io_error(write_site, "torn write"));
             }
@@ -557,7 +564,9 @@ pub(crate) fn write_durable(
             }
             None => {}
         }
-        file.write_all(bytes)?;
+        for part in parts {
+            file.write_all(part)?;
+        }
         if egraph_fault::fired(fsync_site).is_some() {
             let _ = file.sync_all();
             return Err(egraph_fault::injected_io_error(fsync_site, "fsync error"));

@@ -252,7 +252,7 @@ impl Client {
             }
         }
         let (last_seq, payload) = egraph_log::decode_checkpoint_file(&raw).map_err(invalid)?;
-        Ok(Some((last_seq, payload)))
+        Ok(Some((last_seq, payload.to_vec())))
     }
 }
 

@@ -14,10 +14,10 @@
 //! | `POST /query` | a [`QueryDescriptor`] JSON document | the `SearchResult` JSON document |
 //! | `POST /subscribe` | a descriptor | chunked stream: one frame now, one per sealed snapshot |
 //! | `POST /ingest` | `{"grow_nodes": n?, "events": [[u,v],...], "seal": label?}` | `{"version", "num_sealed", "sealed_index"}` |
-//! | `GET /stats` | — | cache + server + log counters |
+//! | `GET /stats` | — | cache + server + log counters; `log` includes the checkpoint writer's `checkpoints_written`, `checkpoint_bases_written`, `checkpoint_failures`, `checkpoint_us_total` and `checkpoint_bytes_written` |
 //! | `GET /health` | — | `{"ok": true, ...}` |
 //! | `GET /log/tail?from=seq` | — | chunked stream: init frame, then per sealed segment a JSON header + the raw segment bytes |
-//! | `GET /checkpoint/latest` | — | the newest installed checkpoint file, byte-for-byte (`404` when none exists) |
+//! | `GET /checkpoint/latest` | — | the newest readable checkpoint chain framed as one self-contained `EGCP` file (`404` when none exists) |
 //!
 //! Malformed bodies get structured `400`s (`{"error": ...}`), oversized
 //! bodies `413`, semantically failing queries (root outside the sealed
@@ -58,14 +58,18 @@
 //! the disk. A crash can only lose events whose seal was never
 //! acknowledged; [`egraph_stream::DurableGraph::open`] replays the rest.
 //!
-//! With [`ServerConfig::checkpoint_every`] set, every N-th seal also
-//! serializes the sealed CSR state into an atomically installed
-//! `checkpoint-<seq>.bin`, prunes checkpoints beyond
-//! [`ServerConfig::retain_checkpoints`], and compacts the segment files
-//! the oldest surviving checkpoint covers — recovery then replays only the
-//! bounded suffix sealed after the newest valid checkpoint
-//! (`recovery_replayed_events` in `/stats` is the proof). A checkpoint
-//! failure is logged and skipped: the seal it rode on is already durable.
+//! With [`ServerConfig::checkpoint_every`] set, every N-th seal also runs
+//! the durable layer's [`Checkpointer`]: it installs an atomically renamed
+//! `checkpoint-<seq>.bin` — a link holding only what was sealed since the
+//! previous checkpoint, or a fresh base once the chain's links outgrow
+//! half of it — prunes checkpoints beyond
+//! [`ServerConfig::retain_checkpoints`] (keeping the ancestors their
+//! chains need), and compacts the segment files the oldest retained
+//! checkpoint covers. Recovery then replays only the bounded suffix sealed
+//! after the newest valid checkpoint (`recovery_replayed_events` in
+//! `/stats` is the proof). A checkpoint failure is counted
+//! (`checkpoint_failures`), logged and skipped: the seal it rode on is
+//! already durable.
 //!
 //! [`Server::start_follower`] runs the read-scaling side: it opens
 //! `GET /log/tail?from=version` against a leader, rebuilds its own
@@ -114,15 +118,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
-use egraph_core::csr::CsrAdjacency;
-use egraph_io::checkpoint::{decode_checkpoint, encode_checkpoint};
 use egraph_io::{write_json_i64, write_json_string, write_json_u64};
 use egraph_log::{decode_segment, EventLog, Sealed};
 use egraph_query::codec::{
     descriptor_from_json, search_result_json_len, search_result_to_json, write_search_result_json,
 };
 use egraph_query::QueryDescriptor;
-use egraph_stream::durable::{event_to_record, replay_segment, RecoveredGraph};
+use egraph_stream::durable::{
+    event_to_record, live_from_checkpoint, replay_segment, Checkpointer, RecoveredGraph,
+};
 use egraph_stream::{CacheOutcome, CacheStats, EdgeEvent, LiveGraph, QueryCache};
 
 use crate::client::{Client, LogTail, TailInit};
@@ -245,8 +249,19 @@ pub struct ServerStats {
     /// without reaching the leader (answered `503` locally).
     pub forward_failures: u64,
     /// Checkpoints durably installed by this server (policy-driven, at
-    /// seal time). Zero without a log or with `checkpoint_every: 0`.
+    /// seal time), bases and links. Zero without a log or with
+    /// `checkpoint_every: 0`.
     pub checkpoints_written: u64,
+    /// Of those, fresh bases (whole-graph rewrites); the rest are links.
+    pub checkpoint_bases_written: u64,
+    /// Due checkpoints that failed — each one logged; the seal it rode on
+    /// still succeeded.
+    pub checkpoint_failures: u64,
+    /// Wall time spent in checkpoint attempts (encode through compaction),
+    /// in µs, summed.
+    pub checkpoint_us_total: u64,
+    /// Bytes of every checkpoint file this server installed, summed.
+    pub checkpoint_bytes_written: u64,
     /// Segment files deleted by compaction after their covering checkpoint
     /// was installed.
     pub segments_compacted: u64,
@@ -314,8 +329,8 @@ struct Shared {
     tail_read_errors: AtomicU64,
     ingest_forwarded: AtomicU64,
     forward_failures: AtomicU64,
-    checkpoints_written: AtomicU64,
-    segments_compacted: AtomicU64,
+    /// The checkpoint writer and its counters (policy from the config).
+    checkpointer: Mutex<Checkpointer>,
     recovery_replayed_events: AtomicU64,
 }
 
@@ -377,8 +392,15 @@ impl Server {
     ) -> std::io::Result<Server> {
         let segments_replayed = recovered.segments_replayed;
         let recovery_replayed_events = recovered.recovery_replayed_events;
-        let (live, log) = recovered.graph.into_parts();
-        let server = Self::start_inner(live, config, Some(log), None, segments_replayed)?;
+        let (live, log, mut checkpointer) = recovered.graph.into_parts();
+        checkpointer.set_policy(config.checkpoint_every, config.retain_checkpoints);
+        let server = Self::start_inner(
+            live,
+            config,
+            Some((log, checkpointer)),
+            None,
+            segments_replayed,
+        )?;
         server
             .shared
             .recovery_replayed_events
@@ -452,7 +474,7 @@ impl Server {
     fn start_inner(
         live: LiveGraph,
         config: ServerConfig,
-        log: Option<EventLog>,
+        log: Option<(EventLog, Checkpointer)>,
         follower: Option<FollowerCtl>,
         segments_replayed: u64,
     ) -> std::io::Result<Server> {
@@ -464,7 +486,11 @@ impl Server {
             None => TcpListener::bind(("127.0.0.1", 0))?,
         };
         let addr = listener.local_addr()?;
-        let segments_sealed = log.as_ref().map_or(0, EventLog::segments_sealed);
+        let segments_sealed = log.as_ref().map_or(0, |(log, _)| log.segments_sealed());
+        let (log, checkpointer) = match log {
+            Some((log, checkpointer)) => (Some(log), checkpointer),
+            None => (None, Checkpointer::default()),
+        };
         let shared = Arc::new(Shared {
             live: RwLock::new(live),
             cache: QueryCache::new(),
@@ -489,8 +515,7 @@ impl Server {
             tail_read_errors: AtomicU64::new(0),
             ingest_forwarded: AtomicU64::new(0),
             forward_failures: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            segments_compacted: AtomicU64::new(0),
+            checkpointer: Mutex::new(checkpointer),
             recovery_replayed_events: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
@@ -519,6 +544,7 @@ impl Server {
     /// and `"log"`.
     pub fn stats(&self) -> ServerStats {
         let (segments_bytes, checkpoint_bytes) = disk_bytes(&self.shared);
+        let checkpoints = lock(&self.shared.checkpointer).stats();
         ServerStats {
             requests: self.shared.requests.load(Ordering::Relaxed),
             bad_requests: self.shared.bad_requests.load(Ordering::Relaxed),
@@ -531,8 +557,12 @@ impl Server {
             tail_read_errors: self.shared.tail_read_errors.load(Ordering::Relaxed),
             ingest_forwarded: self.shared.ingest_forwarded.load(Ordering::Relaxed),
             forward_failures: self.shared.forward_failures.load(Ordering::Relaxed),
-            checkpoints_written: self.shared.checkpoints_written.load(Ordering::Relaxed),
-            segments_compacted: self.shared.segments_compacted.load(Ordering::Relaxed),
+            checkpoints_written: checkpoints.written,
+            checkpoint_bases_written: checkpoints.bases_written,
+            checkpoint_failures: checkpoints.failures,
+            checkpoint_us_total: checkpoints.us_total,
+            checkpoint_bytes_written: checkpoints.bytes_written,
+            segments_compacted: checkpoints.segments_compacted,
             recovery_replayed_events: self.shared.recovery_replayed_events.load(Ordering::Relaxed),
             segments_bytes,
             checkpoint_bytes,
@@ -1212,46 +1242,23 @@ fn broadcast_frames(shared: &Arc<Shared>, label: i64) {
         .fetch_add(frames_pushed, Ordering::Relaxed);
 }
 
-/// Policy-driven checkpointing, run under `seal_lock` right after a seal
-/// was published and broadcast. Serializes the sealed CSR state, installs
-/// it atomically as `checkpoint-<seq>.bin`, prunes checkpoints beyond the
-/// retention bound, and compacts every segment the oldest *surviving*
-/// checkpoint covers. Failure is logged, never surfaced to the ingesting
-/// client — the seal itself is already fsynced and acknowledged; a
-/// checkpoint only bounds how much of the log future recoveries replay.
+/// Policy-driven checkpointing through the durable layer's
+/// [`Checkpointer`], run under `seal_lock` right after a seal was
+/// published and broadcast (so no writer waits on the graph's read lock
+/// held here). Failure is counted and logged, never surfaced to the
+/// ingesting client — the seal itself is already fsynced and acknowledged;
+/// a checkpoint only bounds how much of the log future recoveries replay.
 fn maybe_checkpoint(shared: &Arc<Shared>, version: u64) {
-    let every = shared.config.checkpoint_every;
-    if every == 0 || version == 0 || !version.is_multiple_of(every) {
-        return;
-    }
-    let Some(log) = shared.log.as_ref() else {
+    let mut checkpointer = lock(&shared.checkpointer);
+    let Some(log) = shared.log.as_ref().filter(|_| checkpointer.is_due(version)) else {
         return;
     };
-    let last_seq = version - 1;
-    let payload = {
-        let live = read_live(shared);
-        encode_checkpoint(&live.graph().to_parts(), version)
-    };
-    let result: Result<u64, egraph_log::LogError> = (|| {
-        let mut log = lock(log);
-        egraph_log::write_checkpoint(log.dir(), last_seq, &payload)?;
-        let retained = egraph_log::retain_checkpoints(log.dir(), shared.config.retain_checkpoints)?;
-        // Deletion strictly follows the covering checkpoint's install:
-        // only segments the oldest checkpoint still on disk covers go.
-        let oldest = retained.first().copied().unwrap_or(last_seq);
-        log.compact_through(oldest)
-    })();
-    match result {
-        Ok(deleted) => {
-            shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-            shared
-                .segments_compacted
-                .fetch_add(deleted, Ordering::Relaxed);
-        }
-        Err(err) => eprintln!(
+    let live = read_live(shared);
+    if let Err(err) = checkpointer.write(&mut lock(log), live.graph(), version) {
+        eprintln!(
             "egraph-serve: checkpoint at version {version} failed \
              (the seal itself is already durable): {err}"
-        ),
+        );
     }
 }
 
@@ -1378,8 +1385,8 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
     }
 }
 
-/// `GET /checkpoint/latest`: serves the newest installed checkpoint file
-/// byte-for-byte (the full `EGCP` container, CRC included), so a
+/// `GET /checkpoint/latest`: the newest checkpoint whose chain reads back
+/// intact, framed as one self-contained `EGCP` file (CRC included), so a
 /// bootstrapping follower verifies exactly what local recovery would.
 /// `404` when no checkpoint has been installed yet; only a durable leader
 /// has checkpoints to serve.
@@ -1393,34 +1400,33 @@ fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
         );
         return;
     };
-    // Hold the log lock across list+read: a concurrent checkpoint's
-    // retention sweep also runs under it, so the file picked here cannot
-    // be deleted between the listing and the read.
-    let log = lock(log);
-    let newest = match egraph_log::list_checkpoints(log.dir()) {
-        Ok(seqs) => seqs.last().copied(),
+    // Newest first: a chain that no longer reads back falls back to an
+    // older one, as recovery does. Holding the log lock keeps a concurrent
+    // retention sweep from deleting a chain file mid-read.
+    let newest = {
+        let log = lock(log);
+        egraph_log::list_checkpoints(log.dir()).map(|seqs| {
+            seqs.iter().rev().find_map(|&seq| {
+                let payload = egraph_log::read_checkpoint(log.dir(), seq).ok()?;
+                Some((seq, payload))
+            })
+        })
+    };
+    match newest {
+        Ok(Some((seq, payload))) => {
+            let file = egraph_log::encode_checkpoint_file(seq, &payload);
+            let _ = http::write_response_bytes(&mut stream, 200, &file);
+        }
+        Ok(None) => {
+            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
+            let _ = http::write_response(
+                &mut stream,
+                404,
+                &http::error_body("no readable checkpoint has been installed"),
+            );
+        }
         Err(err) => {
             let message = format!("could not list checkpoints: {err}");
-            let _ = http::write_response(&mut stream, 500, &http::error_body(&message));
-            return;
-        }
-    };
-    let Some(seq) = newest else {
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(
-            &mut stream,
-            404,
-            &http::error_body("no checkpoint has been installed yet"),
-        );
-        return;
-    };
-    match std::fs::read(egraph_log::checkpoint_path(log.dir(), seq)) {
-        Ok(bytes) => {
-            drop(log); // a slow client must not pin the log
-            let _ = http::write_response_bytes(&mut stream, 200, &bytes);
-        }
-        Err(err) => {
-            let message = format!("could not read checkpoint {seq}: {err}");
             let _ = http::write_response(&mut stream, 500, &http::error_body(&message));
         }
     }
@@ -1440,23 +1446,6 @@ fn push_segment_to_tailers(shared: &Arc<Shared>, sealed: &Sealed) {
 // ---------------------------------------------------------------------------
 // Follower: tailing a leader's segment stream
 // ---------------------------------------------------------------------------
-
-/// Rebuilds a [`LiveGraph`] from a fetched checkpoint payload: decodes the
-/// CSR parts, cross-checks the pinned version against the checkpoint's
-/// sequence number (a checkpoint named `last_seq` covers segments
-/// `0..=last_seq`, so it must pin version `last_seq + 1`), and adopts the
-/// version stamp so later tailed segments line up.
-fn live_from_checkpoint(last_seq: u64, payload: &[u8]) -> Result<LiveGraph, String> {
-    let (parts, version) = decode_checkpoint(payload).map_err(|err| err.to_string())?;
-    if version != last_seq + 1 {
-        return Err(format!(
-            "checkpoint {last_seq} pins version {version}, expected {}",
-            last_seq + 1
-        ));
-    }
-    let graph = CsrAdjacency::from_parts(parts)?;
-    Ok(LiveGraph::from_csr_at_version(graph, version))
-}
 
 /// Re-bootstraps a follower whose tail position the leader has compacted
 /// away: fetches the leader's newest checkpoint and adopts it when it is
@@ -1631,6 +1620,7 @@ fn stats_body(shared: &Arc<Shared>) -> String {
     let subscribers = lock(&shared.subscribers).len();
     let labels = log_labels(shared);
     let (segments_bytes, checkpoint_bytes) = disk_bytes(shared);
+    let checkpoints = lock(&shared.checkpointer).stats();
     format!(
         "{{\"cache\": {{\"hits\": {}, \"extensions\": {}, \"extended_shared\": {}, \
          \"redimensioned\": {}, \"stable_core_resettled\": {}, \"recomputes\": {}, \
@@ -1642,7 +1632,9 @@ fn stats_body(shared: &Arc<Shared>) -> String {
          \"log\": {{\"segments_sealed\": {}, \"segments_replayed\": {}, \
          \"follower_lag_seals\": {}, \"segments_bytes\": {segments_bytes}, \
          \"checkpoint_bytes\": {checkpoint_bytes}, \"segments_compacted\": {}, \
-         \"checkpoints_written\": {}, \"recovery_replayed_events\": {}}}, \
+         \"checkpoints_written\": {}, \"checkpoint_bases_written\": {}, \
+         \"checkpoint_failures\": {}, \"checkpoint_us_total\": {}, \
+         \"checkpoint_bytes_written\": {}, \"recovery_replayed_events\": {}}}, \
          \"graph\": {{\"version\": {version}, \"num_sealed\": {num_sealed}, \"num_nodes\": {num_nodes}}}}}",
         cache.hits,
         cache.extensions,
@@ -1666,8 +1658,12 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         labels.segments_sealed,
         labels.segments_replayed,
         labels.follower_lag_seals,
-        shared.segments_compacted.load(Ordering::Relaxed),
-        shared.checkpoints_written.load(Ordering::Relaxed),
+        checkpoints.segments_compacted,
+        checkpoints.written,
+        checkpoints.bases_written,
+        checkpoints.failures,
+        checkpoints.us_total,
+        checkpoints.bytes_written,
         shared.recovery_replayed_events.load(Ordering::Relaxed),
     )
 }

@@ -21,22 +21,29 @@
 //! acknowledgement boundary, and recovery restores the last sealed
 //! snapshot bit-for-bit.
 //!
-//! Checkpoints bound how much of that log recovery must replay:
-//! [`DurableGraph::write_checkpoint`] serializes the sealed CSR state and
-//! version (via `egraph-io`'s checkpoint codec) into an atomically
-//! installed `checkpoint-<seq>.bin`, after which covered segment files may
-//! be compacted away. [`DurableGraph::open`] restores from the newest
-//! valid checkpoint and replays only the segments sealed after it; any
-//! invalid checkpoint falls back to an older one, and ultimately to full
-//! replay — never silent corruption.
+//! Checkpoints bound how much of that log recovery must replay. The one
+//! writer, [`Checkpointer`], installs an atomically renamed
+//! `checkpoint-<seq>.bin` after which covered segment files may be
+//! compacted away. Checkpoints chain (`egraph-log`'s checkpoint module):
+//! a link holds one `egraph-io` append record with only the columns sealed
+//! since its predecessor, and a fresh base (the whole graph) is written
+//! only once the chain's links outgrow half of their base in bytes — so
+//! the bytes written per sealed event stay bounded by a constant however
+//! long the history grows. The first checkpoint after a restart links onto
+//! the one recovery loaded. The one loader, [`live_from_checkpoint`],
+//! serves both [`DurableGraph::open`] — which restores from the newest
+//! valid checkpoint and replays only the segments sealed after it, falling
+//! back to an older checkpoint and ultimately to full replay, never to
+//! silent corruption — and follower bootstrap.
 
 use std::path::Path;
+use std::time::Instant;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_core::error::GraphError;
 use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 use egraph_io::binary::LogRecord;
-use egraph_io::checkpoint::{decode_checkpoint, encode_checkpoint};
+use egraph_io::checkpoint::{decode_checkpoint, encode_append_record};
 use egraph_log::{EventLog, LogError, SealedSegment};
 
 use crate::event::EdgeEvent;
@@ -148,7 +155,7 @@ pub fn replay_segment(live: &mut LiveGraph, segment: &SealedSegment) -> Result<T
     Ok(live.seal_snapshot(segment.label)?)
 }
 
-/// What [`DurableGraph::write_checkpoint`] durably installed.
+/// What [`Checkpointer::write`] durably installed.
 #[derive(Clone, Debug)]
 pub struct CheckpointReceipt {
     /// The checkpoint's sequence number: the last log segment it absorbs
@@ -158,6 +165,144 @@ pub struct CheckpointReceipt {
     pub bytes: u64,
     /// How many covered segment files compaction deleted afterwards.
     pub segments_compacted: u64,
+    /// Links in the chain once this checkpoint is installed: `0` when it
+    /// is a fresh base.
+    pub chain_links: u64,
+}
+
+/// Counters over every checkpoint a [`Checkpointer`] attempted — what the
+/// server's `/stats` reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckpointStats {
+    /// Checkpoints installed, bases and links.
+    pub written: u64,
+    /// Of those, fresh bases.
+    pub bases_written: u64,
+    /// Attempts that failed. The seal each rode on still succeeded.
+    pub failures: u64,
+    /// Wall time of every attempt, encode through compaction, in µs.
+    pub us_total: u64,
+    /// Size of every installed checkpoint file, summed.
+    pub bytes_written: u64,
+    /// Segment files compaction deleted.
+    pub segments_compacted: u64,
+}
+
+/// The newest checkpoint of the chain the next link extends.
+#[derive(Clone, Copy, Debug)]
+struct ChainTip {
+    seq: u64,
+    /// Snapshots it covers: where the next link's record starts.
+    snapshots: usize,
+    base_bytes: u64,
+    links_bytes: u64,
+    links: u64,
+}
+
+/// The one checkpoint writer, shared by [`DurableGraph`] and the HTTP
+/// server: the policy (checkpoint `every` N seals, 0 = never; `retain` the
+/// newest N), the chain the next checkpoint extends, and the counters.
+#[derive(Clone, Debug, Default)]
+pub struct Checkpointer {
+    every: u64,
+    retain: usize,
+    tip: Option<ChainTip>,
+    stats: CheckpointStats,
+}
+
+impl Checkpointer {
+    /// Sets the policy: every `every` seals (0 = never), keeping the newest
+    /// `retain` checkpoints plus their ancestors on disk (at least 1, so
+    /// compaction can never orphan the log's missing prefix). The chain in
+    /// progress is kept.
+    pub fn set_policy(&mut self, every: u64, retain: usize) {
+        self.every = every;
+        self.retain = retain;
+    }
+
+    /// Whether the policy checkpoints the seal that produced `version`.
+    pub fn is_due(&self, version: u64) -> bool {
+        self.every > 0 && version > 0 && version.is_multiple_of(self.every)
+    }
+
+    /// The counters so far.
+    pub fn stats(&self) -> CheckpointStats {
+        self.stats
+    }
+
+    /// Checkpoints `graph` at `version` into `log`'s directory: a link
+    /// holding only the columns sealed since the chain's newest checkpoint,
+    /// or a fresh base when there is no chain yet or its links have
+    /// outgrown half of their base. Encodes straight from the borrowed
+    /// columns, installs atomically, prunes beyond the retain count, then
+    /// deletes the segment files the *oldest retained* checkpoint absorbs.
+    ///
+    /// # Errors
+    /// [`DurableError::Checkpoint`] at version 0, [`DurableError::Log`]
+    /// for I/O failures; either leaves the log recoverable and is counted
+    /// in [`CheckpointStats::failures`].
+    pub fn write(
+        &mut self,
+        log: &mut EventLog,
+        graph: &CsrAdjacency,
+        version: u64,
+    ) -> Result<CheckpointReceipt> {
+        let started = Instant::now();
+        let result = self.install(log, graph, version);
+        let stats = &mut self.stats;
+        stats.us_total += started.elapsed().as_micros() as u64;
+        match &result {
+            Ok(receipt) => {
+                stats.written += 1;
+                stats.bases_written += u64::from(receipt.chain_links == 0);
+                stats.bytes_written += receipt.bytes;
+                stats.segments_compacted += receipt.segments_compacted;
+            }
+            Err(_) => stats.failures += 1,
+        }
+        result
+    }
+
+    fn install(
+        &mut self,
+        log: &mut EventLog,
+        graph: &CsrAdjacency,
+        version: u64,
+    ) -> Result<CheckpointReceipt> {
+        if version == 0 {
+            return Err(DurableError::Checkpoint(
+                "version 0 has no sealed history to checkpoint".to_string(),
+            ));
+        }
+        let last_seq = version - 1;
+        let link = self
+            .tip
+            .filter(|tip| tip.seq < last_seq && 2 * tip.links_bytes <= tip.base_bytes);
+        let from = link.map_or(0, |tip| tip.snapshots);
+        let payload = encode_append_record(graph.columns(), from, version);
+        let prev = link.map(|tip| tip.seq);
+        let bytes = egraph_log::install_checkpoint(log.dir(), last_seq, prev, &payload)?;
+        let (base_bytes, links_bytes, links) = match link {
+            Some(tip) => (tip.base_bytes, tip.links_bytes + bytes, tip.links + 1),
+            None => (bytes, 0, 0),
+        };
+        self.tip = Some(ChainTip {
+            seq: last_seq,
+            snapshots: graph.num_timestamps(),
+            base_bytes,
+            links_bytes,
+            links,
+        });
+        let retained = egraph_log::retain_checkpoints(log.dir(), self.retain)?;
+        let oldest = retained.first().copied().unwrap_or(last_seq);
+        let segments_compacted = log.compact_through(oldest)?;
+        Ok(CheckpointReceipt {
+            last_seq,
+            bytes,
+            segments_compacted,
+            chain_links: links,
+        })
+    }
 }
 
 /// What [`DurableGraph::seal_snapshot`] durably committed.
@@ -175,6 +320,9 @@ pub struct SealReceipt {
     /// durability contract, so its failure never fails the already-fsynced
     /// seal.
     pub checkpoint: Option<CheckpointReceipt>,
+    /// Why the due checkpoint failed, when it did (also counted in
+    /// [`CheckpointStats::failures`]).
+    pub checkpoint_error: Option<String>,
 }
 
 /// What [`DurableGraph::open`] (and [`LiveGraph::recover`]) rebuilt.
@@ -208,19 +356,20 @@ pub struct RecoveredGraph {
 pub struct DurableGraph {
     live: LiveGraph,
     log: EventLog,
-    /// Auto-checkpoint every this many seals (0 = never).
-    checkpoint_every: u64,
-    /// How many installed checkpoints to keep on disk (min 1).
-    checkpoint_retain: usize,
+    checkpointer: Checkpointer,
 }
 
 impl DurableGraph {
-    fn assemble(live: LiveGraph, log: EventLog) -> DurableGraph {
+    fn assemble(live: LiveGraph, log: EventLog, tip: Option<ChainTip>) -> DurableGraph {
+        let checkpointer = Checkpointer {
+            retain: 2,
+            tip,
+            ..Checkpointer::default()
+        };
         DurableGraph {
             live,
             log,
-            checkpoint_every: 0,
-            checkpoint_retain: 2,
+            checkpointer,
         }
     }
 
@@ -233,7 +382,7 @@ impl DurableGraph {
         } else {
             LiveGraph::undirected(num_nodes)
         };
-        Ok(DurableGraph::assemble(live, log))
+        Ok(DurableGraph::assemble(live, log, None))
     }
 
     /// Opens the log at `dir` and rebuilds the live graph exactly as it
@@ -269,10 +418,9 @@ impl DurableGraph {
                 // a *newer* checkpoint (already tried) could cover them.
                 continue;
             }
-            let Ok(live) = load_checkpoint(dir, last_seq, num_nodes, directed) else {
+            let Ok((mut live, tip)) = load_checkpoint(dir, last_seq, num_nodes, directed) else {
                 continue;
             };
-            let mut live = live;
             let mut segments_replayed = 0u64;
             let mut recovery_replayed_events = 0u64;
             for segment in &recovered.segments {
@@ -284,7 +432,7 @@ impl DurableGraph {
                 segments_replayed += 1;
             }
             return Ok(RecoveredGraph {
-                graph: DurableGraph::assemble(live, recovered.log),
+                graph: DurableGraph::assemble(live, recovered.log, Some(tip)),
                 segments_replayed,
                 recovery_replayed_events,
                 checkpoint_seq: Some(last_seq),
@@ -313,7 +461,7 @@ impl DurableGraph {
             replay_segment(&mut live, segment)?;
         }
         Ok(RecoveredGraph {
-            graph: DurableGraph::assemble(live, recovered.log),
+            graph: DurableGraph::assemble(live, recovered.log, None),
             segments_replayed: recovered.segments.len() as u64,
             recovery_replayed_events,
             checkpoint_seq: None,
@@ -353,11 +501,12 @@ impl DurableGraph {
         &self.log
     }
 
-    /// Splits into the live graph and the log — for callers (like the
-    /// HTTP server) that interleave their own locking between the two.
-    /// The caller inherits the ordering contract in the [module docs](self).
-    pub fn into_parts(self) -> (LiveGraph, EventLog) {
-        (self.live, self.log)
+    /// Splits into the live graph, the log and the checkpoint writer (with
+    /// the chain recovery loaded) — for callers (like the HTTP server) that
+    /// interleave their own locking between them. The caller inherits the
+    /// ordering contract in the [module docs](self).
+    pub fn into_parts(self) -> (LiveGraph, EventLog, Checkpointer) {
+        (self.live, self.log, self.checkpointer)
     }
 
     /// Buffers one event into the open snapshot of both the graph and the
@@ -382,8 +531,8 @@ impl DurableGraph {
     /// new version is a multiple of `every`, the seal also writes a
     /// checkpoint, prunes old ones and compacts covered segments. That
     /// bookkeeping is best-effort: the seal is already durable, so a
-    /// checkpoint failure is reported as `checkpoint: None` on the receipt,
-    /// never as a seal error.
+    /// checkpoint failure is reported as `checkpoint: None` plus its
+    /// `checkpoint_error` on the receipt, never as a seal error.
     ///
     /// [`set_checkpoint_policy`]: DurableGraph::set_checkpoint_policy
     pub fn seal_snapshot(&mut self, label: Timestamp) -> Result<SealReceipt> {
@@ -401,92 +550,86 @@ impl DurableGraph {
             .live
             .seal_snapshot(label)
             .expect("can_seal validated the label; publish after fsync cannot fail");
-        let checkpoint = if self.checkpoint_every > 0
-            && self.live.version().is_multiple_of(self.checkpoint_every)
-        {
-            self.write_checkpoint().ok()
+        let (checkpoint, checkpoint_error) = if self.checkpointer.is_due(self.live.version()) {
+            match self.write_checkpoint() {
+                Ok(receipt) => (Some(receipt), None),
+                Err(err) => (None, Some(err.to_string())),
+            }
         } else {
-            None
+            (None, None)
         };
         Ok(SealReceipt {
             time,
             seq: sealed.seq,
             bytes: sealed.bytes,
             checkpoint,
+            checkpoint_error,
         })
     }
 
-    /// Sets the auto-checkpoint policy: every `every` seals (0 = never),
-    /// keeping the newest `retain` checkpoints on disk (clamped to at
-    /// least 1 so compaction can never orphan the log's missing prefix).
+    /// Sets the auto-checkpoint policy; see [`Checkpointer::set_policy`].
     pub fn set_checkpoint_policy(&mut self, every: u64, retain: usize) {
-        self.checkpoint_every = every;
-        self.checkpoint_retain = retain.max(1);
+        self.checkpointer.set_policy(every, retain);
     }
 
-    /// Checkpoints the sealed state right now: serializes the CSR columns
-    /// and version, installs `checkpoint-<seq>.bin` atomically (temp →
-    /// fsync → rename → dir fsync), prunes checkpoints beyond the retain
-    /// count, then deletes the segment files the *oldest surviving*
-    /// checkpoint absorbs — deletion strictly after the covering
-    /// checkpoint's rename is durable.
-    ///
-    /// # Errors
-    /// [`DurableError::Checkpoint`] if nothing is sealed yet (version 0);
-    /// [`DurableError::Log`] for I/O failures at any step. A failure
-    /// leaves the log recoverable: segments are only deleted after their
-    /// covering checkpoint is installed.
+    /// Checkpoints the sealed state right now; see [`Checkpointer::write`].
     pub fn write_checkpoint(&mut self) -> Result<CheckpointReceipt> {
         let version = self.live.version();
-        if version == 0 {
-            return Err(DurableError::Checkpoint(
-                "version 0 has no sealed history to checkpoint".to_string(),
-            ));
-        }
-        let last_seq = version - 1;
-        let payload = encode_checkpoint(&self.live.graph().to_parts(), version);
-        let bytes = egraph_log::write_checkpoint(self.log.dir(), last_seq, &payload)?;
-        let retained = egraph_log::retain_checkpoints(self.log.dir(), self.checkpoint_retain)?;
-        let oldest = retained.first().copied().unwrap_or(last_seq);
-        let segments_compacted = self.log.compact_through(oldest)?;
-        Ok(CheckpointReceipt {
-            last_seq,
-            bytes,
-            segments_compacted,
-        })
+        self.checkpointer
+            .write(&mut self.log, self.live.graph(), version)
     }
 }
 
-/// Restores a [`LiveGraph`] from one installed checkpoint, or says why it
-/// cannot be trusted (the caller falls back to an older candidate).
-fn load_checkpoint(
-    dir: &Path,
+/// The one checkpoint loader: rebuilds a [`LiveGraph`] from a checkpoint
+/// payload (a chain's append records, base first) and checks that it pins
+/// the version its sequence number implies — a checkpoint covering
+/// segments `..= last_seq` is version `last_seq + 1`. Recovery and
+/// follower bootstrap both load through here.
+pub fn live_from_checkpoint(
     last_seq: u64,
-    init_num_nodes: usize,
-    directed: bool,
+    payload: &[u8],
 ) -> std::result::Result<LiveGraph, String> {
-    let payload = egraph_log::read_checkpoint(dir, last_seq).map_err(|err| err.to_string())?;
-    let (parts, version) = decode_checkpoint(&payload).map_err(|err| err.to_string())?;
+    let (parts, version) = decode_checkpoint(payload).map_err(|err| err.to_string())?;
     if version != last_seq + 1 {
         return Err(format!(
             "checkpoint {last_seq} stores version {version}, expected {}",
             last_seq + 1
         ));
     }
-    if parts.directed != directed {
-        return Err(format!(
-            "checkpoint {last_seq} directedness {} contradicts the manifest",
-            parts.directed
-        ));
-    }
-    if parts.num_nodes < init_num_nodes {
-        return Err(format!(
-            "checkpoint {last_seq} has {} nodes, fewer than the manifest's {init_num_nodes}",
-            parts.num_nodes
-        ));
-    }
     let csr = CsrAdjacency::from_parts(parts)?;
     Ok(LiveGraph::from_csr_at_version(csr, version))
+}
+
+/// Restores a [`LiveGraph`] and the chain it came from out of one
+/// installed checkpoint, or says why it cannot be trusted (the caller
+/// falls back to an older candidate).
+fn load_checkpoint(
+    dir: &Path,
+    last_seq: u64,
+    init_num_nodes: usize,
+    directed: bool,
+) -> std::result::Result<(LiveGraph, ChainTip), String> {
+    let (files, payload) =
+        egraph_log::read_checkpoint_chain(dir, last_seq).map_err(|err| err.to_string())?;
+    let live = live_from_checkpoint(last_seq, &payload)?;
+    let graph = live.graph();
+    if graph.is_directed() != directed || graph.num_nodes() < init_num_nodes {
+        return Err(format!(
+            "checkpoint {last_seq} (directed {}, {} nodes) contradicts the manifest \
+             (directed {directed}, {init_num_nodes} nodes)",
+            graph.is_directed(),
+            graph.num_nodes()
+        ));
+    }
+    let (base, links) = files.split_first().expect("a chain has a base");
+    let tip = ChainTip {
+        seq: last_seq,
+        snapshots: graph.num_timestamps(),
+        base_bytes: base.bytes,
+        links_bytes: links.iter().map(|file| file.bytes).sum(),
+        links: links.len() as u64,
+    };
+    Ok((live, tip))
 }
 
 impl LiveGraph {
@@ -507,6 +650,7 @@ impl LiveGraph {
 mod tests {
     use super::*;
     use egraph_core::graph::EvolvingGraph;
+    use egraph_io::checkpoint::encode_checkpoint;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -79,8 +79,8 @@ pub mod live;
 
 pub use cache::{CacheOutcome, CacheStats, CachedSession, QueryCache};
 pub use durable::{
-    event_to_record, record_to_event, replay_segment, CheckpointReceipt, DurableError,
-    DurableGraph, RecoveredGraph, SealReceipt,
+    event_to_record, live_from_checkpoint, record_to_event, replay_segment, CheckpointReceipt,
+    CheckpointStats, Checkpointer, DurableError, DurableGraph, RecoveredGraph, SealReceipt,
 };
 pub use event::EdgeEvent;
 pub use live::LiveGraph;
@@ -89,7 +89,8 @@ pub use live::LiveGraph;
 pub mod prelude {
     pub use crate::cache::{CacheOutcome, CacheStats, CachedSession, QueryCache};
     pub use crate::durable::{
-        CheckpointReceipt, DurableError, DurableGraph, RecoveredGraph, SealReceipt,
+        CheckpointReceipt, CheckpointStats, Checkpointer, DurableError, DurableGraph,
+        RecoveredGraph, SealReceipt,
     };
     pub use crate::event::EdgeEvent;
     pub use crate::live::LiveGraph;

@@ -810,13 +810,43 @@ fn run_checkpoint_chaos_seed(seed: u64) {
         }
     }
 
-    // Wind down: one clean seal, then a final restart with the newest
-    // installed checkpoint torn in half on disk.
-    durable.insert(NodeId(0), NodeId(1)).unwrap();
-    pending.push(EdgeEvent::insert(NodeId(0), NodeId(1)));
-    durable.seal_snapshot(next_label).unwrap();
-    history.push((next_label, std::mem::take(&mut pending)));
+    // Wind down: clean seals until the checkpoint chain holds at least
+    // three links (a short history's base is small, so the geometric base
+    // rule rewrites it often; a longer one leaves room for links), a
+    // restart that recovers from that chain, then a final restart with the
+    // newest installed checkpoint torn in half on disk.
+    let mut chain_links = 0;
+    while chain_links < 3 {
+        assert!(
+            history.len() < 256,
+            "seed {seed:#x}: no checkpoint chain reached three links"
+        );
+        durable.insert(NodeId(0), NodeId(1)).unwrap();
+        pending.push(EdgeEvent::insert(NodeId(0), NodeId(1)));
+        let receipt = durable.seal_snapshot(next_label).unwrap();
+        history.push((next_label, std::mem::take(&mut pending)));
+        next_label += 1;
+        if let Some(checkpoint) = receipt.checkpoint {
+            chain_links = checkpoint.chain_links;
+        }
+    }
     drop(durable);
+    let recovered = DurableGraph::open(dir.path()).unwrap();
+    assert_eq!(
+        recovered.checkpoint_seq,
+        Some(history.len() as u64 - 1),
+        "seed {seed:#x}: recovery must load the three-link chain"
+    );
+    assert_matches_twin(
+        seed,
+        "ckpt three-link chain",
+        &cache,
+        &recovered.graph,
+        &history,
+        0,
+        NUM_NODES,
+    );
+    drop(recovered);
     let checkpoints = egraph_log::list_checkpoints(dir.path()).unwrap();
     if checkpoints.len() >= 2 {
         let newest = checkpoints[checkpoints.len() - 1];
