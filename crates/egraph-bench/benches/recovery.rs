@@ -27,6 +27,10 @@
 //!    the base grows with history while the link, covering the same two
 //!    snapshots both times, stays the same size. The write times are
 //!    recorded, not asserted.
+//! 6. **Every-seal cadence.** A checkpoint after each of 64 snapshots
+//!    (retain 2), the cadence at which chains grow longest: the write
+//!    times, the chain lengths, the checkpoint files left on disk and the
+//!    time to recover from them. Recorded, not asserted.
 //!
 //! What *is* asserted is correctness under the measurement load: recovery
 //! restores the exact version, the follower converges to zero lag, and
@@ -60,6 +64,8 @@ const CHECKPOINT_EVERY: u64 = 6;
 const CHECKPOINT_HISTORIES: [usize; 2] = [8, 64];
 /// Snapshots a measured link covers.
 const LINK_SNAPSHOTS: usize = 2;
+/// History the every-seal cadence runs over.
+const CADENCE_SNAPSHOTS: usize = 64;
 
 /// A scratch directory under the system temp root, removed on drop (the
 /// container has no `tempfile` crate).
@@ -142,6 +148,56 @@ fn measure_checkpoint_cost(history: usize) -> [(u64, f64); 2] {
     let (link, link_us) = write(&mut durable, 0x11C4, history..history + LINK_SNAPSHOTS);
     assert_eq!((base.chain_links, link.chain_links), (0, 1));
     [(base.bytes, base_us), (link.bytes, link_us)]
+}
+
+/// A checkpoint after every one of `CADENCE_SNAPSHOTS` seals (retain 2,
+/// compaction on). Returns the JSON object the summary records: the
+/// checkpoint write times, bases written, the longest chain, checkpoint
+/// files left on disk and the best-of-3 recovery time from them.
+fn measure_every_seal_cadence() -> String {
+    let dir = TempDir::new("cadence");
+    let mut durable = DurableGraph::create(dir.path(), NUM_NODES, true).unwrap();
+    durable.set_checkpoint_policy(0, 2);
+    let mut rng = SmallRng::seed_from_u64(0x5EA1);
+    let (mut write_us, mut bases, mut longest) = (Vec::new(), 0, 0);
+    for label in 0..CADENCE_SNAPSHOTS {
+        insert_snapshot(&mut durable, &mut rng);
+        durable.seal_snapshot(label as i64).unwrap();
+        let started = Instant::now();
+        let receipt = durable.write_checkpoint().unwrap();
+        write_us.push(started.elapsed().as_nanos() as f64 / 1_000.0);
+        bases += u32::from(receipt.chain_links == 0);
+        longest = longest.max(receipt.chain_links);
+    }
+    let last_us = sorted(write_us[CADENCE_SNAPSHOTS - 8..].to_vec());
+    let write_us = sorted(write_us);
+    drop(durable);
+    let files = std::fs::read_dir(dir.path())
+        .unwrap()
+        .filter(|entry| {
+            let name = entry.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("checkpoint-") && name.ends_with(".bin")
+        })
+        .count();
+    let recover_us = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            let recovered = DurableGraph::open(dir.path()).unwrap();
+            let us = started.elapsed().as_nanos() as f64 / 1_000.0;
+            assert_eq!(recovered.checkpoint_seq, Some(CADENCE_SNAPSHOTS as u64 - 1));
+            us
+        })
+        .fold(f64::INFINITY, f64::min);
+    format!(
+        "{{\"snapshots\": {CADENCE_SNAPSHOTS}, \"bases_written\": {bases}, \
+         \"longest_chain_links\": {longest}, \"checkpoint_files_on_disk\": {files}, \
+         \"checkpoint_us_median\": {:.1}, \"checkpoint_us_median_last8\": {:.1}, \
+         \"checkpoint_us_max\": {:.1}, \"recover_us\": {recover_us:.1}}}",
+        percentile(&write_us, 0.5),
+        percentile(&last_us, 0.5),
+        write_us.last().copied().unwrap_or(0.0),
+    )
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -291,12 +347,14 @@ fn recovery(c: &mut Criterion) {
             )
         })
         .collect();
+    let cadence = measure_every_seal_cadence();
 
     println!(
         "recovery: {events} events over {SNAPSHOTS} segments; replay {:.0} events/s; \
          checkpointed recovery {:.0} events/s ({checkpoint_replayed_events} replayed); \
          seal fsync p50 {:.0} us (max {:.0} us); follower tail-to-serve p50 {:.0} us \
-         (max {:.0} us over {LIVE_SEALS} live seals); checkpoint cost {}",
+         (max {:.0} us over {LIVE_SEALS} live seals); checkpoint cost {}; every-seal \
+         cadence {cadence}",
         replay_events_per_sec,
         checkpoint_recover_events_per_sec,
         percentile(&seal_us, 0.50),
@@ -322,6 +380,7 @@ fn recovery(c: &mut Criterion) {
          \"checkpoint_link_snapshots\": {LINK_SNAPSHOTS},\n  \
          \"checkpoint_cost\": [{}],\n  \
          \"checkpoint_bytes_asserted\": true,\n  \"checkpoint_us_asserted\": false,\n  \
+         \"every_seal_cadence\": {cadence},\n  \"every_seal_cadence_asserted\": false,\n  \
          \"notes\": \"replay_events_per_sec and checkpoint_recover_events_per_sec are \
          the gated metrics (best of {REPLAY_RUNS} full LiveGraph::recover runs each, \
          recovered state verified every run); the checkpointed run also asserts bounded \
@@ -332,7 +391,9 @@ fn recovery(c: &mut Criterion) {
          (byte-identical restarts, zero-lag convergence) deterministically; \
          checkpoint_cost writes a base and then a link after each history length and \
          asserts the bytes (the link stays the same size while the base grows), recording \
-         the write times without asserting them\"\n}}\n",
+         the write times without asserting them; every_seal_cadence checkpoints after \
+         each of its snapshots and records the write times, chain lengths, files on disk \
+         and recovery time\"\n}}\n",
         percentile(&seal_us, 0.50),
         seal_us.last().copied().unwrap_or(0.0),
         percentile(&tail_us, 0.50),

@@ -10,9 +10,10 @@
 //! * [`binary`] — the compact CRC-framed binary event codec (varint
 //!   lengths, exact `i64` seal labels) that `egraph-log` segment files and
 //!   the replication wire are made of;
-//! * [`checkpoint`] — the checkpoint payload codec: a sealed CSR graph's
-//!   raw columns plus its version stamp as varint bytes, the body that
-//!   `egraph-log`'s CRC-framed `checkpoint-<seq>.bin` files carry;
+//! * [`checkpoint`] — the checkpoint payload codec: append records that
+//!   each carry a sealed CSR graph's column suffixes plus its version
+//!   stamp as varint bytes, the body that `egraph-log`'s CRC-framed,
+//!   chained `checkpoint-<seq>.bin` files carry;
 //! * [`report`] — the table/CSV formatter and the least-squares helper used
 //!   by the benchmark harness to regenerate the paper's Figure 5 series.
 
@@ -25,8 +26,10 @@ pub mod edgelist;
 pub mod json;
 pub mod report;
 
-pub use binary::{crc32, decode_record, encode_record, BinaryError, LogRecord};
-pub use checkpoint::{decode_checkpoint, encode_checkpoint};
+pub use binary::{crc32, decode_record, encode_record, BinaryError, Crc32, LogRecord};
+pub use checkpoint::{
+    decode_checkpoint, encode_append_record, encode_checkpoint, upgrade_legacy_checkpoint,
+};
 pub use edgelist::{
     parse_edge_list, read_edge_list, to_edge_list_string, write_edge_list, EdgeListError,
 };

@@ -15,7 +15,11 @@
 //! ```
 //!
 //! `prev_seq` is `u64::MAX` in a base and strictly smaller than `last_seq`
-//! in a link, so every chain walk ends at a base.
+//! in a link, so every chain walk ends at a base. Files of format 1, which
+//! older builds wrote (`magic ++ 1u8 ++ last_seq ++ varint(payload_len) ++
+//! payload ++ crc32(payload)`, a whole graph in `egraph-io`'s format-1
+//! layout), are read as bases: their payload is upgraded to a base record
+//! on read, so data directories from those builds open and chain on.
 //!
 //! Installation is atomic against crashes at *every* byte offset: the
 //! bytes are written and fsynced to `checkpoint-<seq>.tmp`, renamed into
@@ -30,9 +34,12 @@
 //! to an older checkpoint or to full replay.
 //!
 //! **Retention**: [`retain_checkpoints`] keeps the newest `n` checkpoints
-//! plus every ancestor their chains need and returns the newest `n`; the
-//! oldest of those bounds segment compaction, so each keeps the segment
-//! suffix it replays from.
+//! plus every ancestor their chains need. With `n >= 2` it also keeps an
+//! *independent* fallback — the newest checkpoint on another base — since
+//! checkpoints of one chain share its base and every link between, and a
+//! single damaged file there would take all of them down. The oldest kept
+//! tip bounds segment compaction, so each keeps the segment suffix it
+//! replays from.
 //!
 //! ## Failpoints
 //!
@@ -43,12 +50,13 @@
 //! | `ckpt.rename` | crash window between fsync and rename |
 //! | `ckpt.read` | reading a checkpoint chain back fails |
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File};
 use std::io::Read;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use egraph_io::binary::Crc32;
+use egraph_io::binary::{read_varint, Crc32};
 
 use crate::log::{corrupt, file_len, io_err, sync_dir, write_durable, Result};
 
@@ -61,6 +69,13 @@ pub const CHECKPOINT_FORMAT_VERSION: u8 = 2;
 /// Fixed header size: magic + version byte + `u64` last covered sequence +
 /// `u64` predecessor sequence + `u64` payload length.
 pub const CHECKPOINT_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8;
+
+/// The format older builds wrote, still read as a base.
+const LEGACY_FORMAT_VERSION: u8 = 1;
+
+/// Format 1's fixed header: magic + version byte + `u64` last covered
+/// sequence (a varint payload length follows).
+const LEGACY_HEADER_BYTES: usize = 4 + 1 + 8;
 
 /// The `prev_seq` a base carries.
 const NO_PREDECESSOR: u64 = u64::MAX;
@@ -99,13 +114,6 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<u64>> {
     Ok(seqs)
 }
 
-/// A checkpoint file's header fields.
-struct Header {
-    last_seq: u64,
-    prev: Option<u64>,
-    payload_len: u64,
-}
-
 fn encode_header(last_seq: u64, prev: Option<u64>, payload_len: usize) -> Vec<u8> {
     let prev = prev.unwrap_or(NO_PREDECESSOR).to_le_bytes();
     let len = (payload_len as u64).to_le_bytes();
@@ -119,36 +127,42 @@ fn encode_header(last_seq: u64, prev: Option<u64>, payload_len: usize) -> Vec<u8
     .concat()
 }
 
-fn decode_header(bytes: &[u8]) -> std::result::Result<Header, String> {
-    if bytes.len() < CHECKPOINT_HEADER_BYTES {
+/// A checkpoint file's `(last_seq, predecessor)`, from its header alone.
+fn decode_header(bytes: &[u8]) -> std::result::Result<(u64, Option<u64>), String> {
+    let legacy = bytes.get(4) == Some(&LEGACY_FORMAT_VERSION);
+    let needed = if legacy {
+        LEGACY_HEADER_BYTES
+    } else {
+        CHECKPOINT_HEADER_BYTES
+    };
+    if bytes.len() < needed {
         return Err(format!(
-            "{} bytes is shorter than the {CHECKPOINT_HEADER_BYTES}-byte header",
+            "{} bytes is shorter than the {needed}-byte header",
             bytes.len()
         ));
     }
     if bytes[..4] != CHECKPOINT_MAGIC {
         return Err("bad magic".into());
     }
-    if bytes[4] != CHECKPOINT_FORMAT_VERSION {
+    if !legacy && bytes[4] != CHECKPOINT_FORMAT_VERSION {
         return Err(format!("unsupported format version {}", bytes[4]));
     }
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let (last_seq, prev) = (u64_at(5), u64_at(13));
+    let last_seq = u64_at(bytes, 5);
+    let prev = if legacy {
+        NO_PREDECESSOR
+    } else {
+        u64_at(bytes, 13)
+    };
     if prev != NO_PREDECESSOR && prev >= last_seq {
         return Err(format!(
             "link {last_seq} names predecessor {prev}, not an older one"
         ));
     }
-    Ok(Header {
-        last_seq,
-        prev: (prev != NO_PREDECESSOR).then_some(prev),
-        payload_len: u64_at(21),
-    })
+    Ok((last_seq, (prev != NO_PREDECESSOR).then_some(prev)))
 }
 
-/// The framed size of a file with a `payload_len`-byte payload.
-fn framed_len(payload_len: u64) -> Option<u64> {
-    payload_len.checked_add(CHECKPOINT_HEADER_BYTES as u64 + 4)
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
 /// Encodes a complete base checkpoint file: header, payload, CRC — the
@@ -161,45 +175,70 @@ pub fn encode_checkpoint_file(last_seq: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates one checkpoint file's bytes — header, length and CRC — and
-/// returns its header.
-fn check_file(bytes: &[u8]) -> std::result::Result<Header, String> {
-    let header = decode_header(bytes)?;
-    if framed_len(header.payload_len) != Some(bytes.len() as u64) {
+/// One checkpoint file that passed every check.
+struct Frame {
+    last_seq: u64,
+    prev: Option<u64>,
+    /// Where the payload sits in the file's bytes.
+    payload: Range<usize>,
+    /// Format 1: the payload is in `egraph-io`'s format-1 layout.
+    legacy: bool,
+}
+
+/// Validates one checkpoint file's bytes — header, length and CRC.
+fn check_file(bytes: &[u8]) -> std::result::Result<Frame, String> {
+    let (last_seq, prev) = decode_header(bytes)?;
+    let legacy = bytes[4] == LEGACY_FORMAT_VERSION;
+    // Format 2's CRC covers the header too; format 1's only the payload.
+    let (payload_at, payload_len, crc_from) = if legacy {
+        let (len, used) = read_varint(&bytes[LEGACY_HEADER_BYTES..])
+            .map_err(|err| format!("payload length: {err}"))?;
+        let at = LEGACY_HEADER_BYTES + used;
+        (at, len, at)
+    } else {
+        (CHECKPOINT_HEADER_BYTES, u64_at(bytes, 21), 0)
+    };
+    let framed = payload_len.checked_add(payload_at as u64 + 4);
+    if framed != Some(bytes.len() as u64) {
         return Err(format!(
-            "{} bytes present, payload length {}",
-            bytes.len(),
-            header.payload_len
+            "{} bytes present, payload length {payload_len}",
+            bytes.len()
         ));
     }
-    let (body, crc) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc.try_into().expect("4 crc bytes"));
-    let computed = egraph_io::crc32(body);
+    let end = bytes.len() - 4;
+    let stored = u32::from_le_bytes(bytes[end..].try_into().expect("4 crc bytes"));
+    let computed = egraph_io::crc32(&bytes[crc_from..end]);
     if stored != computed {
         return Err(format!(
             "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
         ));
     }
-    Ok(header)
+    Ok(Frame {
+        last_seq,
+        prev,
+        payload: payload_at..end,
+        legacy,
+    })
 }
 
-/// Decodes and validates self-contained checkpoint file bytes (a base),
-/// returning the last covered sequence number and the payload. Used by
-/// followers on bytes fetched over `GET /checkpoint/latest`.
+/// Decodes and validates self-contained checkpoint file bytes (a base of
+/// the current format), returning the last covered sequence number and
+/// the payload. Used by followers on bytes fetched over
+/// `GET /checkpoint/latest`.
 ///
 /// # Errors
 /// A description of the first failed check, including a link (which is
 /// not self-contained). Torn and corrupt files are not distinguished —
 /// either way the checkpoint is unusable and the caller falls back.
 pub fn decode_checkpoint_file(bytes: &[u8]) -> std::result::Result<(u64, &[u8]), String> {
-    let header = check_file(bytes)?;
-    if let Some(prev) = header.prev {
+    let frame = check_file(bytes)?;
+    if let Some(prev) = frame.prev {
         return Err(format!("a link onto {prev} is not self-contained"));
     }
-    Ok((
-        header.last_seq,
-        &bytes[CHECKPOINT_HEADER_BYTES..bytes.len() - 4],
-    ))
+    if frame.legacy {
+        return Err("a format-1 file is only read from a data directory".into());
+    }
+    Ok((frame.last_seq, &bytes[frame.payload]))
 }
 
 /// Durably installs a base covering segments `..= last_seq`; see
@@ -250,41 +289,33 @@ pub fn install_checkpoint(
         return io_err(&path, source);
     }
     sync_dir(dir)?;
-    Ok(framed_len(payload.len() as u64).expect("an in-memory payload fits u64"))
+    Ok(payload.len() as u64 + CHECKPOINT_HEADER_BYTES as u64 + 4)
 }
 
-/// The predecessor checkpoint `seq`'s header names, if it is a link whose
-/// header reads back.
-fn predecessor(dir: &Path, seq: u64) -> Option<u64> {
-    let mut head = [0u8; CHECKPOINT_HEADER_BYTES];
-    File::open(checkpoint_path(dir, seq))
-        .ok()?
-        .read_exact(&mut head)
-        .ok()?;
-    let header = decode_header(&head).ok()?;
-    header.prev.filter(|_| header.last_seq == seq)
-}
-
-/// One file of a checkpoint chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChainFile {
-    /// The last segment the file covers.
-    pub seq: u64,
-    /// The file's size in bytes.
-    pub bytes: u64,
+/// The shape of a checkpoint's chain: what decides whether the next
+/// checkpoint may extend it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChainSize {
+    /// The base file's size in bytes.
+    pub base_bytes: u64,
+    /// The link files' sizes in bytes, summed.
+    pub links_bytes: u64,
+    /// How many links follow the base.
+    pub links: u64,
 }
 
 /// Reads checkpoint `last_seq` and every ancestor back to its base (site
 /// `ckpt.read`), checking each file's CRC over its bytes in place: the
-/// chain's files and their payloads concatenated, base first. The base's
-/// buffer becomes the result, so the bulk of the state is never copied.
+/// chain's payloads concatenated, base first, and the chain's size. The
+/// base's buffer becomes the result, so the bulk of the state is never
+/// copied (a format-1 base is upgraded instead).
 ///
 /// # Errors
 /// [`LogError::Io`](crate::log::LogError::Io) if a file cannot be read,
 /// [`LogError::Corrupt`](crate::log::LogError::Corrupt) if any validation
 /// fails — the caller treats both as "this candidate is unusable, fall
 /// back".
-pub fn read_checkpoint_chain(dir: &Path, last_seq: u64) -> Result<(Vec<ChainFile>, Vec<u8>)> {
+pub fn read_checkpoint_chain(dir: &Path, last_seq: u64) -> Result<(Vec<u8>, ChainSize)> {
     if egraph_fault::fired("ckpt.read").is_some() {
         return io_err(
             &checkpoint_path(dir, last_seq),
@@ -296,56 +327,96 @@ pub fn read_checkpoint_chain(dir: &Path, last_seq: u64) -> Result<(Vec<ChainFile
     while let Some(seq) = next {
         let path = checkpoint_path(dir, seq);
         let bytes = fs::read(&path).or_else(|source| io_err(&path, source))?;
-        let header = check_file(&bytes).or_else(|detail| corrupt(&path, detail))?;
-        if header.last_seq != seq {
-            let detail = format!("file named seq {seq} but header says {}", header.last_seq);
+        let frame = check_file(&bytes).or_else(|detail| corrupt(&path, detail))?;
+        if frame.last_seq != seq {
+            let detail = format!("file named seq {seq} but header says {}", frame.last_seq);
             return corrupt(&path, detail);
         }
-        next = header.prev;
-        newest_first.push((seq, bytes));
+        next = frame.prev;
+        newest_first.push((path, bytes, frame));
     }
-    let (seq, mut payload) = newest_first.pop().expect("a walk ends at a base");
-    let mut files = vec![ChainFile {
-        seq,
-        bytes: payload.len() as u64,
-    }];
-    payload.truncate(payload.len() - 4);
-    payload.drain(..CHECKPOINT_HEADER_BYTES);
-    for (seq, bytes) in newest_first.into_iter().rev() {
-        files.push(ChainFile {
-            seq,
-            bytes: bytes.len() as u64,
-        });
-        payload.extend_from_slice(&bytes[CHECKPOINT_HEADER_BYTES..bytes.len() - 4]);
+    let (path, mut payload, base) = newest_first.pop().expect("a walk ends at a base");
+    let mut size = ChainSize {
+        base_bytes: payload.len() as u64,
+        ..ChainSize::default()
+    };
+    if base.legacy {
+        payload = egraph_io::checkpoint::upgrade_legacy_checkpoint(&payload[base.payload])
+            .or_else(|err| corrupt(&path, format!("format-1 payload: {err}")))?;
+    } else {
+        payload.truncate(base.payload.end);
+        payload.drain(..base.payload.start);
     }
-    Ok((files, payload))
+    for (_, bytes, frame) in newest_first.into_iter().rev() {
+        size.links_bytes += bytes.len() as u64;
+        size.links += 1;
+        payload.extend_from_slice(&bytes[frame.payload]);
+    }
+    Ok((payload, size))
 }
 
 /// The state at checkpoint `last_seq`: its chain's payloads, base first.
 /// See [`read_checkpoint_chain`].
 pub fn read_checkpoint(dir: &Path, last_seq: u64) -> Result<Vec<u8>> {
-    read_checkpoint_chain(dir, last_seq).map(|(_, payload)| payload)
+    read_checkpoint_chain(dir, last_seq).map(|(payload, _)| payload)
+}
+
+/// The `(last_seq, predecessor)` checkpoint `seq`'s header names, if it
+/// reads back.
+fn read_header(dir: &Path, seq: u64) -> Option<(u64, Option<u64>)> {
+    let mut head = Vec::with_capacity(CHECKPOINT_HEADER_BYTES);
+    File::open(checkpoint_path(dir, seq))
+        .ok()?
+        .take(CHECKPOINT_HEADER_BYTES as u64)
+        .read_to_end(&mut head)
+        .ok()?;
+    decode_header(&head).ok()
 }
 
 /// Deletes superseded checkpoints, keeping the newest `retain` (at least
 /// one) plus every ancestor their chains need, and sweeps any staging
-/// `.tmp` residue older than the newest installed checkpoint. Returns the
-/// newest `retain` checkpoints' sequences (ascending) — the oldest of
-/// which bounds what segment compaction may delete.
+/// `.tmp` residue older than the newest installed checkpoint. With
+/// `retain >= 2`, when those all share one base, the newest checkpoint on
+/// another base is kept too (with its ancestors), so no single damaged
+/// file takes every kept checkpoint down.
 ///
-/// Deletion failures are not fatal (an extra old checkpoint costs disk,
-/// not correctness); the directory is fsynced when anything was removed.
+/// Returns the kept tips (ascending) that segment compaction may run
+/// through: compact through the first. Empty when `retain >= 2` but no
+/// checkpoint on a second base exists yet — the segments are then the
+/// only independent fallback, so nothing may be compacted.
+///
+/// Reads each checkpoint's header once. Deletion failures are not fatal
+/// (an extra old checkpoint costs disk, not correctness); the directory is
+/// fsynced when anything was removed.
 pub fn retain_checkpoints(dir: &Path, retain: usize) -> Result<Vec<u64>> {
     let seqs = list_checkpoints(dir)?;
-    let newest = &seqs[seqs.len().saturating_sub(retain.max(1))..];
-    let mut keep: BTreeSet<u64> = newest.iter().copied().collect();
-    for &seq in newest {
-        let mut at = seq;
-        while let Some(prev) = predecessor(dir, at) {
-            keep.insert(prev);
-            at = prev;
+    // Each readable header's predecessor; a file whose header does not read
+    // back (or names another seq) breaks every chain through it.
+    let prev: BTreeMap<u64, Option<u64>> = seqs
+        .iter()
+        .filter_map(|&seq| {
+            let (named, prev) = read_header(dir, seq)?;
+            (named == seq).then_some((seq, prev))
+        })
+        .collect();
+    let chain = |seq: u64| std::iter::successors(Some(seq), |at| prev.get(at).copied().flatten());
+    let base = |seq: u64| chain(seq).last().filter(|at| prev.get(at) == Some(&None));
+
+    let mut tips = seqs[seqs.len().saturating_sub(retain.max(1))..].to_vec();
+    if retain >= 2 {
+        let newest_base = tips.last().and_then(|&seq| base(seq));
+        let independent = |seq: u64| base(seq).is_some_and(|at| Some(at) != newest_base);
+        if !tips.iter().any(|&seq| independent(seq)) {
+            match seqs.iter().rev().find(|&&seq| independent(seq)) {
+                Some(&fallback) => tips.insert(0, fallback),
+                None => tips.clear(),
+            }
         }
     }
+    let keep: BTreeSet<u64> = match tips.is_empty() {
+        true => seqs.iter().copied().collect(),
+        false => tips.iter().flat_map(|&seq| chain(seq)).collect(),
+    };
     let mut removed = false;
     for seq in seqs.iter().filter(|seq| !keep.contains(seq)) {
         removed |= fs::remove_file(checkpoint_path(dir, *seq)).is_ok();
@@ -360,7 +431,7 @@ pub fn retain_checkpoints(dir: &Path, retain: usize) -> Result<Vec<u64>> {
     if removed {
         sync_dir(dir)?;
     }
-    Ok(newest.to_vec())
+    Ok(tips)
 }
 
 /// Total on-disk size of every installed checkpoint in `dir` — the
@@ -426,12 +497,14 @@ mod tests {
         let base = write_checkpoint(dir.path(), 2, b"base|").unwrap();
         let a = install_checkpoint(dir.path(), 5, Some(2), b"link a|").unwrap();
         let b = install_checkpoint(dir.path(), 9, Some(5), b"link b").unwrap();
-        let (chain, payload) = read_checkpoint_chain(dir.path(), 9).unwrap();
+        let (payload, size) = read_checkpoint_chain(dir.path(), 9).unwrap();
         assert_eq!(payload, b"base|link a|link b");
-        let files: Vec<_> = [(2, base), (5, a), (9, b)]
-            .map(|(seq, bytes)| ChainFile { seq, bytes })
-            .into();
-        assert_eq!(chain, files);
+        let expected = ChainSize {
+            base_bytes: base,
+            links_bytes: a + b,
+            links: 2,
+        };
+        assert_eq!(size, expected);
         assert_eq!(read_checkpoint(dir.path(), 5).unwrap(), b"base|link a|");
         // A link must chain onto an older checkpoint.
         assert!(install_checkpoint(dir.path(), 4, Some(4), b"x").is_err());
@@ -520,8 +593,9 @@ mod tests {
         assert!(list_checkpoints(dir.path()).unwrap().is_empty());
 
         write_checkpoint(dir.path(), 4, b"real").unwrap();
-        let kept = retain_checkpoints(dir.path(), 2).unwrap();
-        assert_eq!(kept, vec![4]);
+        // One chain and retain 2: kept, but not yet one compaction may use.
+        assert!(retain_checkpoints(dir.path(), 2).unwrap().is_empty());
+        assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![4]);
         assert!(!checkpoint_tmp_path(dir.path(), 1).exists());
         assert!(!checkpoint_tmp_path(dir.path(), 2).exists());
     }
@@ -553,5 +627,35 @@ mod tests {
         assert_eq!(read_checkpoint(dir.path(), 11).unwrap(), b"abf");
         assert_eq!(retain_checkpoints(dir.path(), 1).unwrap(), vec![11]);
         assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![1, 3, 11]);
+    }
+
+    #[test]
+    fn retain_keeps_a_chain_on_another_base_as_a_fallback() {
+        let dir = TempDir::new("retain-fallback");
+        // Chain A: 1 <- 3. Chain B: 5 <- 7 <- 9 <- 11.
+        write_checkpoint(dir.path(), 1, b"a").unwrap();
+        install_checkpoint(dir.path(), 3, Some(1), b"b").unwrap();
+        write_checkpoint(dir.path(), 5, b"c").unwrap();
+        for (seq, prev) in [(7, 5), (9, 7), (11, 9)] {
+            install_checkpoint(dir.path(), seq, Some(prev), b"d").unwrap();
+        }
+        // The newest two share base 5, so chain A's tip stays as the
+        // fallback and bounds compaction; base 1 stays as its ancestor.
+        assert_eq!(retain_checkpoints(dir.path(), 2).unwrap(), vec![3, 9, 11]);
+        assert_eq!(
+            list_checkpoints(dir.path()).unwrap(),
+            vec![1, 3, 5, 7, 9, 11]
+        );
+        // A damaged header breaks chain A: no fallback remains, so nothing
+        // may be compacted and nothing is deleted.
+        fs::write(checkpoint_path(dir.path(), 1), b"EGCP").unwrap();
+        assert!(retain_checkpoints(dir.path(), 2).unwrap().is_empty());
+        assert_eq!(
+            list_checkpoints(dir.path()).unwrap(),
+            vec![1, 3, 5, 7, 9, 11]
+        );
+        // Retain 1 asks for no fallback.
+        assert_eq!(retain_checkpoints(dir.path(), 1).unwrap(), vec![11]);
+        assert_eq!(list_checkpoints(dir.path()).unwrap(), vec![5, 7, 9, 11]);
     }
 }

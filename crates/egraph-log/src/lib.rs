@@ -41,7 +41,7 @@ pub mod segment;
 pub use checkpoint::{
     checkpoint_path, checkpoints_bytes, decode_checkpoint_file, encode_checkpoint_file,
     install_checkpoint, list_checkpoints, read_checkpoint, read_checkpoint_chain,
-    retain_checkpoints, write_checkpoint, ChainFile,
+    retain_checkpoints, write_checkpoint, ChainSize,
 };
 pub use log::{read_log_init, EventLog, LogError, RecoveredLog, Sealed};
 pub use segment::{decode_segment, encode_segment, SealedSegment, SegmentError};

@@ -17,7 +17,7 @@
 //! | `GET /stats` | — | cache + server + log counters; `log` includes the checkpoint writer's `checkpoints_written`, `checkpoint_bases_written`, `checkpoint_failures`, `checkpoint_us_total` and `checkpoint_bytes_written` |
 //! | `GET /health` | — | `{"ok": true, ...}` |
 //! | `GET /log/tail?from=seq` | — | chunked stream: init frame, then per sealed segment a JSON header + the raw segment bytes |
-//! | `GET /checkpoint/latest` | — | the newest readable checkpoint chain framed as one self-contained `EGCP` file (`404` when none exists) |
+//! | `GET /checkpoint/latest` | — | the checkpoint recovery would load, its chain framed as one self-contained `EGCP` file (`404` when none exists) |
 //!
 //! Malformed bodies get structured `400`s (`{"error": ...}`), oversized
 //! bodies `413`, semantically failing queries (root outside the sealed
@@ -64,8 +64,9 @@
 //! previous checkpoint, or a fresh base once the chain's links outgrow
 //! half of it — prunes checkpoints beyond
 //! [`ServerConfig::retain_checkpoints`] (keeping the ancestors their
-//! chains need), and compacts the segment files the oldest retained
-//! checkpoint covers. Recovery then replays only the bounded suffix sealed
+//! chains need and, at a retain of 2 or more, a fallback chain on another
+//! base), and compacts the segment files the oldest kept checkpoint
+//! covers. Recovery then replays only the bounded suffix sealed
 //! after the newest valid checkpoint (`recovery_replayed_events` in
 //! `/stats` is the proof). A checkpoint failure is counted
 //! (`checkpoint_failures`), logged and skipped: the seal it rode on is
@@ -125,7 +126,8 @@ use egraph_query::codec::{
 };
 use egraph_query::QueryDescriptor;
 use egraph_stream::durable::{
-    event_to_record, live_from_checkpoint, replay_segment, Checkpointer, RecoveredGraph,
+    event_to_record, live_from_checkpoint, newest_loadable_checkpoint, replay_segment,
+    CheckpointStats, Checkpointer, RecoveredGraph,
 };
 use egraph_stream::{CacheOutcome, CacheStats, EdgeEvent, LiveGraph, QueryCache};
 
@@ -167,7 +169,8 @@ pub struct ServerConfig {
     /// segments) every this many seals. `0` disables checkpointing.
     pub checkpoint_every: u64,
     /// How many installed checkpoints to keep on disk; must be at least 1
-    /// (the newest checkpoint is what covers the compacted prefix).
+    /// (the newest checkpoint is what covers the compacted prefix). From 2
+    /// on, a fallback chain on another base is kept too.
     pub retain_checkpoints: usize,
 }
 
@@ -248,23 +251,11 @@ pub struct ServerStats {
     /// On a follower: `/ingest` forwards that exhausted their retry budget
     /// without reaching the leader (answered `503` locally).
     pub forward_failures: u64,
-    /// Checkpoints durably installed by this server (policy-driven, at
-    /// seal time), bases and links. Zero without a log or with
-    /// `checkpoint_every: 0`.
-    pub checkpoints_written: u64,
-    /// Of those, fresh bases (whole-graph rewrites); the rest are links.
-    pub checkpoint_bases_written: u64,
-    /// Due checkpoints that failed — each one logged; the seal it rode on
-    /// still succeeded.
-    pub checkpoint_failures: u64,
-    /// Wall time spent in checkpoint attempts (encode through compaction),
-    /// in µs, summed.
-    pub checkpoint_us_total: u64,
-    /// Bytes of every checkpoint file this server installed, summed.
-    pub checkpoint_bytes_written: u64,
-    /// Segment files deleted by compaction after their covering checkpoint
-    /// was installed.
-    pub segments_compacted: u64,
+    /// This server's policy-driven checkpoints (at seal time): installed,
+    /// of those bases, failed (each logged; the seal it rode on still
+    /// succeeded), µs and bytes spent, segment files compacted. Zero
+    /// without a log or with `checkpoint_every: 0`.
+    pub checkpoints: CheckpointStats,
     /// Events replayed from segment files when this server's graph was
     /// recovered at boot — the bounded-replay proof: with checkpointing
     /// enabled this stays at most `checkpoint_every` seals' worth of
@@ -543,30 +534,7 @@ impl Server {
     /// The server's own counters — what `/stats` reports under `"server"`
     /// and `"log"`.
     pub fn stats(&self) -> ServerStats {
-        let (segments_bytes, checkpoint_bytes) = disk_bytes(&self.shared);
-        let checkpoints = lock(&self.shared.checkpointer).stats();
-        ServerStats {
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            bad_requests: self.shared.bad_requests.load(Ordering::Relaxed),
-            subscriptions_opened: self.shared.subscriptions_opened.load(Ordering::Relaxed),
-            frames_pushed: self.shared.frames_pushed.load(Ordering::Relaxed),
-            segments_sealed: self.shared.segments_sealed.load(Ordering::Relaxed),
-            segments_replayed: self.shared.segments_replayed.load(Ordering::Relaxed),
-            follower_lag_seals: self.shared.follower_lag_seals.load(Ordering::Relaxed),
-            requests_shed: self.shared.requests_shed.load(Ordering::Relaxed),
-            tail_read_errors: self.shared.tail_read_errors.load(Ordering::Relaxed),
-            ingest_forwarded: self.shared.ingest_forwarded.load(Ordering::Relaxed),
-            forward_failures: self.shared.forward_failures.load(Ordering::Relaxed),
-            checkpoints_written: checkpoints.written,
-            checkpoint_bases_written: checkpoints.bases_written,
-            checkpoint_failures: checkpoints.failures,
-            checkpoint_us_total: checkpoints.us_total,
-            checkpoint_bytes_written: checkpoints.bytes_written,
-            segments_compacted: checkpoints.segments_compacted,
-            recovery_replayed_events: self.shared.recovery_replayed_events.load(Ordering::Relaxed),
-            segments_bytes,
-            checkpoint_bytes,
-        }
+        server_stats(&self.shared)
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests
@@ -1385,9 +1353,10 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
     }
 }
 
-/// `GET /checkpoint/latest`: the newest checkpoint whose chain reads back
-/// intact, framed as one self-contained `EGCP` file (CRC included), so a
-/// bootstrapping follower verifies exactly what local recovery would.
+/// `GET /checkpoint/latest`: the checkpoint recovery would load (the
+/// durable layer's [`newest_loadable_checkpoint`]), framed as one
+/// self-contained `EGCP` file (CRC included), so a bootstrapping follower
+/// verifies exactly what local recovery would.
 /// `404` when no checkpoint has been installed yet; only a durable leader
 /// has checkpoints to serve.
 fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -1400,21 +1369,12 @@ fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
         );
         return;
     };
-    // Newest first: a chain that no longer reads back falls back to an
-    // older one, as recovery does. Holding the log lock keeps a concurrent
-    // retention sweep from deleting a chain file mid-read.
-    let newest = {
-        let log = lock(log);
-        egraph_log::list_checkpoints(log.dir()).map(|seqs| {
-            seqs.iter().rev().find_map(|&seq| {
-                let payload = egraph_log::read_checkpoint(log.dir(), seq).ok()?;
-                Some((seq, payload))
-            })
-        })
-    };
+    // Holding the log lock keeps a concurrent retention sweep from
+    // deleting a chain file mid-read.
+    let newest = newest_loadable_checkpoint(&lock(log));
     match newest {
-        Ok(Some((seq, payload))) => {
-            let file = egraph_log::encode_checkpoint_file(seq, &payload);
+        Ok(Some(loaded)) => {
+            let file = egraph_log::encode_checkpoint_file(loaded.last_seq, &loaded.payload);
             let _ = http::write_response_bytes(&mut stream, 200, &file);
         }
         Ok(None) => {
@@ -1611,6 +1571,27 @@ fn disk_bytes(shared: &Shared) -> (u64, u64) {
     }
 }
 
+fn server_stats(shared: &Shared) -> ServerStats {
+    let (segments_bytes, checkpoint_bytes) = disk_bytes(shared);
+    ServerStats {
+        requests: shared.requests.load(Ordering::Relaxed),
+        bad_requests: shared.bad_requests.load(Ordering::Relaxed),
+        subscriptions_opened: shared.subscriptions_opened.load(Ordering::Relaxed),
+        frames_pushed: shared.frames_pushed.load(Ordering::Relaxed),
+        segments_sealed: shared.segments_sealed.load(Ordering::Relaxed),
+        segments_replayed: shared.segments_replayed.load(Ordering::Relaxed),
+        follower_lag_seals: shared.follower_lag_seals.load(Ordering::Relaxed),
+        requests_shed: shared.requests_shed.load(Ordering::Relaxed),
+        tail_read_errors: shared.tail_read_errors.load(Ordering::Relaxed),
+        ingest_forwarded: shared.ingest_forwarded.load(Ordering::Relaxed),
+        forward_failures: shared.forward_failures.load(Ordering::Relaxed),
+        checkpoints: lock(&shared.checkpointer).stats(),
+        recovery_replayed_events: shared.recovery_replayed_events.load(Ordering::Relaxed),
+        segments_bytes,
+        checkpoint_bytes,
+    }
+}
+
 fn stats_body(shared: &Arc<Shared>) -> String {
     let cache = shared.cache.stats();
     let (version, num_sealed, num_nodes) = {
@@ -1618,9 +1599,8 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         (live.version(), live.num_sealed(), live.graph().num_nodes())
     };
     let subscribers = lock(&shared.subscribers).len();
-    let labels = log_labels(shared);
-    let (segments_bytes, checkpoint_bytes) = disk_bytes(shared);
-    let checkpoints = lock(&shared.checkpointer).stats();
+    let server = server_stats(shared);
+    let checkpoints = server.checkpoints;
     format!(
         "{{\"cache\": {{\"hits\": {}, \"extensions\": {}, \"extended_shared\": {}, \
          \"redimensioned\": {}, \"stable_core_resettled\": {}, \"recomputes\": {}, \
@@ -1630,8 +1610,8 @@ fn stats_body(shared: &Arc<Shared>) -> String {
          \"subscriptions_opened\": {}, \"frames_pushed\": {}, \"requests_shed\": {}, \
          \"tail_read_errors\": {}, \"ingest_forwarded\": {}, \"forward_failures\": {}}}, \
          \"log\": {{\"segments_sealed\": {}, \"segments_replayed\": {}, \
-         \"follower_lag_seals\": {}, \"segments_bytes\": {segments_bytes}, \
-         \"checkpoint_bytes\": {checkpoint_bytes}, \"segments_compacted\": {}, \
+         \"follower_lag_seals\": {}, \"segments_bytes\": {}, \
+         \"checkpoint_bytes\": {}, \"segments_compacted\": {}, \
          \"checkpoints_written\": {}, \"checkpoint_bases_written\": {}, \
          \"checkpoint_failures\": {}, \"checkpoint_us_total\": {}, \
          \"checkpoint_bytes_written\": {}, \"recovery_replayed_events\": {}}}, \
@@ -1647,24 +1627,26 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         cache.coalesced,
         cache.requests(),
         cache.hit_rate(),
-        shared.requests.load(Ordering::Relaxed),
-        shared.bad_requests.load(Ordering::Relaxed),
-        shared.subscriptions_opened.load(Ordering::Relaxed),
-        shared.frames_pushed.load(Ordering::Relaxed),
-        shared.requests_shed.load(Ordering::Relaxed),
-        shared.tail_read_errors.load(Ordering::Relaxed),
-        shared.ingest_forwarded.load(Ordering::Relaxed),
-        shared.forward_failures.load(Ordering::Relaxed),
-        labels.segments_sealed,
-        labels.segments_replayed,
-        labels.follower_lag_seals,
+        server.requests,
+        server.bad_requests,
+        server.subscriptions_opened,
+        server.frames_pushed,
+        server.requests_shed,
+        server.tail_read_errors,
+        server.ingest_forwarded,
+        server.forward_failures,
+        server.segments_sealed,
+        server.segments_replayed,
+        server.follower_lag_seals,
+        server.segments_bytes,
+        server.checkpoint_bytes,
         checkpoints.segments_compacted,
         checkpoints.written,
         checkpoints.bases_written,
         checkpoints.failures,
         checkpoints.us_total,
         checkpoints.bytes_written,
-        shared.recovery_replayed_events.load(Ordering::Relaxed),
+        server.recovery_replayed_events,
     )
 }
 

@@ -30,11 +30,12 @@
 //! only once the chain's links outgrow half of their base in bytes — so
 //! the bytes written per sealed event stay bounded by a constant however
 //! long the history grows. The first checkpoint after a restart links onto
-//! the one recovery loaded. The one loader, [`live_from_checkpoint`],
+//! the one recovery loaded. The one loader, [`newest_loadable_checkpoint`],
 //! serves both [`DurableGraph::open`] — which restores from the newest
 //! valid checkpoint and replays only the segments sealed after it, falling
 //! back to an older checkpoint and ultimately to full replay, never to
-//! silent corruption — and follower bootstrap.
+//! silent corruption — and the server's `GET /checkpoint/latest`; followers
+//! decode what that serves through [`live_from_checkpoint`].
 
 use std::path::Path;
 use std::time::Instant;
@@ -44,7 +45,7 @@ use egraph_core::error::GraphError;
 use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 use egraph_io::binary::LogRecord;
 use egraph_io::checkpoint::{decode_checkpoint, encode_append_record};
-use egraph_log::{EventLog, LogError, SealedSegment};
+use egraph_log::{ChainSize, EventLog, LogError, SealedSegment};
 
 use crate::event::EdgeEvent;
 use crate::live::LiveGraph;
@@ -194,9 +195,7 @@ struct ChainTip {
     seq: u64,
     /// Snapshots it covers: where the next link's record starts.
     snapshots: usize,
-    base_bytes: u64,
-    links_bytes: u64,
-    links: u64,
+    size: ChainSize,
 }
 
 /// The one checkpoint writer, shared by [`DurableGraph`] and the HTTP
@@ -213,8 +212,9 @@ pub struct Checkpointer {
 impl Checkpointer {
     /// Sets the policy: every `every` seals (0 = never), keeping the newest
     /// `retain` checkpoints plus their ancestors on disk (at least 1, so
-    /// compaction can never orphan the log's missing prefix). The chain in
-    /// progress is kept.
+    /// compaction can never orphan the log's missing prefix; from 2 on,
+    /// also a fallback chain on another base — see
+    /// [`egraph_log::retain_checkpoints`]). The chain in progress is kept.
     pub fn set_policy(&mut self, every: u64, retain: usize) {
         self.every = every;
         self.retain = retain;
@@ -235,7 +235,7 @@ impl Checkpointer {
     /// or a fresh base when there is no chain yet or its links have
     /// outgrown half of their base. Encodes straight from the borrowed
     /// columns, installs atomically, prunes beyond the retain count, then
-    /// deletes the segment files the *oldest retained* checkpoint absorbs.
+    /// deletes the segment files the *oldest kept* checkpoint absorbs.
     ///
     /// # Errors
     /// [`DurableError::Checkpoint`] at version 0, [`DurableError::Log`]
@@ -277,30 +277,37 @@ impl Checkpointer {
         let last_seq = version - 1;
         let link = self
             .tip
-            .filter(|tip| tip.seq < last_seq && 2 * tip.links_bytes <= tip.base_bytes);
+            .filter(|tip| tip.seq < last_seq && 2 * tip.size.links_bytes <= tip.size.base_bytes);
         let from = link.map_or(0, |tip| tip.snapshots);
         let payload = encode_append_record(graph.columns(), from, version);
         let prev = link.map(|tip| tip.seq);
         let bytes = egraph_log::install_checkpoint(log.dir(), last_seq, prev, &payload)?;
-        let (base_bytes, links_bytes, links) = match link {
-            Some(tip) => (tip.base_bytes, tip.links_bytes + bytes, tip.links + 1),
-            None => (bytes, 0, 0),
+        let size = match link {
+            Some(tip) => ChainSize {
+                links_bytes: tip.size.links_bytes + bytes,
+                links: tip.size.links + 1,
+                ..tip.size
+            },
+            None => ChainSize {
+                base_bytes: bytes,
+                ..ChainSize::default()
+            },
         };
         self.tip = Some(ChainTip {
             seq: last_seq,
             snapshots: graph.num_timestamps(),
-            base_bytes,
-            links_bytes,
-            links,
+            size,
         });
-        let retained = egraph_log::retain_checkpoints(log.dir(), self.retain)?;
-        let oldest = retained.first().copied().unwrap_or(last_seq);
-        let segments_compacted = log.compact_through(oldest)?;
+        // Nothing is compacted until a second chain stands in for this one.
+        let segments_compacted = match egraph_log::retain_checkpoints(log.dir(), self.retain)?[..] {
+            [oldest, ..] => log.compact_through(oldest)?,
+            [] => 0,
+        };
         Ok(CheckpointReceipt {
             last_seq,
             bytes,
             segments_compacted,
-            chain_links: links,
+            chain_links: size.links,
         })
     }
 }
@@ -314,15 +321,12 @@ pub struct SealReceipt {
     pub seq: u64,
     /// The segment's exact on-disk bytes (what replication ships).
     pub bytes: Vec<u8>,
-    /// The checkpoint this seal triggered under the configured policy, if
-    /// any. `None` when no checkpoint was due — or when one was due but
-    /// failed: a checkpoint is a recovery optimisation, not part of the
-    /// durability contract, so its failure never fails the already-fsynced
-    /// seal.
-    pub checkpoint: Option<CheckpointReceipt>,
-    /// Why the due checkpoint failed, when it did (also counted in
-    /// [`CheckpointStats::failures`]).
-    pub checkpoint_error: Option<String>,
+    /// The checkpoint this seal triggered under the configured policy:
+    /// `None` when none was due, `Some(Err(why))` when one was due but
+    /// failed (also counted in [`CheckpointStats::failures`]). A
+    /// checkpoint is a recovery optimisation, not part of the durability
+    /// contract, so its failure never fails the already-fsynced seal.
+    pub checkpoint: Option<std::result::Result<CheckpointReceipt, String>>,
 }
 
 /// What [`DurableGraph::open`] (and [`LiveGraph::recover`]) rebuilt.
@@ -407,20 +411,14 @@ impl DurableGraph {
             ))
         })?;
 
-        // Newest installed checkpoint first; every failure mode (unreadable
-        // file, bad CRC, version/name mismatch, shape mismatch with the
-        // manifest, columns failing CSR re-validation, suffix segments
-        // already compacted) falls back to the next older candidate.
-        let mut checkpoints = egraph_log::list_checkpoints(dir)?;
-        while let Some(last_seq) = checkpoints.pop() {
-            if recovered.first_seq > last_seq + 1 {
-                // Segments this checkpoint needs were compacted away — only
-                // a *newer* checkpoint (already tried) could cover them.
-                continue;
-            }
-            let Ok((mut live, tip)) = load_checkpoint(dir, last_seq, num_nodes, directed) else {
-                continue;
-            };
+        if let Some(loaded) = newest_loadable_checkpoint(&recovered.log)? {
+            let LoadedCheckpoint {
+                last_seq,
+                mut live,
+                tip,
+                payload,
+            } = loaded;
+            drop(payload);
             let mut segments_replayed = 0u64;
             let mut recovery_replayed_events = 0u64;
             for segment in &recovered.segments {
@@ -531,8 +529,8 @@ impl DurableGraph {
     /// new version is a multiple of `every`, the seal also writes a
     /// checkpoint, prunes old ones and compacts covered segments. That
     /// bookkeeping is best-effort: the seal is already durable, so a
-    /// checkpoint failure is reported as `checkpoint: None` plus its
-    /// `checkpoint_error` on the receipt, never as a seal error.
+    /// checkpoint failure is reported as `checkpoint: Some(Err(..))` on the
+    /// receipt, never as a seal error.
     ///
     /// [`set_checkpoint_policy`]: DurableGraph::set_checkpoint_policy
     pub fn seal_snapshot(&mut self, label: Timestamp) -> Result<SealReceipt> {
@@ -550,20 +548,15 @@ impl DurableGraph {
             .live
             .seal_snapshot(label)
             .expect("can_seal validated the label; publish after fsync cannot fail");
-        let (checkpoint, checkpoint_error) = if self.checkpointer.is_due(self.live.version()) {
-            match self.write_checkpoint() {
-                Ok(receipt) => (Some(receipt), None),
-                Err(err) => (None, Some(err.to_string())),
-            }
-        } else {
-            (None, None)
-        };
+        let checkpoint = self
+            .checkpointer
+            .is_due(self.live.version())
+            .then(|| self.write_checkpoint().map_err(|err| err.to_string()));
         Ok(SealReceipt {
             time,
             seq: sealed.seq,
             bytes: sealed.bytes,
             checkpoint,
-            checkpoint_error,
         })
     }
 
@@ -580,11 +573,10 @@ impl DurableGraph {
     }
 }
 
-/// The one checkpoint loader: rebuilds a [`LiveGraph`] from a checkpoint
-/// payload (a chain's append records, base first) and checks that it pins
-/// the version its sequence number implies — a checkpoint covering
-/// segments `..= last_seq` is version `last_seq + 1`. Recovery and
-/// follower bootstrap both load through here.
+/// Rebuilds a [`LiveGraph`] from a checkpoint payload (a chain's append
+/// records, base first) and checks that it pins the version its sequence
+/// number implies — a checkpoint covering segments `..= last_seq` is
+/// version `last_seq + 1`. Followers decode a fetched checkpoint here.
 pub fn live_from_checkpoint(
     last_seq: u64,
     payload: &[u8],
@@ -600,36 +592,58 @@ pub fn live_from_checkpoint(
     Ok(LiveGraph::from_csr_at_version(csr, version))
 }
 
-/// Restores a [`LiveGraph`] and the chain it came from out of one
-/// installed checkpoint, or says why it cannot be trusted (the caller
-/// falls back to an older candidate).
-fn load_checkpoint(
-    dir: &Path,
-    last_seq: u64,
-    init_num_nodes: usize,
-    directed: bool,
-) -> std::result::Result<(LiveGraph, ChainTip), String> {
-    let (files, payload) =
-        egraph_log::read_checkpoint_chain(dir, last_seq).map_err(|err| err.to_string())?;
-    let live = live_from_checkpoint(last_seq, &payload)?;
-    let graph = live.graph();
-    if graph.is_directed() != directed || graph.num_nodes() < init_num_nodes {
-        return Err(format!(
-            "checkpoint {last_seq} (directed {}, {} nodes) contradicts the manifest \
-             (directed {directed}, {init_num_nodes} nodes)",
-            graph.is_directed(),
-            graph.num_nodes()
-        ));
+/// A checkpoint that passed every check recovery applies.
+#[derive(Debug)]
+pub struct LoadedCheckpoint {
+    /// The last segment it covers.
+    pub last_seq: u64,
+    /// Its chain's payloads, base first.
+    pub payload: Vec<u8>,
+    /// The graph it restores.
+    pub live: LiveGraph,
+    tip: ChainTip,
+}
+
+/// The one checkpoint loader: the newest checkpoint in `log`'s directory
+/// whose chain reads back, decodes through [`live_from_checkpoint`],
+/// agrees with the manifest and still has its segment suffix on disk. A
+/// candidate failing any check falls back to the next older one.
+/// [`DurableGraph::open`] and the server's `GET /checkpoint/latest` both
+/// pick through here.
+///
+/// # Errors
+/// [`DurableError::Log`] if the directory cannot be listed.
+pub fn newest_loadable_checkpoint(log: &EventLog) -> Result<Option<LoadedCheckpoint>> {
+    let (init_nodes, directed) = log.init();
+    for last_seq in egraph_log::list_checkpoints(log.dir())?.into_iter().rev() {
+        // Segments this checkpoint needs were compacted away — only a
+        // *newer* checkpoint (already tried) could cover them.
+        if log.first_seq() > last_seq + 1 {
+            continue;
+        }
+        let Ok((payload, size)) = egraph_log::read_checkpoint_chain(log.dir(), last_seq) else {
+            continue;
+        };
+        let Ok(live) = live_from_checkpoint(last_seq, &payload) else {
+            continue;
+        };
+        let graph = live.graph();
+        if graph.is_directed() != directed || (graph.num_nodes() as u64) < init_nodes {
+            continue;
+        }
+        let tip = ChainTip {
+            seq: last_seq,
+            snapshots: graph.num_timestamps(),
+            size,
+        };
+        return Ok(Some(LoadedCheckpoint {
+            last_seq,
+            payload,
+            live,
+            tip,
+        }));
     }
-    let (base, links) = files.split_first().expect("a chain has a base");
-    let tip = ChainTip {
-        seq: last_seq,
-        snapshots: graph.num_timestamps(),
-        base_bytes: base.bytes,
-        links_bytes: links.iter().map(|file| file.bytes).sum(),
-        links: links.len() as u64,
-    };
-    Ok((live, tip))
+    Ok(None)
 }
 
 impl LiveGraph {
@@ -799,7 +813,9 @@ mod tests {
                 twin.seal_snapshot(label).unwrap();
                 let checkpoint = receipt.checkpoint;
                 if (s + 1) % 2 == 0 {
-                    let checkpoint = checkpoint.expect("policy-due seal must checkpoint");
+                    let checkpoint = checkpoint
+                        .expect("policy-due seal must checkpoint")
+                        .unwrap();
                     assert_eq!(checkpoint.last_seq, s);
                     assert_eq!(checkpoint.segments_compacted, 2);
                 } else {

@@ -79,8 +79,9 @@ pub mod live;
 
 pub use cache::{CacheOutcome, CacheStats, CachedSession, QueryCache};
 pub use durable::{
-    event_to_record, live_from_checkpoint, record_to_event, replay_segment, CheckpointReceipt,
-    CheckpointStats, Checkpointer, DurableError, DurableGraph, RecoveredGraph, SealReceipt,
+    event_to_record, live_from_checkpoint, newest_loadable_checkpoint, record_to_event,
+    replay_segment, CheckpointReceipt, CheckpointStats, Checkpointer, DurableError, DurableGraph,
+    LoadedCheckpoint, RecoveredGraph, SealReceipt,
 };
 pub use event::EdgeEvent;
 pub use live::LiveGraph;

@@ -733,7 +733,7 @@ fn run_checkpoint_chaos_seed(seed: u64) {
                     // earlier checkpoint already compacted it, the loop is
                     // empty and the checkpoint legitimately installs.
                     (true, Some(("log.compact.delete", _))) => {
-                        if let Some(checkpoint) = &receipt.checkpoint {
+                        if let Some(Ok(checkpoint)) = &receipt.checkpoint {
                             assert_eq!(
                                 checkpoint.segments_compacted, 0,
                                 "seed {seed:#x} step {step}: a checkpoint that survived a \
@@ -742,12 +742,12 @@ fn run_checkpoint_chaos_seed(seed: u64) {
                         }
                     }
                     (true, Some((site, _))) => assert!(
-                        receipt.checkpoint.is_none(),
+                        matches!(receipt.checkpoint, Some(Err(_))),
                         "seed {seed:#x} step {step}: a checkpoint faulted at {site} must \
                          not be reported installed"
                     ),
                     (true, None) => assert!(
-                        receipt.checkpoint.is_some(),
+                        matches!(receipt.checkpoint, Some(Ok(_))),
                         "seed {seed:#x} step {step}: a clean due checkpoint must install"
                     ),
                     (false, _) => assert!(
@@ -826,7 +826,7 @@ fn run_checkpoint_chaos_seed(seed: u64) {
         let receipt = durable.seal_snapshot(next_label).unwrap();
         history.push((next_label, std::mem::take(&mut pending)));
         next_label += 1;
-        if let Some(checkpoint) = receipt.checkpoint {
+        if let Some(Ok(checkpoint)) = receipt.checkpoint {
             chain_links = checkpoint.chain_links;
         }
     }

@@ -11,6 +11,11 @@
 //!   of a base + two-link chain falls back as the recovery table says (a
 //!   damaged link to its predecessor, a damaged base to an older chain,
 //!   then to full replay), and the recovered graph equals the twin;
+//! * **retention**: under the shipped policy (retain 2, compaction on),
+//!   any one damaged checkpoint file — the current chain's base included —
+//!   still recovers the twin, from the independent fallback chain;
+//! * **format 1**: a compacted data directory written by a build before
+//!   chaining opens, and the next checkpoint links onto its base;
 //! * **link start**: a link whose record does not start where its
 //!   predecessor ends is rejected, never folded;
 //! * **restart**: the first checkpoint after recovery links onto the chain
@@ -31,7 +36,7 @@ use egraph_fault::{self as fault, Rule};
 use egraph_io::checkpoint::{decode_checkpoint, encode_append_record, encode_checkpoint};
 use egraph_log::checkpoint_path;
 use egraph_serve::{Client, Server, ServerConfig};
-use egraph_stream::{DurableGraph, EdgeEvent};
+use egraph_stream::{DurableGraph, EdgeEvent, LiveGraph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,8 +79,9 @@ fn seal_batch(rng: &mut SmallRng, durable: &mut DurableGraph, label: i64) -> Opt
         durable.insert(NodeId(u), NodeId(v)).unwrap();
     }
     let receipt = durable.seal_snapshot(label).unwrap();
-    assert!(receipt.checkpoint_error.is_none(), "{receipt:?}");
-    receipt.checkpoint.map(|checkpoint| checkpoint.chain_links)
+    receipt
+        .checkpoint
+        .map(|checkpoint| checkpoint.unwrap().chain_links)
 }
 
 #[test]
@@ -177,6 +183,148 @@ fn damage_to_any_chain_file_falls_back_as_the_table_says() {
 }
 
 #[test]
+fn retention_under_compaction_survives_any_one_damaged_file() {
+    let _gate = gate();
+    let dir = TempDir::new("retain");
+    let mut rng = SmallRng::seed_from_u64(0x2E7A);
+    let mut durable = DurableGraph::create(dir.path(), 8, true).unwrap();
+    durable.set_checkpoint_policy(2, 2);
+    // Seal until a later chain holds two links: the newest two checkpoints
+    // then share one base, and compaction has run past the first chain.
+    let (mut label, mut bases) = (0, 0);
+    loop {
+        assert!(label < 400, "no second chain reached two links");
+        let links = seal_batch(&mut rng, &mut durable, label);
+        label += 1;
+        bases += u32::from(links == Some(0));
+        if bases >= 2 && links >= Some(2) {
+            break;
+        }
+    }
+    let twin = durable.live().graph().to_parts();
+    drop(durable);
+    assert!(!egraph_log::log::segment_path(dir.path(), 0).exists());
+    let newest = *egraph_log::list_checkpoints(dir.path())
+        .unwrap()
+        .last()
+        .unwrap();
+    let current_base = egraph_log::list_checkpoints(dir.path())
+        .unwrap()
+        .into_iter()
+        .rev()
+        .find(|&seq| {
+            let (_, size) = egraph_log::read_checkpoint_chain(dir.path(), seq).unwrap();
+            size.links == 0 && seq < newest
+        })
+        .unwrap();
+
+    for seq in egraph_log::list_checkpoints(dir.path()).unwrap() {
+        let path = checkpoint_path(dir.path(), seq);
+        let pristine = fs::read(&path).unwrap();
+        // Every byte of the current chain's base; the middle of the rest.
+        let at: Vec<usize> = match seq == current_base {
+            true => (0..pristine.len()).collect(),
+            false => vec![pristine.len() / 2],
+        };
+        for i in at {
+            let mut flipped = pristine.clone();
+            flipped[i] ^= 0x40;
+            for (how, bytes) in [("cut", &pristine[..i]), ("flip", &flipped[..])] {
+                fs::write(&path, bytes).unwrap();
+                let stage = format!("file {seq} {how} at byte {i}");
+                let recovered =
+                    DurableGraph::open(dir.path()).unwrap_or_else(|err| panic!("{stage}: {err}"));
+                assert_eq!(recovered.graph.live().graph().to_parts(), twin, "{stage}");
+            }
+        }
+        fs::write(&path, &pristine).unwrap();
+    }
+}
+
+/// A data directory as the build before chaining left it: a directed
+/// 4-node graph, policy (2, 1) over seven seals of [`format1_batch`] — so
+/// only the format-1 checkpoint 5 remains, segments 0..=5 are compacted
+/// and segment 6 follows.
+const FORMAT1_DIR: [(&str, &str); 3] = [
+    ("manifest.bin", "45474c4d0103000401802c2aec"),
+    (
+        "checkpoint-0000000005.bin",
+        "454743500105000000000000008b010606010c0614283c5064780500010202020502020304040504040405\
+         060706070707080808070808080808090a070a0b0b0b0b0b0c0c0100020103020300050405000500010202\
+         020502020304040504040405060706070707080808070808080808090a070a0b0b0b0b0b0c0c0100020103\
+         020300050405000300030502000102010202020301040204051c06876e",
+    ),
+    (
+        "seg-0000000006.seg",
+        "4547534701060000000000000003010001b3838489030201003d3cdee503048c011f967918",
+    ),
+];
+
+/// Seal `s`'s events in [`FORMAT1_DIR`]: an edge and its unique reverse
+/// over the nodes sealed so far, plus a grow to 6 nodes in seal 3.
+fn format1_batch(s: u32) -> Vec<EdgeEvent> {
+    let mut events = Vec::new();
+    if s == 3 {
+        events.push(EdgeEvent::grow_nodes(6));
+    }
+    let n = if s > 3 { 6 } else { 4 };
+    let (u, v) = (NodeId(s % n), NodeId((s + 1) % n));
+    events.extend([EdgeEvent::insert(u, v), EdgeEvent::insert_unique(v, u)]);
+    events
+}
+
+#[test]
+fn a_format1_data_directory_opens_and_the_next_checkpoint_links_onto_it() {
+    let _gate = gate();
+    let dir = TempDir::new("format1");
+    fs::create_dir_all(dir.path()).unwrap();
+    for (name, hex) in FORMAT1_DIR {
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        fs::write(dir.path().join(name), bytes).unwrap();
+    }
+    let mut twin = LiveGraph::directed(4);
+    let seal_twin = |twin: &mut LiveGraph, s: u32| {
+        for event in format1_batch(s) {
+            twin.apply(event).unwrap();
+        }
+        twin.seal_snapshot(10 * (i64::from(s) + 1)).unwrap();
+    };
+    for s in 0..7 {
+        seal_twin(&mut twin, s);
+    }
+
+    let recovered = DurableGraph::open(dir.path()).unwrap();
+    assert_eq!(recovered.checkpoint_seq, Some(5));
+    assert_eq!(recovered.segments_replayed, 1);
+    assert_eq!(recovered.graph.live().version(), 7);
+    assert_eq!(
+        recovered.graph.live().graph().to_parts(),
+        twin.graph().to_parts()
+    );
+
+    // The next checkpoint links onto the format-1 base, and the mixed
+    // chain reads back.
+    let mut durable = recovered.graph;
+    durable.set_checkpoint_policy(8, 2);
+    for event in format1_batch(7) {
+        durable.apply(event).unwrap();
+    }
+    let receipt = durable.seal_snapshot(80).unwrap();
+    assert_eq!(receipt.checkpoint.unwrap().unwrap().chain_links, 1);
+    seal_twin(&mut twin, 7);
+    drop(durable);
+    let recovered = DurableGraph::open(dir.path()).unwrap();
+    assert_eq!(recovered.checkpoint_seq, Some(7));
+    assert_eq!(
+        recovered.graph.live().graph().to_parts(),
+        twin.graph().to_parts()
+    );
+}
+
+#[test]
 fn a_link_that_does_not_start_where_its_predecessor_ends_is_rejected() {
     let _gate = gate();
     let dir = TempDir::new("start");
@@ -216,9 +364,12 @@ fn the_first_checkpoint_after_a_restart_links_onto_the_recovered_chain() {
     durable.set_checkpoint_policy(4, 2);
     seal_batch(&mut rng, &mut durable, 18);
     assert_eq!(seal_batch(&mut rng, &mut durable, 19), Some(1));
-    let (files, _) = egraph_log::read_checkpoint_chain(dir.path(), 19).unwrap();
-    let seqs: Vec<u64> = files.iter().map(|file| file.seq).collect();
-    assert_eq!(seqs, vec![15, 19]);
+    let (_, size) = egraph_log::read_checkpoint_chain(dir.path(), 19).unwrap();
+    assert_eq!(size.links, 1);
+    assert_eq!(
+        egraph_log::list_checkpoints(dir.path()).unwrap(),
+        vec![15, 19]
+    );
     drop(durable);
 
     // The server inherits the recovered chain the same way.
@@ -236,11 +387,11 @@ fn the_first_checkpoint_after_a_restart_links_onto_the_recovered_chain() {
         );
         assert_eq!(client.post("/ingest", &body).unwrap().status, 200);
     }
-    let stats = server.stats();
-    assert_eq!(stats.checkpoints_written, 1, "{stats:?}");
-    assert_eq!(stats.checkpoint_bases_written, 0, "{stats:?}");
-    assert_eq!(stats.checkpoint_failures, 0, "{stats:?}");
-    assert!(stats.checkpoint_bytes_written > 0, "{stats:?}");
+    let stats = server.stats().checkpoints;
+    assert_eq!(stats.written, 1, "{stats:?}");
+    assert_eq!(stats.bases_written, 0, "{stats:?}");
+    assert_eq!(stats.failures, 0, "{stats:?}");
+    assert!(stats.bytes_written > 0, "{stats:?}");
     let body = client.get("/stats").unwrap().body;
     assert!(body.contains("\"checkpoint_bases_written\": 0"), "{body}");
 }
@@ -258,8 +409,7 @@ fn a_failed_checkpoint_is_reported_and_counted_while_its_seal_succeeds() {
     fault::configure("ckpt.write", Rule::error().times(1));
     let receipt = durable.seal_snapshot(0).unwrap();
     fault::clear("ckpt.write");
-    assert!(receipt.checkpoint.is_none());
-    assert!(receipt.checkpoint_error.is_some());
+    assert!(matches!(receipt.checkpoint, Some(Err(_))), "{receipt:?}");
     drop(durable);
 
     let recovered = DurableGraph::open(dir.path()).unwrap();
@@ -275,9 +425,9 @@ fn a_failed_checkpoint_is_reported_and_counted_while_its_seal_succeeds() {
         .unwrap();
     fault::clear("ckpt.fsync");
     assert_eq!(response.status, 200, "{}", response.body);
-    let stats = server.stats();
-    assert_eq!(stats.checkpoint_failures, 1, "{stats:?}");
-    assert_eq!(stats.checkpoints_written, 0, "{stats:?}");
+    let stats = server.stats().checkpoints;
+    assert_eq!(stats.failures, 1, "{stats:?}");
+    assert_eq!(stats.written, 0, "{stats:?}");
     let body = client.get("/stats").unwrap().body;
     assert!(body.contains("\"checkpoint_failures\": 1"), "{body}");
 }
