@@ -413,9 +413,10 @@ pub fn retain_checkpoints(dir: &Path, retain: usize) -> Result<Vec<u64>> {
             }
         }
     }
-    let keep: BTreeSet<u64> = match tips.is_empty() {
-        true => seqs.iter().copied().collect(),
-        false => tips.iter().flat_map(|&seq| chain(seq)).collect(),
+    let keep: BTreeSet<u64> = if tips.is_empty() {
+        seqs.iter().copied().collect()
+    } else {
+        tips.iter().flat_map(|&seq| chain(seq)).collect()
     };
     let mut removed = false;
     for seq in seqs.iter().filter(|seq| !keep.contains(seq)) {

@@ -222,9 +222,10 @@ fn retention_under_compaction_survives_any_one_damaged_file() {
         let path = checkpoint_path(dir.path(), seq);
         let pristine = fs::read(&path).unwrap();
         // Every byte of the current chain's base; the middle of the rest.
-        let at: Vec<usize> = match seq == current_base {
-            true => (0..pristine.len()).collect(),
-            false => vec![pristine.len() / 2],
+        let at: Vec<usize> = if seq == current_base {
+            (0..pristine.len()).collect()
+        } else {
+            vec![pristine.len() / 2]
         };
         for i in at {
             let mut flipped = pristine.clone();
