@@ -333,8 +333,9 @@ impl Search {
     /// serially because scheduling costs more than it saves. `0` forces
     /// every level onto the pool, `usize::MAX` forces the whole traversal
     /// serial. Defaults to `egraph_core::kernel::default_parallel_threshold`
-    /// (the `EGRAPH_PAR_THRESHOLD` environment variable, or 256 — re-tuned
-    /// against the real pool in the `parallel_bfs` bench).
+    /// (the `EGRAPH_PAR_THRESHOLD` environment variable, or
+    /// `egraph_core::kernel::PARALLEL_FRONTIER_THRESHOLD`, 65 536, which
+    /// records the sweep behind it).
     ///
     /// The threshold changes only the execution profile, never the answer,
     /// so it is deliberately **not** part of [`Search::descriptor`]: cached

@@ -8,9 +8,10 @@
 //!
 //! The build environment has no registry access, so there is no framework
 //! underneath — the HTTP codec ([`http`]), admission layer
-//! ([`singleflight`]) and server loop are plain `std` + the workspace's
-//! in-tree rayon shim, which also executes every request handler as a
-//! detached pool job.
+//! ([`singleflight`]) and server loop are plain `std`. Each admitted
+//! connection runs on a connection thread of its own, from a bounded set
+//! that parks its threads between connections; engines and cache repairs
+//! run on the workspace's in-tree rayon pool.
 //!
 //! ## Quickstart
 //!
@@ -91,19 +92,24 @@
 //!
 //! ## Overload & fault tolerance
 //!
-//! Admission is bounded ([`ServerConfig::max_inflight`]): past the bound,
-//! connections are shed with `503` + `Retry-After` straight from the
-//! accept thread, and [`Client::post_with_retry`] honors the hint with
-//! jittered backoff ([`RetryPolicy`]). The whole write/replication path is
-//! instrumented with `egraph-fault` failpoints (zero-cost in release
-//! builds); the workspace's chaos suite (`tests/chaos.rs`) scripts them to
-//! prove the durability contract under injected fsync failures, torn
-//! writes, crashes and overload.
+//! Connections run on their own bounded threads, separate from the rayon
+//! pool that runs engines and repairs, so a handler that waits on another
+//! connection cannot starve it. Admission is bounded
+//! ([`ServerConfig::max_inflight`] connections, and as many connection
+//! threads at most): past the bound, connections are shed with `503` +
+//! `Retry-After` straight from the accept thread, and
+//! [`Client::post_with_retry`] honors the hint with jittered backoff
+//! ([`RetryPolicy`]). `/stats` reports the threads created and alive.
+//! The whole write/replication path is instrumented with `egraph-fault`
+//! failpoints (zero-cost in release builds); the workspace's chaos suite
+//! (`tests/chaos.rs`) scripts them to prove the durability contract under
+//! injected fsync failures, torn writes, crashes and overload.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod connections;
 pub mod http;
 pub mod server;
 pub mod singleflight;

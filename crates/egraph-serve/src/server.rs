@@ -1,11 +1,17 @@
 //! The server: accept loop, routing, request handlers, graceful shutdown.
 //!
-//! One dedicated thread owns `accept()`; every accepted connection becomes a
-//! detached job on the shared rayon pool (`rayon::spawn`), so request
-//! handling, cache repairs and frontier-parallel traversals all draw from
-//! the same thread budget instead of spawning unbounded per-connection
-//! threads. A handler blocked on slow client I/O is bounded by the
-//! per-connection socket timeouts ([`ServerConfig::io_timeout`]).
+//! One dedicated thread owns `accept()` and admission; every admitted
+//! connection runs on a connection thread of its own, taken from a set
+//! separate from the rayon compute pool (`crate::connections`). The set is
+//! bounded by [`ServerConfig::max_inflight`], grows only when no parked
+//! thread can take a connection, parks its threads between connections,
+//! and exits with the server. A handler may therefore block on another
+//! connection (a single-flight leader waiting for its followers, a
+//! follower forwarding `/ingest` to a leader in the same process) without
+//! starving it, at any pool size. Engines and cache repairs run on the
+//! rayon pool, which serves nothing else. A handler blocked on slow client
+//! I/O is bounded by the per-connection socket timeouts
+//! ([`ServerConfig::io_timeout`]).
 //!
 //! ## Routes
 //!
@@ -14,7 +20,7 @@
 //! | `POST /query` | a [`QueryDescriptor`] JSON document | the `SearchResult` JSON document |
 //! | `POST /subscribe` | a descriptor | chunked stream: one frame now, one per sealed snapshot |
 //! | `POST /ingest` | `{"grow_nodes": n?, "events": [[u,v],...], "seal": label?}` | `{"version", "num_sealed", "sealed_index"}` |
-//! | `GET /stats` | — | cache + server + log counters; `log` includes the checkpoint writer's `checkpoints_written`, `checkpoint_bases_written`, `checkpoint_failures`, `checkpoint_us_total` and `checkpoint_bytes_written` |
+//! | `GET /stats` | — | cache + server + log counters; `server` includes `connection_threads_created` and `connection_threads_alive`; `log` includes the checkpoint writer's `checkpoints_written`, `checkpoint_bases_written`, `checkpoint_failures`, `checkpoint_us_total` and `checkpoint_bytes_written` |
 //! | `GET /health` | — | `{"ok": true, ...}` |
 //! | `GET /log/tail?from=seq` | — | chunked stream: init frame, then per sealed segment a JSON header + the raw segment bytes |
 //! | `GET /checkpoint/latest` | — | the checkpoint recovery would load, its chain framed as one self-contained `EGCP` file (`404` when none exists) |
@@ -92,13 +98,14 @@
 //!
 //! ## Overload
 //!
-//! Admission is bounded: when [`ServerConfig::max_inflight`] handlers are
-//! already running, the accept thread sheds the connection with `503` +
-//! `Retry-After` *before* reading the request — pool workers may all be
-//! pinned by slow cold computations, which is exactly the condition being
-//! defended against, so the shed path cannot depend on them. Parked
+//! Admission is bounded: when [`ServerConfig::max_inflight`] connections
+//! are already admitted, each on its own connection thread, the accept
+//! thread sheds the next one with `503` + `Retry-After` *before* reading
+//! the request. Every connection thread may be pinned by a slow cold
+//! computation, which is exactly the condition being defended against, so
+//! the shed path runs on the accept thread and needs none of them. Parked
 //! connections (subscribers, tailers, coalesced single-flight waiters)
-//! hold no handler and do not count against the bound. Shed requests are
+//! hold no thread and do not count against the bound. Shed requests are
 //! counted as `requests_shed` in `/stats`;
 //! [`crate::client::Client::post_with_retry`] is the client side of the
 //! contract, honoring `Retry-After` with jittered backoff.
@@ -116,7 +123,7 @@
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
 use egraph_io::{write_json_i64, write_json_string, write_json_u64};
@@ -132,6 +139,7 @@ use egraph_stream::durable::{
 use egraph_stream::{CacheOutcome, CacheStats, EdgeEvent, LiveGraph, QueryCache};
 
 use crate::client::{Client, LogTail, TailInit};
+use crate::connections::ConnectionThreads;
 use crate::http::{self, Request, RequestError};
 use crate::singleflight::{Admission, SingleFlight};
 
@@ -152,9 +160,13 @@ pub struct ServerConfig {
     /// Address to bind; `None` binds an ephemeral loopback port (the right
     /// choice for tests and examples — the `egraph-serve` binary sets it).
     pub bind: Option<SocketAddr>,
-    /// Admission bound: connections accepted while this many handlers are
-    /// already running are shed with `503` + `Retry-After`. Parked
-    /// connections (subscribers, tailers, coalesced waiters) don't count.
+    /// Admission bound: up to this many connections are handled at once,
+    /// each on its own connection thread (separate from the rayon pool,
+    /// which runs engines and cache repairs), and a connection accepted
+    /// while this many are admitted is shed with `503` + `Retry-After`. It
+    /// also bounds the connection threads, which are made only when no
+    /// parked one is free. Parked connections (subscribers, tailers,
+    /// coalesced waiters) hold no thread and don't count.
     pub max_inflight: usize,
     /// The `Retry-After` value (seconds) stamped on shed responses. `0` is
     /// legal — "immediately" — and what latency-sensitive tests use.
@@ -241,6 +253,15 @@ pub struct ServerStats {
     /// Connections shed by bounded admission (`503` + `Retry-After`
     /// before the request was read).
     pub requests_shed: u64,
+    /// Connection threads created since the server started. A thread is
+    /// made only when no parked or finishing one can take a connection, so
+    /// this tracks the most connections handled at once.
+    pub connection_threads_created: u64,
+    /// Connection threads alive now, busy or parked: at most
+    /// [`ServerConfig::max_inflight`], and `0` once [`Server::shutdown`]
+    /// has returned. Under glibc each one that has allocated holds its own
+    /// malloc arena, so this is the count that explains resident memory.
+    pub connection_threads_alive: u64,
     /// Segment reads that failed while serving a `/log/tail` catch-up —
     /// each one silently dropped a tailer before this counter existed, so
     /// a non-zero value here is how an operator sees replication flapping.
@@ -306,9 +327,8 @@ struct Shared {
     follower: Option<FollowerCtl>,
     config: ServerConfig,
     shutting_down: AtomicBool,
-    /// Open-connection count + condvar for drain-on-shutdown.
-    in_flight: Mutex<usize>,
-    drained: Condvar,
+    /// The threads that run handlers; admission and drain-on-shutdown.
+    connections: ConnectionThreads,
     requests: AtomicU64,
     bad_requests: AtomicU64,
     subscriptions_opened: AtomicU64,
@@ -327,23 +347,6 @@ struct Shared {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Decrements the in-flight connection count when a handler finishes —
-/// including by panic, so shutdown's drain can never wedge on a crashed
-/// handler.
-struct ConnectionGuard {
-    shared: Arc<Shared>,
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        let mut count = lock(&self.shared.in_flight);
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            self.shared.drained.notify_all();
-        }
-    }
 }
 
 /// A running HTTP server over one [`LiveGraph`].
@@ -482,6 +485,7 @@ impl Server {
             Some((log, checkpointer)) => (Some(log), checkpointer),
             None => (None, Checkpointer::default()),
         };
+        let connections = ConnectionThreads::new(config.max_inflight);
         let shared = Arc::new(Shared {
             live: RwLock::new(live),
             cache: QueryCache::new(),
@@ -493,8 +497,7 @@ impl Server {
             follower,
             config,
             shutting_down: AtomicBool::new(false),
-            in_flight: Mutex::new(0),
-            drained: Condvar::new(),
+            connections,
             requests: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             subscriptions_opened: AtomicU64::new(0),
@@ -545,7 +548,8 @@ impl Server {
             return;
         }
         // `accept()` blocks until a connection arrives; poke it awake so
-        // the thread observes the flag and exits.
+        // the thread observes the flag, drains the connection threads and
+        // exits.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -560,28 +564,6 @@ impl Server {
         if let Some(handle) = self.tail_thread.take() {
             let _ = handle.join();
         }
-        // Drain: every accepted connection decrements `in_flight` when its
-        // handler finishes (panic included). The bound keeps a wedged
-        // client from holding shutdown hostage beyond its socket timeout.
-        let drain_bound = self
-            .shared
-            .config
-            .io_timeout
-            .map(|t| t * 3)
-            .unwrap_or(Duration::from_secs(30));
-        let mut in_flight = lock(&self.shared.in_flight);
-        while *in_flight > 0 {
-            let (guard, timeout) = self
-                .shared
-                .drained
-                .wait_timeout(in_flight, drain_bound)
-                .unwrap_or_else(PoisonError::into_inner);
-            in_flight = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        drop(in_flight);
         for subscriber in lock(&self.shared.subscribers).drain(..) {
             let mut stream = subscriber.stream;
             let _ = http::write_final_chunk(&mut stream);
@@ -605,34 +587,39 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         // Bounded admission, decided here on the accept thread: if every
-        // pool worker is pinned by a slow handler, a shed must not need
-        // one. The 503 goes out before the request is even read — an
+        // connection thread is pinned by a slow handler, a shed must not
+        // need one. The 503 goes out before the request is even read — an
         // overloaded server spends only a head-sized socket write per
-        // refusal. The count is reserved under the lock so a burst cannot
-        // overshoot the bound between check and increment.
-        let admitted = {
-            let mut count = lock(&shared.in_flight);
-            if *count >= shared.config.max_inflight {
-                false
-            } else {
-                *count += 1;
-                true
-            }
+        // refusal.
+        let spawn = || {
+            let thread_shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("egraph-serve-conn".into())
+                .spawn(move || {
+                    thread_shared
+                        .connections
+                        .run(|stream| handle_connection(&thread_shared, stream))
+                })
         };
-        if !admitted {
+        if let Err(stream) = shared.connections.admit(stream, spawn) {
             shared.requests_shed.fetch_add(1, Ordering::Relaxed);
             shed_connection(&shared, stream);
-            continue;
         }
-        let job_shared = Arc::clone(&shared);
-        rayon::spawn(move || {
-            let guard = ConnectionGuard {
-                shared: Arc::clone(&job_shared),
-            };
-            handle_connection(&job_shared, stream);
-            drop(guard);
-        });
     }
+    drop(listener);
+    // Drain: connection threads finish what they hold and exit. The bound
+    // keeps a wedged client from holding shutdown hostage beyond its socket
+    // timeout. The drain runs here, not in `Server::shutdown`, so that the
+    // connection threads exit before this thread does: glibc hands a new
+    // thread the arena of the thread that exited last, and this order gives
+    // the next server's accept thread this one's small arena, and its
+    // connection threads the arenas that already hold their working sets.
+    let drain_bound = shared
+        .config
+        .io_timeout
+        .map(|t| t * 3)
+        .unwrap_or(Duration::from_secs(30));
+    shared.connections.close_and_wait(drain_bound);
 }
 
 /// Refuses one connection with `503` + `Retry-After`, without reading the
@@ -674,14 +661,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Err(RequestError::Io(_)) => return, // nobody left to answer
         Err(RequestError::Malformed(message)) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 400, &http::error_body(&message));
+            respond(shared, &mut stream, 400, &http::error_body(&message));
             return;
         }
         Err(RequestError::BodyTooLarge { declared, limit }) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message =
                 format!("request body of {declared} bytes exceeds the {limit}-byte bound");
-            let _ = http::write_response(&mut stream, 413, &http::error_body(&message));
+            respond(shared, &mut stream, 413, &http::error_body(&message));
             return;
         }
     };
@@ -691,7 +678,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
 
     if shared.shutting_down.load(Ordering::SeqCst) {
-        let _ = http::write_response(
+        respond(
+            shared,
             &mut stream,
             503,
             &http::error_body("the server is shutting down"),
@@ -713,7 +701,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         ("GET", "/checkpoint/latest") => handle_checkpoint_latest(shared, stream),
         ("GET", "/stats") => {
             let body = stats_body(shared);
-            let _ = http::write_response(&mut stream, 200, &body);
+            respond(shared, &mut stream, 200, &body);
         }
         ("GET", "/health") => {
             let (version, num_sealed) = {
@@ -722,7 +710,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             };
             let body =
                 format!("{{\"ok\": true, \"version\": {version}, \"num_sealed\": {num_sealed}}}");
-            let _ = http::write_response(&mut stream, 200, &body);
+            respond(shared, &mut stream, 200, &body);
         }
         (
             _,
@@ -731,14 +719,33 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         ) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message = format!("method {} not allowed here", request.method);
-            let _ = http::write_response(&mut stream, 405, &http::error_body(&message));
+            respond(shared, &mut stream, 405, &http::error_body(&message));
         }
         (_, path) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message = format!("no route {path}");
-            let _ = http::write_response(&mut stream, 404, &http::error_body(&message));
+            respond(shared, &mut stream, 404, &http::error_body(&message));
         }
     }
+}
+
+/// Writes a handler's final response. The thread first marks itself as
+/// finishing, so a client that reconnects the moment it has read the last
+/// byte is handed back to this thread rather than to a new one (see
+/// [`crate::connections`]).
+fn respond(shared: &Shared, stream: &mut TcpStream, status: u16, body: &str) {
+    respond_with_retry_after(shared, stream, status, body, None);
+}
+
+fn respond_with_retry_after(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    status: u16,
+    body: &str,
+    retry_after: Option<u64>,
+) {
+    shared.connections.finishing();
+    let _ = http::write_response_with_retry_after(stream, status, body, retry_after);
 }
 
 fn read_live(shared: &Shared) -> std::sync::RwLockReadGuard<'_, LiveGraph> {
@@ -758,7 +765,12 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
         Ok(descriptor) => descriptor,
         Err(err) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 400, &http::error_body(&err.to_string()));
+            respond(
+                shared,
+                &mut stream,
+                400,
+                &http::error_body(&err.to_string()),
+            );
             return;
         }
     };
@@ -771,7 +783,7 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
         shared.cache.peek(&live, &search)
     };
     if let Some(result) = peeked {
-        let _ = http::write_response(&mut stream, 200, &search_result_to_json(&result));
+        respond(shared, &mut stream, 200, &search_result_to_json(&result));
         return;
     }
 
@@ -786,7 +798,7 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
     }
 
     // Failpoint: a scripted delay here stretches the cold computation,
-    // which is how the chaos suite pins pool workers to manufacture
+    // which is how the chaos suite pins connection threads to manufacture
     // overload deterministically.
     let _ = egraph_fault::fired("serve.query.compute");
 
@@ -803,7 +815,7 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
             // Serialized once; leader and every coalesced follower receive
             // byte-identical responses from this one buffer.
             let body = search_result_to_json(&result);
-            let _ = http::write_response(&mut own, 200, &body);
+            respond(shared, &mut own, 200, &body);
             for mut waiter in waiters {
                 shared.cache.note_coalesced();
                 let _ = http::write_response(&mut waiter, 200, &body);
@@ -816,7 +828,7 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
             // request can heal as the graph grows.
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let body = http::error_body(&err.to_string());
-            let _ = http::write_response(&mut own, 422, &body);
+            respond(shared, &mut own, 422, &body);
             for mut waiter in waiters {
                 let _ = http::write_response(&mut waiter, 422, &body);
             }
@@ -833,7 +845,12 @@ fn handle_subscribe(shared: &Arc<Shared>, mut stream: TcpStream, request: &Reque
         Ok(descriptor) => descriptor,
         Err(err) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 400, &http::error_body(&err.to_string()));
+            respond(
+                shared,
+                &mut stream,
+                400,
+                &http::error_body(&err.to_string()),
+            );
             return;
         }
     };
@@ -854,7 +871,12 @@ fn handle_subscribe(shared: &Arc<Shared>, mut stream: TcpStream, request: &Reque
     match initial {
         Err(err) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 422, &http::error_body(&err.to_string()));
+            respond(
+                shared,
+                &mut stream,
+                422,
+                &http::error_body(&err.to_string()),
+            );
         }
         Ok((result, outcome, version)) => {
             let frame = frame_body(
@@ -865,6 +887,9 @@ fn handle_subscribe(shared: &Arc<Shared>, mut stream: TcpStream, request: &Reque
                 log_labels(shared),
                 Ok(&result),
             );
+            // All that is left after the initial frame is registering the
+            // subscriber, so the thread counts as finishing from here.
+            shared.connections.finishing();
             if http::write_chunked_head(&mut stream).is_err()
                 || http::write_chunk(&mut stream, &frame).is_err()
             {
@@ -1018,7 +1043,7 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
         Ok(ingest) => ingest,
         Err(message) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 400, &http::error_body(&message));
+            respond(shared, &mut stream, 400, &http::error_body(&message));
             return;
         }
     };
@@ -1067,7 +1092,12 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
         // but events applied before the failure stay pending (in graph and
         // log alike), so a corrected retry continues from them.
         shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(&mut stream, 422, &http::error_body(&err.to_string()));
+        respond(
+            shared,
+            &mut stream,
+            422,
+            &http::error_body(&err.to_string()),
+        );
         return;
     }
 
@@ -1084,7 +1114,7 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
                 // not acknowledged. Events stay pending on both sides for
                 // a retry once the disk recovers.
                 let message = format!("failed to persist the seal: {err}");
-                let _ = http::write_response(&mut stream, 500, &http::error_body(&message));
+                respond(shared, &mut stream, 500, &http::error_body(&message));
                 return;
             }
         }
@@ -1116,7 +1146,7 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
     let body = format!(
         "{{\"version\": {version}, \"num_sealed\": {num_sealed}, \"sealed_index\": {sealed_json}}}"
     );
-    let _ = http::write_response(&mut stream, 200, &body);
+    respond(shared, &mut stream, 200, &body);
 }
 
 /// Write-forwarding: a follower proxies `/ingest` to its leader with
@@ -1137,7 +1167,8 @@ fn forward_ingest(
     let unavailable = |stream: &mut TcpStream, shared: &Arc<Shared>, detail: &str| {
         shared.forward_failures.fetch_add(1, Ordering::Relaxed);
         let message = format!("could not forward the write to the leader: {detail}");
-        let _ = http::write_response_with_retry_after(
+        respond_with_retry_after(
+            shared,
             stream,
             503,
             &http::error_body(&message),
@@ -1157,7 +1188,8 @@ fn forward_ingest(
     match client.post_with_retry("/ingest", &request.body, &policy) {
         Ok((response, _retries)) => {
             shared.ingest_forwarded.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response_with_retry_after(
+            respond_with_retry_after(
+                shared,
                 &mut stream,
                 response.status,
                 &response.body,
@@ -1271,7 +1303,8 @@ fn write_segment_chunks(
 fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>) {
     let Some(log) = shared.log.as_ref() else {
         shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(
+        respond(
+            shared,
             &mut stream,
             403,
             &http::error_body("this server has no durable log to tail (start it durable)"),
@@ -1282,7 +1315,7 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
         Ok(from) => from,
         Err(message) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(&mut stream, 400, &http::error_body(&message));
+            respond(shared, &mut stream, 400, &http::error_body(&message));
             return;
         }
     };
@@ -1294,7 +1327,7 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
     if from > latest {
         shared.bad_requests.fetch_add(1, Ordering::Relaxed);
         let message = format!("from={from} is beyond the log's {latest} sealed segments");
-        let _ = http::write_response(&mut stream, 400, &http::error_body(&message));
+        respond(shared, &mut stream, 400, &http::error_body(&message));
         return;
     }
     if from < first_seq {
@@ -1306,7 +1339,7 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
             "from={from} was compacted away (the log now starts at segment {first_seq}); \
              bootstrap from GET /checkpoint/latest and tail the suffix"
         );
-        let _ = http::write_response(&mut stream, 410, &http::error_body(&message));
+        respond(shared, &mut stream, 410, &http::error_body(&message));
         return;
     }
     let init_frame = format!(
@@ -1362,7 +1395,8 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
 fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
     let Some(log) = shared.log.as_ref() else {
         shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(
+        respond(
+            shared,
             &mut stream,
             403,
             &http::error_body("this server has no durable log (and so no checkpoints)"),
@@ -1375,11 +1409,13 @@ fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
     match newest {
         Ok(Some(loaded)) => {
             let file = egraph_log::encode_checkpoint_file(loaded.last_seq, &loaded.payload);
+            shared.connections.finishing();
             let _ = http::write_response_bytes(&mut stream, 200, &file);
         }
         Ok(None) => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = http::write_response(
+            respond(
+                shared,
                 &mut stream,
                 404,
                 &http::error_body("no readable checkpoint has been installed"),
@@ -1387,7 +1423,7 @@ fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
         Err(err) => {
             let message = format!("could not list checkpoints: {err}");
-            let _ = http::write_response(&mut stream, 500, &http::error_body(&message));
+            respond(shared, &mut stream, 500, &http::error_body(&message));
         }
     }
 }
@@ -1573,6 +1609,7 @@ fn disk_bytes(shared: &Shared) -> (u64, u64) {
 
 fn server_stats(shared: &Shared) -> ServerStats {
     let (segments_bytes, checkpoint_bytes) = disk_bytes(shared);
+    let threads = shared.connections.counts();
     ServerStats {
         requests: shared.requests.load(Ordering::Relaxed),
         bad_requests: shared.bad_requests.load(Ordering::Relaxed),
@@ -1582,6 +1619,8 @@ fn server_stats(shared: &Shared) -> ServerStats {
         segments_replayed: shared.segments_replayed.load(Ordering::Relaxed),
         follower_lag_seals: shared.follower_lag_seals.load(Ordering::Relaxed),
         requests_shed: shared.requests_shed.load(Ordering::Relaxed),
+        connection_threads_created: threads.created,
+        connection_threads_alive: threads.alive,
         tail_read_errors: shared.tail_read_errors.load(Ordering::Relaxed),
         ingest_forwarded: shared.ingest_forwarded.load(Ordering::Relaxed),
         forward_failures: shared.forward_failures.load(Ordering::Relaxed),
@@ -1608,6 +1647,7 @@ fn stats_body(shared: &Arc<Shared>) -> String {
          \"hit_rate\": {:.6}}}, \
          \"server\": {{\"requests\": {}, \"bad_requests\": {}, \"subscribers\": {subscribers}, \
          \"subscriptions_opened\": {}, \"frames_pushed\": {}, \"requests_shed\": {}, \
+         \"connection_threads_created\": {}, \"connection_threads_alive\": {}, \
          \"tail_read_errors\": {}, \"ingest_forwarded\": {}, \"forward_failures\": {}}}, \
          \"log\": {{\"segments_sealed\": {}, \"segments_replayed\": {}, \
          \"follower_lag_seals\": {}, \"segments_bytes\": {}, \
@@ -1632,6 +1672,8 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         server.subscriptions_opened,
         server.frames_pushed,
         server.requests_shed,
+        server.connection_threads_created,
+        server.connection_threads_alive,
         server.tail_read_errors,
         server.ingest_forwarded,
         server.forward_failures,

@@ -12,11 +12,10 @@
 //! connection and every parked one from the same serialized bytes.
 //!
 //! Parking the *connection* rather than blocking the handling thread is the
-//! load-bearing choice: request handlers run as detached jobs on the shared
-//! rayon pool, and a pool worker blocked on a condvar is a worker the
-//! leader might need for its own frontier-parallel traversal. A parked
-//! follower returns its worker to the pool immediately, so a burst of 10k
-//! identical requests holds 10k sockets but exactly one thread.
+//! load-bearing choice: every handler holds a connection thread and an
+//! admission slot (`ServerConfig::max_inflight`) while it runs. A parked
+//! follower returns both at once, so a burst of 10k identical requests
+//! holds 10k sockets but exactly one busy thread, the leader's.
 //!
 //! The slot map is keyed by the builder's canonical [`QueryDescriptor`], so
 //! two requests coalesce exactly when the cache would consider them the
