@@ -26,6 +26,10 @@
 //!    of the solo measurement — asserted there, recorded (not asserted) on
 //!    the single-core build container where timeslicing inflates every
 //!    thread's wall clock.
+//! 5. **What a hit costs on the wire.** A `/query` hit is served by
+//!    encoding the cached result, so the time to encode the standing hop
+//!    result (`search_result_to_json`) and the body's size are recorded per
+//!    history length, not asserted.
 //!
 //! Results land in a machine-readable `BENCH_serving.json` (committed, like
 //! `BENCH_incremental.json`) so the serve-path trajectory is visible per PR.
@@ -40,6 +44,7 @@ use egraph_core::bfs::bfs;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::NodeId;
 use egraph_core::instrument::CountingView;
+use egraph_query::codec::search_result_to_json;
 use egraph_query::Search;
 use egraph_stream::{LiveGraph, QueryCache};
 use rand::rngs::SmallRng;
@@ -50,6 +55,7 @@ const EDGES_PER_SNAPSHOT: usize = 3_000;
 const HISTORIES: [usize; 3] = [8, 16, 32];
 const HIT_REPS: usize = 20_000;
 const READER_THREADS: [usize; 3] = [1, 2, 4];
+const ENCODE_REPS: usize = 200;
 
 struct SizeReport {
     history: usize,
@@ -59,6 +65,9 @@ struct SizeReport {
     csr_bfs_ns: f64,
     bfs_work: u64,
     reader_throughput: Vec<(usize, f64)>,
+    /// Mean time to encode the standing hop result as a `/query` body.
+    encode_ns: f64,
+    body_bytes: usize,
     /// `(hit_ns under concurrent pool recomputes, recomputes completed)` —
     /// measured for the largest history only.
     mixed: Option<(f64, u64)>,
@@ -263,10 +272,15 @@ fn serving_throughput(c: &mut Criterion) {
             }
         }
 
+        // --- 5. Encoding the hit's body (recorded, not asserted). --------
+        let body_bytes = search_result_to_json(&baseline).len();
+        let encode_ns = time_per_call(ENCODE_REPS, || search_result_to_json(&baseline));
+
         println!(
             "serving_throughput/h{history}: hit {hit_ns:.0} ns vs deep clone \
              {deep_clone_ns:.0} ns ({:.1}x); bfs csr {csr_bfs_ns:.0} ns vs nested \
-             {nested_bfs_ns:.0} ns ({:.2}x), work {csr_work} (parity); readers {:?}",
+             {nested_bfs_ns:.0} ns ({:.2}x), work {csr_work} (parity); readers {:?}; \
+             encode {encode_ns:.0} ns for {body_bytes} B",
             deep_clone_ns / hit_ns,
             nested_bfs_ns / csr_bfs_ns,
             reader_throughput
@@ -282,6 +296,8 @@ fn serving_throughput(c: &mut Criterion) {
             csr_bfs_ns,
             bfs_work: csr_work,
             reader_throughput,
+            encode_ns,
+            body_bytes,
             mixed,
         });
 
@@ -348,7 +364,8 @@ fn write_json_summary(reports: &[SizeReport]) {
         rows.push_str(&format!(
             "    {{\"history_snapshots\": {}, \"hit_ns\": {:.0}, \"deep_clone_ns\": {:.0}, \
              \"hit_vs_clone_speedup\": {:.1}, \"bfs_nested_ns\": {:.0}, \"bfs_csr_ns\": {:.0}, \
-             \"csr_speedup\": {:.2}, \"bfs_work_counters\": {}, \"readers\": [{readers}]{mixed}}}",
+             \"csr_speedup\": {:.2}, \"bfs_work_counters\": {}, \"readers\": [{readers}], \
+             \"encode_ns\": {:.0}, \"body_bytes\": {}{mixed}}}",
             r.history,
             r.hit_ns,
             r.deep_clone_ns,
@@ -357,6 +374,8 @@ fn write_json_summary(reports: &[SizeReport]) {
             r.csr_bfs_ns,
             r.nested_bfs_ns / r.csr_bfs_ns,
             r.bfs_work,
+            r.encode_ns,
+            r.body_bytes,
         ));
     }
     let json = format!(
@@ -368,7 +387,9 @@ fn write_json_summary(reports: &[SizeReport]) {
          asserted identical across layouts; mixed_hit_ns = hit latency while a storm thread \
          drives continuous Strategy::Parallel recomputes on the thread pool (flatness \
          asserted only on hosts with >= 2 cores; on a single core timeslicing inflates it \
-         and the number is recorded unasserted)\",\n  \"sizes\": [\n{rows}\n  ]\n}}\n"
+         and the number is recorded unasserted); encode_ns = time to encode the standing hop \
+         result as a /query body of body_bytes bytes (not asserted here; bench_compare \
+         gates it like every *_ns leaf)\",\n  \"sizes\": [\n{rows}\n  ]\n}}\n"
     );
     let path = "BENCH_serving.json";
     std::fs::write(path, &json).expect("write bench summary");

@@ -434,8 +434,8 @@ pub fn write_json_string(out: &mut String, s: &str) {
 #[inline]
 pub fn write_json_u64(out: &mut String, x: u64) {
     let mut buf = [0u8; 20];
-    let len = put_digits(&mut buf, x);
-    out.push_str(std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII"));
+    let start = put_digits_before(&mut buf, 20, x);
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
 /// [`write_json_u64`] for signed integers (`i64::MIN` included).
@@ -453,32 +453,48 @@ pub fn write_json_i64(out: &mut String, x: i64) {
 #[inline]
 pub fn push_json_u64(out: &mut Vec<u8>, x: u64) {
     let mut buf = [0u8; 20];
-    let len = put_digits(&mut buf, x);
-    out.extend_from_slice(&buf[..len]);
+    let start = put_digits_before(&mut buf, 20, x);
+    out.extend_from_slice(&buf[start..]);
 }
 
-/// Appends the array `[x0,x1,...]` onto a byte buffer with one copy per few
-/// elements — the shape of reached entries and parent links.
-#[inline]
-pub fn push_json_u32_array(out: &mut Vec<u8>, xs: &[u32]) {
-    const MAX_U32_DIGITS: usize = 10;
-    let mut buf = [0u8; 64];
-    buf[0] = b'[';
-    let mut len = 1;
-    for (i, &x) in xs.iter().enumerate() {
-        // Room for a comma, the digits and the closing bracket.
-        if len + 2 + MAX_U32_DIGITS > buf.len() {
-            out.extend_from_slice(&buf[..len]);
-            len = 0;
-        }
-        if i > 0 {
-            buf[len] = b',';
-            len += 1;
-        }
-        len += put_digits(&mut buf[len..], x as u64);
+/// Appends small integer arrays — the reached entries and parent links of
+/// a result document — onto a byte buffer. Each array is rendered back to
+/// front into one reused stack scratch, so no digit count is taken first,
+/// and appended with one copy.
+pub struct U32ArrayWriter {
+    /// `,[` + four 10-digit integers + three commas + `]` is 46 bytes.
+    scratch: [u8; 48],
+}
+
+impl U32ArrayWriter {
+    /// A writer with a zeroed scratch.
+    pub fn new() -> Self {
+        U32ArrayWriter { scratch: [0; 48] }
     }
-    buf[len] = b']';
-    out.extend_from_slice(&buf[..=len]);
+
+    /// Appends `,[x0,x1,...]`, comma first, for at most four integers.
+    #[inline]
+    pub fn push(&mut self, out: &mut Vec<u8>, xs: &[u32]) {
+        let buf = &mut self.scratch;
+        let mut pos = buf.len() - 1;
+        buf[pos] = b']';
+        for (i, &x) in xs.iter().rev().enumerate() {
+            if i > 0 {
+                pos -= 1;
+                buf[pos] = b',';
+            }
+            pos = put_digits_before(buf, pos, x.into());
+        }
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(b",[");
+        out.extend_from_slice(&buf[pos..]);
+    }
+}
+
+impl Default for U32ArrayWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Number of bytes [`write_json_u64`] appends for `x`.
@@ -487,41 +503,30 @@ pub fn json_u64_len(x: u64) -> usize {
     x.checked_ilog10().map_or(1, |digits| digits as usize + 1)
 }
 
-/// Number of bytes [`push_json_u32_array`] appends for `xs`.
+/// Writes the decimal digits of `x` to end just before `buf[end]`, two
+/// per step from the last, and returns where they start.
 #[inline]
-pub fn json_u32_array_len(xs: &[u32]) -> usize {
-    let digits: usize = xs.iter().map(|&x| json_u64_len(x as u64)).sum();
-    2 + xs.len().saturating_sub(1) + digits
-}
-
-/// Writes the decimal digits of `x` at the start of `buf`, two per step
-/// from the last, and returns how many were written.
-#[inline]
-fn put_digits(buf: &mut [u8], mut x: u64) -> usize {
-    if x < 10 {
-        buf[0] = b'0' + x as u8;
-        return 1;
-    }
+fn put_digits_before(buf: &mut [u8], mut end: usize, mut x: u64) -> usize {
     const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
                                 2021222324252627282930313233343536373839\
                                 4041424344454647484950515253545556575859\
                                 6061626364656667686970717273747576777879\
                                 8081828384858687888990919293949596979899";
-    let len = json_u64_len(x);
-    let mut pos = len;
     while x >= 100 {
         let pair = (x % 100) as usize * 2;
         x /= 100;
-        pos -= 2;
-        buf[pos..pos + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
     }
     if x >= 10 {
         let pair = x as usize * 2;
-        buf[..2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
     } else {
-        buf[0] = b'0' + x as u8;
+        end -= 1;
+        buf[end] = b'0' + x as u8;
     }
-    len
+    end
 }
 
 /// Parses a complete JSON document from `input`. The document must span the
@@ -1148,12 +1153,12 @@ mod tests {
             assert_eq!(bytes, x.to_string().as_bytes());
         }
         let xs: Vec<u32> = samples.iter().map(|&x| x as u32).collect();
-        for n in [0, 1, 3, 4, 7, xs.len()] {
+        let mut arrays = U32ArrayWriter::new();
+        for chunk in xs.chunks(4).chain(xs.chunks(3)).chain([&[][..]]) {
             bytes.clear();
-            push_json_u32_array(&mut bytes, &xs[..n]);
-            let std: Vec<String> = xs[..n].iter().map(u32::to_string).collect();
-            assert_eq!(bytes, format!("[{}]", std.join(",")).as_bytes());
-            assert_eq!(json_u32_array_len(&xs[..n]), bytes.len());
+            arrays.push(&mut bytes, chunk);
+            let std: Vec<String> = chunk.iter().map(u32::to_string).collect();
+            assert_eq!(bytes, format!(",[{}]", std.join(",")).as_bytes());
         }
         for x in [
             0i64,

@@ -34,8 +34,8 @@ pub use edgelist::{
     parse_edge_list, read_edge_list, to_edge_list_string, write_edge_list, EdgeListError,
 };
 pub use json::{
-    bfs_result_from_json, bfs_result_to_json, graph_from_json, graph_to_json, json_u32_array_len,
-    json_u64_len, parse_value, push_json_u32_array, push_json_u64, read_value, write_json_i64,
-    write_json_string, write_json_u64, BfsResultDocument, JsonError, Value,
+    bfs_result_from_json, bfs_result_to_json, graph_from_json, graph_to_json, json_u64_len,
+    parse_value, push_json_u64, read_value, write_json_i64, write_json_string, write_json_u64,
+    BfsResultDocument, JsonError, U32ArrayWriter, Value,
 };
 pub use report::{linear_fit, SeriesTable};

@@ -54,14 +54,17 @@
 //! ```
 //!
 //! (Shown wrapped; each document is one line.) [`search_result_to_json`]
-//! streams this straight from each payload's dense storage into one buffer
-//! of the exact length; [`search_result_to_value`] builds the same document
-//! as a [`Value`] and is the reference it is tested against.
+//! streams this straight from each payload's dense storage into one
+//! buffer, reserved once from [`search_result_json_capacity`], an upper
+//! bound taken from the result's dimensions; [`search_result_to_value`]
+//! builds the same document as a [`Value`] and is the reference it is
+//! tested against.
 
 use egraph_core::distance::{DistanceMap, MultiSourceMap};
 use egraph_core::foremost::ForemostResult;
 use egraph_core::ids::{TemporalNode, TimeIndex};
 use egraph_io::json::{JsonError, Object, Value};
+use egraph_io::{push_json_u64, U32ArrayWriter};
 
 use crate::builder::{Strategy, WindowSpec};
 use crate::descriptor::QueryDescriptor;
@@ -502,205 +505,186 @@ pub fn search_result_to_value(result: &SearchResult) -> Value {
 }
 
 /// Encodes a result as a JSON string — the `/query` response body — in one
-/// buffer of exactly the document's length.
+/// pass into a buffer reserved once from [`search_result_json_capacity`].
 pub fn search_result_to_json(result: &SearchResult) -> String {
-    let len = search_result_json_len(result);
-    let mut out = Vec::with_capacity(len);
-    write_result(&mut out, result);
-    debug_assert_eq!(out.len(), len, "sizing pass and writer disagree");
-    String::from_utf8(out).expect("the result writer emits ASCII only")
+    let mut out = String::new();
+    write_search_result_json(&mut out, result);
+    out
 }
 
 /// Appends the result document to `out` in one pass over each payload's
 /// dense storage, building no intermediate values. The bytes are exactly
-/// `search_result_to_value(result).to_json()`. `out` is not grown ahead of
-/// time: reserve [`search_result_json_len`] bytes first to write without
-/// regrowth.
+/// `search_result_to_value(result).to_json()`. Room for
+/// [`search_result_json_capacity`] bytes is reserved first, so the write
+/// never regrows `out`.
 pub fn write_search_result_json(out: &mut String, result: &SearchResult) {
     // Integers are written as raw bytes and the buffer is checked as UTF-8
     // once, which is cheaper than checking every integer as it is pushed.
+    let capacity = search_result_json_capacity(result);
     let mut bytes = std::mem::take(out).into_bytes();
+    let start = bytes.len();
+    bytes.reserve(capacity);
     write_result(&mut bytes, result);
+    debug_assert!(bytes.len() - start <= capacity, "capacity bound too small");
     *out = String::from_utf8(bytes).expect("the result writer emits ASCII only");
 }
 
-/// The exact byte length of the document [`write_search_result_json`]
-/// appends, so callers can size their buffer once.
-pub fn search_result_json_len(result: &SearchResult) -> usize {
-    let mut len = ByteCount::default();
-    write_result(&mut len, result);
-    len.0
-}
-
-/// Where the result writer puts its output: the document itself, or a byte
-/// counter that runs the same writer to size the document beforehand, so
-/// the two can never disagree.
-trait Sink: Default {
-    fn raw(&mut self, s: &str);
-    fn uint(&mut self, x: u64);
-    /// `[x0,x1,...]`.
-    fn uints(&mut self, xs: &[u32]);
-    fn append(&mut self, other: &Self);
-    fn is_empty(&self) -> bool;
-    fn clear(&mut self);
-}
-
-impl Sink for Vec<u8> {
-    #[inline]
-    fn raw(&mut self, s: &str) {
-        self.extend_from_slice(s.as_bytes());
-    }
-    #[inline]
-    fn uint(&mut self, x: u64) {
-        egraph_io::push_json_u64(self, x);
-    }
-    #[inline]
-    fn uints(&mut self, xs: &[u32]) {
-        egraph_io::push_json_u32_array(self, xs);
-    }
-    fn append(&mut self, other: &Self) {
-        self.extend_from_slice(other);
-    }
-    fn is_empty(&self) -> bool {
-        <[u8]>::is_empty(self)
-    }
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-}
-
-#[derive(Default)]
-struct ByteCount(usize);
-
-impl Sink for ByteCount {
-    #[inline]
-    fn raw(&mut self, s: &str) {
-        self.0 += s.len();
-    }
-    #[inline]
-    fn uint(&mut self, x: u64) {
-        self.0 += egraph_io::json_u64_len(x);
-    }
-    #[inline]
-    fn uints(&mut self, xs: &[u32]) {
-        self.0 += egraph_io::json_u32_array_len(xs);
-    }
-    fn append(&mut self, other: &Self) {
-        self.0 += other.0;
-    }
-    fn is_empty(&self) -> bool {
-        self.0 == 0
-    }
-    fn clear(&mut self) {
-        self.0 = 0;
-    }
-}
-
-fn write_node<S: Sink>(out: &mut S, tn: TemporalNode) {
-    out.uints(&[tn.node.0, tn.time.0]);
-}
-
-/// Writes `[item,item,...]`, one `each` call per item.
-fn write_list<S: Sink, T>(out: &mut S, items: &[T], mut each: impl FnMut(&mut S, &T)) {
-    out.raw("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.raw(",");
-        }
-        each(out, item);
-    }
-    out.raw("]");
-}
-
-/// Writes `,"num_nodes":N,"num_timestamps":T`.
-fn write_dimensions<S: Sink>(out: &mut S, num_nodes: usize, num_timestamps: usize) {
-    out.raw(",\"num_nodes\":");
-    out.uint(num_nodes as u64);
-    out.raw(",\"num_timestamps\":");
-    out.uint(num_timestamps as u64);
-}
-
-fn write_result<S: Sink>(out: &mut S, result: &SearchResult) {
-    let reversed = if result.is_time_reversed() {
-        "true"
-    } else {
-        "false"
-    };
+/// An upper bound on the bytes [`write_search_result_json`] appends, taken
+/// from the result's dimensions without walking its entries. Each reached
+/// entry is charged the digits of the largest node id, time, distance and
+/// source index its map can hold, and each parent link four such integers.
+/// An arrival table is charged `null` or its latest arrival's digits per
+/// node, which takes one scan of the table.
+pub fn search_result_json_capacity(result: &SearchResult) -> usize {
+    // Fixed text: a document's keys with both dimensions at 20 digits, one
+    // map's or table's keys with its root, and one `,[node,time]` source.
+    const DOC: usize = 160;
+    const MAP: usize = 64;
+    const PAIR: usize = 24;
+    let digits = |x: usize| egraph_io::json_u64_len(x as u64);
+    let bounds = |n: usize, t: usize| (digits(n.saturating_sub(1)), digits(t.saturating_sub(1)));
+    // `,[`, `]` and the commas between `k` integers.
+    let tuple = |k: usize| 2 + k;
     if let Some(maps) = result.try_distance_maps() {
-        out.raw("{\"kind\":\"hops\",\"reversed\":");
-        out.raw(reversed);
-        write_dimensions(out, maps[0].num_nodes(), maps[0].num_timestamps());
-        out.raw(",\"maps\":");
-        let mut parents = S::default();
-        write_list(out, maps, |out, map| {
-            write_distance_map(out, &mut parents, map)
-        });
-        out.raw("}");
+        let map = |m: &DistanceMap| {
+            let (n, t) = bounds(m.num_nodes(), m.num_timestamps());
+            let entry = tuple(3) + n + t + digits(m.max_distance() as usize);
+            let link = if m.has_parents() {
+                tuple(4) + 2 * (n + t)
+            } else {
+                0
+            };
+            MAP + m.num_reached() * (entry + link)
+        };
+        DOC + maps.iter().map(map).sum::<usize>()
     } else if let Some(tables) = result.try_foremost_results() {
-        out.raw("{\"kind\":\"arrivals\",\"reversed\":");
-        out.raw(reversed);
-        out.raw(",\"tables\":");
-        write_list(out, tables, |out, table| {
-            out.raw("{\"root\":");
-            write_node(out, table.root());
-            out.raw(",\"arrivals\":");
-            write_list(out, table.arrivals(), |out, arrival| match arrival {
-                Some(t) => out.uint(t.0 as u64),
-                None => out.raw("null"),
-            });
-            out.raw("}");
-        });
-        out.raw("}");
+        let table = |table: &ForemostResult| {
+            let latest = table.arrivals().iter().flatten().map(|a| a.index()).max();
+            let arrival = 1 + latest.map_or(0, digits).max("null".len());
+            MAP + table.arrivals().len() * arrival
+        };
+        DOC + tables.iter().map(table).sum::<usize>()
     } else {
         let shared = result
             .try_shared_map()
             .expect("every payload is hops, arrivals or shared");
-        out.raw("{\"kind\":\"shared\",\"reversed\":");
-        out.raw(reversed);
-        write_dimensions(out, shared.num_nodes(), shared.num_timestamps());
-        out.raw(",\"sources\":");
-        write_list(out, shared.sources(), |out, &tn| write_node(out, tn));
-        out.raw(",\"reached\":[");
-        let mut first = true;
-        shared.for_each_reached(|tn, d, s| {
-            if !first {
-                out.raw(",");
-            }
-            first = false;
-            out.uints(&[tn.node.0, tn.time.0, d, s as u32]);
-        });
-        out.raw("]}");
+        let (n, t) = bounds(shared.num_nodes(), shared.num_timestamps());
+        let d = digits(shared.max_distance() as usize);
+        let entry = tuple(4) + n + t + d + digits(shared.num_sources().saturating_sub(1));
+        DOC + shared.num_sources() * PAIR + shared.num_reached() * entry
     }
 }
 
-/// Writes one `{"root":..,"reached":[..]}` map. Parents are gathered into
-/// `parents` during the same walk and follow only if any were recorded.
-fn write_distance_map<S: Sink>(out: &mut S, parents: &mut S, map: &DistanceMap) {
-    out.raw("{\"root\":");
-    write_node(out, map.root());
-    out.raw(",\"reached\":[");
-    parents.clear();
-    let mut first = true;
-    map.for_each_reached(|tn, d, parent| {
-        if !first {
-            out.raw(",");
-        }
-        first = false;
-        out.uints(&[tn.node.0, tn.time.0, d]);
-        if let Some(p) = parent {
-            if !parents.is_empty() {
-                parents.raw(",");
-            }
-            parents.uints(&[tn.node.0, tn.time.0, p.node.0, p.time.0]);
-        }
-    });
-    out.raw("]");
-    if !parents.is_empty() {
-        out.raw(",\"parents\":[");
-        out.append(parents);
-        out.raw("]");
+/// Closes a list whose items since `start` were each written with a
+/// leading comma: the first comma becomes the opening bracket.
+fn close_list(out: &mut Vec<u8>, start: usize) {
+    match out.get_mut(start) {
+        Some(comma) => *comma = b'[',
+        None => out.push(b'['),
     }
-    out.raw("}");
+    out.push(b']');
+}
+
+/// Writes `,"num_nodes":N,"num_timestamps":T`.
+fn write_dimensions(out: &mut Vec<u8>, num_nodes: usize, num_timestamps: usize) {
+    out.extend_from_slice(b",\"num_nodes\":");
+    push_json_u64(out, num_nodes as u64);
+    out.extend_from_slice(b",\"num_timestamps\":");
+    push_json_u64(out, num_timestamps as u64);
+}
+
+/// Writes `,{"root":[n,t]`, the opening of a map or table list item.
+fn write_root(out: &mut Vec<u8>, root: TemporalNode) {
+    out.extend_from_slice(b",{\"root\":[");
+    push_json_u64(out, root.node.0.into());
+    out.push(b',');
+    push_json_u64(out, root.time.0.into());
+    out.push(b']');
+}
+
+fn write_result(out: &mut Vec<u8>, result: &SearchResult) {
+    let mut ints = U32ArrayWriter::new();
+    let reversed: &[u8] = if result.is_time_reversed() {
+        b"true"
+    } else {
+        b"false"
+    };
+    if let Some(maps) = result.try_distance_maps() {
+        out.extend_from_slice(b"{\"kind\":\"hops\",\"reversed\":");
+        out.extend_from_slice(reversed);
+        write_dimensions(out, maps[0].num_nodes(), maps[0].num_timestamps());
+        out.extend_from_slice(b",\"maps\":");
+        let start = out.len();
+        for map in maps {
+            write_distance_map(out, &mut ints, map);
+        }
+        close_list(out, start);
+    } else if let Some(tables) = result.try_foremost_results() {
+        out.extend_from_slice(b"{\"kind\":\"arrivals\",\"reversed\":");
+        out.extend_from_slice(reversed);
+        out.extend_from_slice(b",\"tables\":");
+        let tables_start = out.len();
+        for table in tables {
+            write_root(out, table.root());
+            out.extend_from_slice(b",\"arrivals\":");
+            let start = out.len();
+            for arrival in table.arrivals() {
+                out.push(b',');
+                match arrival {
+                    Some(t) => push_json_u64(out, t.0.into()),
+                    None => out.extend_from_slice(b"null"),
+                }
+            }
+            close_list(out, start);
+            out.push(b'}');
+        }
+        close_list(out, tables_start);
+    } else {
+        let shared = result
+            .try_shared_map()
+            .expect("every payload is hops, arrivals or shared");
+        out.extend_from_slice(b"{\"kind\":\"shared\",\"reversed\":");
+        out.extend_from_slice(reversed);
+        write_dimensions(out, shared.num_nodes(), shared.num_timestamps());
+        out.extend_from_slice(b",\"sources\":");
+        let start = out.len();
+        for tn in shared.sources() {
+            ints.push(out, &[tn.node.0, tn.time.0]);
+        }
+        close_list(out, start);
+        out.extend_from_slice(b",\"reached\":");
+        let start = out.len();
+        shared.for_each_reached(|tn, d, s| ints.push(out, &[tn.node.0, tn.time.0, d, s as u32]));
+        close_list(out, start);
+    }
+    out.push(b'}');
+}
+
+/// Writes one `{"root":..,"reached":[..]}` map as a list item. A map that
+/// records parents is walked a second time for them, and `"parents"`
+/// follows only if that walk found a link.
+fn write_distance_map(out: &mut Vec<u8>, ints: &mut U32ArrayWriter, map: &DistanceMap) {
+    write_root(out, map.root());
+    out.extend_from_slice(b",\"reached\":");
+    let start = out.len();
+    map.for_each_reached(|tn, d, _| ints.push(out, &[tn.node.0, tn.time.0, d]));
+    close_list(out, start);
+    if map.has_parents() {
+        let key = out.len();
+        out.extend_from_slice(b",\"parents\":");
+        let start = out.len();
+        map.for_each_reached(|tn, _, parent| {
+            if let Some(p) = parent {
+                ints.push(out, &[tn.node.0, tn.time.0, p.node.0, p.time.0]);
+            }
+        });
+        if out.len() == start {
+            out.truncate(key);
+        } else {
+            close_list(out, start);
+        }
+    }
+    out.push(b'}');
 }
 
 /// Decodes a result from a [`Value`]. See the module docs for the three

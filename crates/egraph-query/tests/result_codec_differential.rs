@@ -4,9 +4,10 @@
 //! `search_result_to_json` itself, so none of them can see the wire format
 //! drift. This suite pins the format: over a seeded sweep of graphs and
 //! query shapes, the streamed body must equal the `Value` DOM encoding
-//! (`search_result_to_value(r).to_json()`) byte for byte, its length must be
-//! the one `search_result_json_len` predicted, and it must decode back
-//! through `search_result_from_json` to a result that answers identically.
+//! (`search_result_to_value(r).to_json()`) byte for byte, its length must
+//! fit the bound `search_result_json_capacity` reserves (so the writer never
+//! regrows its buffer), and it must decode back through
+//! `search_result_from_json` to a result that answers identically.
 
 use std::collections::BTreeSet;
 
@@ -17,8 +18,8 @@ use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex};
 use egraph_gen::{uniform_random_graph, UniformRandomConfig};
 use egraph_query::codec::{
-    search_result_from_json, search_result_json_len, search_result_to_json, search_result_to_value,
-    write_search_result_json,
+    search_result_from_json, search_result_json_capacity, search_result_to_json,
+    search_result_to_value, write_search_result_json,
 };
 use egraph_query::{Search, SearchResult, Strategy};
 
@@ -63,8 +64,9 @@ fn note_shape(coverage: &mut Coverage, result: &SearchResult) {
     }
 }
 
-/// The differential itself: streamed == DOM, exact sizing, appending after
-/// existing bytes, and a decode that answers (and re-encodes) identically.
+/// The differential itself: streamed == DOM, a capacity bound the writer
+/// never outgrows, appending after existing bytes, and a decode that
+/// answers (and re-encodes) identically.
 fn assert_byte_identical(result: &SearchResult, what: &str) {
     let oracle = search_result_to_value(result).to_json();
     let streamed = search_result_to_json(result);
@@ -72,10 +74,20 @@ fn assert_byte_identical(result: &SearchResult, what: &str) {
         streamed, oracle,
         "{what}: streamed body differs from the DOM"
     );
+    let capacity = search_result_json_capacity(result);
+    assert!(
+        capacity >= oracle.len(),
+        "{what}: capacity bound {capacity} below the length {}",
+        oracle.len()
+    );
+    let mut reserved = String::with_capacity(capacity);
+    let reserved_capacity = reserved.capacity();
+    write_search_result_json(&mut reserved, result);
+    assert_eq!(reserved, oracle, "{what}: written into a reserved buffer");
     assert_eq!(
-        search_result_json_len(result),
-        oracle.len(),
-        "{what}: length"
+        reserved.capacity(),
+        reserved_capacity,
+        "{what}: the writer regrew a buffer reserved with the capacity bound"
     );
 
     let mut framed = String::from("{\"result\": ");
@@ -273,5 +285,94 @@ fn hand_built_edge_results_stream_identically() {
     ];
     for (what, result) in &cases {
         assert_byte_identical(result, what);
+    }
+}
+
+/// Integers on both sides of each digit-count step: 1|2, 2|3, 3|4 and 6|7
+/// digits.
+const BOUNDARIES: [u32; 8] = [9, 10, 99, 100, 999, 1000, 999_999, 1_000_000];
+
+#[test]
+fn digit_boundaries_stream_identically_within_the_bound() {
+    // Node ids at every boundary the universe holds, over universes of 1 to
+    // 7 digits. Distances run the other way, so every universe with one
+    // entry already writes a 7-digit distance; parents point back along
+    // the entries, and the last entry has none.
+    for num_nodes in [
+        1, 9, 10, 99, 100, 999, 1000, 10_000, 100_000, 999_999, 1_000_001,
+    ] {
+        let root = TemporalNode::from_raw(num_nodes as u32 - 1, 0);
+        let nodes: Vec<u32> = BOUNDARIES
+            .into_iter()
+            .filter(|&v| (v as usize) < num_nodes)
+            .collect();
+        let entries: Vec<(TemporalNode, u32, Option<TemporalNode>)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let parent = match i {
+                    0 => Some(root),
+                    i if i + 1 == nodes.len() => None,
+                    i => Some(TemporalNode::from_raw(nodes[i - 1], 1)),
+                };
+                (TemporalNode::from_raw(v, 1), BOUNDARIES[7 - i], parent)
+            })
+            .collect();
+        let plain: Vec<(TemporalNode, u32)> = entries.iter().map(|&(tn, d, _)| (tn, d)).collect();
+        let with_parents = DistanceMap::from_reached_with_parents(num_nodes, 2, root, &entries);
+        let without = DistanceMap::from_reached(num_nodes, 2, root, &plain);
+        for (map, parents) in [(with_parents, true), (without, false)] {
+            let what = format!("{num_nodes} nodes, parents={parents}");
+            assert_byte_identical(&SearchResult::from_maps(vec![map], false), &what);
+        }
+    }
+
+    // Times at every boundary, with parents one boundary earlier.
+    let num_timestamps = 1_000_001;
+    let root = TemporalNode::from_raw(0, 0);
+    let entries: Vec<(TemporalNode, u32, Option<TemporalNode>)> = BOUNDARIES
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let parent =
+                TemporalNode::from_raw(i as u32 % 2, i.checked_sub(1).map_or(0, |j| BOUNDARIES[j]));
+            (TemporalNode::from_raw(1, t), t, Some(parent))
+        })
+        .collect();
+    let map = DistanceMap::from_reached_with_parents(2, num_timestamps, root, &entries);
+    assert_byte_identical(&SearchResult::from_maps(vec![map], false), "times");
+
+    // Arrival tables: boundary times among nulls, and short times where
+    // `null` is the widest element.
+    let wide: Vec<Option<TimeIndex>> = (0..12)
+        .map(|v| BOUNDARIES.get(v).map(|&t| TimeIndex(t)))
+        .collect();
+    let narrow = vec![Some(TimeIndex(1)), None, Some(TimeIndex(9)), None];
+    let tables = vec![
+        ForemostResult::from_arrivals(TemporalNode::from_raw(11, 999_999), wide),
+        ForemostResult::from_arrivals(TemporalNode::from_raw(0, 9), narrow),
+        ForemostResult::from_arrivals(TemporalNode::from_raw(1_000_000, 10), vec![None; 10]),
+    ];
+    assert_byte_identical(&SearchResult::from_arrivals(tables, true), "arrivals");
+
+    // Shared maps whose source counts straddle each boundary up to 1001.
+    // The sources sit at distance 0; the entries at time 1 carry boundary
+    // node ids and distances, the largest source index included.
+    for num_sources in [10u32, 11, 100, 101, 1000, 1001] {
+        let sources: Vec<TemporalNode> = (0..num_sources)
+            .map(|i| TemporalNode::from_raw(i, 0))
+            .collect();
+        let mut entries: Vec<(TemporalNode, u32, usize)> = sources
+            .iter()
+            .enumerate()
+            .map(|(i, &tn)| (tn, 0, i))
+            .collect();
+        entries.extend(BOUNDARIES.into_iter().enumerate().map(|(k, v)| {
+            let source = (num_sources as usize - 1) - k % num_sources as usize;
+            (TemporalNode::from_raw(v, 1), BOUNDARIES[7 - k], source)
+        }));
+        let shared = MultiSourceMap::from_entries(1_000_001, 2, sources, &entries);
+        let what = format!("{num_sources} sources");
+        assert_byte_identical(&SearchResult::from_shared(shared, false), &what);
     }
 }

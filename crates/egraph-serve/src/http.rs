@@ -12,7 +12,7 @@
 //! for the server, response parsing + chunk reading for [`crate::Client`]),
 //! so the two cannot drift apart.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on the request line plus headers. Requests are tiny JSON
 /// documents; anything past this is hostile or broken.
@@ -59,7 +59,8 @@ impl From<io::Error> for RequestError {
 /// Reads one request (head + body) from `reader`, enforcing
 /// [`MAX_HEAD_BYTES`] and the caller's `max_body` bound.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, RequestError> {
-    let request_line = read_head_line(reader, &mut 0)?;
+    let mut head_bytes = 0;
+    let request_line = read_head_line(reader, &mut head_bytes)?;
     let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
     let method = parts
         .next()
@@ -84,7 +85,6 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
     }
 
     let mut content_length: Option<usize> = None;
-    let mut head_bytes = request_line.len();
     loop {
         let line = read_head_line(reader, &mut head_bytes)?;
         if line.is_empty() {
@@ -133,27 +133,30 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
     Ok(Request { method, path, body })
 }
 
-/// Reads one CRLF-terminated head line, charging it against
-/// [`MAX_HEAD_BYTES`]. A bare `\n` terminator is tolerated (curl always
-/// sends `\r\n`; hand-rolled test clients may not).
+/// Reads one CRLF-terminated head line, terminator included, charging it
+/// against the [`MAX_HEAD_BYTES`] the head has left. At most one byte past
+/// that budget is read, so an over-long line costs the reader no more than
+/// the bound. A bare `\n` terminator is tolerated (curl always sends
+/// `\r\n`; hand-rolled test clients may not).
 fn read_head_line<R: BufRead>(
     reader: &mut R,
     head_bytes: &mut usize,
 ) -> Result<String, RequestError> {
+    let budget = MAX_HEAD_BYTES.saturating_sub(*head_bytes) as u64;
     let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
+    let n = reader.take(budget + 1).read_line(&mut line)?;
+    *head_bytes += n;
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(RequestError::Malformed(format!(
+            "request head exceeds {MAX_HEAD_BYTES} bytes"
+        )));
+    }
     if n == 0 || !line.ends_with('\n') {
         // Zero bytes, or bytes with no terminator before EOF: the peer
         // closed mid-request; there is no request to answer.
         return Err(RequestError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-request",
-        )));
-    }
-    *head_bytes += n;
-    if *head_bytes > MAX_HEAD_BYTES {
-        return Err(RequestError::Malformed(format!(
-            "request head exceeds {MAX_HEAD_BYTES} bytes"
         )));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
@@ -289,7 +292,8 @@ pub struct ResponseHead {
 /// Reads a response head, returning the status and how the body is framed.
 pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let status_line = read_head_line(reader, &mut 0).map_err(request_error_to_io)?;
+    let mut head_bytes = 0;
+    let status_line = read_head_line(reader, &mut head_bytes).map_err(request_error_to_io)?;
     let status: u16 = status_line
         .split(' ')
         .nth(1)
@@ -298,7 +302,7 @@ pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead
     let mut framing = BodyFraming::Sized(0);
     let mut retry_after = None;
     loop {
-        let line = read_head_line(reader, &mut 0).map_err(request_error_to_io)?;
+        let line = read_head_line(reader, &mut head_bytes).map_err(request_error_to_io)?;
         if line.is_empty() {
             break;
         }
@@ -470,6 +474,36 @@ mod tests {
                 "{raw:?} must be Malformed"
             );
         }
+    }
+
+    #[test]
+    fn an_endless_head_line_is_refused_after_the_head_budget() {
+        let mut reader = std::io::Cursor::new(vec![b'a'; 4 << 20]);
+        assert!(matches!(
+            read_request(&mut reader, 1024),
+            Err(RequestError::Malformed(_))
+        ));
+        assert!(reader.position() <= MAX_HEAD_BYTES as u64 + 1);
+
+        // Terminators count: a head of exactly the budget passes, one
+        // byte more does not.
+        let head = |path_len: usize| format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(path_len));
+        assert_eq!(head(MAX_HEAD_BYTES - 18).len(), MAX_HEAD_BYTES);
+        assert!(parse(&head(MAX_HEAD_BYTES - 18), 0).is_ok());
+        assert!(matches!(
+            parse(&head(MAX_HEAD_BYTES - 17), 0),
+            Err(RequestError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_response_head_shares_one_budget_across_its_lines() {
+        let header = format!("x: {}\r\n", "a".repeat(1000));
+        let wire = format!("HTTP/1.1 200 OK\r\n{}\r\n", header.repeat(9));
+        let err = read_response_head(&mut BufReader::new(wire.as_bytes())).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        let wire = format!("HTTP/1.1 200 OK\r\n{}\r\n", header.repeat(7));
+        assert!(read_response_head(&mut BufReader::new(wire.as_bytes())).is_ok());
     }
 
     #[test]

@@ -129,7 +129,8 @@ use std::time::Duration;
 use egraph_io::{write_json_i64, write_json_string, write_json_u64};
 use egraph_log::{decode_segment, EventLog, Sealed};
 use egraph_query::codec::{
-    descriptor_from_json, search_result_json_len, search_result_to_json, write_search_result_json,
+    descriptor_from_json, search_result_json_capacity, search_result_to_json,
+    write_search_result_json,
 };
 use egraph_query::QueryDescriptor;
 use egraph_stream::durable::{
@@ -933,11 +934,12 @@ fn frame_body(
     log: LogLabels,
     result: Result<&egraph_query::SearchResult, &str>,
 ) -> String {
-    // The header is a few hundred bytes at most; the result is sized
-    // exactly, so the frame is written into one buffer with no regrowth.
-    const HEADER_BYTES: usize = 256;
-    let body_len = result.map_or(0, search_result_json_len);
-    let mut out = String::with_capacity(HEADER_BYTES + body_len);
+    // The header is at most 320 bytes (every counter at 20 digits) and
+    // the result at most its capacity bound, so the frame is written into
+    // one buffer with no regrowth.
+    const HEADER_BYTES: usize = 320;
+    let body_bound = result.map_or(0, search_result_json_capacity);
+    let mut out = String::with_capacity(HEADER_BYTES + body_bound);
     out.push_str("{\"seq\": ");
     write_json_u64(&mut out, seq);
     out.push_str(", \"version\": ");
