@@ -48,7 +48,8 @@ pub fn temporal_reachable_nodes<G: EvolvingGraph>(graph: &G, src: NodeId) -> Vec
     let mut reachable = vec![false; graph.num_nodes()];
     reachable[src.index()] = true;
     for t in graph.active_times(src) {
-        if let Ok(map) = egraph_core::bfs::bfs(graph, egraph_core::ids::TemporalNode::new(src, t)) {
+        let root = egraph_core::ids::TemporalNode::new(src, t);
+        if let Ok(map) = egraph_core::kernel::distances(graph, root, false, usize::MAX) {
             for v in map.reached_node_ids() {
                 reachable[v.index()] = true;
             }

@@ -42,7 +42,7 @@ pub fn missed_by_snapshot_bfs<G: EvolvingGraph>(
     graph: &G,
     root: TemporalNode,
 ) -> Vec<TemporalNode> {
-    let Ok(full) = egraph_core::bfs::bfs(graph, root) else {
+    let Ok(full) = egraph_core::kernel::distances(graph, root, false, usize::MAX) else {
         return Vec::new();
     };
     let within: Vec<NodeId> = snapshot_bfs(graph, root)

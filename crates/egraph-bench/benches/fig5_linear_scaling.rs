@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use egraph_bench::{figure5_sweep, Figure5Config};
-use egraph_core::bfs::bfs;
+use egraph_query::Search;
 
 fn fig5_linear_scaling(c: &mut Criterion) {
     let config = Figure5Config::default();
@@ -25,8 +25,8 @@ fn fig5_linear_scaling(c: &mut Criterion) {
             &(graph, root),
             |b, (graph, root)| {
                 b.iter(|| {
-                    let map = bfs(*graph, **root).expect("root is active");
-                    std::hint::black_box(map.num_reached())
+                    let result = Search::from(**root).run(*graph).expect("root is active");
+                    std::hint::black_box(result.num_reached())
                 })
             },
         );

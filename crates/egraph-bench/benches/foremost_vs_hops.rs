@@ -12,7 +12,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::first_active_node;
-use egraph_core::bfs::bfs;
 use egraph_core::foremost::earliest_arrival;
 use egraph_core::ids::NodeId;
 use egraph_core::instrument::CountingView;
@@ -33,9 +32,9 @@ fn foremost_vs_hops(c: &mut Criterion) {
 
         // --- Work counters: the acceptance check of this bench. -----------
         let hop_view = CountingView::new(&graph);
-        let hop_map = bfs(&hop_view, root).unwrap();
+        let hops = Search::from(root).run(&hop_view).unwrap();
         // The derivation step itself reads only the finished map.
-        let derived = hop_map.earliest_reach_times();
+        let derived = hops.arrival_times();
         let hop_work = hop_view.counters();
 
         let sweep_view = CountingView::new(&graph);

@@ -9,9 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::first_active_node;
-use egraph_core::bfs::bfs;
 use egraph_core::graph::EvolvingGraph;
 use egraph_gen::stream::{apply_batch, rebuild_from_batches, EdgeStream};
+use egraph_query::Search;
 
 fn incremental(c: &mut Criterion) {
     let num_nodes = 5_000usize;
@@ -60,7 +60,7 @@ fn incremental(c: &mut Criterion) {
     let full = rebuild_from_batches(num_nodes, num_timestamps, &batches);
     let root = first_active_node(&full);
     group.bench_function("bfs_after_updates", |b| {
-        b.iter(|| std::hint::black_box(bfs(&full, root).unwrap().num_reached()))
+        b.iter(|| std::hint::black_box(Search::from(root).run(&full).unwrap().num_reached()))
     });
 
     group.finish();

@@ -13,13 +13,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::first_active_node;
-use egraph_core::bfs::{backward_bfs, bfs, multi_source_shared};
 use egraph_core::foremost::earliest_arrival;
 use egraph_core::ids::{TemporalNode, TimeIndex};
 use egraph_core::instrument::CountingView;
 use egraph_core::resume::{ResumableBfs, ResumableForemost, ResumableShared, StableCoreResettle};
 use egraph_core::window::TimeWindowView;
-use egraph_query::Search;
+use egraph_query::{Search, Strategy};
 use egraph_stream::{EdgeEvent, LiveGraph, QueryCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -100,7 +99,8 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             TemporalNode::new(first_touched[first_touched.len() / 2], root.time),
         ];
         let mut shared_state = ResumableShared::start(live.graph(), &sources).unwrap();
-        let prefix_map = bfs(live.graph(), root).unwrap();
+        let prefix = Search::from(root).run(live.graph()).unwrap();
+        let prefix_map = prefix.distance_map();
         let back_root = TemporalNode::new(
             *live
                 .touched_at(TimeIndex::from_index(history - 1))
@@ -108,7 +108,9 @@ fn incremental_vs_recompute(c: &mut Criterion) {
                 .unwrap(),
             TimeIndex::from_index(history - 1),
         );
-        let back_map = backward_bfs(live.graph(), back_root).unwrap();
+        let back_search = Search::from(back_root).backward();
+        let back = back_search.run(live.graph()).unwrap();
+        let back_map = back.distance_map();
         let mut resettle_core = StableCoreResettle::from_reached_times(
             NUM_NODES,
             history,
@@ -126,12 +128,12 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         let hop_extend_work = extend_view.counters().total();
 
         let recompute_view = CountingView::new(live.graph());
-        let scratch = bfs(&recompute_view, root).unwrap();
+        let scratch = Search::from(root).run(&recompute_view).unwrap();
         let hop_recompute_work = recompute_view.counters().total();
 
         assert_eq!(
             hop_state.to_distance_map().as_flat_slice(),
-            scratch.as_flat_slice(),
+            scratch.distance_map().as_flat_slice(),
             "extension must equal recomputation (history {history})"
         );
         assert!(
@@ -171,12 +173,13 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         let shared_extend_work = extend_view.counters().total();
 
         let recompute_view = CountingView::new(live.graph());
-        let shared_scratch = multi_source_shared(&recompute_view, &sources).unwrap();
+        let shared_search = Search::from_sources(sources).strategy(Strategy::SharedFrontier);
+        let shared_scratch = shared_search.run(&recompute_view).unwrap();
         let shared_recompute_work = recompute_view.counters().total();
 
         assert_eq!(
             shared_state.to_map().as_flat_slice(),
-            shared_scratch.as_flat_slice(),
+            shared_scratch.shared_map().as_flat_slice(),
             "shared extension must equal recomputation (history {history})"
         );
         assert!(
@@ -197,12 +200,12 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             TimeIndex::from_index(history - 1),
         )
         .unwrap();
-        let windowed_scratch = bfs(&windowed, root).unwrap();
+        let windowed_scratch = Search::from(root).run(&windowed).unwrap();
         let windowed_recompute_work = recompute_view.counters().total();
 
         assert_eq!(
             redimensioned.as_flat_slice()[..NUM_NODES * history],
-            *windowed_scratch.as_flat_slice(),
+            *windowed_scratch.distance_map().as_flat_slice(),
             "re-dimensioned prefix must equal the windowed recomputation \
              (history {history})"
         );
@@ -233,14 +236,14 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         );
 
         let recompute_view = CountingView::new(live.graph());
-        let back_scratch = backward_bfs(&recompute_view, back_root).unwrap();
+        let back_scratch = back_search.run(&recompute_view).unwrap();
         let backward_recompute_work = recompute_view.counters().total();
 
         assert_eq!(
             back_map
                 .redimensioned(NUM_NODES, history + 1)
                 .as_flat_slice(),
-            back_scratch.as_flat_slice(),
+            back_scratch.distance_map().as_flat_slice(),
             "resettled backward result must equal recomputation (history {history})"
         );
 
@@ -287,7 +290,13 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("recompute_full", history),
             &history,
-            |b, _| b.iter(|| std::hint::black_box(bfs(live.graph(), root).unwrap().num_reached())),
+            |b, _| {
+                b.iter(|| {
+                    std::hint::black_box(
+                        Search::from(root).run(live.graph()).unwrap().num_reached(),
+                    )
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("extend_shared_one_snapshot", history),
@@ -308,12 +317,7 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             &history,
             |b, _| {
                 b.iter(|| {
-                    std::hint::black_box(
-                        multi_source_shared(live.graph(), &sources)
-                            .unwrap()
-                            .reached()
-                            .len(),
-                    )
+                    std::hint::black_box(shared_search.run(live.graph()).unwrap().reached().len())
                 })
             },
         );

@@ -1,14 +1,13 @@
 //! MSS — per-source multi-source BFS vs the shared-frontier engine.
 //!
-//! The per-source loop (`multi_source_bfs`, and the hop strategies of the
-//! `Search` builder) costs `O(|E| + |V|)` *per source*; the shared-frontier
-//! engine pays it once for the whole source set. Wall clock depends on the
+//! The per-source loop (the hop strategies of the `Search` builder) costs
+//! `O(|E| + |V|)` *per source*; the shared-frontier engine pays it once for
+//! the whole source set. Wall clock depends on the
 //! pool size of the host, so the bench reports node-expansion counters
 //! alongside it: the shared frontier's work stays flat as the source count
 //! grows while the per-source loop's grows linearly, at any thread count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egraph_core::bfs::{multi_source_bfs, multi_source_shared};
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::TemporalNode;
 use egraph_core::instrument::CountingView;
@@ -30,13 +29,15 @@ fn multi_source(c: &mut Criterion) {
             actives.iter().copied().step_by(step).take(count).collect();
 
         // --- Work counters. ------------------------------------------------
+        let per_source = Search::from_sources(sources.iter().copied());
+        let shared = per_source.clone().strategy(Strategy::SharedFrontier);
+
         let loop_view = CountingView::new(&graph);
-        let per_source = multi_source_bfs(&loop_view, &sources);
-        assert!(per_source.iter().all(|r| r.is_ok()));
+        per_source.run(&loop_view).unwrap();
         let loop_work = loop_view.counters();
 
         let shared_view = CountingView::new(&graph);
-        let shared = multi_source_shared(&shared_view, &sources).unwrap();
+        let shared_reached = shared.run(&shared_view).unwrap().num_reached();
         let shared_work = shared_view.counters();
 
         // The shared frontier visits each temporal node once overall, the
@@ -52,43 +53,18 @@ fn multi_source(c: &mut Criterion) {
             loop_work.total(),
             shared_work.total(),
             loop_work.total() as f64 / shared_work.total() as f64,
-            shared.num_reached(),
+            shared_reached,
         );
 
         // --- Wall clock. ---------------------------------------------------
-        group.bench_with_input(
-            BenchmarkId::new("per_source_loop", count),
-            &sources,
-            |b, sources| {
-                b.iter(|| {
-                    let maps = multi_source_bfs(&graph, sources);
-                    std::hint::black_box(maps.len())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("shared_frontier", count),
-            &sources,
-            |b, sources| {
-                b.iter(|| {
-                    let map = multi_source_shared(&graph, sources).unwrap();
-                    std::hint::black_box(map.num_reached())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("builder_shared", count),
-            &sources,
-            |b, sources| {
-                b.iter(|| {
-                    let result = Search::from_sources(sources.iter().copied())
-                        .strategy(Strategy::SharedFrontier)
-                        .run(&graph)
-                        .unwrap();
-                    std::hint::black_box(result.num_reached())
-                })
-            },
-        );
+        for (label, search) in [
+            ("per_source_loop", &per_source),
+            ("shared_frontier", &shared),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, count), search, |b, search| {
+                b.iter(|| std::hint::black_box(search.run(&graph).unwrap().num_sources()))
+            });
+        }
     }
 
     group.finish();

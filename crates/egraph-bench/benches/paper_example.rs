@@ -8,13 +8,13 @@
 //! rely on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use egraph_core::bfs::{bfs, bfs_with_parents};
 use egraph_core::examples::paper_figure1;
 use egraph_core::ids::TemporalNode;
 use egraph_core::paths::enumerate_paths;
 use egraph_core::static_equiv::EquivalentStaticGraph;
 use egraph_matrix::block::BlockAdjacency;
 use egraph_matrix::path_count::total_path_count;
+use egraph_query::Search;
 
 fn paper_example(c: &mut Criterion) {
     let g = paper_figure1();
@@ -25,13 +25,13 @@ fn paper_example(c: &mut Criterion) {
     let mut group = c.benchmark_group("paper_example");
 
     group.bench_function("fig3_bfs_from_1_t2", |b| {
-        b.iter(|| std::hint::black_box(bfs(&g, root_t2).unwrap().num_reached()))
+        b.iter(|| std::hint::black_box(Search::from(root_t2).run(&g).unwrap().num_reached()))
     });
 
     group.bench_function("fig2_bfs_with_parents_from_1_t1", |b| {
         b.iter(|| {
-            let map = bfs_with_parents(&g, root_t1).unwrap();
-            std::hint::black_box(map.path_to(target).unwrap().len())
+            let result = Search::from(root_t1).with_parents().run(&g).unwrap();
+            std::hint::black_box(result.path_to(target).unwrap().len())
         })
     });
 

@@ -1,14 +1,14 @@
 //! QB — overhead and strategy dispatch of the unified `Search` builder.
 //!
 //! The builder is a thin layer over the engines: a `Search` run must cost the
-//! same as calling the corresponding free function directly, and the three
-//! strategies must be selectable without changing the query text. This bench
-//! pins the builder overhead (direct `bfs` vs `Search::run`) and the windowed
-//! path (view composition + coordinate remapping).
+//! same as calling the engine directly, and the three strategies must be
+//! selectable without changing the query text. This bench pins the builder
+//! overhead (the kernel's `distances` vs `Search::run`) and the windowed path
+//! (view composition + coordinate remapping).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::alg_comparison_workload;
-use egraph_core::bfs::bfs;
+use egraph_core::kernel::distances;
 use egraph_query::{Search, Strategy};
 
 fn query_builder(c: &mut Criterion) {
@@ -18,7 +18,10 @@ fn query_builder(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("direct_bfs", |b| {
-        b.iter(|| std::hint::black_box(bfs(&graph, root).unwrap().num_reached()))
+        b.iter(|| {
+            let map = distances(&graph, root, false, usize::MAX).unwrap();
+            std::hint::black_box(map.num_reached())
+        })
     });
 
     for (label, strategy) in [

@@ -40,7 +40,6 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::first_active_node;
 use egraph_core::adjacency::AdjacencyListGraph;
-use egraph_core::bfs::bfs;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::NodeId;
 use egraph_core::instrument::CountingView;
@@ -183,17 +182,17 @@ fn serving_throughput(c: &mut Criterion) {
 
         // --- 3. CSR vs nested: identical graph work, faster wall clock. ---
         let nested_view = CountingView::new(&nested);
-        let nested_map = bfs(&nested_view, root).unwrap();
+        let nested_map = query.run(&nested_view).unwrap();
         let nested_work = nested_view.counters().total();
 
         let csr = live.graph();
         let csr_view = CountingView::new(csr);
-        let csr_map = bfs(&csr_view, root).unwrap();
+        let csr_map = query.run(&csr_view).unwrap();
         let csr_work = csr_view.counters().total();
 
         assert_eq!(
-            csr_map.as_flat_slice(),
-            nested_map.as_flat_slice(),
+            csr_map.distance_map().as_flat_slice(),
+            nested_map.distance_map().as_flat_slice(),
             "history {history}: CSR and nested layouts must give identical distances"
         );
         assert!(
@@ -203,8 +202,8 @@ fn serving_throughput(c: &mut Criterion) {
         );
 
         let bfs_reps = 20;
-        let nested_bfs_ns = time_per_call(bfs_reps, || bfs(&nested, root).unwrap().num_reached());
-        let csr_bfs_ns = time_per_call(bfs_reps, || bfs(csr, root).unwrap().num_reached());
+        let nested_bfs_ns = time_per_call(bfs_reps, || query.run(&nested).unwrap().num_reached());
+        let csr_bfs_ns = time_per_call(bfs_reps, || query.run(csr).unwrap().num_reached());
 
         // --- 4. Mixed workload: hits while the pool runs recomputes. ------
         // A storm cache with a tiny LRU bound cycles more backward-Parallel
@@ -306,10 +305,10 @@ fn serving_throughput(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(cache.execute(&live, &query).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("bfs_csr", history), &history, |b, _| {
-            b.iter(|| std::hint::black_box(bfs(csr, root).unwrap().num_reached()))
+            b.iter(|| std::hint::black_box(query.run(csr).unwrap().num_reached()))
         });
         group.bench_with_input(BenchmarkId::new("bfs_nested", history), &history, |b, _| {
-            b.iter(|| std::hint::black_box(bfs(&nested, root).unwrap().num_reached()))
+            b.iter(|| std::hint::black_box(query.run(&nested).unwrap().num_reached()))
         });
     }
 

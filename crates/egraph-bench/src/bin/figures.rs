@@ -21,7 +21,6 @@ use egraph_citation::community::community_of;
 use egraph_citation::influence::influence_set;
 use egraph_citation::model::CitationNetwork;
 use egraph_citation::rank::top_influencers;
-use egraph_core::bfs::bfs;
 use egraph_core::examples::paper_figure1;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex};
@@ -88,8 +87,8 @@ fn fig1_to_3() {
         "FIG1-3: Figure 1 example — BFS distances from (1,t1) and (1,t2)",
         &["temporal node", "dist from (1,t1)", "dist from (1,t2)"],
     );
-    let from_t1 = bfs(&g, TemporalNode::from_raw(0, 0)).unwrap();
-    let from_t2 = bfs(&g, TemporalNode::from_raw(0, 1)).unwrap();
+    let from_t1 = Search::from(TemporalNode::from_raw(0, 0)).run(&g).unwrap();
+    let from_t2 = Search::from(TemporalNode::from_raw(0, 1)).run(&g).unwrap();
     for &tn in &g.active_nodes() {
         let label = format!("({}, t{})", tn.node.0 + 1, tn.time.0 + 1);
         let d1 = from_t1
@@ -213,9 +212,9 @@ fn fig5(scale: usize) {
         let mut reached = 0usize;
         for _ in 0..5 {
             let start = Instant::now();
-            let map = bfs(graph, *root).unwrap();
+            let result = Search::from(*root).run(graph).unwrap();
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            reached = map.num_reached();
+            reached = result.num_reached();
             best = best.min(elapsed);
         }
         xs.push(*edges as f64);
@@ -285,7 +284,7 @@ fn abl_a() {
     );
     for &n in &[100usize, 200, 400, 800] {
         let (graph, root) = alg_comparison_workload(n, 0xAB1A + n as u64);
-        let alg1 = time_ms(|| bfs(&graph, root).unwrap().num_reached());
+        let alg1 = time_ms(|| Search::from(root).run(&graph).unwrap().num_reached());
         let blocks = BlockAdjacency::from_graph(&graph);
         let alg2 = time_ms(|| algebraic_bfs_blocked(&blocks, root).num_reached());
         let dense = if n <= 400 {
@@ -315,7 +314,7 @@ fn abl_b(scale: usize) {
     );
     for &s in &[scale, scale * 2] {
         let (graph, root) = parallel_bfs_workload(s, 0xB0B + s as u64);
-        let serial = time_ms(|| bfs(&graph, root).unwrap().num_reached());
+        let serial = time_ms(|| Search::from(root).run(&graph).unwrap().num_reached());
         let query = Search::from(root).strategy(Strategy::Parallel);
         let parallel = time_ms(|| query.run(&graph).unwrap().num_reached());
         t.push_row(&[
@@ -357,7 +356,7 @@ fn abl_c() {
             rebuild_from_batches(num_nodes, num_timestamps, &batches[..=k]).num_static_edges()
         });
         let root = first_active_node(&incremental);
-        let query = time_ms(|| bfs(&incremental, root).unwrap().num_reached());
+        let query = time_ms(|| Search::from(root).run(&incremental).unwrap().num_reached());
         t.push_row(&[
             format!("{}", k + 1),
             format!("{apply:.2}"),

@@ -14,9 +14,9 @@
 //! [`community_of`] implements exactly this pipeline; [`influence_leaves`]
 //! exposes step 2 on its own.
 
-use egraph_core::bfs::bfs;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::TemporalNode;
+use egraph_query::Search;
 
 use crate::influence::influencer_map_with_parents;
 use crate::model::{AuthorId, CitationNetwork, Epoch};
@@ -69,8 +69,8 @@ pub fn community_of(
             continue;
         };
         // Forward search from each leaf; leaves are active by construction.
-        let map = bfs(network.graph(), root)?;
-        for reached in map.reached_node_ids() {
+        let result = Search::from(root).run(network.graph())?;
+        for reached in result.reached_node_ids() {
             member[reached.index()] = true;
         }
     }

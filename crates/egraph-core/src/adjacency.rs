@@ -255,7 +255,7 @@ impl AdjacencyListGraph {
     }
 
     /// Out-neighbors of `v` at snapshot `t` as a slice (no allocation) — the
-    /// fast path used by [`crate::bfs::bfs`].
+    /// fast path used by [`crate::kernel::distances`].
     #[inline]
     pub fn out_slice(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
         &self.out_adj[t.index()][v.index()]

@@ -1,40 +1,19 @@
-//! Reachability structure of an evolving graph: out-components, in-components
-//! and weakly connected temporal components.
+//! Weakly connected temporal components of an evolving graph.
 //!
 //! Temporal reachability is not symmetric (paths cannot go backward in time),
-//! so the usual notion of a connected component splits into three useful
-//! relaxations, all built directly on the BFS of Algorithm 1:
-//!
-//! * the **out-component** of an active temporal node — everything it can
-//!   reach (its forward cone);
-//! * the **in-component** — everything that can reach it (its backward cone);
-//! * **weak components** — the equivalence classes of active temporal nodes
-//!   under "connected when edge directions and time ordering are ignored",
-//!   which is what partitions a sparse evolving graph into independent
-//!   clusters that no traversal can cross.
+//! so the usual notion of a connected component splits. A node's forward
+//! and backward cones are searches (the `Search` builder's `reached()`,
+//! forward or backward); this module computes the relaxation no search
+//! gives: **weak components**, the equivalence classes of active temporal
+//! nodes under "connected when edge directions and time ordering are
+//! ignored". They partition a sparse evolving graph into independent
+//! clusters that no traversal can cross.
 //!
 //! Weak components are computed with a union–find over the static and causal
 //! adjacencies, so they cost `O((|Ẽ| + |V|) α)` rather than one BFS per node.
 
-use crate::bfs::{backward_bfs, bfs};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
-
-/// The forward cone (out-component) of an active temporal node, including the
-/// node itself. Returns an empty vector for inactive roots.
-pub fn out_component<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Vec<TemporalNode> {
-    bfs(graph, root)
-        .map(|m| m.reached().into_iter().map(|(tn, _)| tn).collect())
-        .unwrap_or_default()
-}
-
-/// The backward cone (in-component) of an active temporal node, including the
-/// node itself. Returns an empty vector for inactive roots.
-pub fn in_component<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Vec<TemporalNode> {
-    backward_bfs(graph, root)
-        .map(|m| m.reached().into_iter().map(|(tn, _)| tn).collect())
-        .unwrap_or_default()
-}
 
 /// A partition of the active temporal nodes into weakly connected components.
 #[derive(Clone, Debug)]
@@ -167,6 +146,7 @@ mod tests {
     use super::*;
     use crate::adjacency::AdjacencyListGraph;
     use crate::examples::paper_figure1;
+    use crate::kernel::distances;
 
     fn tn(v: u32, t: u32) -> TemporalNode {
         TemporalNode::from_raw(v, t)
@@ -183,18 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn out_and_in_components_match_bfs() {
-        let g = paper_figure1();
-        let out = out_component(&g, tn(0, 0));
-        assert_eq!(out.len(), 6);
-        let into = in_component(&g, tn(2, 2));
-        assert_eq!(into.len(), 6);
-        // Inactive roots have empty cones.
-        assert!(out_component(&g, tn(2, 0)).is_empty());
-        assert!(in_component(&g, tn(2, 0)).is_empty());
-    }
-
-    #[test]
     fn disconnected_clusters_form_separate_components() {
         // Cluster A: nodes 0,1 at t0; cluster B: nodes 2,3 at t1. No overlap.
         let mut g = AdjacencyListGraph::directed_with_unit_times(4, 2);
@@ -204,8 +172,13 @@ mod tests {
         assert_eq!(wc.len(), 2);
         assert_eq!(wc.largest_size(), 2);
         // The two clusters are indeed mutually unreachable.
-        assert!(!out_component(&g, tn(0, 0)).contains(&tn(2, 1)));
-        assert!(!out_component(&g, tn(2, 1)).contains(&tn(0, 0)));
+        let reaches = |from, to| {
+            distances(&g, from, false, usize::MAX)
+                .unwrap()
+                .is_reached(to)
+        };
+        assert!(!reaches(tn(0, 0), tn(2, 1)));
+        assert!(!reaches(tn(2, 1), tn(0, 0)));
     }
 
     #[test]
@@ -230,7 +203,7 @@ mod tests {
         assert_eq!(wc.len(), 2);
         for &root in &g.active_nodes() {
             let comp = wc.component_of(root).unwrap();
-            for reached in out_component(&g, root) {
+            for (reached, _) in distances(&g, root, false, usize::MAX).unwrap().reached() {
                 assert!(comp.contains(&reached));
             }
         }

@@ -665,9 +665,10 @@ impl EvolvingGraph for CsrAdjacency {
 mod tests {
     use super::*;
     use crate::adjacency::AdjacencyListGraph;
-    use crate::bfs::{backward_bfs, bfs};
     use crate::examples::paper_figure1;
     use crate::foremost::earliest_arrival;
+    use crate::kernel::distances;
+    use crate::reverse::ReversedView;
 
     /// Structural equality with a reference graph: every primitive the
     /// traversals use must agree.
@@ -706,13 +707,25 @@ mod tests {
         assert_same_graph(&csr, &g);
         for &root in &g.active_nodes() {
             assert_eq!(
-                bfs(&csr, root).unwrap().as_flat_slice(),
-                bfs(&g, root).unwrap().as_flat_slice(),
+                distances(&csr, root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
+                distances(&g, root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
                 "root {root:?}"
             );
+            // Backward: forward on the reversed views, which read the
+            // layouts' in-edges.
+            let (csr_back, g_back) = (ReversedView::new(&csr), ReversedView::new(&g));
+            let back_root = g_back.map_temporal(root);
             assert_eq!(
-                backward_bfs(&csr, root).unwrap().as_flat_slice(),
-                backward_bfs(&g, root).unwrap().as_flat_slice(),
+                distances(&csr_back, back_root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
+                distances(&g_back, back_root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
             );
             assert_eq!(
                 earliest_arrival(&csr, root).arrivals(),
@@ -810,8 +823,12 @@ mod tests {
         assert_same_graph(&rebuilt, &g);
         for &root in &g.active_nodes() {
             assert_eq!(
-                bfs(&rebuilt, root).unwrap().as_flat_slice(),
-                bfs(&csr, root).unwrap().as_flat_slice(),
+                distances(&rebuilt, root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
+                distances(&csr, root, false, usize::MAX)
+                    .unwrap()
+                    .as_flat_slice(),
             );
         }
 

@@ -16,7 +16,7 @@ pub const UNREACHED: u32 = u32::MAX;
 const NO_PARENT: u64 = u64::MAX;
 
 /// Distances (and optionally BFS-tree parents) from a single root temporal
-/// node, as produced by [`crate::bfs::bfs`] and friends.
+/// node, as produced by [`crate::kernel::distances`].
 #[derive(Clone, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceMap {
@@ -325,7 +325,7 @@ impl DistanceMap {
 const NO_SOURCE: u32 = u32::MAX;
 
 /// The result of a *shared-frontier* multi-source traversal
-/// ([`crate::bfs::multi_source_shared`] and its pooled form): for every
+/// ([`crate::kernel::nearest_sources`]): for every
 /// reached temporal node, the distance to its *nearest* source and the
 /// identity of that source.
 ///

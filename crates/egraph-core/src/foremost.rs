@@ -106,7 +106,7 @@ impl ForemostResult {
 
 /// Computes earliest arrivals from `root` to every node.
 ///
-/// Unlike [`crate::bfs::bfs`], inactivity of the root is tolerated here (an
+/// Unlike [`crate::kernel::distances`], inactivity of the root is tolerated here (an
 /// inactive root simply reaches only itself), because the foremost sweep is
 /// defined node-wise rather than over active temporal nodes; the comparison
 /// tests restrict themselves to active roots where both notions apply.
@@ -161,8 +161,8 @@ pub fn temporal_distance_steps<G: EvolvingGraph>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs;
     use crate::examples::{paper_figure1, staircase};
+    use crate::kernel::distances;
 
     #[test]
     fn earliest_arrivals_on_the_paper_example() {
@@ -181,7 +181,7 @@ mod tests {
         // The paper's point: the two notions measure different things.
         let g = paper_figure1();
         let root = TemporalNode::from_raw(0, 0);
-        let hops = bfs(&g, root).unwrap();
+        let hops = distances(&g, root, false, usize::MAX).unwrap();
         let foremost = earliest_arrival(&g, root);
         // Hop distance to (3, t2) is 2 (causal + static); Tang distance to
         // node 3 is 2 time steps (t1 and t2, inclusive).
@@ -199,11 +199,12 @@ mod tests {
         // even though the distances differ.
         let g = paper_figure1();
         for &root in &g.active_nodes() {
-            let via_bfs: std::collections::BTreeSet<NodeId> = bfs(&g, root)
-                .unwrap()
-                .reached_node_ids()
-                .into_iter()
-                .collect();
+            let via_bfs: std::collections::BTreeSet<NodeId> =
+                distances(&g, root, false, usize::MAX)
+                    .unwrap()
+                    .reached_node_ids()
+                    .into_iter()
+                    .collect();
             let via_foremost: std::collections::BTreeSet<NodeId> = earliest_arrival(&g, root)
                 .reachable()
                 .into_iter()

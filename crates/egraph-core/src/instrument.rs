@@ -153,18 +153,18 @@ impl<G: EvolvingGraph> EvolvingGraph for CountingView<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs;
     use crate::examples::paper_figure1;
     use crate::foremost::earliest_arrival;
     use crate::ids::TemporalNode;
+    use crate::kernel::distances;
 
     #[test]
     fn counting_view_is_transparent_to_traversals() {
         let g = paper_figure1();
         let view = CountingView::new(&g);
         let root = TemporalNode::from_raw(0, 0);
-        let direct = bfs(&g, root).unwrap();
-        let counted = bfs(&view, root).unwrap();
+        let direct = distances(&g, root, false, usize::MAX).unwrap();
+        let counted = distances(&view, root, false, usize::MAX).unwrap();
         assert_eq!(direct.as_flat_slice(), counted.as_flat_slice());
         let c = view.counters();
         assert!(c.static_out_calls > 0);
@@ -191,7 +191,7 @@ mod tests {
         let g = paper_figure1();
         let root = TemporalNode::from_raw(0, 0);
         let hop_view = CountingView::new(&g);
-        let _ = bfs(&hop_view, root).unwrap();
+        let _ = distances(&hop_view, root, false, usize::MAX).unwrap();
         let sweep_view = CountingView::new(&g);
         let _ = earliest_arrival(&sweep_view, root);
         assert!(sweep_view.counters().total() < hop_view.counters().total());

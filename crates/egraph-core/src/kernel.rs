@@ -28,7 +28,6 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use crate::bfs::{check_root, Direction};
 use crate::distance::{DistanceMap, MultiSourceMap};
 use crate::error::{GraphError, Result};
 use crate::graph::EvolvingGraph;
@@ -250,19 +249,49 @@ where
     }
 }
 
-/// Single-source BFS from `root` following `direction`: the engine behind
-/// [`crate::bfs::bfs`] and its siblings (`threshold` = `usize::MAX`, every
-/// level serial) and the query builder's `Strategy::Parallel`. Levels at
-/// least `threshold` wide expand across the rayon pool (`0` sends every
-/// level there) unless parents are recorded; the answer is the same at
-/// every threshold and pool size.
+/// Validates that `root` is inside the graph and active: Definition 4
+/// makes every temporal path from an inactive node empty.
+///
+/// # Errors
+/// [`GraphError::EmptyGraph`] for a graph without snapshots,
+/// [`GraphError::NodeOutOfRange`] / [`GraphError::TimeOutOfRange`] for a
+/// root outside the graph, and [`GraphError::InactiveRoot`] for an inactive
+/// one.
+pub fn check_root<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<()> {
+    if graph.num_timestamps() == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    if root.node.index() >= graph.num_nodes() {
+        return Err(GraphError::NodeOutOfRange {
+            node: root.node,
+            num_nodes: graph.num_nodes(),
+        });
+    }
+    if root.time.index() >= graph.num_timestamps() {
+        return Err(GraphError::TimeOutOfRange {
+            time: root.time,
+            num_timestamps: graph.num_timestamps(),
+        });
+    }
+    if !graph.is_active(root.node, root.time) {
+        return Err(GraphError::InactiveRoot { root });
+    }
+    Ok(())
+}
+
+/// Algorithm 1 from `root` over forward neighbours: the engine behind the
+/// query builder's `Strategy::Serial` (`threshold` = `usize::MAX`, every
+/// level serial) and `Strategy::Parallel`. Levels at least `threshold` wide
+/// expand across the rayon pool (`0` sends every level there) unless
+/// parents are recorded; the answer is the same at every threshold and
+/// pool size. A backward search is this search on a
+/// [`crate::reverse::ReversedView`].
 ///
 /// # Errors
 /// The root-validation errors of [`check_root`].
 pub fn distances<G: EvolvingGraph>(
     graph: &G,
     root: TemporalNode,
-    direction: Direction,
     with_parents: bool,
     threshold: usize,
 ) -> Result<DistanceMap> {
@@ -271,11 +300,12 @@ pub fn distances<G: EvolvingGraph>(
     let slots = table::<AtomicU32>(n * t);
     let mut parents = with_parents.then(|| vec![NO_PARENT; slots.len()]);
     let seeds = vec![(0, root, NO_PARENT)];
-    let (reached, depth) = Kernel::new(&slots, n, 0, |tn, f| match direction {
-        Direction::Forward => graph.for_each_forward_neighbor(tn, f),
-        Direction::Backward => graph.for_each_backward_neighbor(tn, f),
-    })
-    .run(seeds, parents.as_deref_mut(), threshold);
+    let (reached, depth) =
+        Kernel::new(&slots, n, 0, |tn, f| graph.for_each_forward_neighbor(tn, f)).run(
+            seeds,
+            parents.as_deref_mut(),
+            threshold,
+        );
     let dist = into_keys(slots);
     Ok(DistanceMap::from_table(
         n, t, root, dist, parents, reached, depth,
@@ -283,9 +313,12 @@ pub fn distances<G: EvolvingGraph>(
 }
 
 /// Forward shared-frontier BFS, source `i` seeded with key `i`: the engine
-/// behind [`crate::bfs::multi_source_shared`] (`threshold` = `usize::MAX`)
-/// and the query builder's `Strategy::SharedFrontier`. Distances and
-/// attributions are the same at every threshold and pool size.
+/// behind the query builder's `Strategy::SharedFrontier`. For every temporal
+/// node it records the distance to the nearest source and which source that
+/// is, ties to the smallest index; duplicate sources are allowed (the
+/// earliest occurrence claims). One traversal costs `O(|E| + |V|)` however
+/// many sources there are. Distances and attributions are the same at every
+/// threshold and pool size.
 ///
 /// # Errors
 /// [`GraphError::NoSources`] for no sources, else the root-validation
@@ -317,7 +350,6 @@ pub fn nearest_sources<G: EvolvingGraph>(
 mod tests {
     use super::*;
     use crate::adjacency::AdjacencyListGraph;
-    use crate::bfs::{bfs, multi_source_shared};
     use crate::examples::paper_figure1;
     use crate::ids::{NodeId, TimeIndex};
     use crate::static_equiv::EquivalentStaticGraph;
@@ -361,7 +393,7 @@ mod tests {
         let per_source: Vec<DistanceMap> = sources.iter().map(|&s| oracle(g, s)).collect();
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let maps = [
-            multi_source_shared(g, sources).unwrap(),
+            nearest_sources(g, sources, usize::MAX).unwrap(),
             pool.install(|| nearest_sources(g, sources, 1)).unwrap(),
         ];
         for tn in g.active_nodes() {
@@ -386,29 +418,46 @@ mod tests {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
             let expected = oracle(&g, root);
-            let pooled = distances(&g, root, Direction::Forward, false, 0).unwrap();
+            let pooled = distances(&g, root, false, 0).unwrap();
             assert_eq!(expected.as_flat_slice(), pooled.as_flat_slice());
-            assert_eq!(
-                expected.as_flat_slice(),
-                bfs(&g, root).unwrap().as_flat_slice()
-            );
+            let serial = distances(&g, root, false, usize::MAX).unwrap();
+            assert_eq!(expected.as_flat_slice(), serial.as_flat_slice());
         }
     }
 
     #[test]
-    fn parallel_rejects_inactive_root() {
+    fn invalid_roots_are_rejected_before_any_traversal() {
         let g = paper_figure1();
-        assert!(matches!(
-            distances(
-                &g,
-                TemporalNode::from_raw(2, 0),
-                Direction::Forward,
-                false,
-                0
-            )
-            .unwrap_err(),
-            GraphError::InactiveRoot { .. }
-        ));
+        let inactive = TemporalNode::from_raw(2, 0);
+        let cases = [
+            (inactive, GraphError::InactiveRoot { root: inactive }),
+            (
+                TemporalNode::from_raw(9, 0),
+                GraphError::NodeOutOfRange {
+                    node: NodeId(9),
+                    num_nodes: 3,
+                },
+            ),
+            (
+                TemporalNode::from_raw(0, 9),
+                GraphError::TimeOutOfRange {
+                    time: TimeIndex(9),
+                    num_timestamps: 3,
+                },
+            ),
+        ];
+        for (root, expected) in cases {
+            for threshold in [0, usize::MAX] {
+                let err = distances(&g, root, false, threshold).unwrap_err();
+                assert_eq!(err, expected, "{root:?}");
+                assert_eq!(err, nearest_sources(&g, &[root], threshold).unwrap_err());
+            }
+        }
+        let empty = AdjacencyListGraph::directed(3, Vec::new()).unwrap();
+        assert_eq!(
+            check_root(&empty, TemporalNode::from_raw(0, 0)),
+            Err(GraphError::EmptyGraph)
+        );
     }
 
     #[test]
@@ -419,9 +468,7 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         // Narrower than the graph's widest levels (the default is not), so
         // some levels expand wide.
-        let pooled = pool
-            .install(|| distances(&g, root, Direction::Forward, false, 256))
-            .unwrap();
+        let pooled = pool.install(|| distances(&g, root, false, 256)).unwrap();
         assert_eq!(expected.num_reached(), pooled.num_reached());
         assert_eq!(expected.as_flat_slice(), pooled.as_flat_slice());
     }
@@ -440,7 +487,7 @@ mod tests {
                 .unwrap();
             for threshold in [0, 1, 7, usize::MAX] {
                 let pooled = pool
-                    .install(|| distances(&g, root, Direction::Forward, false, threshold))
+                    .install(|| distances(&g, root, false, threshold))
                     .unwrap();
                 let case = format!("threshold {threshold}, {threads} threads");
                 assert_eq!(expected.as_flat_slice(), pooled.as_flat_slice(), "{case}");
@@ -460,9 +507,8 @@ mod tests {
         for &root in g.active_nodes().iter().step_by(101) {
             let expected = oracle(&g, root);
             for map in [
-                bfs(&g, root).unwrap(),
-                pool.install(|| distances(&g, root, Direction::Forward, false, 1))
-                    .unwrap(),
+                distances(&g, root, false, usize::MAX).unwrap(),
+                pool.install(|| distances(&g, root, false, 1)).unwrap(),
             ] {
                 assert_eq!(expected.num_reached(), map.num_reached(), "{root:?}");
                 assert_eq!(expected.distance_histogram(), map.distance_histogram());

@@ -15,23 +15,23 @@
 //! * the **forward neighbor** relation combining both edge kinds
 //!   (Definition 5).
 //!
-//! The headline algorithm is [`bfs::bfs`] — Algorithm 1 of the paper — which
-//! computes distances over temporal paths in `O(|E| + |V|)` time for the
-//! adjacency-list representation ([`adjacency::AdjacencyListGraph`]).
+//! The headline algorithm is Algorithm 1 of the paper, BFS over temporal
+//! paths in `O(|E| + |V|)` time for the adjacency-list representation
+//! ([`adjacency::AdjacencyListGraph`]); [`kernel::distances`] runs it.
 //!
 //! This crate is the *engine room*: it owns the graph representations, the
-//! traversal engines and the view adaptors. Applications usually query
-//! through the unified `Search` builder of the `egraph-query` crate, which
-//! fronts this crate's serial and parallel engines (plus `egraph-matrix`'s
-//! algebraic engine) behind one fluent entry point; the free functions below
-//! stay available for code that wants to talk to an engine directly.
+//! traversal engines and the view adaptors. Applications query through the
+//! `Search` builder of the `egraph-query` crate, the one entry point that
+//! fronts this crate's engines (plus `egraph-matrix`'s algebraic engine) and
+//! composes them with windows, time reversal and backward direction.
 //!
 //! ## Quick example
 //!
 //! Build the 3-node example of the paper's Figure 1 (1 → 2 at t1, 1 → 3 at
-//! t2, 2 → 3 at t3) and search it with Algorithm 1:
+//! t2, 2 → 3 at t3) and run Algorithm 1 on the kernel:
 //!
 //! ```
+//! use egraph_core::kernel::distances;
 //! use egraph_core::prelude::*;
 //!
 //! let mut g = AdjacencyListGraph::directed(3, vec![1, 2, 3]).unwrap();
@@ -39,7 +39,8 @@
 //! g.add_edge(NodeId(0), NodeId(2), TimeIndex(1)).unwrap();
 //! g.add_edge(NodeId(1), NodeId(2), TimeIndex(2)).unwrap();
 //!
-//! let reached = bfs(&g, TemporalNode::from_raw(0, 0)).unwrap();
+//! // No parents recorded, every level expanded serially.
+//! let reached = distances(&g, TemporalNode::from_raw(0, 0), false, usize::MAX).unwrap();
 //! // (3, t3) is three hops away: one static hop and two causal/static hops.
 //! assert_eq!(reached.distance(TemporalNode::from_raw(2, 2)), Some(3));
 //! ```
@@ -58,8 +59,7 @@
 //! | [`adjacency`] | adjacency-list representation (incremental) |
 //! | [`csr`] | CSR-flattened representation (contiguous serve path) |
 //! | [`snapshots`] | snapshot-sequence representation |
-//! | [`mod@bfs`] | Algorithm 1, backward BFS, shared-frontier and per-root multi-source, reachability |
-//! | [`kernel`] | the one level-synchronous traversal loop behind every hop engine, serial or across the rayon pool |
+//! | [`kernel`] | Algorithm 1 and the shared frontier: the one level-synchronous traversal loop behind every hop engine, serial or across the rayon pool |
 //! | [`paths`] | temporal-path validation, enumeration, walk counting |
 //! | [`resume`] | resumable BFS/foremost state for incremental re-search |
 //! | [`static_equiv`] | the equivalent static graph of Theorem 1 |
@@ -70,7 +70,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
-pub mod bfs;
 pub mod components;
 pub mod csr;
 pub mod distance;
@@ -93,11 +92,7 @@ pub mod window;
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::adjacency::AdjacencyListGraph;
-    pub use crate::bfs::{
-        backward_bfs, backward_bfs_with_parents, bfs, bfs_with_parents, distance_between,
-        is_reachable, multi_source_bfs, multi_source_shared, reachable_set, Direction,
-    };
-    pub use crate::components::{in_component, out_component, weak_components, WeakComponents};
+    pub use crate::components::{weak_components, WeakComponents};
     pub use crate::csr::{CsrAdjacency, CsrColumns, CsrParts};
     pub use crate::distance::{DistanceMap, MultiSourceMap};
     pub use crate::error::{GraphError, Result};
@@ -105,7 +100,7 @@ pub mod prelude {
     pub use crate::graph::EvolvingGraph;
     pub use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timestamp};
     pub use crate::instrument::{CountingView, TraversalCounters};
-    pub use crate::metrics::{eccentricity, reach_counts, GraphMetrics};
+    pub use crate::metrics::GraphMetrics;
     pub use crate::paths::{enumerate_paths, is_temporal_path, walk_count_vector};
     pub use crate::resume::{ResumableBfs, ResumableForemost, ResumableShared, StableCoreResettle};
     pub use crate::reverse::ReversedView;
@@ -116,7 +111,6 @@ pub mod prelude {
 }
 
 pub use adjacency::AdjacencyListGraph;
-pub use bfs::{backward_bfs, bfs, bfs_with_parents, multi_source_shared};
 pub use csr::CsrAdjacency;
 pub use distance::{DistanceMap, MultiSourceMap};
 pub use error::{GraphError, Result};

@@ -6,7 +6,7 @@
 //! over static *and* causal edges). This module provides the ones that are
 //! useful when characterising benchmark workloads and citation networks:
 //!
-//! * per-root reach counts and eccentricities,
+//! * mean and maximum per-root reach,
 //! * the temporal diameter (largest finite eccentricity),
 //! * the reachability ratio (fraction of ordered active-node pairs connected
 //!   by some temporal path), and
@@ -18,9 +18,9 @@
 
 use rayon::prelude::*;
 
-use crate::bfs::bfs;
 use crate::graph::EvolvingGraph;
 use crate::ids::TemporalNode;
+use crate::kernel::distances;
 
 /// Distance-based summary statistics of an evolving graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,7 +76,8 @@ impl GraphMetrics {
         let acc = roots
             .par_iter()
             .map(|&root| {
-                let map = bfs(graph, root).expect("roots are active by construction");
+                let map = distances(graph, root, false, usize::MAX)
+                    .expect("roots are active by construction");
                 let reach = map.num_reached() - 1;
                 let ecc = map.max_distance();
                 let dist_sum: u64 = map.reached().iter().map(|&(_, d)| d as u64).sum();
@@ -127,25 +128,6 @@ impl GraphMetrics {
     }
 }
 
-/// The temporal eccentricity of a single active node: the largest finite
-/// distance from it. Returns `None` if the node is inactive.
-pub fn eccentricity<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Option<u32> {
-    bfs(graph, root).ok().map(|m| m.max_distance())
-}
-
-/// The number of temporal nodes reachable from each active node, as
-/// `(root, count)` pairs — the "reach profile" of the whole graph.
-pub fn reach_counts<G: EvolvingGraph>(graph: &G) -> Vec<(TemporalNode, usize)> {
-    graph
-        .active_nodes()
-        .par_iter()
-        .map(|&root| {
-            let count = bfs(graph, root).map(|m| m.num_reached() - 1).unwrap_or(0);
-            (root, count)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +154,6 @@ mod tests {
         let m = GraphMetrics::compute(&g);
         // From (0, t0) to (n-1, t_{n-2}): (n-1) static + (n-2) causal hops.
         assert_eq!(m.diameter, Some((2 * n - 3) as u32));
-    }
-
-    #[test]
-    fn eccentricity_and_reach_counts_are_consistent_with_bfs() {
-        let g = paper_figure1();
-        assert_eq!(eccentricity(&g, TemporalNode::from_raw(0, 0)), Some(3));
-        assert_eq!(eccentricity(&g, TemporalNode::from_raw(2, 2)), Some(0));
-        assert_eq!(eccentricity(&g, TemporalNode::from_raw(2, 0)), None);
-
-        let counts = reach_counts(&g);
-        assert_eq!(counts.len(), 6);
-        let root_count = counts
-            .iter()
-            .find(|&&(tn, _)| tn == TemporalNode::from_raw(0, 0))
-            .unwrap()
-            .1;
-        assert_eq!(root_count, 5);
     }
 
     #[test]

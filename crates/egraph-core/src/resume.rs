@@ -56,13 +56,12 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64};
 
-use crate::bfs::{bfs, multi_source_shared};
 use crate::distance::{DistanceMap, MultiSourceMap, UNREACHED};
 use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
-use crate::kernel::{self, Kernel, Slot, NO_PARENT};
+use crate::kernel::{self, distances, nearest_sources, Kernel, Slot, NO_PARENT};
 
 /// Packed-key increment for one hop: distance + 1, same source attribution.
 const HOP: u64 = 1 << 32;
@@ -130,7 +129,7 @@ fn relayout<T: Copy>(table: &[T], rows: usize, old: usize, new: usize, fill: T) 
 /// The state covers a prefix of the graph's snapshots. [`ResumableBfs::extend_snapshot`]
 /// advances the covered prefix by one snapshot in time proportional to that
 /// snapshot's contents; [`ResumableBfs::to_distance_map`] materialises the
-/// ordinary [`DistanceMap`] a from-scratch [`bfs`] over the covered prefix
+/// ordinary [`DistanceMap`] a from-scratch [`distances`] over the covered prefix
 /// would produce.
 #[derive(Clone, Debug)]
 pub struct ResumableBfs {
@@ -156,9 +155,9 @@ impl ResumableBfs {
     /// Runs a full forward BFS from `root` and captures resumable state.
     ///
     /// # Errors
-    /// The same root-validation errors as [`bfs`].
+    /// The same root-validation errors as [`distances`].
     pub fn start<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<Self> {
-        Ok(Self::from_map(&bfs(graph, root)?))
+        Ok(Self::from_map(&distances(graph, root, false, usize::MAX)?))
     }
 
     /// Captures resumable state from an already-computed forward distance
@@ -305,7 +304,7 @@ impl ResumableBfs {
     }
 
     /// Materialises the covered prefix as an ordinary [`DistanceMap`] —
-    /// distance-for-distance what a from-scratch [`bfs`] over that prefix
+    /// distance-for-distance what a from-scratch [`distances`] over that prefix
     /// produces. When parents are tracked they are materialised too; the
     /// tree is *a* valid BFS tree over those distances (see the module
     /// docs), not necessarily the one a from-scratch run's visit order
@@ -416,7 +415,7 @@ impl ResumableForemost {
 }
 
 /// Resumable state of a forward *shared-frontier* multi-source traversal
-/// ([`crate::bfs::multi_source_shared`] and its pooled form).
+/// ([`nearest_sources`] at any threshold).
 ///
 /// The retained state is exactly the engines' packed claim keys —
 /// `(distance << 32) | source_index`, `u64::MAX` = unreached — plus a
@@ -445,10 +444,13 @@ impl ResumableShared {
     /// Runs a full shared-frontier traversal and captures resumable state.
     ///
     /// # Errors
-    /// The same source-validation errors as
-    /// [`multi_source_shared`].
+    /// The same source-validation errors as [`nearest_sources`].
     pub fn start<G: EvolvingGraph>(graph: &G, sources: &[TemporalNode]) -> Result<Self> {
-        Ok(Self::from_map(&multi_source_shared(graph, sources)?))
+        Ok(Self::from_map(&nearest_sources(
+            graph,
+            sources,
+            usize::MAX,
+        )?))
     }
 
     /// Captures resumable state from an already-computed *forward*
@@ -538,9 +540,8 @@ impl ResumableShared {
     }
 
     /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
-    /// key-for-key what a from-scratch
-    /// [`multi_source_shared`] over that
-    /// prefix produces.
+    /// key-for-key what a from-scratch [`nearest_sources`] over that prefix
+    /// produces.
     pub fn to_map(&self) -> MultiSourceMap {
         let (n, t) = (self.num_nodes, self.num_timestamps);
         MultiSourceMap::from_keys(n, t, self.sources.clone(), &self.key)
@@ -654,6 +655,7 @@ mod tests {
     use super::*;
     use crate::adjacency::AdjacencyListGraph;
     use crate::examples::paper_figure1;
+    use crate::reverse::ReversedView;
 
     /// A deterministic xorshift stream for the randomized pinning tests.
     struct Xs(u64);
@@ -705,7 +707,7 @@ mod tests {
                     g.add_edge(NodeId(u), NodeId(v), t).unwrap();
                 }
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-                let scratch = bfs(&g, root).unwrap();
+                let scratch = distances(&g, root, false, usize::MAX).unwrap();
                 assert_eq!(
                     state.to_distance_map().as_flat_slice(),
                     scratch.as_flat_slice(),
@@ -761,7 +763,12 @@ mod tests {
         // (0, t1) via causal hop = 1, then static hops 2, 3, 4.
         assert_eq!(map.distance(TemporalNode::from_raw(0, 1)), Some(1));
         assert_eq!(map.distance(TemporalNode::from_raw(3, 1)), Some(4));
-        assert_eq!(map.as_flat_slice(), bfs(&g, root).unwrap().as_flat_slice());
+        assert_eq!(
+            map.as_flat_slice(),
+            distances(&g, root, false, usize::MAX)
+                .unwrap()
+                .as_flat_slice()
+        );
     }
 
     #[test]
@@ -779,7 +786,9 @@ mod tests {
         state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
         assert_eq!(
             state.to_distance_map().as_flat_slice(),
-            bfs(&g, root).unwrap().as_flat_slice()
+            distances(&g, root, false, usize::MAX)
+                .unwrap()
+                .as_flat_slice()
         );
     }
 
@@ -800,7 +809,9 @@ mod tests {
         foremost.extend_snapshot(&g, &touched).unwrap();
         assert_eq!(
             state.to_distance_map().as_flat_slice(),
-            bfs(&g, root).unwrap().as_flat_slice()
+            distances(&g, root, false, usize::MAX)
+                .unwrap()
+                .as_flat_slice()
         );
         assert_eq!(
             foremost.to_result().arrivals(),
@@ -846,7 +857,7 @@ mod tests {
     fn from_map_round_trips_through_to_distance_map() {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
-            let map = bfs(&g, root).unwrap();
+            let map = distances(&g, root, false, usize::MAX).unwrap();
             let state = ResumableBfs::from_map(&map);
             assert_eq!(state.to_distance_map().as_flat_slice(), map.as_flat_slice());
             assert_eq!(state.root(), root);
@@ -856,7 +867,6 @@ mod tests {
 
     #[test]
     fn shared_extension_matches_from_scratch_on_random_growth() {
-        use crate::bfs::multi_source_shared;
         for seed in [7u64, 41, 0xC0FFEE] {
             let n = 22;
             let batches = random_growth_trace(seed, n, 6);
@@ -879,7 +889,7 @@ mod tests {
                     g.add_edge(NodeId(u), NodeId(v), t).unwrap();
                 }
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-                let scratch = multi_source_shared(&g, &sources).unwrap();
+                let scratch = nearest_sources(&g, &sources, usize::MAX).unwrap();
                 let extended = state.to_map();
                 assert_eq!(
                     extended.as_flat_slice(),
@@ -897,7 +907,6 @@ mod tests {
 
     #[test]
     fn shared_grow_nodes_relayouts_state_and_matches_scratch() {
-        use crate::bfs::multi_source_shared;
         let mut g = paper_figure1();
         let sources = vec![TemporalNode::from_raw(0, 0), TemporalNode::from_raw(1, 0)];
         let mut state = ResumableShared::start(&g, &sources).unwrap();
@@ -907,7 +916,7 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(5), t).unwrap();
         g.add_edge(NodeId(5), NodeId(4), t).unwrap();
         state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-        let scratch = multi_source_shared(&g, &sources).unwrap();
+        let scratch = nearest_sources(&g, &sources, usize::MAX).unwrap();
         assert_eq!(
             state.to_map().reached_with_sources(),
             scratch.reached_with_sources()
@@ -917,7 +926,6 @@ mod tests {
 
     #[test]
     fn parent_links_survive_extension_with_exact_distances_and_valid_edges() {
-        use crate::bfs::bfs_with_parents;
         for seed in [11u64, 77, 0xFEED] {
             let n = 18;
             let batches = random_growth_trace(seed, n, 5);
@@ -928,7 +936,7 @@ mod tests {
             let Some(&root) = g.active_nodes().first() else {
                 continue;
             };
-            let mut state = ResumableBfs::from_map(&bfs_with_parents(&g, root).unwrap());
+            let mut state = ResumableBfs::from_map(&distances(&g, root, true, usize::MAX).unwrap());
             for batch in &batches[1..] {
                 let t = g.push_timestamp(g.num_timestamps() as i64).unwrap();
                 for &(u, v) in batch {
@@ -936,7 +944,7 @@ mod tests {
                 }
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
                 let extended = state.to_distance_map();
-                let scratch = bfs_with_parents(&g, root).unwrap();
+                let scratch = distances(&g, root, true, usize::MAX).unwrap();
                 // Distances are pinned exactly; parent pointers are only
                 // required to be *valid* (parent one hop closer, edge exists
                 // in the effective direction), because first-discoverer order
@@ -972,14 +980,26 @@ mod tests {
 
     #[test]
     fn stable_core_fringe_is_empty_across_appends() {
-        use crate::bfs::backward_bfs;
+        // A backward search is a forward search on the reversed view, its
+        // reached set mapped back to original coordinates.
+        let backward = |g: &AdjacencyListGraph, root: TemporalNode| {
+            let view = ReversedView::new(g);
+            let map = distances(&view, view.map_temporal(root), false, usize::MAX).unwrap();
+            let mut reached: Vec<(TemporalNode, u32)> = map
+                .reached()
+                .into_iter()
+                .map(|(tn, d)| (view.map_temporal(tn), d))
+                .collect();
+            reached.sort_unstable();
+            reached
+        };
         let mut g = paper_figure1();
         let root = TemporalNode::from_raw(2, 1);
-        let map = backward_bfs(&g, root).unwrap();
+        let reached = backward(&g, root);
         let mut core = StableCoreResettle::from_reached_times(
             g.num_nodes(),
             g.num_timestamps(),
-            map.reached().into_iter().map(|(tn, _)| tn),
+            reached.iter().map(|&(tn, _)| tn),
         );
         for step in 0..3 {
             let t = g.push_timestamp(100 + step).unwrap();
@@ -988,11 +1008,7 @@ mod tests {
             assert!(fringe.is_empty(), "append produced an unstable fringe");
             assert_eq!(core.covered_timestamps(), t.index() + 1);
             // The reversed result really is append-invariant.
-            assert_eq!(
-                backward_bfs(&g, root).unwrap().reached(),
-                map.reached(),
-                "snapshot {t:?}"
-            );
+            assert_eq!(backward(&g, root), reached, "snapshot {t:?}");
         }
     }
 

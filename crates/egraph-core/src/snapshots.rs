@@ -207,8 +207,8 @@ impl EvolvingGraph for SnapshotSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs;
     use crate::ids::TemporalNode;
+    use crate::kernel::distances;
 
     /// The Figure 1 example expressed as a snapshot sequence.
     fn figure1_snapshots() -> SnapshotSequence {
@@ -246,8 +246,8 @@ mod tests {
         let snap = figure1_snapshots();
         let adj = crate::examples::paper_figure1();
         let root = TemporalNode::from_raw(0, 0);
-        let a = bfs(&snap, root).unwrap();
-        let b = bfs(&adj, root).unwrap();
+        let a = distances(&snap, root, false, usize::MAX).unwrap();
+        let b = distances(&adj, root, false, usize::MAX).unwrap();
         assert_eq!(a.as_flat_slice(), b.as_flat_slice());
     }
 

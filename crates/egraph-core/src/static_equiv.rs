@@ -167,9 +167,9 @@ impl EquivalentStaticGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs;
     use crate::examples::paper_figure1;
     use crate::graph::EvolvingGraph;
+    use crate::kernel::distances;
 
     #[test]
     fn figure4_construction_sizes() {
@@ -228,7 +228,7 @@ mod tests {
         let g = paper_figure1();
         let eq = EquivalentStaticGraph::build(&g);
         for &root in &g.active_nodes() {
-            let evolving = bfs(&g, root).unwrap();
+            let evolving = distances(&g, root, false, usize::MAX).unwrap();
             let static_dists = eq.bfs_distances_from(root).unwrap();
             assert_eq!(static_dists.len(), evolving.num_reached());
             for (tn, d) in static_dists {

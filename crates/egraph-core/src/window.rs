@@ -150,8 +150,8 @@ impl<G: EvolvingGraph> EvolvingGraph for TimeWindowView<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs;
     use crate::examples::paper_figure1;
+    use crate::kernel::distances;
 
     #[test]
     fn rejects_invalid_windows() {
@@ -185,9 +185,9 @@ mod tests {
         // BFS from (1, t2) on the full graph ignores t1; BFS from the same
         // node on the suffix window [t2, t3] must give identical distances.
         let g = paper_figure1();
-        let full = bfs(&g, TemporalNode::from_raw(0, 1)).unwrap();
+        let full = distances(&g, TemporalNode::from_raw(0, 1), false, usize::MAX).unwrap();
         let w = TimeWindowView::from_start(&g, TimeIndex(1)).unwrap();
-        let windowed = bfs(&w, TemporalNode::from_raw(0, 0)).unwrap();
+        let windowed = distances(&w, TemporalNode::from_raw(0, 0), false, usize::MAX).unwrap();
         for (tn, d) in windowed.reached() {
             let inner = w.to_inner_temporal(tn);
             assert_eq!(full.distance(inner), Some(d));

@@ -193,9 +193,9 @@ mod tests {
         assert!(back.has_static_edge(NodeId(0), NodeId(1), TimeIndex(0)));
         assert!(back.has_static_edge(NodeId(1), NodeId(2), TimeIndex(2)));
         // BFS results agree as well.
-        let a = egraph_core::bfs::bfs(&g, egraph_core::ids::TemporalNode::from_raw(0, 0)).unwrap();
-        let b =
-            egraph_core::bfs::bfs(&back, egraph_core::ids::TemporalNode::from_raw(0, 0)).unwrap();
+        let root = egraph_core::ids::TemporalNode::from_raw(0, 0);
+        let a = egraph_core::kernel::distances(&g, root, false, usize::MAX).unwrap();
+        let b = egraph_core::kernel::distances(&back, root, false, usize::MAX).unwrap();
         assert_eq!(a.as_flat_slice(), b.as_flat_slice());
     }
 

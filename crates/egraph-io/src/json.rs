@@ -912,9 +912,9 @@ impl<S: ByteSource> Parser<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph_core::bfs::bfs;
     use egraph_core::examples::paper_figure1;
     use egraph_core::graph::EvolvingGraph;
+    use egraph_core::kernel::distances;
 
     #[test]
     fn graph_round_trips_through_json() {
@@ -930,7 +930,7 @@ mod tests {
     #[test]
     fn bfs_result_round_trips_through_json() {
         let g = paper_figure1();
-        let map = bfs(&g, TemporalNode::from_raw(0, 0)).unwrap();
+        let map = distances(&g, TemporalNode::from_raw(0, 0), false, usize::MAX).unwrap();
         let json = bfs_result_to_json(&map).unwrap();
         let back = bfs_result_from_json(&json).unwrap();
         assert_eq!(back.as_flat_slice(), map.as_flat_slice());
@@ -941,7 +941,7 @@ mod tests {
     #[test]
     fn document_structure_is_stable() {
         let g = paper_figure1();
-        let map = bfs(&g, TemporalNode::from_raw(0, 1)).unwrap();
+        let map = distances(&g, TemporalNode::from_raw(0, 1), false, usize::MAX).unwrap();
         let doc = BfsResultDocument::from_distance_map(&map);
         assert_eq!(doc.root_node, 0);
         assert_eq!(doc.root_time, 1);

@@ -21,11 +21,11 @@
 //! All three return an ordinary [`DistanceMap`], so equality with Algorithm 1
 //! (Theorem 4) is a plain `==` on the flat distance arrays.
 
-use egraph_core::bfs::check_root;
 use egraph_core::distance::DistanceMap;
 use egraph_core::error::Result;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::TemporalNode;
+use egraph_core::kernel::check_root;
 
 use crate::block::BlockAdjacency;
 use crate::dense::DenseMatrix;
@@ -51,7 +51,7 @@ pub fn algebraic_bfs<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<
 /// costs `O(|Ẽ| + |V| + N·n)` rather than the naïve `O(n² N)`.
 ///
 /// The caller must have validated the root (see
-/// [`egraph_core::bfs::check_root`]); [`algebraic_bfs`] does so.
+/// [`egraph_core::kernel::check_root`]); [`algebraic_bfs`] does so.
 pub fn algebraic_bfs_blocked(blocks: &BlockAdjacency, root: TemporalNode) -> DistanceMap {
     let n = blocks.num_nodes();
     let n_t = blocks.num_timestamps();
@@ -188,15 +188,15 @@ pub fn dense_power_iteration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph_core::bfs::bfs;
     use egraph_core::examples::{cyclic_example, paper_figure1, staircase};
+    use egraph_core::kernel::distances;
     use egraph_core::prelude::*;
 
     #[test]
     fn blocked_engine_matches_algorithm_1_on_the_paper_example() {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
-            let alg1 = bfs(&g, root).unwrap();
+            let alg1 = distances(&g, root, false, usize::MAX).unwrap();
             let alg2 = algebraic_bfs(&g, root).unwrap();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "root {root:?}");
         }
@@ -206,7 +206,7 @@ mod tests {
     fn dense_engine_matches_algorithm_1_on_the_paper_example() {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
-            let alg1 = bfs(&g, root).unwrap();
+            let alg1 = distances(&g, root, false, usize::MAX).unwrap();
             let alg2 = algebraic_bfs_dense(&g, root).unwrap();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "root {root:?}");
         }
@@ -233,7 +233,7 @@ mod tests {
         // Theorem 3's cyclic branch: the visited zeroing forces termination.
         let g = cyclic_example();
         for &root in &g.active_nodes() {
-            let alg1 = bfs(&g, root).unwrap();
+            let alg1 = distances(&g, root, false, usize::MAX).unwrap();
             let alg2 = algebraic_bfs(&g, root).unwrap();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "root {root:?}");
         }
@@ -243,7 +243,7 @@ mod tests {
     fn agrees_with_algorithm_1_on_a_staircase() {
         let g = staircase(7);
         let root = TemporalNode::from_raw(0, 0);
-        let alg1 = bfs(&g, root).unwrap();
+        let alg1 = distances(&g, root, false, usize::MAX).unwrap();
         let alg2 = algebraic_bfs(&g, root).unwrap();
         let dense = algebraic_bfs_dense(&g, root).unwrap();
         assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice());
@@ -276,7 +276,7 @@ mod tests {
                 continue;
             }
             let root = actives[(next() % actives.len() as u64) as usize];
-            let alg1 = bfs(&g, root).unwrap();
+            let alg1 = distances(&g, root, false, usize::MAX).unwrap();
             let alg2 = algebraic_bfs(&g, root).unwrap();
             let dense = algebraic_bfs_dense(&g, root).unwrap();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "trial {trial}");
@@ -291,7 +291,7 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), TimeIndex(1)).unwrap();
         g.add_edge(NodeId(2), NodeId(3), TimeIndex(1)).unwrap();
         let root = TemporalNode::from_raw(1, 0);
-        let alg1 = bfs(&g, root).unwrap();
+        let alg1 = distances(&g, root, false, usize::MAX).unwrap();
         let alg2 = algebraic_bfs(&g, root).unwrap();
         assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice());
     }

@@ -22,12 +22,13 @@
 //! ## Example: Algorithm 1 ≡ Algorithm 2
 //!
 //! ```
+//! use egraph_core::kernel::distances;
 //! use egraph_core::prelude::*;
 //! use egraph_matrix::algebraic_bfs::algebraic_bfs;
 //!
 //! let g = egraph_core::examples::paper_figure1();
 //! let root = TemporalNode::from_raw(0, 0);
-//! let alg1 = bfs(&g, root).unwrap();
+//! let alg1 = distances(&g, root, false, usize::MAX).unwrap();
 //! let alg2 = algebraic_bfs(&g, root).unwrap();
 //! assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice());
 //! ```

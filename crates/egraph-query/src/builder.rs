@@ -3,13 +3,12 @@
 
 use std::sync::Arc;
 
-use egraph_core::bfs::{check_root, Direction};
 use egraph_core::distance::MultiSourceMap;
 use egraph_core::error::{GraphError, Result};
 use egraph_core::foremost::{earliest_arrival, ForemostResult};
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TemporalNode, TimeIndex};
-use egraph_core::kernel::{default_parallel_threshold, distances, nearest_sources};
+use egraph_core::kernel::{check_root, default_parallel_threshold, distances, nearest_sources};
 use egraph_core::reverse::ReversedView;
 use egraph_core::window::TimeWindowView;
 use egraph_matrix::algebraic_bfs::algebraic_bfs;
@@ -18,17 +17,29 @@ use crate::descriptor::{QueryDescriptor, QueryExecutor};
 use crate::result::SearchResult;
 use crate::view_map::ViewMap;
 
+/// Direction of a temporal traversal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Direction {
+    /// Follow forward neighbors: static edges plus causal edges to later
+    /// snapshots. Computes the influence set `T(a, t)` of Section V.
+    Forward,
+    /// Follow backward neighbors: reversed static edges plus causal edges to
+    /// earlier snapshots. Computes `T⁻¹(a, t)`. Runs as a forward traversal
+    /// on the time-reversed view.
+    Backward,
+}
+
 /// Which engine executes the traversal.
 ///
 /// The hop-distance strategies (`Serial`, `Parallel`, `Algebraic`) compute
-/// identical distances (Theorem 4 of the paper; checked by the workspace's
-/// strategy-equivalence suite) and differ only in execution profile. The
-/// query-shaped strategies (`Foremost`, `SharedFrontier`) answer a
-/// *restriction* of the query natively — arrival times only, or
-/// nearest-source distances only — with strictly less work than deriving the
-/// same answers from full per-source hop maps; dedicated differential suites
-/// pin them to the hop engines. See the crate-level "choosing a strategy"
-/// table.
+/// identical distances (Theorem 4 of the paper) and differ only in
+/// execution profile. The query-shaped strategies (`Foremost`,
+/// `SharedFrontier`) answer a *restriction* of the query natively — arrival
+/// times only, or nearest-source distances only — with strictly less work
+/// than deriving the same answers from full per-source hop maps. The
+/// workspace's `tests/kernel_oracle.rs` checks all five against one
+/// independent Algorithm 1 oracle. See the crate-level "choosing a
+/// strategy" table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Strategy {
     /// Algorithm 1: serial adjacency-list BFS, `O(|E| + |V|)` (Theorem 2).
@@ -41,8 +52,8 @@ pub enum Strategy {
     /// and per-chunk next-frontier buffers spliced once per level. Narrower
     /// levels, and every level on a one-thread pool, run the serial
     /// expansion. Results are bit-for-bit identical to `Serial` at every
-    /// pool size (pinned by `tests/parallel_determinism.rs` and
-    /// `tests/kernel_oracle.rs`).
+    /// pool size (pinned by `tests/kernel_oracle.rs` under pools of 1, 2
+    /// and 8 threads).
     Parallel,
     /// Algorithm 2 (`egraph-matrix::algebraic_bfs`): BFS as power iteration
     /// of the transposed block adjacency matrix of Section III-C.
@@ -233,9 +244,6 @@ impl From<core::ops::RangeFull> for WindowSpec {
 /// [`EvolvingGraph`] with [`Search::run`]. Sources and results are always in
 /// the coordinates of the graph handed to `run`, regardless of the views the
 /// builder composes internally.
-///
-/// See the [crate-level documentation](crate) for the correspondence with the
-/// legacy free functions.
 #[derive(Clone, Debug)]
 pub struct Search {
     sources: Vec<TemporalNode>,
@@ -410,10 +418,13 @@ impl Search {
     /// * [`GraphError::NoSources`] if the builder holds no source;
     /// * [`GraphError::EmptyGraph`] / [`GraphError::EmptyWindow`] /
     ///   [`GraphError::TimeOutOfRange`] for degenerate windows;
-    /// * [`GraphError::OutsideWindow`] if a source's snapshot lies outside
-    ///   the window;
-    /// * the engine's own validation errors ([`GraphError::InactiveRoot`],
-    ///   [`GraphError::NodeOutOfRange`], …) for invalid sources.
+    /// * [`GraphError::OutsideWindow`] for the first source whose snapshot
+    ///   lies outside the window;
+    /// * else the engine's validation error for the first invalid source
+    ///   ([`GraphError::InactiveRoot`], in the graph's own coordinates, or
+    ///   [`GraphError::NodeOutOfRange`]).
+    ///
+    /// Every strategy returns the same error for the same query.
     pub fn run<G: EvolvingGraph>(&self, graph: &G) -> Result<Arc<SearchResult>> {
         self.run_owned(graph).map(Arc::new)
     }
@@ -432,27 +443,38 @@ impl Search {
             view_len: end - start + 1,
             reversed: effective_reverse,
         };
+        // Every source is placed in the window before any engine runs, so
+        // every strategy reports the first source outside it; the engines
+        // then reject the first invalid root, named below in the graph's
+        // own coordinates.
+        let sources = self.sources_to_view(map)?;
         let windowed = start != 0 || end != num_timestamps - 1;
-        match (windowed, effective_reverse) {
-            (false, false) => self.run_on(graph, map, num_timestamps),
+        let result = match (windowed, effective_reverse) {
+            (false, false) => self.run_on(graph, &sources, map, num_timestamps),
             (true, false) => {
                 let view = TimeWindowView::new(
                     graph,
                     TimeIndex::from_index(start),
                     TimeIndex::from_index(end),
                 )?;
-                self.run_on(&view, map, num_timestamps)
+                self.run_on(&view, &sources, map, num_timestamps)
             }
-            (false, true) => self.run_on(&ReversedView::new(graph), map, num_timestamps),
+            (false, true) => self.run_on(&ReversedView::new(graph), &sources, map, num_timestamps),
             (true, true) => {
                 let view = TimeWindowView::new(
                     graph,
                     TimeIndex::from_index(start),
                     TimeIndex::from_index(end),
                 )?;
-                self.run_on(&ReversedView::new(view), map, num_timestamps)
+                self.run_on(&ReversedView::new(view), &sources, map, num_timestamps)
             }
-        }
+        };
+        result.map_err(|e| match e {
+            GraphError::InactiveRoot { root } => GraphError::InactiveRoot {
+                root: map.node_to_original(root),
+            },
+            e => e,
+        })
     }
 
     /// Executes the search against a [`Prepared`](crate::prepared::Prepared)
@@ -488,8 +510,7 @@ impl Search {
             reversed: false,
         };
         let mut maps = Vec::with_capacity(self.sources.len());
-        for &source in &self.sources {
-            let view_source = self.source_to_view(source, map)?;
+        for view_source in self.sources_to_view(map)? {
             // `algebraic_bfs` = root validation + block assembly + blocked
             // power iteration; only the assembly is skipped here.
             check_root(graph, view_source)?;
@@ -501,21 +522,26 @@ impl Search {
         Ok(Arc::new(SearchResult::from_maps(maps, false)))
     }
 
-    /// Maps `source` into the view's coordinates, or reports it outside the
-    /// window.
-    fn source_to_view(&self, source: TemporalNode, map: ViewMap) -> Result<TemporalNode> {
-        map.node_to_view(source).ok_or(GraphError::OutsideWindow {
-            time: source.time,
-            start: TimeIndex::from_index(map.window_start),
-            end: TimeIndex::from_index(map.window_start + map.view_len - 1),
-        })
+    /// Maps every source into the view's coordinates, or reports the first
+    /// one outside the window.
+    fn sources_to_view(&self, map: ViewMap) -> Result<Vec<TemporalNode>> {
+        let to_view = |source: &TemporalNode| {
+            map.node_to_view(*source).ok_or(GraphError::OutsideWindow {
+                time: source.time,
+                start: TimeIndex::from_index(map.window_start),
+                end: TimeIndex::from_index(map.window_start + map.view_len - 1),
+            })
+        };
+        self.sources.iter().map(to_view).collect()
     }
 
-    /// Runs the configured engine on the composed `view` and maps results
-    /// back into original coordinates.
+    /// Runs the configured engine on the composed `view` from the sources
+    /// in view coordinates, and maps results back into original
+    /// coordinates.
     fn run_on<V: EvolvingGraph>(
         &self,
         view: &V,
+        view_sources: &[TemporalNode],
         map: ViewMap,
         original_timestamps: usize,
     ) -> Result<SearchResult> {
@@ -526,9 +552,11 @@ impl Search {
             self.strategy
         };
         match strategy {
-            Strategy::Foremost => self.run_foremost_on(view, map),
-            Strategy::SharedFrontier => self.run_shared_on(view, map, original_timestamps),
-            _ => self.run_hops_on(view, map, original_timestamps, strategy),
+            Strategy::Foremost => self.run_foremost_on(view, view_sources, map),
+            Strategy::SharedFrontier => {
+                self.run_shared_on(view, view_sources, map, original_timestamps)
+            }
+            _ => self.run_hops_on(view, view_sources, map, original_timestamps, strategy),
         }
     }
 
@@ -537,6 +565,7 @@ impl Search {
     fn run_hops_on<V: EvolvingGraph>(
         &self,
         view: &V,
+        view_sources: &[TemporalNode],
         map: ViewMap,
         original_timestamps: usize,
         strategy: Strategy,
@@ -546,8 +575,7 @@ impl Search {
             map.window_start == 0 && !map.reversed && map.view_len == original_timestamps;
 
         let mut maps = Vec::with_capacity(self.sources.len());
-        for &source in &self.sources {
-            let view_source = self.source_to_view(source, map)?;
+        for (&source, &view_source) in self.sources.iter().zip(view_sources) {
             let view_result = match strategy {
                 // One kernel: the strategies differ only in the width at
                 // which a level may go to the pool (`run_on` forces Serial
@@ -559,8 +587,7 @@ impl Search {
                             .unwrap_or_else(default_parallel_threshold),
                         _ => usize::MAX,
                     };
-                    let (direction, parents) = (Direction::Forward, self.with_parents);
-                    distances(view, view_source, direction, parents, threshold)?
+                    distances(view, view_source, self.with_parents, threshold)?
                 }
                 Strategy::Algebraic => algebraic_bfs(view, view_source)?,
                 Strategy::Foremost | Strategy::SharedFrontier => {
@@ -605,11 +632,15 @@ impl Search {
     /// per source, `O(|Ẽ| + N·n)` each, with arrivals re-expressed in
     /// original snapshot indices. On a reversed view the sweep's "earliest
     /// arrival" is the original graph's *latest departure*.
-    fn run_foremost_on<V: EvolvingGraph>(&self, view: &V, map: ViewMap) -> Result<SearchResult> {
+    fn run_foremost_on<V: EvolvingGraph>(
+        &self,
+        view: &V,
+        view_sources: &[TemporalNode],
+        map: ViewMap,
+    ) -> Result<SearchResult> {
         let num_nodes = view.num_nodes();
         let mut tables = Vec::with_capacity(self.sources.len());
-        for &source in &self.sources {
-            let view_source = self.source_to_view(source, map)?;
+        for (&source, &view_source) in self.sources.iter().zip(view_sources) {
             // The sweep itself tolerates inactive roots; validate like every
             // other engine so strategies agree on errors too.
             check_root(view, view_source)?;
@@ -632,24 +663,20 @@ impl Search {
     fn run_shared_on<V: EvolvingGraph>(
         &self,
         view: &V,
+        view_sources: &[TemporalNode],
         map: ViewMap,
         original_timestamps: usize,
     ) -> Result<SearchResult> {
         let num_nodes = view.num_nodes();
         let identity =
             map.window_start == 0 && !map.reversed && map.view_len == original_timestamps;
-        let view_sources = self
-            .sources
-            .iter()
-            .map(|&s| self.source_to_view(s, map))
-            .collect::<Result<Vec<TemporalNode>>>()?;
         // Wide levels go to the pool, narrow ones run the kernel's serial
         // expansion. The packed-key claim makes the answer independent of
         // both the threshold and the pool size (differential suites pin it
         // to an independent serial oracle).
         let shared = nearest_sources(
             view,
-            &view_sources,
+            view_sources,
             self.parallel_threshold
                 .unwrap_or_else(default_parallel_threshold),
         )?;
@@ -675,21 +702,7 @@ impl Search {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph_core::bfs::{backward_bfs, bfs};
     use egraph_core::examples::paper_figure1;
-
-    #[test]
-    fn default_search_matches_algorithm_1() {
-        let g = paper_figure1();
-        for &root in &g.active_nodes() {
-            let legacy = bfs(&g, root).unwrap();
-            let result = Search::from(root).run(&g).unwrap();
-            assert_eq!(
-                result.distance_map().as_flat_slice(),
-                legacy.as_flat_slice()
-            );
-        }
-    }
 
     #[test]
     fn strategies_agree_on_the_paper_example() {
@@ -701,26 +714,6 @@ mod tests {
                 assert_eq!(
                     serial.distance_map().as_flat_slice(),
                     other.distance_map().as_flat_slice(),
-                    "strategy {strategy:?}, root {root:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn backward_direction_matches_backward_bfs() {
-        let g = paper_figure1();
-        for &root in &g.active_nodes() {
-            let legacy = backward_bfs(&g, root).unwrap();
-            for strategy in [Strategy::Serial, Strategy::Parallel, Strategy::Algebraic] {
-                let result = Search::from(root)
-                    .direction(Direction::Backward)
-                    .strategy(strategy)
-                    .run(&g)
-                    .unwrap();
-                assert_eq!(
-                    result.distance_map().as_flat_slice(),
-                    legacy.as_flat_slice(),
                     "strategy {strategy:?}, root {root:?}"
                 );
             }

@@ -3,7 +3,7 @@
 //! Differently phrased builders that would execute the *same traversal*
 //! produce equal descriptors wherever that is decidable without a graph:
 //! an explicit [`Search::reverse`] composed with
-//! [`Direction::Backward`](egraph_core::bfs::Direction::Backward) collapses
+//! [`Direction::Backward`](crate::Direction::Backward) collapses
 //! into a single *effective reverse* bit (the builder executes both through
 //! the same reversed view), and a window start bound of `0` canonicalises
 //! away (`0..` ≡ `..`). The one graph-dependent phrasing stays distinct: an
@@ -195,7 +195,7 @@ pub trait QueryExecutor {
 mod tests {
     use super::*;
     use crate::builder::Search;
-    use egraph_core::bfs::Direction;
+    use crate::Direction;
     use egraph_core::ids::TemporalNode;
 
     fn root() -> TemporalNode {

@@ -7,9 +7,8 @@
 //! Algorithm 1, its frontier-parallel variant, and the algebraic block-matrix
 //! formulation of Algorithm 2 (equivalent by Theorem 4). This crate puts a
 //! single composable query layer — [`Search`] — in front of those
-//! interchangeable engines, instead of scattering the concept across a dozen
-//! free functions that each hard-code one strategy and one traversal
-//! direction.
+//! interchangeable engines: the one public way to search, whatever the
+//! strategy, direction, window or source count.
 //!
 //! ```
 //! use egraph_core::examples::paper_figure1;
@@ -60,34 +59,28 @@
 //! Here `\|Ẽ\|` counts static edges, `\|V\|`/`\|E\|` the active temporal
 //! nodes and equivalent-static-graph edges (causal edges included), `N` the
 //! node universe and `n` the snapshot count. All five strategies are pinned
-//! against each other by the workspace's differential suites
-//! (`tests/search_equivalence.rs`, `tests/foremost_equivalence.rs`,
-//! `tests/multi_source_equivalence.rs`): on every generated workload the
-//! answers a strategy produces must equal the hop engines' answers for the
-//! same query.
+//! against one independent Algorithm 1 oracle by the workspace's
+//! `tests/kernel_oracle.rs`, on every direction × window × reverse shape,
+//! error cases included.
 //!
-//! | legacy free function | builder equivalent |
+//! The engines underneath keep their own paths for code below this crate:
+//! `egraph_core::kernel::{distances, nearest_sources}` (forward only; a
+//! backward search is a forward search on `ReversedView`),
+//! `egraph_core::foremost::earliest_arrival` and
+//! `egraph_matrix::algebraic_bfs`. The free functions that once wrapped
+//! them are gone; each has a builder form:
+//!
+//! | removed free function | builder equivalent |
 //! |---|---|
-//! | `bfs(&g, root)` | `Search::from(root).run(&g)` |
-//! | `backward_bfs(&g, root)` | `Search::from(root).direction(Direction::Backward).run(&g)` |
-//! | `par_bfs(&g, root)` (removed) | `Search::from(root).strategy(Strategy::Parallel).run(&g)` |
-//! | `par_multi_source_shared(&g, roots)` (removed) | `Search::from_sources(roots).strategy(Strategy::SharedFrontier).run(&g)` |
-//! | `algebraic_bfs(&g, root)` | `Search::from(root).strategy(Strategy::Algebraic).run(&g)` |
-//! | `multi_source_bfs(&g, roots)` (one `bfs` per root, roots over the pool) | `Search::from_sources(roots).run(&g)` |
+//! | `bfs(&g, root)`, `bfs_with_parents` | `Search::from(root).run(&g)`, plus `.with_parents()` |
+//! | `backward_bfs(&g, root)`, `backward_bfs_with_parents` | `Search::from(root).backward().run(&g)` |
+//! | `multi_source_bfs(&g, roots)` | `Search::from_sources(roots).run(&g)` |
 //! | `multi_source_shared(&g, roots)` | `Search::from_sources(roots).strategy(Strategy::SharedFrontier).run(&g)` |
-//! | `earliest_arrival(&g, root)` (dedicated sweep) | `Search::from(root).strategy(Strategy::Foremost).run(&g)?.arrival(v)` |
+//! | `distance_between(&g, a, b)`, `is_reachable(&g, a, b)` | `Search::from(a).run(&g)?.distance(b)`, `.is_reached(b)` |
 //! | `reachable_set(&g, root)` | `Search::from(root).run(&g)?.reachable_set()` |
-//! | `is_reachable(&g, a, b)` | `Search::from(a).run(&g)?.is_reached(b)` |
-//! | `distance_between(&g, a, b)` | `Search::from(a).run(&g)?.distance(b)` |
-//! | `eccentricity(&g, root)` | `Search::from(root).run(&g)?.eccentricity()` |
-//! | `earliest_arrival(&g, root)` | `Search::from(root).run(&g)?.earliest_arrival(v)` |
-//! | `bfs(&TimeWindowView::new(&g, a, b)?, root)` | `Search::from(root).window(a..=b).run(&g)` |
-//! | `bfs(&ReversedView::new(&g), root)` | `Search::from(root).reverse().run(&g)` |
-//!
-//! The legacy functions not marked removed remain available as thin
-//! wrappers (the engines live in `egraph-core` and `egraph-matrix`; the
-//! builder dispatches to them), so existing code keeps working while new
-//! code gets a single coherent entry point.
+//! | `metrics::eccentricity(&g, root)` | `Search::from(root).run(&g)?.eccentricity()` |
+//! | `reach_profile(&g, v)`, `metrics::reach_counts(&g)` | `num_reached() - 1` of one search per active root |
+//! | `components::out_component`, `in_component` | `reached()` of a forward or backward search |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -99,17 +92,15 @@ mod prepared;
 mod result;
 mod view_map;
 
-pub use builder::{Search, Strategy, WindowSpec};
+pub use builder::{Direction, Search, Strategy, WindowSpec};
 pub use descriptor::{AppendRepair, QueryDescriptor, QueryExecutor};
-pub use egraph_core::bfs::Direction;
 pub use prepared::Prepared;
 pub use result::SearchResult;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::builder::{Search, Strategy, WindowSpec};
+    pub use crate::builder::{Direction, Search, Strategy, WindowSpec};
     pub use crate::descriptor::{AppendRepair, QueryDescriptor, QueryExecutor};
     pub use crate::prepared::Prepared;
     pub use crate::result::SearchResult;
-    pub use egraph_core::bfs::Direction;
 }

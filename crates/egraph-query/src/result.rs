@@ -108,7 +108,7 @@ impl SearchResult {
 
     /// Whether the executed traversal ran on time-reversed coordinates
     /// (an explicit [`reverse`](crate::Search::reverse) XOR
-    /// [`Direction::Backward`](egraph_core::bfs::Direction::Backward)).
+    /// [`Direction::Backward`](crate::Direction::Backward)).
     pub fn is_time_reversed(&self) -> bool {
         self.reversed
     }
@@ -339,7 +339,7 @@ impl SearchResult {
     }
 
     /// The temporal nodes reachable from the sources, *excluding* the
-    /// sources themselves — the return shape of the legacy `reachable_set`.
+    /// sources themselves.
     ///
     /// # Panics
     /// Panics for [`Foremost`](crate::Strategy::Foremost) results.
@@ -739,7 +739,6 @@ mod tests {
     use egraph_core::examples::paper_figure1;
     use egraph_core::foremost::earliest_arrival;
     use egraph_core::graph::EvolvingGraph as _;
-    use egraph_core::metrics::eccentricity;
 
     #[test]
     fn single_source_accessors_match_distance_map() {
@@ -759,12 +758,14 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_matches_the_legacy_metric() {
+    fn eccentricity_is_the_largest_distance() {
+        // From (1, t1) the farthest node is (3, t3), three hops away; the
+        // last snapshot's (3, t3) reaches only itself.
         let g = paper_figure1();
-        for &root in &g.active_nodes() {
-            let result = Search::from(root).run(&g).unwrap();
-            assert_eq!(Some(result.eccentricity()), eccentricity(&g, root));
-        }
+        let far = Search::from(TemporalNode::from_raw(0, 0)).run(&g).unwrap();
+        assert_eq!(far.eccentricity(), 3);
+        let sink = Search::from(TemporalNode::from_raw(2, 2)).run(&g).unwrap();
+        assert_eq!(sink.eccentricity(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 mod pool;
 
-pub use pool::{current_num_threads, spawn, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
+pub use pool::{current_num_threads, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
 
 use std::sync::Arc;
 
@@ -883,29 +883,6 @@ mod tests {
     fn zero_thread_request_falls_back_to_the_default() {
         let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
         assert!(pool.current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn spawn_runs_detached_jobs_to_completion() {
-        // Multi-thread pool: jobs go through the pool's queue.
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.install(|| {
-            for i in 0..32usize {
-                let tx = tx.clone();
-                spawn(move || tx.send(i).unwrap());
-            }
-        });
-        let mut got: Vec<usize> = (0..32).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..32).collect::<Vec<usize>>());
-
-        // One-thread pool has zero workers: spawn must still make progress
-        // (dedicated-thread fallback), not enqueue into a drainless queue.
-        let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        one.install(|| spawn(move || tx.send(42usize).unwrap()));
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(42));
     }
 
     #[test]

@@ -190,32 +190,6 @@ pub fn current_num_threads() -> usize {
     current_handle().num_threads()
 }
 
-/// Fire-and-forget execution on the ambient pool (rayon's `spawn`): `f`
-/// runs on some pool worker, with no completion handle — callers that need
-/// a result arrange their own channel back.
-///
-/// A 1-thread pool has **zero** workers (the would-be caller is its only
-/// scheduling thread), and unlike a bulk `par_*` operation the spawning
-/// thread does not participate — nothing would ever run the job. That
-/// configuration falls back to a dedicated `std::thread`, preserving
-/// rayon's semantics (`spawn` always eventually runs `f`) at every
-/// `RAYON_NUM_THREADS` setting.
-pub fn spawn<F>(f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let handle = current_handle();
-    if handle.num_threads() <= 1 {
-        std::thread::spawn(f);
-        return;
-    }
-    {
-        let mut queue = lock(&handle.state.queue);
-        queue.jobs.push_back(Box::new(f));
-    }
-    handle.state.work_available.notify_one();
-}
-
 // ---------------------------------------------------------------------------
 // Bulk execution
 // ---------------------------------------------------------------------------

@@ -47,9 +47,9 @@ fn main() {
         let mut reached = 0;
         for _ in 0..5 {
             let start = Instant::now();
-            let map = bfs(&graph, root).expect("root is active");
+            let result = Search::from(root).run(&graph).expect("root is active");
             best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            reached = map.num_reached();
+            reached = result.num_reached();
         }
         xs.push(edges as f64);
         ys.push(best);

@@ -55,9 +55,25 @@
 //! # Ok::<(), GraphError>(())
 //! ```
 //!
-//! The legacy free functions (`bfs`, `backward_bfs`, `multi_source_bfs`,
-//! `reachable_set`, `eccentricity`, …) remain exported and continue to work;
-//! the builder dispatches to the same engines.
+//! [`Search`] is the one way to search. The free functions that once stood
+//! beside it (`bfs`, `backward_bfs`, `multi_source_bfs`, `reachable_set`,
+//! `eccentricity`, …) are gone from every crate, so neither of these
+//! resolves:
+//!
+//! ```compile_fail
+//! use evolving_graphs::prelude::{bfs, Direction, Search};
+//! ```
+//!
+//! ```compile_fail
+//! use evolving_graphs::core::bfs::bfs;
+//! ```
+//!
+//! while the same imports without the removed names do:
+//!
+//! ```
+//! use evolving_graphs::prelude::{Direction, Search};
+//! use evolving_graphs::core::kernel::distances;
+//! ```
 //!
 //! [`Search`]: egraph_query::Search
 

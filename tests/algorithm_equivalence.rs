@@ -1,21 +1,23 @@
-//! Property-style tests of Theorems 1 and 4: on arbitrary evolving graphs,
-//! Algorithm 1, Algorithm 2 (blocked and dense), the frontier-parallel BFS
-//! and classical BFS on the Theorem 1 equivalent static graph all compute
-//! the same distances.
+//! Property-style tests of Theorems 1 and 4 on seeded random graphs: the
+//! hop strategies, Algorithm 2 on the dense `A_n` and classical BFS on the
+//! Theorem 1 equivalent static graph all give the oracle's distances, and
+//! backward search is forward search read the other way in time.
 //!
 //! The build environment has no proptest, so the suite drives the same
 //! properties with a deterministic seeded generator: every case is
 //! reproducible from its trial index.
 
+mod common;
+
+use common::oracle;
+use evolving_graphs::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use evolving_graphs::prelude::*;
-
 const TRIALS: u64 = 64;
 
-/// Deterministic random instance for one trial: 2–13 nodes, 1–4 snapshots,
-/// up to 60 directed edges with self-loops dropped.
+/// A seeded instance: 2–13 nodes, 1–4 snapshots, up to 60 directed edges
+/// without self-loops.
 fn random_graph(seed: u64) -> AdjacencyListGraph {
     let mut rng = SmallRng::seed_from_u64(0xA1B2_0000 ^ seed);
     let n = rng.gen_range(2usize..14);
@@ -33,32 +35,26 @@ fn random_graph(seed: u64) -> AdjacencyListGraph {
     g
 }
 
-/// Theorem 4 + the parallel variant: all four BFS engines agree.
+/// Theorem 4: the hop strategies and Algorithm 2 on the dense `A_n`, which
+/// is no `Strategy`, give the oracle's distances from every root.
 #[test]
 fn all_bfs_engines_agree() {
     for trial in 0..TRIALS {
         let g = random_graph(trial);
         for &root in &g.active_nodes() {
-            let alg1 = bfs(&g, root).unwrap();
-            let alg2 = algebraic_bfs(&g, root).unwrap();
+            let want = oracle::bfs(&g, root, Direction::Forward, false).unwrap();
             let dense = algebraic_bfs_dense(&g, root).unwrap();
-            let parallel = Search::from(root)
-                .strategy(Strategy::Parallel)
-                .run(&g)
-                .unwrap();
-            let parallel = parallel.distance_map();
-            assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "trial {trial}");
-            assert_eq!(alg1.as_flat_slice(), dense.as_flat_slice(), "trial {trial}");
-            assert_eq!(
-                alg1.as_flat_slice(),
-                parallel.as_flat_slice(),
-                "trial {trial}"
-            );
+            assert_eq!(dense.as_flat_slice(), want.as_flat_slice(), "trial {trial}");
+            for strategy in [Strategy::Serial, Strategy::Parallel, Strategy::Algebraic] {
+                let got = Search::from(root).strategy(strategy).run(&g).unwrap();
+                let got = got.distance_map().as_flat_slice().to_vec();
+                assert_eq!(got, want.as_flat_slice(), "trial {trial}, {strategy:?}");
+            }
         }
     }
 }
 
-/// Theorem 1: BFS on the evolving graph equals classical BFS on the
+/// Theorem 1: search on the evolving graph equals classical BFS on the
 /// equivalent static graph, for every active root.
 #[test]
 fn evolving_bfs_equals_static_bfs() {
@@ -66,7 +62,7 @@ fn evolving_bfs_equals_static_bfs() {
         let g = random_graph(trial);
         let eq = EquivalentStaticGraph::build(&g);
         for &root in &g.active_nodes() {
-            let evolving = bfs(&g, root).unwrap();
+            let evolving = Search::from(root).run(&g).unwrap();
             let on_static = eq.bfs_distances_from(root).unwrap();
             assert_eq!(on_static.len(), evolving.num_reached(), "trial {trial}");
             for (tn, d) in on_static {
@@ -76,7 +72,7 @@ fn evolving_bfs_equals_static_bfs() {
     }
 }
 
-/// The dense A_n built by the matrix crate has exactly the edges of the
+/// The dense `A_n` built by the matrix crate has exactly the edges of the
 /// Theorem 1 static graph.
 #[test]
 fn block_matrix_matches_equivalent_graph() {
@@ -103,8 +99,7 @@ fn walk_counts_agree() {
     for trial in 0..TRIALS {
         let g = random_graph(trial);
         let hops = (trial % 4) as usize;
-        let actives = g.active_nodes();
-        if let Some(&root) = actives.first() {
+        if let Some(&root) = g.active_nodes().first() {
             let via_matrix = matrix_walk_counts(&g, root, hops);
             let via_dp: Vec<f64> = walk_count_vector(&g, root, hops)
                 .iter()
@@ -115,17 +110,17 @@ fn walk_counts_agree() {
     }
 }
 
-/// The backward BFS from b reaches a iff the forward BFS from a reaches b,
-/// with the same distance.
+/// The backward search from b reaches a iff the forward search from a
+/// reaches b, with the same distance.
 #[test]
 fn forward_backward_duality() {
     for trial in 0..TRIALS {
         let g = random_graph(trial);
         let actives = g.active_nodes();
         for &a in actives.iter().take(4) {
-            let fwd = bfs(&g, a).unwrap();
+            let fwd = Search::from(a).run(&g).unwrap();
             for &b in actives.iter().take(4) {
-                let bwd = backward_bfs(&g, b).unwrap();
+                let bwd = Search::from(b).backward().run(&g).unwrap();
                 assert_eq!(
                     fwd.distance(b),
                     bwd.distance(a),
@@ -136,18 +131,16 @@ fn forward_backward_duality() {
     }
 }
 
-/// A forward BFS on the time-reversed view equals a backward BFS on the
-/// original graph.
+/// A forward search on the time-reversed view equals the oracle's search
+/// over backward neighbours of the original graph, which builds no view.
 #[test]
 fn reversed_view_duality() {
     for trial in 0..TRIALS {
         let g = random_graph(trial);
         let view = ReversedView::new(&g);
-        let actives = g.active_nodes();
-        for &root in actives.iter().take(4) {
-            let bwd = backward_bfs(&g, root).unwrap();
-            let mapped_root = view.map_temporal(root);
-            let fwd = bfs(&view, mapped_root).unwrap();
+        for &root in g.active_nodes().iter().take(4) {
+            let bwd = oracle::bfs(&g, root, Direction::Backward, false).unwrap();
+            let fwd = Search::from(view.map_temporal(root)).run(&view).unwrap();
             assert_eq!(bwd.num_reached(), fwd.num_reached(), "trial {trial}");
             for (tn, d) in bwd.reached() {
                 assert_eq!(

@@ -4,15 +4,10 @@
 //! the boundary snapshots under `Backward` direction. Every strategy must
 //! agree on acceptance *and* rejection.
 
-use evolving_graphs::prelude::*;
+mod common;
 
-const ALL_STRATEGIES: [Strategy; 5] = [
-    Strategy::Serial,
-    Strategy::Parallel,
-    Strategy::Algebraic,
-    Strategy::Foremost,
-    Strategy::SharedFrontier,
-];
+use common::matrix::STRATEGIES;
+use evolving_graphs::prelude::*;
 
 fn paper() -> AdjacencyListGraph {
     evolving_graphs::core::examples::paper_figure1()
@@ -23,7 +18,7 @@ fn paper() -> AdjacencyListGraph {
 fn empty_windows_are_rejected_by_every_strategy() {
     let g = paper();
     let root = TemporalNode::from_raw(0, 0);
-    for strategy in ALL_STRATEGIES {
+    for strategy in STRATEGIES {
         for (label, search) in [
             ("half-open empty", Search::from(root).window(1u32..1)),
             ("inverted inclusive", Search::from(root).window(2u32..=1)),
@@ -51,7 +46,7 @@ fn empty_windows_are_rejected_by_every_strategy() {
 #[test]
 fn zero_snapshot_graphs_report_empty_graph() {
     let g = AdjacencyListGraph::directed(3, Vec::new()).unwrap();
-    for strategy in ALL_STRATEGIES {
+    for strategy in STRATEGIES {
         let err = Search::from(TemporalNode::from_raw(0, 0))
             .strategy(strategy)
             .run(&g)

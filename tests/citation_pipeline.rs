@@ -135,7 +135,7 @@ fn backward_search_equals_forward_search_on_reversed_view() {
     let view = ReversedView::new(net.graph());
     let t = net.epoch_index(last_epoch).unwrap();
     let root = view.map_temporal(TemporalNode::new(star.author, t));
-    let fwd = bfs(&view, root).unwrap();
+    let fwd = Search::from(root).run(&view).unwrap();
     let mut via_view: Vec<AuthorId> = fwd
         .reached_node_ids()
         .into_iter()

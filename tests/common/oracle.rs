@@ -5,18 +5,61 @@
 //! kernel, so comparing two strategies compares the kernel with itself.
 //! This module keeps a second implementation outside the library:
 //!
+//! * [`check_root`] — root validation written from Definitions 3 and 4;
 //! * [`bfs`] — Algorithm 1 written out as in the paper: a visited map, a
-//!   frontier of distance-`k − 1` nodes, first discoverer wins, with
-//!   direction and optional BFS-tree parents;
+//!   frontier of distance-`k − 1` nodes, first discoverer wins, over
+//!   forward or backward neighbours, with optional BFS-tree parents;
 //! * [`multi_source_shared`] — the serial shared-frontier loop on packed
 //!   `(distance << 32) | source_index` keys, nearest source first and ties
 //!   to the smallest source index.
 //!
-//! Both use plain vectors and build their results through the public
-//! constructors, so they share no traversal code with the engines.
+//! They use plain vectors and build their results through the public
+//! constructors, so they share no traversal or validation code with the
+//! engines.
 
-use evolving_graphs::core::bfs::check_root;
 use evolving_graphs::prelude::*;
+
+/// Validates `root` as the engines must: inside the graph, and active — by
+/// Definition 3, with a static edge at its snapshot (Definition 4 makes
+/// every temporal path from an inactive node empty).
+pub fn check_root<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<()> {
+    let (num_nodes, num_timestamps) = (graph.num_nodes(), graph.num_timestamps());
+    if num_timestamps == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    if root.node.index() >= num_nodes {
+        return Err(GraphError::NodeOutOfRange {
+            node: root.node,
+            num_nodes,
+        });
+    }
+    if root.time.index() >= num_timestamps {
+        return Err(GraphError::TimeOutOfRange {
+            time: root.time,
+            num_timestamps,
+        });
+    }
+    let mut incident = false;
+    graph.for_each_static_out(root.node, root.time, &mut |_| incident = true);
+    graph.for_each_static_in(root.node, root.time, &mut |_| incident = true);
+    if incident {
+        Ok(())
+    } else {
+        Err(GraphError::InactiveRoot { root })
+    }
+}
+
+fn for_each_neighbor<G: EvolvingGraph>(
+    graph: &G,
+    u: TemporalNode,
+    direction: Direction,
+    f: &mut dyn FnMut(TemporalNode),
+) {
+    match direction {
+        Direction::Forward => graph.for_each_forward_neighbor(u, f),
+        Direction::Backward => graph.for_each_backward_neighbor(u, f),
+    }
+}
 
 /// Algorithm 1 from `root`, following forward or backward neighbours, with
 /// BFS-tree parents if asked. Parents follow first-discoverer order.
@@ -36,18 +79,14 @@ pub fn bfs<G: EvolvingGraph>(
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &u in &frontier {
-            let mut visit = |v: TemporalNode| {
+            for_each_neighbor(graph, u, direction, &mut |v: TemporalNode| {
                 let i = v.flat_index(num_nodes);
                 if dist[i] == u32::MAX {
                     dist[i] = k;
                     parent[i] = Some(u);
                     next.push(v);
                 }
-            };
-            match direction {
-                Direction::Forward => graph.for_each_forward_neighbor(u, &mut visit),
-                Direction::Backward => graph.for_each_backward_neighbor(u, &mut visit),
-            }
+            });
         }
         frontier = next;
         k += 1;
@@ -68,11 +107,12 @@ pub fn bfs<G: EvolvingGraph>(
     })
 }
 
-/// The serial shared-frontier loop: one forward traversal seeded with every
-/// source at distance 0, keeping per temporal node the minimum packed key.
+/// The serial shared-frontier loop: one traversal seeded with every source
+/// at distance 0, keeping per temporal node the minimum packed key.
 pub fn multi_source_shared<G: EvolvingGraph>(
     graph: &G,
     sources: &[TemporalNode],
+    direction: Direction,
 ) -> Result<MultiSourceMap> {
     if sources.is_empty() {
         return Err(GraphError::NoSources);
@@ -96,7 +136,7 @@ pub fn multi_source_shared<G: EvolvingGraph>(
         for &u in &frontier {
             // `u`'s attribution settled while the previous level expanded.
             let claim = (level << 32) | (key[u.flat_index(num_nodes)] & 0xFFFF_FFFF);
-            graph.for_each_forward_neighbor(u, &mut |v| {
+            for_each_neighbor(graph, u, direction, &mut |v: TemporalNode| {
                 let slot = &mut key[v.flat_index(num_nodes)];
                 if *slot == u64::MAX {
                     next.push(v);

@@ -51,7 +51,7 @@ fn bfs_distances_are_witnessed_by_temporal_paths() {
         let (n, t, edges) = random_edges(trial);
         let g = build(n, t, &edges);
         if let Some(&root) = g.active_nodes().first() {
-            let map = bfs_with_parents(&g, root).unwrap();
+            let map = Search::from(root).with_parents().run(&g).unwrap();
             for (tn, d) in map.reached() {
                 let path = map.path_to(tn).unwrap();
                 assert_eq!(path.len() as u32, d + 1, "trial {trial}");
@@ -60,7 +60,7 @@ fn bfs_distances_are_witnessed_by_temporal_paths() {
                     "trial {trial}: invalid path {path:?}"
                 );
             }
-            let mut layer1 = map.layer(1);
+            let mut layer1 = map.distance_map().layer(1);
             layer1.sort();
             let mut fwd: Vec<TemporalNode> = g.forward_neighbors(root);
             fwd.sort();
@@ -79,7 +79,7 @@ fn reached_nodes_are_active_and_not_earlier() {
         let (n, t, edges) = random_edges(trial);
         let g = build(n, t, &edges);
         for &root in g.active_nodes().iter().take(4) {
-            let map = bfs(&g, root).unwrap();
+            let map = Search::from(root).run(&g).unwrap();
             for (tn, _) in map.reached() {
                 assert!(g.is_active(tn.node, tn.time), "trial {trial}, {tn:?}");
                 assert!(tn.time >= root.time, "trial {trial}, {tn:?}");
@@ -96,7 +96,7 @@ fn bfs_layers_are_consistent() {
         let (n, t, edges) = random_edges(trial);
         let g = build(n, t, &edges);
         if let Some(&root) = g.active_nodes().first() {
-            let map = bfs(&g, root).unwrap();
+            let map = Search::from(root).run(&g).unwrap();
             for (tn, d) in map.reached() {
                 if d == 0 {
                     continue;
@@ -149,9 +149,12 @@ fn incremental_equals_batch_construction() {
         assert_eq!(batch.edge_triples(), incremental.edge_triples());
         assert_eq!(batch.active_nodes(), incremental.active_nodes());
         if let Some(&root) = incremental.active_nodes().first() {
-            let a = bfs(&batch, root).unwrap();
-            let b = bfs(&incremental, root).unwrap();
-            assert_eq!(a.as_flat_slice(), b.as_flat_slice(), "trial {trial}");
+            let search = Search::from(root);
+            let (a, b) = (
+                search.run(&batch).unwrap(),
+                search.run(&incremental).unwrap(),
+            );
+            assert_eq!(a.reached(), b.reached(), "trial {trial}");
         }
     }
 }
@@ -166,9 +169,9 @@ fn representations_agree() {
         assert_eq!(adj.num_static_edges(), snap.num_static_edges());
         assert_eq!(adj.active_nodes(), snap.active_nodes());
         if let Some(&root) = adj.active_nodes().first() {
-            let a = bfs(&adj, root).unwrap();
-            let b = bfs(&snap, root).unwrap();
-            assert_eq!(a.as_flat_slice(), b.as_flat_slice(), "trial {trial}");
+            let search = Search::from(root);
+            let (a, b) = (search.run(&adj).unwrap(), search.run(&snap).unwrap());
+            assert_eq!(a.reached(), b.reached(), "trial {trial}");
         }
     }
 }
@@ -194,8 +197,9 @@ fn serialisation_round_trips() {
         assert_eq!(from_json.edge_triples(), g.edge_triples(), "trial {trial}");
 
         if let Some(&root) = g.active_nodes().first() {
-            let map = bfs(&g, root).unwrap();
-            let round = bfs_result_from_json(&bfs_result_to_json(&map).unwrap()).unwrap();
+            let result = Search::from(root).run(&g).unwrap();
+            let map = result.distance_map();
+            let round = bfs_result_from_json(&bfs_result_to_json(map).unwrap()).unwrap();
             assert_eq!(round.as_flat_slice(), map.as_flat_slice(), "trial {trial}");
         }
     }
@@ -209,10 +213,10 @@ fn suffix_window_is_equivalent() {
         let (n, t, edges) = random_edges(trial);
         let g = build(n, t, &edges);
         for &root in g.active_nodes().iter().take(3) {
-            let full = bfs(&g, root).unwrap();
+            let full = Search::from(root).run(&g).unwrap();
             let w = TimeWindowView::from_start(&g, root.time).unwrap();
             let wroot = w.to_window_temporal(root).unwrap();
-            let windowed = bfs(&w, wroot).unwrap();
+            let windowed = Search::from(wroot).run(&w).unwrap();
             assert_eq!(full.num_reached(), windowed.num_reached(), "trial {trial}");
             for (tn, d) in windowed.reached() {
                 assert_eq!(

@@ -26,7 +26,7 @@ fn grow_nodes_after_edges_preserves_structure_and_connects_everywhere() {
     g.add_edge(NodeId(7), NodeId(0), TimeIndex(0)).unwrap();
     g.add_edge(NodeId(2), NodeId(6), TimeIndex(1)).unwrap();
     assert!(g.is_active(NodeId(7), TimeIndex(0)));
-    let map = bfs(&g, TemporalNode::from_raw(7, 0)).unwrap();
+    let map = Search::from(TemporalNode::from_raw(7, 0)).run(&g).unwrap();
     assert!(map.is_reached(TemporalNode::from_raw(2, 1)));
     // Growing to a smaller or equal size is a no-op.
     g.grow_nodes(3);
@@ -42,7 +42,7 @@ fn grow_nodes_after_edges_works_for_undirected_graphs_too() {
     // Undirected symmetry holds for edges touching grown nodes.
     assert_eq!(g.in_slice(NodeId(4), TimeIndex(1)), &[NodeId(0)]);
     assert_eq!(g.out_slice(NodeId(4), TimeIndex(1)), &[NodeId(0)]);
-    let map = bfs(&g, TemporalNode::from_raw(1, 0)).unwrap();
+    let map = Search::from(TemporalNode::from_raw(1, 0)).run(&g).unwrap();
     assert!(map.is_reached(TemporalNode::from_raw(4, 1)));
 }
 
@@ -127,7 +127,8 @@ fn interleaved_growth_timestamps_and_searches_stay_consistent() {
         let t = g.push_timestamp(step as i64).unwrap();
         g.grow_nodes(2 + step as usize);
         g.add_edge(NodeId(step), NodeId(step + 1), t).unwrap();
-        let map = bfs(&g, TemporalNode::from_raw(0, 0)).unwrap();
+        let result = Search::from(TemporalNode::from_raw(0, 0)).run(&g).unwrap();
+        let map = result.distance_map();
         // The chain grows by one node per snapshot, every prefix reachable.
         assert!(map.is_reached(TemporalNode::from_raw(step + 1, step)));
         assert_eq!(map.num_timestamps(), step as usize + 1);

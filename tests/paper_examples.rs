@@ -55,7 +55,8 @@ fn figure2_temporal_paths() {
 #[test]
 fn figure3_bfs_trace_from_1_t2() {
     let g = evolving_graphs::core::examples::paper_figure1();
-    let map = bfs(&g, tn(0, 1)).unwrap();
+    let result = Search::from(tn(0, 1)).run(&g).unwrap();
+    let map = result.distance_map();
     assert_eq!(map.layer(0), vec![tn(0, 1)]);
     assert_eq!(map.layer(1), vec![tn(2, 1)]);
     assert_eq!(map.layer(2), vec![tn(2, 2)]);
@@ -66,7 +67,7 @@ fn figure3_bfs_trace_from_1_t2() {
     // Section II-C: BFS from (v, t') ignores all snapshots before t', so the
     // suffix window gives the same answer.
     let w = TimeWindowView::from_start(&g, TimeIndex(1)).unwrap();
-    let windowed = bfs(&w, tn(0, 0)).unwrap();
+    let windowed = Search::from(tn(0, 0)).run(&w).unwrap();
     assert_eq!(windowed.num_reached(), map.num_reached());
 }
 
@@ -80,7 +81,7 @@ fn theorem1_equivalence_with_static_graph() {
     assert_eq!(eq.num_edges(), 6);
 
     for &root in &g.active_nodes() {
-        let evolving = bfs(&g, root).unwrap();
+        let evolving = Search::from(root).run(&g).unwrap();
         let on_static = eq.bfs_distances_from(root).unwrap();
         assert_eq!(on_static.len(), evolving.num_reached());
         for (node, d) in on_static {
@@ -126,7 +127,8 @@ fn figure4_block_matrices_and_power_iteration() {
 fn theorem4_algorithm_equivalence_on_the_example() {
     let g = evolving_graphs::core::examples::paper_figure1();
     for &root in &g.active_nodes() {
-        let alg1 = bfs(&g, root).unwrap();
+        let alg1 = Search::from(root).run(&g).unwrap();
+        let alg1 = alg1.distance_map();
         let alg2 = algebraic_bfs(&g, root).unwrap();
         let alg2_dense = algebraic_bfs_dense(&g, root).unwrap();
         let parallel = Search::from(root)
@@ -152,9 +154,9 @@ fn introduction_game_reachability() {
         TemporalNode::new(NodeId(0), t)
     };
 
-    let reach_good = bfs(&good, root(&good)).unwrap();
+    let reach_good = Search::from(root(&good)).run(&good).unwrap();
     assert!(reach_good.reached_node_ids().contains(&NodeId(2)));
 
-    let reach_bad = bfs(&bad, root(&bad)).unwrap();
+    let reach_bad = Search::from(root(&bad)).run(&bad).unwrap();
     assert!(!reach_bad.reached_node_ids().contains(&NodeId(2)));
 }
