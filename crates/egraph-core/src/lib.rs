@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::instrument::{CountingView, TraversalCounters};
     pub use crate::metrics::GraphMetrics;
     pub use crate::paths::{enumerate_paths, is_temporal_path, walk_count_vector};
-    pub use crate::resume::{ResumableBfs, ResumableForemost, ResumableShared, StableCoreResettle};
+    pub use crate::resume::{Resumable, ResumableBfs, ResumableForemost, ResumableShared};
     pub use crate::reverse::ReversedView;
     pub use crate::snapshots::{Snapshot, SnapshotSequence};
     pub use crate::static_equiv::EquivalentStaticGraph;

@@ -26,18 +26,17 @@
 //!   the same seeded kernel runs on packed keys and the extension
 //!   reproduces the engines' deterministic smallest-source-index tie-break
 //!   exactly.
-//! * [`StableCoreResettle`] — the stable-core repair for *time-reversed*
-//!   traversals (backward XOR `.reverse()`), after Afarin et al.'s
-//!   stable-vertex analysis: across an append every previously settled value
-//!   is stable, because a reversed traversal from a fixed-time root only
-//!   ever visits times at or before that root — strictly earlier than any
-//!   appended snapshot. The engine does not *assume* that theorem: it scans
-//!   the sealed delta's touched set for an unstable fringe (any touched node
-//!   holding a value at or past the new snapshot) and reports it, so callers
-//!   re-settle exactly the fringe — provably empty under the append-only
-//!   contract — and can fall back to recomputation if the contract is ever
-//!   violated. Settled work is therefore `O(|touched|)` with zero graph
-//!   traversal.
+//!
+//! All three implement [`Resumable`], the one surface a caller advancing a
+//! state over sealed snapshots needs.
+//!
+//! *Time-reversed* traversals (backward XOR `.reverse()`) need no state
+//! here. Causal edges only go forward in time, so a reversed traversal from
+//! a fixed-time root only reaches times at or before that root — strictly
+//! earlier than any appended snapshot. Its answer is therefore stable across
+//! an append (the stable core of Afarin et al.'s stable-vertex analysis),
+//! and repairing it is re-dimensioning: an `O(result)` copy into the grown
+//! dimensions with no graph work.
 //!
 //! [`ResumableBfs`] also resumes BFS-tree *parents* when its source map
 //! recorded them: the retained per-node frontier remembers the earliest
@@ -65,6 +64,29 @@ use crate::kernel::{self, distances, nearest_sources, Kernel, Slot, NO_PARENT};
 
 /// Packed-key increment for one hop: distance + 1, same source attribution.
 const HOP: u64 = 1 << 32;
+
+/// A traversal state that covers a prefix of a growing graph's snapshots
+/// and advances over the ones sealed after it.
+pub trait Resumable {
+    /// Re-lays the state out for a grown node universe. New nodes start
+    /// unreached everywhere. Shrinking is not supported (no-op).
+    fn grow_nodes(&mut self, num_nodes: usize);
+
+    /// Number of snapshots covered so far.
+    fn covered_timestamps(&self) -> usize;
+
+    /// Extends coverage by one snapshot — the next uncovered index,
+    /// `self.covered_timestamps()` — doing work proportional to that
+    /// snapshot's contents. `touched` must be exactly the nodes active at
+    /// the new snapshot (the end points of its static edges); the live-graph
+    /// layer records this per seal.
+    ///
+    /// # Errors
+    /// [`GraphError::TimeOutOfRange`] if the graph does not contain the next
+    /// snapshot yet, [`GraphError::NodeOutOfRange`] if the graph's node
+    /// universe outgrew the state (call [`Resumable::grow_nodes`] first).
+    fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()>;
+}
 
 /// Runs the kernel over one appended row of `num_nodes` slots — slot `v`
 /// is `(v, t_new)` and a hop follows the static edges inside `t_new` — from
@@ -126,11 +148,15 @@ fn relayout<T: Copy>(table: &[T], rows: usize, old: usize, new: usize, fill: T) 
 
 /// Resumable state of a forward hop-distance BFS (Algorithm 1).
 ///
-/// The state covers a prefix of the graph's snapshots. [`ResumableBfs::extend_snapshot`]
-/// advances the covered prefix by one snapshot in time proportional to that
-/// snapshot's contents; [`ResumableBfs::to_distance_map`] materialises the
-/// ordinary [`DistanceMap`] a from-scratch [`distances`] over the covered prefix
-/// would produce.
+/// The state covers a prefix of the graph's snapshots.
+/// [`Resumable::extend_snapshot`] advances the covered prefix by one
+/// snapshot: because all causal edges into the new snapshot come from the
+/// same node at an earlier active time, each touched node's cheapest entry
+/// costs `node_best + 1`, and static edges inside the snapshot then relax
+/// those seeds with the kernel seeded at several levels.
+/// [`ResumableBfs::into_distance_map`] materialises the ordinary
+/// [`DistanceMap`] a from-scratch [`distances`] over the covered prefix would
+/// produce.
 #[derive(Clone, Debug)]
 pub struct ResumableBfs {
     root: TemporalNode,
@@ -201,11 +227,6 @@ impl ResumableBfs {
         self.root
     }
 
-    /// Number of snapshots covered so far.
-    pub fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
     /// Size of the node universe the state is laid out for.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -232,9 +253,26 @@ impl ResumableBfs {
         }
     }
 
-    /// Re-lays the state out for a grown node universe. New nodes start
-    /// unreached everywhere. Shrinking is not supported (no-op).
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
+    /// Materialises the covered prefix as an ordinary [`DistanceMap`] —
+    /// distance-for-distance what a from-scratch [`distances`] over that prefix
+    /// produces — moving the tables rather than copying them. When parents
+    /// are tracked they are materialised too; the tree is *a* valid BFS tree
+    /// over those distances (see the module docs), not necessarily the one a
+    /// from-scratch run's visit order would pick.
+    pub fn into_distance_map(self) -> DistanceMap {
+        let reached = self.dist.iter().copied().filter(|&d| d != UNREACHED);
+        let (count, depth) = (reached.clone().count(), reached.max().unwrap_or(0));
+        let (n, t) = (self.num_nodes, self.num_timestamps);
+        DistanceMap::from_table(n, t, self.root, self.dist, self.parent, count, depth)
+    }
+}
+
+impl Resumable for ResumableBfs {
+    fn covered_timestamps(&self) -> usize {
+        self.num_timestamps
+    }
+
+    fn grow_nodes(&mut self, num_nodes: usize) {
         if num_nodes <= self.num_nodes {
             return;
         }
@@ -253,26 +291,7 @@ impl ResumableBfs {
         self.num_nodes = num_nodes;
     }
 
-    /// Extends coverage by one snapshot — the next uncovered index,
-    /// `self.covered_timestamps()` — doing work proportional to that
-    /// snapshot's contents.
-    ///
-    /// `touched` must be exactly the nodes active at the new snapshot (the
-    /// end points of its static edges); the live-graph layer records this
-    /// per seal. Because all causal edges into the new snapshot come from
-    /// the same node at an earlier active time, each touched node's cheapest
-    /// entry costs `node_best + 1`; static edges inside the snapshot then
-    /// relax those seeds with the kernel seeded at several levels.
-    ///
-    /// # Errors
-    /// [`GraphError::TimeOutOfRange`] if the graph does not contain the next
-    /// snapshot yet, [`GraphError::NodeOutOfRange`] if the graph's node
-    /// universe outgrew the state (call [`ResumableBfs::grow_nodes`] first).
-    pub fn extend_snapshot<G: EvolvingGraph>(
-        &mut self,
-        graph: &G,
-        touched: &[NodeId],
-    ) -> Result<()> {
+    fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
         let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
 
         // A causal seed's parent is its witness snapshot, a static
@@ -301,20 +320,6 @@ impl ResumableBfs {
         self.dist.extend_from_slice(&new_row);
         self.num_timestamps += 1;
         Ok(())
-    }
-
-    /// Materialises the covered prefix as an ordinary [`DistanceMap`] —
-    /// distance-for-distance what a from-scratch [`distances`] over that prefix
-    /// produces. When parents are tracked they are materialised too; the
-    /// tree is *a* valid BFS tree over those distances (see the module
-    /// docs), not necessarily the one a from-scratch run's visit order
-    /// would pick.
-    pub fn to_distance_map(&self) -> DistanceMap {
-        let reached = self.dist.iter().copied().filter(|&d| d != UNREACHED);
-        let (count, depth) = (reached.clone().count(), reached.max().unwrap_or(0));
-        let (n, t) = (self.num_nodes, self.num_timestamps);
-        let (dist, parent) = (self.dist.clone(), self.parent.clone());
-        DistanceMap::from_table(n, t, self.root, dist, parent, count, depth)
     }
 }
 
@@ -356,11 +361,6 @@ impl ResumableForemost {
         self.root
     }
 
-    /// Number of snapshots covered so far.
-    pub fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
     /// Size of the node universe the state is laid out for.
     pub fn num_nodes(&self) -> usize {
         self.arrival.len()
@@ -371,27 +371,28 @@ impl ResumableForemost {
         self.arrival.get(v.index()).copied().flatten()
     }
 
-    /// Extends the state for a grown node universe; new nodes start
-    /// unreached.
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
+    /// Materialises the covered prefix as an ordinary [`ForemostResult`],
+    /// moving the arrival table rather than copying it.
+    pub fn into_result(self) -> ForemostResult {
+        ForemostResult::from_arrivals(self.root, self.arrival)
+    }
+}
+
+impl Resumable for ResumableForemost {
+    fn covered_timestamps(&self) -> usize {
+        self.num_timestamps
+    }
+
+    fn grow_nodes(&mut self, num_nodes: usize) {
         if num_nodes > self.arrival.len() {
             self.arrival.resize(num_nodes, None);
         }
     }
 
-    /// Extends coverage by one snapshot (the next uncovered index). New
-    /// arrivals can only happen *at* the new snapshot: one static BFS inside
-    /// it, seeded from the already-reached `touched` nodes, finds them all.
-    /// `touched` must be exactly the nodes active at the new snapshot.
-    ///
-    /// # Errors
-    /// [`GraphError::TimeOutOfRange`] / [`GraphError::NodeOutOfRange`] as
-    /// for [`ResumableBfs::extend_snapshot`].
-    pub fn extend_snapshot<G: EvolvingGraph>(
-        &mut self,
-        graph: &G,
-        touched: &[NodeId],
-    ) -> Result<()> {
+    /// New arrivals can only happen *at* the new snapshot: one static BFS
+    /// inside it, seeded from the already-reached `touched` nodes, finds
+    /// them all.
+    fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
         let t_new = next_snapshot(graph, self.num_timestamps, self.arrival.len(), touched)?;
 
         let seeds = touched
@@ -406,11 +407,6 @@ impl ResumableForemost {
         }
         self.num_timestamps += 1;
         Ok(())
-    }
-
-    /// Materialises the covered prefix as an ordinary [`ForemostResult`].
-    pub fn to_result(&self) -> ForemostResult {
-        ForemostResult::from_arrivals(self.root, self.arrival.clone())
     }
 }
 
@@ -484,19 +480,26 @@ impl ResumableShared {
         &self.sources
     }
 
-    /// Number of snapshots covered so far.
-    pub fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
     /// Size of the node universe the state is laid out for.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
-    /// Re-lays the state out for a grown node universe. New nodes start
-    /// unreached everywhere. Shrinking is not supported (no-op).
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
+    /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
+    /// key-for-key what a from-scratch [`nearest_sources`] over that prefix
+    /// produces.
+    pub fn into_map(self) -> MultiSourceMap {
+        let (n, t) = (self.num_nodes, self.num_timestamps);
+        MultiSourceMap::from_keys(n, t, self.sources, &self.key)
+    }
+}
+
+impl Resumable for ResumableShared {
+    fn covered_timestamps(&self) -> usize {
+        self.num_timestamps
+    }
+
+    fn grow_nodes(&mut self, num_nodes: usize) {
         if num_nodes <= self.num_nodes {
             return;
         }
@@ -506,18 +509,7 @@ impl ResumableShared {
         self.num_nodes = num_nodes;
     }
 
-    /// Extends coverage by one snapshot (the next uncovered index), doing
-    /// work proportional to that snapshot's contents. `touched` must be
-    /// exactly the nodes active at the new snapshot.
-    ///
-    /// # Errors
-    /// [`GraphError::TimeOutOfRange`] / [`GraphError::NodeOutOfRange`] as
-    /// for [`ResumableBfs::extend_snapshot`].
-    pub fn extend_snapshot<G: EvolvingGraph>(
-        &mut self,
-        graph: &G,
-        touched: &[NodeId],
-    ) -> Result<()> {
+    fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
         let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
 
         // The hop extension on packed keys: each touched node's cheapest
@@ -538,116 +530,6 @@ impl ResumableShared {
         self.num_timestamps += 1;
         Ok(())
     }
-
-    /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
-    /// key-for-key what a from-scratch [`nearest_sources`] over that prefix
-    /// produces.
-    pub fn to_map(&self) -> MultiSourceMap {
-        let (n, t) = (self.num_nodes, self.num_timestamps);
-        MultiSourceMap::from_keys(n, t, self.sources.clone(), &self.key)
-    }
-}
-
-/// Stable-core repair state for *time-reversed* traversals (backward XOR
-/// `.reverse()`), after Afarin et al.'s stable-vertex analysis: across an
-/// append, a reversed traversal's settled values are the stable core —
-/// reached times never exceed the (fixed) source times, which are strictly
-/// earlier than any appended snapshot — and the only candidates for an
-/// unstable fringe are the sealed delta's touched nodes.
-///
-/// The retained summary is one latest-reached time per node, rebuilt from
-/// the prior value map in `O(result)`. [`StableCoreResettle::extend_snapshot`]
-/// *verifies* stability instead of assuming it: it scans the touched set for
-/// nodes whose retained value could flow into the new snapshot (a value at
-/// or past it — impossible under the append-only contract) and returns that
-/// fringe for the caller to re-settle, falling back to recomputation if it
-/// is ever non-empty. The work is `O(|touched|)` per seal with **zero**
-/// graph traversal, which the `incremental_vs_recompute` bench pins via
-/// [`crate::instrument::CountingView`].
-#[derive(Clone, Debug)]
-pub struct StableCoreResettle {
-    num_nodes: usize,
-    num_timestamps: usize,
-    /// Latest covered snapshot at which each node holds a value (`None` =
-    /// never reached by the traversal).
-    node_latest: Vec<Option<TimeIndex>>,
-}
-
-impl StableCoreResettle {
-    /// Builds the per-node stable-core summary from the reached temporal
-    /// nodes of a prior value map covering `num_timestamps` snapshots.
-    pub fn from_reached_times(
-        num_nodes: usize,
-        num_timestamps: usize,
-        reached: impl IntoIterator<Item = TemporalNode>,
-    ) -> Self {
-        let mut node_latest: Vec<Option<TimeIndex>> = vec![None; num_nodes];
-        for tn in reached {
-            if tn.node.index() >= num_nodes {
-                continue;
-            }
-            let slot = &mut node_latest[tn.node.index()];
-            if slot.map(|t| tn.time > t).unwrap_or(true) {
-                *slot = Some(tn.time);
-            }
-        }
-        StableCoreResettle {
-            num_nodes,
-            num_timestamps,
-            node_latest,
-        }
-    }
-
-    /// Number of snapshots covered so far.
-    pub fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
-    /// Size of the node universe the state is laid out for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Extends the summary for a grown node universe; new nodes hold no
-    /// value.
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
-        if num_nodes > self.num_nodes {
-            self.node_latest.resize(num_nodes, None);
-            self.num_nodes = num_nodes;
-        }
-    }
-
-    /// Advances coverage over the next snapshot, returning the **unstable
-    /// fringe**: touched nodes whose retained value could flow into the new
-    /// snapshot and therefore must be re-settled. Under the append-only
-    /// contract the fringe is provably empty (every retained value predates
-    /// the new snapshot) and coverage advances; a non-empty fringe means
-    /// the contract was violated — coverage does *not* advance and the
-    /// caller should recompute.
-    ///
-    /// # Errors
-    /// [`GraphError::TimeOutOfRange`] / [`GraphError::NodeOutOfRange`] as
-    /// for [`ResumableBfs::extend_snapshot`].
-    pub fn extend_snapshot<G: EvolvingGraph>(
-        &mut self,
-        graph: &G,
-        touched: &[NodeId],
-    ) -> Result<Vec<NodeId>> {
-        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
-        let fringe: Vec<NodeId> = touched
-            .iter()
-            .copied()
-            .filter(|&v| {
-                self.node_latest[v.index()]
-                    .map(|t| t.index() >= t_new.index())
-                    .unwrap_or(false)
-            })
-            .collect();
-        if fringe.is_empty() {
-            self.num_timestamps += 1;
-        }
-        Ok(fringe)
-    }
 }
 
 #[cfg(test)]
@@ -655,7 +537,6 @@ mod tests {
     use super::*;
     use crate::adjacency::AdjacencyListGraph;
     use crate::examples::paper_figure1;
-    use crate::reverse::ReversedView;
 
     /// A deterministic xorshift stream for the randomized pinning tests.
     struct Xs(u64);
@@ -709,7 +590,7 @@ mod tests {
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
                 let scratch = distances(&g, root, false, usize::MAX).unwrap();
                 assert_eq!(
-                    state.to_distance_map().as_flat_slice(),
+                    state.clone().into_distance_map().as_flat_slice(),
                     scratch.as_flat_slice(),
                     "seed {seed}, snapshot {t:?}"
                 );
@@ -738,7 +619,7 @@ mod tests {
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
                 let scratch = earliest_arrival(&g, root);
                 assert_eq!(
-                    state.to_result().arrivals(),
+                    state.clone().into_result().arrivals(),
                     scratch.arrivals(),
                     "seed {seed}, snapshot {t:?}"
                 );
@@ -759,7 +640,7 @@ mod tests {
             g.add_edge(NodeId(u), NodeId(v), t).unwrap();
         }
         state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-        let map = state.to_distance_map();
+        let map = state.into_distance_map();
         // (0, t1) via causal hop = 1, then static hops 2, 3, 4.
         assert_eq!(map.distance(TemporalNode::from_raw(0, 1)), Some(1));
         assert_eq!(map.distance(TemporalNode::from_raw(3, 1)), Some(4));
@@ -785,7 +666,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2), t).unwrap();
         state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
         assert_eq!(
-            state.to_distance_map().as_flat_slice(),
+            state.into_distance_map().as_flat_slice(),
             distances(&g, root, false, usize::MAX)
                 .unwrap()
                 .as_flat_slice()
@@ -808,13 +689,13 @@ mod tests {
         state.extend_snapshot(&g, &touched).unwrap();
         foremost.extend_snapshot(&g, &touched).unwrap();
         assert_eq!(
-            state.to_distance_map().as_flat_slice(),
+            state.clone().into_distance_map().as_flat_slice(),
             distances(&g, root, false, usize::MAX)
                 .unwrap()
                 .as_flat_slice()
         );
         assert_eq!(
-            foremost.to_result().arrivals(),
+            foremost.into_result().arrivals(),
             earliest_arrival(&g, root).arrivals()
         );
         // The brand-new node is reached only through the appended snapshot.
@@ -854,12 +735,15 @@ mod tests {
     }
 
     #[test]
-    fn from_map_round_trips_through_to_distance_map() {
+    fn from_map_round_trips_through_into_distance_map() {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
             let map = distances(&g, root, false, usize::MAX).unwrap();
             let state = ResumableBfs::from_map(&map);
-            assert_eq!(state.to_distance_map().as_flat_slice(), map.as_flat_slice());
+            assert_eq!(
+                state.clone().into_distance_map().as_flat_slice(),
+                map.as_flat_slice()
+            );
             assert_eq!(state.root(), root);
             assert_eq!(state.covered_timestamps(), g.num_timestamps());
         }
@@ -890,7 +774,7 @@ mod tests {
                 }
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
                 let scratch = nearest_sources(&g, &sources, usize::MAX).unwrap();
-                let extended = state.to_map();
+                let extended = state.clone().into_map();
                 assert_eq!(
                     extended.as_flat_slice(),
                     scratch.as_flat_slice(),
@@ -918,7 +802,7 @@ mod tests {
         state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
         let scratch = nearest_sources(&g, &sources, usize::MAX).unwrap();
         assert_eq!(
-            state.to_map().reached_with_sources(),
+            state.clone().into_map().reached_with_sources(),
             scratch.reached_with_sources()
         );
         assert_eq!(state.sources(), &sources[..]);
@@ -943,7 +827,7 @@ mod tests {
                     g.add_edge(NodeId(u), NodeId(v), t).unwrap();
                 }
                 state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-                let extended = state.to_distance_map();
+                let extended = state.clone().into_distance_map();
                 let scratch = distances(&g, root, true, usize::MAX).unwrap();
                 // Distances are pinned exactly; parent pointers are only
                 // required to be *valid* (parent one hop closer, edge exists
@@ -976,83 +860,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stable_core_fringe_is_empty_across_appends() {
-        // A backward search is a forward search on the reversed view, its
-        // reached set mapped back to original coordinates.
-        let backward = |g: &AdjacencyListGraph, root: TemporalNode| {
-            let view = ReversedView::new(g);
-            let map = distances(&view, view.map_temporal(root), false, usize::MAX).unwrap();
-            let mut reached: Vec<(TemporalNode, u32)> = map
-                .reached()
-                .into_iter()
-                .map(|(tn, d)| (view.map_temporal(tn), d))
-                .collect();
-            reached.sort_unstable();
-            reached
-        };
-        let mut g = paper_figure1();
-        let root = TemporalNode::from_raw(2, 1);
-        let reached = backward(&g, root);
-        let mut core = StableCoreResettle::from_reached_times(
-            g.num_nodes(),
-            g.num_timestamps(),
-            reached.iter().map(|&(tn, _)| tn),
-        );
-        for step in 0..3 {
-            let t = g.push_timestamp(100 + step).unwrap();
-            g.add_edge(NodeId(0), NodeId(2), t).unwrap();
-            let fringe = core.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-            assert!(fringe.is_empty(), "append produced an unstable fringe");
-            assert_eq!(core.covered_timestamps(), t.index() + 1);
-            // The reversed result really is append-invariant.
-            assert_eq!(backward(&g, root), reached, "snapshot {t:?}");
-        }
-    }
-
-    #[test]
-    fn stable_core_detects_an_out_of_prefix_value() {
-        // Contrived violation of the append-only contract: a retained value
-        // sitting *at* the to-be-appended snapshot. The verifier must report
-        // the node as unstable fringe and refuse to advance coverage.
-        let mut g = paper_figure1();
-        let bogus = TemporalNode::new(NodeId(1), TimeIndex::from_index(g.num_timestamps()));
-        let mut core = StableCoreResettle::from_reached_times(
-            g.num_nodes(),
-            g.num_timestamps(),
-            [TemporalNode::from_raw(0, 0), bogus],
-        );
-        let t = g.push_timestamp(100).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), t).unwrap();
-        let covered_before = core.covered_timestamps();
-        let fringe = core.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-        assert_eq!(fringe, vec![NodeId(1)]);
-        assert_eq!(core.covered_timestamps(), covered_before);
-    }
-
-    #[test]
-    fn stable_core_rejects_graphs_it_is_not_dimensioned_for() {
-        let mut g = paper_figure1();
-        let mut core =
-            StableCoreResettle::from_reached_times(g.num_nodes(), g.num_timestamps(), []);
-        // No appended snapshot yet: out of range.
-        assert!(matches!(
-            core.extend_snapshot(&g, &[]),
-            Err(GraphError::TimeOutOfRange { .. })
-        ));
-        g.grow_nodes(10);
-        let t = g.push_timestamp(50).unwrap();
-        g.add_edge(NodeId(0), NodeId(9), t).unwrap();
-        assert!(matches!(
-            core.extend_snapshot(&g, &touched_at(&g, t)),
-            Err(GraphError::NodeOutOfRange { .. })
-        ));
-        core.grow_nodes(10);
-        assert!(core
-            .extend_snapshot(&g, &touched_at(&g, t))
-            .unwrap()
-            .is_empty());
     }
 }

@@ -107,14 +107,12 @@ impl QueryDescriptor {
     /// * **Bounded window end** ([`AppendRepair::Redimension`]): the window
     ///   never covers appended snapshots, so the answer is append-invariant
     ///   *modulo its time dimensions* — remap coordinates, touch no edges.
-    /// * **Effective reversal** ([`AppendRepair::Resettle`]): a reversed
-    ///   traversal from a fixed-time root only reaches times at or before
-    ///   the root — strictly earlier than any appended snapshot — so the
-    ///   prior value map is the *stable core* (Afarin et al.) and only an
-    ///   unstable fringe drawn from the delta's touched nodes could need
-    ///   re-settling;
-    ///   [`StableCoreResettle`](egraph_core::resume::StableCoreResettle)
-    ///   verifies that fringe is empty instead of assuming it.
+    /// * **Effective reversal** ([`AppendRepair::Resettle`]): causal edges
+    ///   only go forward in time, so a reversed traversal from a fixed-time
+    ///   root only reaches times at or before the root — strictly earlier
+    ///   than any appended snapshot. The prior answer is the *stable core*
+    ///   (Afarin et al.) and holds unchanged; the repair re-dimensions it,
+    ///   an `O(result)` copy with no graph work.
     /// * **Empty window** ([`AppendRepair::None`]): the query always errors
     ///   and errors are never cached — nothing to repair.
     pub fn append_repair(&self) -> AppendRepair {
@@ -167,7 +165,9 @@ pub enum AppendRepair {
     Extend,
     /// Remap the result's time dimensions; no graph work.
     Redimension,
-    /// Reuse the stable core after verifying the unstable fringe is empty.
+    /// Reuse the stable core: a reversed traversal never reaches an appended
+    /// snapshot, so the result is re-dimensioned (an `O(result)` copy, no
+    /// graph work).
     Resettle,
     /// No repair applies (the query unconditionally errors; never cached).
     None,

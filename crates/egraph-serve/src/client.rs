@@ -159,9 +159,7 @@ impl Client {
         if head.status != 200 {
             let body = match head.framing {
                 http::BodyFraming::Sized(n) => {
-                    let mut raw = vec![0u8; n];
-                    std::io::Read::read_exact(&mut reader, &mut raw)?;
-                    String::from_utf8_lossy(&raw).into_owned()
+                    String::from_utf8_lossy(&http::read_body(&mut reader, n)?).into_owned()
                 }
                 http::BodyFraming::Chunked => String::new(),
             };
@@ -194,9 +192,7 @@ impl Client {
         if head.status != 200 {
             let body = match head.framing {
                 http::BodyFraming::Sized(n) => {
-                    let mut raw = vec![0u8; n];
-                    std::io::Read::read_exact(&mut reader, &mut raw)?;
-                    String::from_utf8_lossy(&raw).into_owned()
+                    String::from_utf8_lossy(&http::read_body(&mut reader, n)?).into_owned()
                 }
                 http::BodyFraming::Chunked => String::new(),
             };
@@ -232,11 +228,7 @@ impl Client {
         let mut reader = BufReader::new(stream);
         let head = http::read_response_head(&mut reader)?;
         let raw = match head.framing {
-            http::BodyFraming::Sized(n) => {
-                let mut raw = vec![0u8; n];
-                std::io::Read::read_exact(&mut reader, &mut raw)?;
-                raw
-            }
+            http::BodyFraming::Sized(n) => http::read_body(&mut reader, n)?,
             http::BodyFraming::Chunked => {
                 return Err(invalid("checkpoint responses must be sized".into()))
             }

@@ -40,7 +40,14 @@ use std::time::{Duration, Instant};
 /// socket and return, which takes microseconds; the grace covers its being
 /// descheduled, and bounds the wait when its final write stalls on a client
 /// that does not read.
-pub(crate) const HANDOFF_GRACE: Duration = Duration::from_millis(5);
+///
+/// It is long next to a scheduler time slice because one miss is not
+/// transient: the new thread's malloc arena keeps its share of the working
+/// set after the server is gone. At 5 ms, servebench's `ingest_durable`
+/// loop on a 2-vCPU host that was also compiling or running busy loops
+/// missed the handoff in one server of 15 to 100, and each run with a miss
+/// peaked 8–30 MB above the 115–119 MB of the runs without one.
+pub(crate) const HANDOFF_GRACE: Duration = Duration::from_millis(100);
 
 /// Counters for `/stats`: threads made over the set's lifetime, and alive
 /// now (busy or parked).

@@ -18,6 +18,12 @@ use std::io::{self, BufRead, Read, Write};
 /// documents; anything past this is hostile or broken.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
+/// The most a body read reserves before the body's bytes arrive. A length
+/// comes from the peer, so reserving all of it up front would let one
+/// header (`Content-Length: 18446744073709551615`) abort the reader with a
+/// capacity overflow before any body byte is sent.
+const MAX_BODY_RESERVE: usize = 1 << 20;
+
 /// A parsed request: method, path, and the (possibly empty) UTF-8 body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
@@ -126,11 +132,24 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
             limit: max_body,
         });
     }
-    let mut raw = vec![0u8; declared];
-    reader.read_exact(&mut raw)?;
-    let body = String::from_utf8(raw)
+    let body = String::from_utf8(read_body(reader, declared)?)
         .map_err(|_| RequestError::Malformed("request body is not UTF-8".into()))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads a body of `n` bytes, where `n` is a length the peer declared. The
+/// buffer grows as bytes arrive, from at most [`MAX_BODY_RESERVE`] reserved
+/// up front; a body shorter than `n` is [`io::ErrorKind::UnexpectedEof`].
+pub(crate) fn read_body<R: Read>(reader: &mut R, n: usize) -> io::Result<Vec<u8>> {
+    let mut raw = Vec::with_capacity(n.min(MAX_BODY_RESERVE));
+    reader.take(n as u64).read_to_end(&mut raw)?;
+    if raw.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {n} declared bytes", raw.len()),
+        ));
+    }
+    Ok(raw)
 }
 
 /// Reads one CRLF-terminated head line, terminator included, charging it
@@ -337,12 +356,8 @@ pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     let head = read_response_head(reader)?;
     let body = match head.framing {
-        BodyFraming::Sized(n) => {
-            let mut raw = vec![0u8; n];
-            reader.read_exact(&mut raw)?;
-            String::from_utf8(raw)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))?
-        }
+        BodyFraming::Sized(n) => String::from_utf8(read_body(reader, n)?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))?,
         BodyFraming::Chunked => {
             let mut body = String::new();
             while let Some(chunk) = read_chunk(reader)? {
@@ -389,8 +404,7 @@ pub fn read_chunk_bytes<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>
         }
         return Ok(None);
     }
-    let mut raw = vec![0u8; size];
-    reader.read_exact(&mut raw)?;
+    let raw = read_body(reader, size)?;
     let mut crlf = [0u8; 2];
     reader.read_exact(&mut crlf)?;
     if &crlf != b"\r\n" {
@@ -593,6 +607,20 @@ mod tests {
             }
             BodyFraming::Chunked => panic!("binary responses are sized, not chunked"),
         }
+    }
+
+    #[test]
+    fn an_oversized_content_length_is_an_error_not_a_panic() {
+        let wire = "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        let err = read_response(&mut BufReader::new(wire.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_oversized_chunk_size_is_an_error_not_a_panic() {
+        let wire = "ffffffffffffffff\r\n";
+        let err = read_chunk_bytes(&mut BufReader::new(wire.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

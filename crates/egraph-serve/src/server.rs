@@ -661,15 +661,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(request) => request,
         Err(RequestError::Io(_)) => return, // nobody left to answer
         Err(RequestError::Malformed(message)) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(shared, &mut stream, 400, &http::error_body(&message));
+            reject(shared, &mut stream, 400, &message);
             return;
         }
         Err(RequestError::BodyTooLarge { declared, limit }) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message =
                 format!("request body of {declared} bytes exceeds the {limit}-byte bound");
-            respond(shared, &mut stream, 413, &http::error_body(&message));
+            reject(shared, &mut stream, 413, &message);
             return;
         }
     };
@@ -718,14 +716,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             "/query" | "/subscribe" | "/ingest" | "/stats" | "/health" | "/log/tail"
             | "/checkpoint/latest",
         ) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message = format!("method {} not allowed here", request.method);
-            respond(shared, &mut stream, 405, &http::error_body(&message));
+            reject(shared, &mut stream, 405, &message);
         }
         (_, path) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
             let message = format!("no route {path}");
-            respond(shared, &mut stream, 404, &http::error_body(&message));
+            reject(shared, &mut stream, 404, &message);
         }
     }
 }
@@ -736,6 +732,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 /// [`crate::connections`]).
 fn respond(shared: &Shared, stream: &mut TcpStream, status: u16, body: &str) {
     respond_with_retry_after(shared, stream, status, body, None);
+}
+
+/// Answers a request the server refuses with a `4xx` status and the
+/// structured JSON error body, counting it in [`ServerStats::bad_requests`].
+fn reject(shared: &Shared, stream: &mut TcpStream, status: u16, message: &str) {
+    shared.bad_requests.fetch_add(1, Ordering::Relaxed);
+    respond(shared, stream, status, &http::error_body(message));
 }
 
 fn respond_with_retry_after(
@@ -765,13 +768,7 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
     let descriptor = match descriptor_from_json(&request.body) {
         Ok(descriptor) => descriptor,
         Err(err) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(
-                shared,
-                &mut stream,
-                400,
-                &http::error_body(&err.to_string()),
-            );
+            reject(shared, &mut stream, 400, &err.to_string());
             return;
         }
     };
@@ -827,9 +824,9 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
             // range): 422, shared by everyone who coalesced onto it. The
             // cache never stores errors, so nothing is counted — the same
             // request can heal as the graph grows.
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let body = http::error_body(&err.to_string());
-            respond(shared, &mut own, 422, &body);
+            let message = err.to_string();
+            reject(shared, &mut own, 422, &message);
+            let body = http::error_body(&message);
             for mut waiter in waiters {
                 let _ = http::write_response(&mut waiter, 422, &body);
             }
@@ -845,13 +842,7 @@ fn handle_subscribe(shared: &Arc<Shared>, mut stream: TcpStream, request: &Reque
     let descriptor = match descriptor_from_json(&request.body) {
         Ok(descriptor) => descriptor,
         Err(err) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(
-                shared,
-                &mut stream,
-                400,
-                &http::error_body(&err.to_string()),
-            );
+            reject(shared, &mut stream, 400, &err.to_string());
             return;
         }
     };
@@ -871,13 +862,7 @@ fn handle_subscribe(shared: &Arc<Shared>, mut stream: TcpStream, request: &Reque
     };
     match initial {
         Err(err) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(
-                shared,
-                &mut stream,
-                422,
-                &http::error_body(&err.to_string()),
-            );
+            reject(shared, &mut stream, 422, &err.to_string());
         }
         Ok((result, outcome, version)) => {
             let frame = frame_body(
@@ -1044,8 +1029,7 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
     let ingest = match parse_ingest(&request.body) {
         Ok(ingest) => ingest,
         Err(message) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(shared, &mut stream, 400, &http::error_body(&message));
+            reject(shared, &mut stream, 400, &message);
             return;
         }
     };
@@ -1093,13 +1077,7 @@ fn handle_ingest(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request)
         // snapshots are searched, and a failing request reaches no seal —
         // but events applied before the failure stay pending (in graph and
         // log alike), so a corrected retry continues from them.
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        respond(
-            shared,
-            &mut stream,
-            422,
-            &http::error_body(&err.to_string()),
-        );
+        reject(shared, &mut stream, 422, &err.to_string());
         return;
     }
 
@@ -1304,20 +1282,18 @@ fn write_segment_chunks(
 /// happen. Only a durable leader (a server with a log) can be tailed.
 fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>) {
     let Some(log) = shared.log.as_ref() else {
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        respond(
+        reject(
             shared,
             &mut stream,
             403,
-            &http::error_body("this server has no durable log to tail (start it durable)"),
+            "this server has no durable log to tail (start it durable)",
         );
         return;
     };
     let from = match parse_tail_from(query) {
         Ok(from) => from,
         Err(message) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(shared, &mut stream, 400, &http::error_body(&message));
+            reject(shared, &mut stream, 400, &message);
             return;
         }
     };
@@ -1327,21 +1303,19 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
         (num_nodes, directed, log.segments_sealed(), log.first_seq())
     };
     if from > latest {
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
         let message = format!("from={from} is beyond the log's {latest} sealed segments");
-        respond(shared, &mut stream, 400, &http::error_body(&message));
+        reject(shared, &mut stream, 400, &message);
         return;
     }
     if from < first_seq {
         // Compaction deleted the requested prefix. The covering state
         // lives in a checkpoint now, so point the tailer there instead of
         // streaming a hole.
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
         let message = format!(
             "from={from} was compacted away (the log now starts at segment {first_seq}); \
              bootstrap from GET /checkpoint/latest and tail the suffix"
         );
-        respond(shared, &mut stream, 410, &http::error_body(&message));
+        reject(shared, &mut stream, 410, &message);
         return;
     }
     let init_frame = format!(
@@ -1396,12 +1370,11 @@ fn handle_tail(shared: &Arc<Shared>, mut stream: TcpStream, query: Option<&str>)
 /// has checkpoints to serve.
 fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
     let Some(log) = shared.log.as_ref() else {
-        shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-        respond(
+        reject(
             shared,
             &mut stream,
             403,
-            &http::error_body("this server has no durable log (and so no checkpoints)"),
+            "this server has no durable log (and so no checkpoints)",
         );
         return;
     };
@@ -1415,12 +1388,11 @@ fn handle_checkpoint_latest(shared: &Arc<Shared>, mut stream: TcpStream) {
             let _ = http::write_response_bytes(&mut stream, 200, &file);
         }
         Ok(None) => {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            respond(
+            reject(
                 shared,
                 &mut stream,
                 404,
-                &http::error_body("no readable checkpoint has been installed"),
+                "no readable checkpoint has been installed",
             );
         }
         Err(err) => {

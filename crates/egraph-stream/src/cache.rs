@@ -13,12 +13,13 @@
 //! | forward, unbounded-end window, `Foremost` | **extended** from the cached arrival table ([`ResumableForemost`]) | `Extended` |
 //! | forward, unbounded-end window, `SharedFrontier` | **extended** from the cached packed `(dist<<32)\|src` claims ([`ResumableShared`]) | `Extended` |
 //! | bounded window end (any strategy / direction / reverse / parents) | **re-dimensioned**: the window never covers appended snapshots, so the answer is append-invariant modulo its time dimensions — coordinates are remapped, no edge is touched | `Redimensioned` |
-//! | effective time reversal, unbounded end | **stable-core resettle** (Afarin et al.): the prior value map is reused after [`StableCoreResettle`] *verifies* the unstable fringe drawn from the delta's touched nodes is empty — `O(\|touched\|)`, zero traversal; a non-empty fringe (append contract violated) falls back to recompute | `Resettled` |
+//! | effective time reversal, unbounded end | **stable-core resettle** (Afarin et al.): causal edges only go forward in time, so a reversed traversal from a fixed-time root never reaches an appended snapshot and the prior answer holds unchanged; it is re-dimensioned like a bounded window — an `O(result)` copy, no graph work | `Resettled` |
 //! | empty window | always errors; errors are never cached | — |
 //!
-//! Every row is now incremental: `Recomputed` survives only as the fallback
-//! when a repair refuses (fringe violation above). Repairs do *graph work*
-//! at most proportional to the appended delta — the
+//! The dispatch is keyed on the descriptor's [`AppendRepair`], stored on each
+//! entry. Every row that can be cached is incremental, so no stale entry is
+//! recomputed. Repairs do *graph work* at most proportional to the appended
+//! delta — the
 //! `incremental_vs_recompute` bench pins this with
 //! [`CountingView`](egraph_core::instrument::CountingView) counters — while
 //! staying answer-identical to a from-scratch [`Search::run`] on the sealed
@@ -74,7 +75,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use egraph_core::error::Result;
 use egraph_core::ids::TimeIndex;
-use egraph_core::resume::{ResumableBfs, ResumableForemost, ResumableShared, StableCoreResettle};
+use egraph_core::resume::{Resumable, ResumableBfs, ResumableForemost, ResumableShared};
 use egraph_query::{AppendRepair, QueryDescriptor, QueryExecutor, Search, SearchResult, Strategy};
 
 use crate::live::LiveGraph;
@@ -92,12 +93,15 @@ pub enum CacheOutcome {
     /// A stale bounded-window entry was re-dimensioned to the grown graph —
     /// coordinates remapped, no graph work.
     Redimensioned,
-    /// A stale time-reversed entry's stable core was reused after verifying
-    /// the unstable fringe was empty — `O(|touched|)`, no traversal.
+    /// A stale time-reversed entry was reused as its stable core:
+    /// re-dimensioned to the grown graph — an `O(result)` copy, no graph
+    /// work. Causal edges only go forward in time, so a reversed traversal
+    /// never reaches an appended snapshot.
     Resettled,
-    /// A stale entry was recomputed from scratch. With every matrix row now
-    /// incremental this is a fallback only (a repair that refused, e.g. a
-    /// stable-core fringe violation) — normal operation never reports it.
+    /// A stale entry was recomputed from scratch. Only a descriptor with no
+    /// repair ([`AppendRepair::None`], an empty window) would take this
+    /// path, and such a query always errors, so it is never cached: normal
+    /// operation never reports this outcome.
     Recomputed,
 }
 
@@ -122,11 +126,11 @@ pub struct CacheStats {
     /// Bounded-window entries re-dimensioned without graph work
     /// ([`CacheOutcome::Redimensioned`]).
     pub redimensioned: u64,
-    /// Time-reversed entries whose stable core was reused after fringe
-    /// verification ([`CacheOutcome::Resettled`]).
+    /// Time-reversed entries whose stable core was reused by
+    /// re-dimensioning ([`CacheOutcome::Resettled`]).
     pub stable_core_resettled: u64,
-    /// Stale entries recomputed from scratch — fallback only; zero in
-    /// normal operation now that every matrix row repairs incrementally.
+    /// Stale entries recomputed from scratch — zero in normal operation,
+    /// since every cacheable matrix row repairs incrementally.
     pub recomputes: u64,
     /// Queries with no prior entry.
     pub misses: u64,
@@ -171,33 +175,6 @@ impl CacheStats {
     }
 }
 
-/// How a stale entry can be repaired. Decided once, from the descriptor, at
-/// insert time — one variant per row of the invalidation matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EntryKind {
-    /// Forward unbounded-end hop maps: extendable via [`ResumableBfs`].
-    Hops,
-    /// As [`EntryKind::Hops`] with BFS-tree parents — the same resumable
-    /// extension (parent links ride the frontier), counted separately
-    /// ([`CacheStats::extended_shared`]).
-    HopsParents,
-    /// Forward unbounded-end arrival tables: extendable via
-    /// [`ResumableForemost`].
-    Foremost,
-    /// Forward unbounded-end nearest-source maps: extendable via
-    /// [`ResumableShared`].
-    Shared,
-    /// Bounded window end (any strategy / direction): append-invariant
-    /// modulo time dimensions; repaired by coordinate remapping.
-    Windowed,
-    /// Effective time reversal, unbounded end: stable-core reuse after
-    /// [`StableCoreResettle`] fringe verification.
-    Reversed,
-    /// No repair applies. Unused in practice: the only `AppendRepair::None`
-    /// shape (an empty window) always errors, and errors are never cached.
-    Opaque,
-}
-
 #[derive(Debug)]
 struct CacheEntry {
     /// The [`LiveGraph::graph_id`] this entry answers for. Checked on every
@@ -207,7 +184,9 @@ struct CacheEntry {
     version: u64,
     /// Snapshots covered by `result` — where an extension resumes from.
     covered: usize,
-    kind: EntryKind,
+    /// How `result` is repaired once the graph moves past `version`,
+    /// decided from the descriptor at insert time.
+    repair: AppendRepair,
     /// The shared materialised result at `version`; a `Hit` clones the
     /// `Arc`, not the payload.
     result: Arc<SearchResult>,
@@ -329,16 +308,19 @@ impl QueryCache {
 
     /// Bumps the counter for `outcome` — called exactly where the outcome's
     /// result is served, so counters stay atomic with what callers observe.
-    /// `Extended` splits by the entry's matrix row: the hop/foremost rows
-    /// land in [`CacheStats::extensions`], the shared-frontier/parents rows
-    /// in [`CacheStats::extended_shared`].
-    fn record(&self, outcome: CacheOutcome, kind: EntryKind) {
+    /// `Extended` splits by the descriptor: the hop/foremost rows land in
+    /// [`CacheStats::extensions`], the shared-frontier/parents rows in
+    /// [`CacheStats::extended_shared`].
+    fn record(&self, outcome: CacheOutcome, descriptor: &QueryDescriptor) {
         match outcome {
             CacheOutcome::Hit => &self.hits,
-            CacheOutcome::Extended => match kind {
-                EntryKind::Shared | EntryKind::HopsParents => &self.extended_shared,
-                _ => &self.extensions,
-            },
+            CacheOutcome::Extended
+                if descriptor.strategy() == Strategy::SharedFrontier
+                    || descriptor.with_parents() =>
+            {
+                &self.extended_shared
+            }
+            CacheOutcome::Extended => &self.extensions,
             CacheOutcome::Redimensioned => &self.redimensioned,
             CacheOutcome::Resettled => &self.stable_core_resettled,
             CacheOutcome::Recomputed => &self.recomputes,
@@ -419,23 +401,17 @@ impl QueryCache {
             match map.get(&descriptor) {
                 Some(entry) if entry.graph_id == graph_id && entry.version == version => {
                     entry.last_used.store(self.tick(), Ordering::Relaxed);
-                    self.record(CacheOutcome::Hit, entry.kind);
+                    self.record(CacheOutcome::Hit, &descriptor);
                     return Ok((Arc::clone(&entry.result), CacheOutcome::Hit));
                 }
-                // Stale but extendable: the graph only ever gained sealed
-                // snapshots (and possibly nodes) since the entry's version
-                // — the append-only contract of `LiveGraph`.
-                Some(entry) if entry.graph_id == graph_id && entry.kind != EntryKind::Opaque => {
-                    RepairPlan::Extend {
-                        kind: entry.kind,
-                        covered: entry.covered,
-                        result: Arc::clone(&entry.result),
-                    }
+                // Stale: the graph only ever gained sealed snapshots (and
+                // possibly nodes) since the entry's version — the
+                // append-only contract of `LiveGraph`.
+                Some(entry) if entry.graph_id == graph_id => {
+                    Some((entry.repair, entry.covered, Arc::clone(&entry.result)))
                 }
-                // Stale and opaque: recompute. Absent (or left over from
-                // another graph): run from scratch.
-                Some(entry) if entry.graph_id == graph_id => RepairPlan::Recompute,
-                _ => RepairPlan::Miss,
+                // Absent (or left over from another graph).
+                _ => None,
             }
         };
 
@@ -443,19 +419,8 @@ impl QueryCache {
         // same-shard hits keep flowing and a panicking engine cannot poison
         // the shard.
         let (outcome, computed) = match plan {
-            RepairPlan::Extend {
-                kind,
-                covered,
-                result,
-            } => match extend_result(kind, covered, &result, live) {
-                Some(repaired) => (outcome_for(kind), Ok(Arc::new(repaired))),
-                // The repair refused (stable-core fringe violation): fall
-                // back to the from-scratch run it no longer trusts itself
-                // to avoid.
-                None => (CacheOutcome::Recomputed, search.run(live.graph())),
-            },
-            RepairPlan::Recompute => (CacheOutcome::Recomputed, search.run(live.graph())),
-            RepairPlan::Miss => (CacheOutcome::Miss, search.run(live.graph())),
+            Some((repair, covered, stale)) => repair_entry(repair, covered, &stale, live, search),
+            None => (CacheOutcome::Miss, search.run(live.graph())),
         };
 
         // Install under the shard write lock — held only for map surgery.
@@ -474,30 +439,30 @@ impl QueryCache {
                 Err(err)
             }
             Ok(result) => {
-                let kind = entry_kind(&descriptor);
                 if let Some(entry) = map.get(&descriptor) {
                     if entry.graph_id == graph_id && entry.version == version {
                         // A sibling installed the same repair first; serve
                         // the shared copy so every reader keeps pointing at
                         // one materialisation, and drop ours.
                         entry.last_used.store(self.tick(), Ordering::Relaxed);
-                        self.record(outcome, kind);
+                        self.record(outcome, &descriptor);
                         return Ok((Arc::clone(&entry.result), outcome));
                     }
                 }
+                self.record(outcome, &descriptor);
+                let repair = descriptor.append_repair();
                 map.insert(
                     descriptor,
                     CacheEntry {
                         graph_id,
                         version,
                         covered: live.num_sealed(),
-                        kind,
+                        repair,
                         result: Arc::clone(&result),
                         last_used: AtomicU64::new(self.tick()),
                     },
                 );
                 self.evict_over_capacity(&mut map);
-                self.record(outcome, kind);
                 Ok((result, outcome))
             }
         }
@@ -521,7 +486,7 @@ impl QueryCache {
         match map.get(&descriptor) {
             Some(entry) if entry.graph_id == graph_id && entry.version == version => {
                 entry.last_used.store(self.tick(), Ordering::Relaxed);
-                self.record(CacheOutcome::Hit, entry.kind);
+                self.record(CacheOutcome::Hit, &descriptor);
                 Some(Arc::clone(&entry.result))
             }
             _ => None,
@@ -561,127 +526,73 @@ fn write_lock(shard: &Shard) -> RwLockWriteGuard<'_, HashMap<QueryDescriptor, Ca
     shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What the slow path captured under the read lock and will perform with no
-/// lock held.
-enum RepairPlan {
-    /// Advance the shared result over the appended snapshots.
-    Extend {
-        kind: EntryKind,
-        covered: usize,
-        result: Arc<SearchResult>,
-    },
-    /// A stale opaque entry: run from scratch.
-    Recompute,
-    /// No usable entry: run from scratch.
-    Miss,
-}
-
-/// The repair kind a fresh entry will use when it goes stale. Mirrors the
-/// descriptor's [`AppendRepair`] classification row for row.
-fn entry_kind(descriptor: &QueryDescriptor) -> EntryKind {
-    match descriptor.append_repair() {
-        AppendRepair::None => EntryKind::Opaque,
-        AppendRepair::Redimension => EntryKind::Windowed,
-        AppendRepair::Resettle => EntryKind::Reversed,
-        AppendRepair::Extend => match descriptor.strategy() {
-            Strategy::Serial | Strategy::Parallel | Strategy::Algebraic => {
-                if descriptor.with_parents() {
-                    EntryKind::HopsParents
-                } else {
-                    EntryKind::Hops
-                }
-            }
-            Strategy::Foremost => EntryKind::Foremost,
-            Strategy::SharedFrontier => EntryKind::Shared,
-        },
-    }
-}
-
-/// The outcome a successful repair of `kind` reports.
-fn outcome_for(kind: EntryKind) -> CacheOutcome {
-    match kind {
-        EntryKind::Hops | EntryKind::HopsParents | EntryKind::Foremost | EntryKind::Shared => {
-            CacheOutcome::Extended
-        }
-        EntryKind::Windowed => CacheOutcome::Redimensioned,
-        EntryKind::Reversed => CacheOutcome::Resettled,
-        EntryKind::Opaque => unreachable!("opaque entries recompute"),
-    }
-}
-
-/// Repairs the entry's shared result (covering `covered` snapshots) up to
-/// the live graph's sealed state, per the entry's matrix row. Returns `None`
-/// when the repair refuses — only the stable-core row can, on a fringe
-/// verification failure — in which case the caller recomputes.
-///
-/// Extension rows rebuild resumable state from the result instead of
-/// retaining it alongside (the state duplicates the result's tables, so
-/// storing both doubled entry memory); the rebuild is a scan of the result,
-/// no graph work, so repair work stays delta-proportional (pinned by the
-/// `incremental_vs_recompute` bench).
-fn extend_result(
-    kind: EntryKind,
+/// Repairs a stale entry's result, which covers `covered` snapshots, up to
+/// the live graph's sealed state: one arm per row of the invalidation
+/// matrix, keyed on the descriptor's [`AppendRepair`].
+fn repair_entry(
+    repair: AppendRepair,
     covered: usize,
-    result: &SearchResult,
+    stale: &SearchResult,
     live: &LiveGraph,
-) -> Option<SearchResult> {
-    match kind {
-        EntryKind::Hops | EntryKind::HopsParents => {
-            // `ResumableBfs::from_map` captures parent links when the map
-            // has them, so the parents row is the same extension.
-            let mut states: Vec<ResumableBfs> = result
-                .distance_maps()
-                .iter()
-                .map(ResumableBfs::from_map)
-                .collect();
-            extend_states(&mut states, live);
-            Some(SearchResult::from_maps(
-                states.iter().map(|s| s.to_distance_map()).collect(),
-                false,
-            ))
-        }
-        EntryKind::Foremost => {
-            let mut states: Vec<ResumableForemost> = result
-                .foremost_results()
-                .iter()
-                .map(|table| ResumableForemost::from_result(table, covered))
-                .collect();
-            extend_states(&mut states, live);
-            Some(SearchResult::from_arrivals(
-                states.iter().map(|s| s.to_result()).collect(),
-                false,
-            ))
-        }
-        EntryKind::Shared => {
-            let mut states = [ResumableShared::from_map(result.shared_map())];
-            extend_states(&mut states, live);
-            let [state] = states;
-            Some(SearchResult::from_shared(state.to_map(), false))
-        }
-        EntryKind::Windowed => Some(redimension_result(result, live)),
-        EntryKind::Reversed => {
-            // Stable-core reuse (Afarin et al.): the retained values are
-            // append-invariant *if* none could flow into the appended
-            // snapshots. Verify that over the deltas' touched sets —
-            // `O(|touched|)` per seal, zero traversal — then the repair is
-            // pure re-dimensioning.
-            let graph = live.graph();
-            let mut core = StableCoreResettle::from_reached_times(
-                result_num_nodes(result),
-                covered,
-                reached_temporal_nodes(result),
+    search: &Search,
+) -> (CacheOutcome, Result<Arc<SearchResult>>) {
+    let (outcome, repaired) = match repair {
+        AppendRepair::Extend => (CacheOutcome::Extended, extend_result(covered, stale, live)),
+        AppendRepair::Redimension => (CacheOutcome::Redimensioned, redimension_result(stale, live)),
+        AppendRepair::Resettle => {
+            // Causal edges only go forward in time, so a reversed traversal
+            // from a root inside the covered prefix never reaches a snapshot
+            // appended after it: the answer is the stable core (Afarin et
+            // al.) and only its dimensions grow. That holds as long as the
+            // result spans exactly the covered snapshots.
+            debug_assert!(
+                stale
+                    .try_distance_maps()
+                    .is_none_or(|maps| maps.iter().all(|m| m.num_timestamps() == covered))
+                    && stale
+                        .try_shared_map()
+                        .is_none_or(|m| m.num_timestamps() == covered),
+                "a resettled result must span exactly its covered snapshots"
             );
-            core.grow_nodes(graph.num_nodes());
-            for t in core.covered_timestamps()..live.num_sealed() {
-                let t = TimeIndex::from_index(t);
-                let fringe = core.extend_snapshot(graph, live.touched_at(t)).ok()?;
-                if !fringe.is_empty() {
-                    return None;
-                }
-            }
-            Some(redimension_result(result, live))
+            (CacheOutcome::Resettled, redimension_result(stale, live))
         }
-        EntryKind::Opaque => unreachable!("opaque entries recompute"),
+        // Only an empty window classifies here. It always errors, and
+        // errors are never cached, so no such entry exists to go stale.
+        AppendRepair::None => return (CacheOutcome::Recomputed, search.run(live.graph())),
+    };
+    (outcome, Ok(Arc::new(repaired)))
+}
+
+/// Advances a forward unbounded-end result over the appended snapshots with
+/// the resumable engine its payload came from.
+///
+/// The resumable state is rebuilt from the result instead of retained
+/// alongside it (the state duplicates the result's tables, so storing both
+/// doubled entry memory). The rebuild copies each table once and is no graph
+/// work, so repair work stays delta-proportional (pinned by the
+/// `incremental_vs_recompute` bench); the extended state then moves into
+/// the new result.
+fn extend_result(covered: usize, result: &SearchResult, live: &LiveGraph) -> SearchResult {
+    if let Some(maps) = result.try_distance_maps() {
+        // `ResumableBfs::from_map` captures parent links when the map has
+        // them, so a `with_parents` result takes the same extension.
+        let mut states: Vec<_> = maps.iter().map(ResumableBfs::from_map).collect();
+        extend_states(&mut states, live);
+        let maps = states.into_iter().map(ResumableBfs::into_distance_map);
+        SearchResult::from_maps(maps.collect(), false)
+    } else if let Some(tables) = result.try_foremost_results() {
+        let mut states: Vec<_> = tables
+            .iter()
+            .map(|table| ResumableForemost::from_result(table, covered))
+            .collect();
+        extend_states(&mut states, live);
+        let tables = states.into_iter().map(ResumableForemost::into_result);
+        SearchResult::from_arrivals(tables.collect(), false)
+    } else {
+        let mut states = [ResumableShared::from_map(result.shared_map())];
+        extend_states(&mut states, live);
+        let [state] = states;
+        SearchResult::from_shared(state.into_map(), false)
     }
 }
 
@@ -689,7 +600,7 @@ fn extend_result(
 /// re-dimension repair: distances / arrivals / attributions all keep their
 /// values (they are indexed by snapshot label position and node id, neither
 /// of which an append can move), new nodes and snapshots start unreached.
-/// No graph work.
+/// An `O(result)` copy with no graph work.
 fn redimension_result(result: &SearchResult, live: &LiveGraph) -> SearchResult {
     let graph = live.graph();
     let (num_nodes, num_timestamps) = (graph.num_nodes(), graph.num_timestamps());
@@ -711,104 +622,6 @@ fn redimension_result(result: &SearchResult, live: &LiveGraph) -> SearchResult {
             result.shared_map().redimensioned(num_nodes, num_timestamps),
             reversed,
         )
-    }
-}
-
-/// The node dimension of a result's payload (all payloads agree).
-fn result_num_nodes(result: &SearchResult) -> usize {
-    if let Some(maps) = result.try_distance_maps() {
-        maps.first().map(|m| m.num_nodes()).unwrap_or(0)
-    } else if let Some(tables) = result.try_foremost_results() {
-        tables.first().map(|a| a.arrivals().len()).unwrap_or(0)
-    } else {
-        result.shared_map().num_nodes()
-    }
-}
-
-/// Every temporal node at which a result holds a value — the reached set
-/// the stable-core verifier summarises.
-fn reached_temporal_nodes(result: &SearchResult) -> Vec<egraph_core::ids::TemporalNode> {
-    use egraph_core::ids::TemporalNode;
-    if let Some(maps) = result.try_distance_maps() {
-        maps.iter()
-            .flat_map(|m| m.reached().into_iter().map(|(tn, _)| tn))
-            .collect()
-    } else if let Some(tables) = result.try_foremost_results() {
-        tables
-            .iter()
-            .flat_map(|a| {
-                a.reachable()
-                    .into_iter()
-                    .map(|(v, t)| TemporalNode::new(v, t))
-            })
-            .collect()
-    } else {
-        result
-            .shared_map()
-            .reached()
-            .into_iter()
-            .map(|(tn, _)| tn)
-            .collect()
-    }
-}
-
-/// The common resumable-state surface the extension loop needs, so the hop
-/// and foremost paths share one implementation and cannot drift.
-trait Resumable {
-    fn grow_nodes(&mut self, num_nodes: usize);
-    fn covered_timestamps(&self) -> usize;
-    fn extend_snapshot(
-        &mut self,
-        graph: &egraph_core::csr::CsrAdjacency,
-        touched: &[egraph_core::ids::NodeId],
-    ) -> Result<()>;
-}
-
-impl Resumable for ResumableBfs {
-    fn grow_nodes(&mut self, num_nodes: usize) {
-        ResumableBfs::grow_nodes(self, num_nodes)
-    }
-    fn covered_timestamps(&self) -> usize {
-        ResumableBfs::covered_timestamps(self)
-    }
-    fn extend_snapshot(
-        &mut self,
-        graph: &egraph_core::csr::CsrAdjacency,
-        touched: &[egraph_core::ids::NodeId],
-    ) -> Result<()> {
-        ResumableBfs::extend_snapshot(self, graph, touched)
-    }
-}
-
-impl Resumable for ResumableShared {
-    fn grow_nodes(&mut self, num_nodes: usize) {
-        ResumableShared::grow_nodes(self, num_nodes)
-    }
-    fn covered_timestamps(&self) -> usize {
-        ResumableShared::covered_timestamps(self)
-    }
-    fn extend_snapshot(
-        &mut self,
-        graph: &egraph_core::csr::CsrAdjacency,
-        touched: &[egraph_core::ids::NodeId],
-    ) -> Result<()> {
-        ResumableShared::extend_snapshot(self, graph, touched)
-    }
-}
-
-impl Resumable for ResumableForemost {
-    fn grow_nodes(&mut self, num_nodes: usize) {
-        ResumableForemost::grow_nodes(self, num_nodes)
-    }
-    fn covered_timestamps(&self) -> usize {
-        ResumableForemost::covered_timestamps(self)
-    }
-    fn extend_snapshot(
-        &mut self,
-        graph: &egraph_core::csr::CsrAdjacency,
-        touched: &[egraph_core::ids::NodeId],
-    ) -> Result<()> {
-        ResumableForemost::extend_snapshot(self, graph, touched)
     }
 }
 

@@ -63,8 +63,10 @@ fn main() -> Result<()> {
 
     // The forward query is *extended* from its retained frontier — work
     // proportional to the new snapshot — while the backward query is
-    // *resettled*: a fringe scan over the touched nodes verifies the new
-    // snapshot cannot reach into its past, so the stable core is reused.
+    // *resettled*: causal edges only go forward in time, so a backward
+    // search never reaches the new snapshot and its answer is the stable
+    // core — re-dimensioned to the grown graph, an O(result) copy with no
+    // graph work.
     let (result, outcome) = cache.execute_traced(&live, &forward)?;
     println!(
         "forward from (0, t0): {:?}, reaches {:?}",

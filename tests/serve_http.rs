@@ -349,6 +349,8 @@ fn hostile_requests_get_structured_errors_and_the_server_keeps_serving() {
     assert_eq!(response.status, 200);
     let expected = search_result_to_json(&good.to_search().run(fixture_live().graph()).unwrap());
     assert_eq!(response.body, expected);
+    // Every 4xx above counted once: six 400s, a 413, two 422s, a 404, a 405.
+    assert_eq!(server.stats().bad_requests, 11);
 }
 
 #[test]
