@@ -6,9 +6,14 @@
 //!
 //! 1. **Correctness is schedule-independent.** The parallel engine's
 //!    `DistanceMap` is asserted bit-for-bit identical to serial BFS at every
-//!    measured pool size, and its `CountingView` work counters are asserted
-//!    *equal* to the serial engine's — parallelism changes who expands a
-//!    frontier node, never how much graph work is done.
+//!    measured pool size. On a 1-thread pool (the serial kernel loop) its
+//!    `CountingView` work counters are asserted *equal* to the serial
+//!    engine's. On a 4-thread pool its static work (expansions and static
+//!    edges delivered) is asserted equal — parallelism changes who expands
+//!    a frontier node, never which nodes expand. Causal deliveries there
+//!    follow the kernel's causal cursor, whose `fetch_min` intervals depend
+//!    on expansion order, so both engines' are asserted at most one per
+//!    active temporal node.
 //! 2. **Wall-clock speedup is real — when the hardware has cores.** On a
 //!    host with ≥ 2 available cores the bench *asserts* ≥ 1.5× speedup over
 //!    serial BFS at some measured pool size on the large-frontier workload.
@@ -35,7 +40,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::parallel_bfs_workload;
 use egraph_core::csr::CsrAdjacency;
 use egraph_core::graph::EvolvingGraph;
-use egraph_core::instrument::CountingView;
+use egraph_core::instrument::{CountingView, TraversalCounters};
 use egraph_query::{Search, Strategy};
 use rayon::ThreadPoolBuilder;
 
@@ -105,22 +110,61 @@ fn parallel_bfs_bench(c: &mut Criterion) {
         {
             let serial_view = CountingView::new(&graph);
             serial_query.run(&serial_view).unwrap();
-            let serial_work = serial_view.counters().total();
+            let serial_counters = serial_view.counters();
+            let serial_work = serial_counters.total();
+
+            // A 1-thread pool runs the serial kernel loop, so every counter,
+            // causal deliveries included, equals Serial's exactly.
+            let inline = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+            let inline_view = CountingView::new(&graph);
+            let inline_result = inline.install(|| parallel_query.run(&inline_view)).unwrap();
+            assert_eq!(
+                serial_result.distance_map().as_flat_slice(),
+                inline_result.distance_map().as_flat_slice(),
+                "scale {scale}: 1-thread parallel distances must equal serial"
+            );
+            assert_eq!(
+                serial_work,
+                inline_view.counters().total(),
+                "scale {scale}: Parallel on a 1-thread pool must do identical graph work"
+            );
 
             let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
             let parallel_view = CountingView::new(&graph);
             let parallel_result = pool.install(|| parallel_query.run(&parallel_view)).unwrap();
-            let parallel_work = parallel_view.counters().total();
+            let parallel_counters = parallel_view.counters();
 
             assert_eq!(
                 serial_result.distance_map().as_flat_slice(),
                 parallel_result.distance_map().as_flat_slice(),
                 "scale {scale}: parallel distances must equal serial"
             );
+            // On the 4-thread pool wide levels expand. Every reached node is
+            // expanded once on either path, so the static work is identical.
+            // Causal deliveries follow the causal cursor, whose intervals
+            // depend on the order in which a node's same-level copies expand
+            // (frontier order serially, the interleaving of `fetch_min`s when
+            // wide); both stay within one per active temporal node.
+            let static_work = |c: &TraversalCounters| {
+                (
+                    c.static_out_calls,
+                    c.neighbors_delivered - c.active_times_delivered,
+                )
+            };
             assert_eq!(
-                serial_work, parallel_work,
-                "scale {scale}: parallel expansion must do identical graph work"
+                static_work(&serial_counters),
+                static_work(&parallel_counters),
+                "scale {scale}: parallel expansion must do identical static graph work"
             );
+            let active_nodes = graph.num_active_nodes() as u64;
+            for (path, c) in [("serial", serial_counters), ("parallel", parallel_counters)] {
+                assert!(
+                    c.active_times_delivered <= active_nodes,
+                    "scale {scale}: {path} delivered {} active times for {active_nodes} \
+                     active temporal nodes",
+                    c.active_times_delivered
+                );
+            }
 
             // --- and the wall-clock trajectory. ---------------------------
             let serial_ns = min_time_ns(5, 3, || serial_query.run(&graph).unwrap().num_reached());
@@ -287,7 +331,10 @@ fn write_json_summary(
          \"best_speedup_measured\": {best_speedup:.2},\n  \
          \"notes\": \"serial = Strategy::Serial on CsrAdjacency; pools = Strategy::Parallel \
          under an explicit ThreadPoolBuilder of N threads (1 = inline); work_counters are \
-         CountingView totals, asserted identical between serial and parallel; distances \
+         the serial search's CountingView totals, asserted identical on a 1-thread parallel \
+         pool; on a 4-thread pool static work (expansions and static edges delivered) is \
+         asserted identical and each path's causal deliveries at most the active temporal \
+         nodes; distances \
          asserted bit-for-bit identical; the 1-thread pool runs the serial kernel \
          loop and is asserted at >= required_single_thread_ratio x serial on every host; \
          on hosts with >= 2 cores the bench asserts best speedup >= required_speedup, \

@@ -11,8 +11,10 @@
 //! linear-scaling experiment of Figure 5 does when it "consecutively adds new
 //! random static edges".
 
+use core::ops::Range;
+
 use crate::error::{GraphError, Result};
-use crate::graph::EvolvingGraph;
+use crate::graph::{visit_sorted_times, EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// An evolving graph stored as per-snapshot adjacency lists plus a per-node
@@ -364,14 +366,14 @@ impl EvolvingGraph for AdjacencyListGraph {
         }
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        for &t in self.active_slice(v) {
-            f(t);
-        }
-    }
-
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        self.active[v.index()].binary_search(&t).is_ok()
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        visit_sorted_times(self.active_slice(v), range, order, f)
     }
 
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {

@@ -37,8 +37,10 @@
 //! offset rows keep their sealed length and lookups beyond a row's end
 //! simply report no neighbors.
 
+use core::ops::Range;
+
 use crate::error::{GraphError, Result};
-use crate::graph::EvolvingGraph;
+use crate::graph::{visit_sorted_times, EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// An evolving graph whose per-snapshot adjacency is stored in compressed
@@ -608,49 +610,14 @@ impl EvolvingGraph for CsrAdjacency {
         }
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        for &t in self.active_slice(v) {
-            f(t);
-        }
-    }
-
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        CsrAdjacency::is_active(self, v, t)
-    }
-
-    /// Slice-direct override of the provided forward-neighbor visitor: one
-    /// binary search replaces the activeness scan, and both edge classes are
-    /// enumerated straight off the contiguous pools with a single dyn
-    /// callback layer — the hot path of the (parallel) frontier expansion,
-    /// which is why the CSR layout exists. Visitation order matches the
-    /// provided method exactly: static out-edges at `t`, then causal edges
-    /// in increasing snapshot order.
-    fn for_each_forward_neighbor(&self, tn: TemporalNode, f: &mut dyn FnMut(TemporalNode)) {
-        let times = self.active_slice(tn.node);
-        let Ok(pos) = times.binary_search(&tn.time) else {
-            return; // inactive temporal nodes have no forward neighbors
-        };
-        for &w in self.out_slice(tn.node, tn.time) {
-            f(TemporalNode::new(w, tn.time));
-        }
-        for &t in &times[pos + 1..] {
-            f(TemporalNode::new(tn.node, t));
-        }
-    }
-
-    /// Backward twin of the forward override (reversed static edges at `t`,
-    /// then causal edges to earlier snapshots in increasing order).
-    fn for_each_backward_neighbor(&self, tn: TemporalNode, f: &mut dyn FnMut(TemporalNode)) {
-        let times = self.active_slice(tn.node);
-        let Ok(pos) = times.binary_search(&tn.time) else {
-            return;
-        };
-        for &u in self.in_slice(tn.node, tn.time) {
-            f(TemporalNode::new(u, tn.time));
-        }
-        for &t in &times[..pos] {
-            f(TemporalNode::new(tn.node, t));
-        }
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        visit_sorted_times(self.active_slice(v), range, order, f)
     }
 
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {

@@ -7,15 +7,63 @@
 //!
 //! * the node universe and snapshot sequence,
 //! * the static edges incident to a node at a snapshot,
-//! * the snapshots at which a node is *active* (Definition 3), and
+//! * the snapshots at which a node is *active* (Definition 3), visited over
+//!   any half-open range of snapshot indices in either order, and
 //! * the derived *forward* / *backward* neighbor relations (Definition 5)
 //!   that combine static edges with causal edges.
 //!
-//! Neighbor enumeration uses callback-style visitors (`&mut dyn FnMut`) so
-//! that view adaptors (time windows, reversed time) can implement the trait
-//! without allocating, while remaining object safe.
+//! One ranged primitive, [`EvolvingGraph::for_each_active_time_in`], is the
+//! only way a graph or a view reports active times. Activeness checks, the
+//! causal half of both neighbor visitors and the traversal kernel's causal
+//! cursor are all built on it, so a view that answers it (clipping, shifting
+//! or flipping the range) keeps every storage's binary search.
+//!
+//! Enumeration uses callback-style visitors (`&mut dyn FnMut`) so that view
+//! adaptors (time windows, reversed time) can implement the trait without
+//! allocating, while remaining object safe.
+
+use core::ops::Range;
 
 use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timestamp};
+
+/// The order in which [`EvolvingGraph::for_each_active_time_in`] visits
+/// active times.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimeOrder {
+    /// Earliest snapshot first.
+    Ascending,
+    /// Latest snapshot first.
+    Descending,
+}
+
+impl TimeOrder {
+    /// The opposite order: what a time-reversed view asks of its inner graph.
+    pub fn reversed(self) -> Self {
+        match self {
+            TimeOrder::Ascending => TimeOrder::Descending,
+            TimeOrder::Descending => TimeOrder::Ascending,
+        }
+    }
+}
+
+/// The ranged active-time visit over one node's sorted active times: two
+/// `partition_point`s and a slice walk, with no allocation. Every storage
+/// that keeps a sorted per-node `Vec<TimeIndex>` answers
+/// [`EvolvingGraph::for_each_active_time_in`] with it.
+pub(crate) fn visit_sorted_times(
+    times: &[TimeIndex],
+    range: Range<TimeIndex>,
+    order: TimeOrder,
+    f: &mut dyn FnMut(TimeIndex),
+) {
+    let lo = times.partition_point(|&t| t < range.start);
+    let hi = lo + times[lo..].partition_point(|&t| t < range.end);
+    let times = &times[lo..hi];
+    match order {
+        TimeOrder::Ascending => times.iter().for_each(|&t| f(t)),
+        TimeOrder::Descending => times.iter().rev().for_each(|&t| f(t)),
+    }
+}
 
 /// Abstract interface over evolving-graph representations.
 ///
@@ -24,9 +72,16 @@ use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timest
 ///
 /// * snapshot labels are strictly increasing in [`TimeIndex`] order;
 /// * `for_each_static_out`/`in` never report self-loops;
-/// * `for_each_active_time` reports snapshot indices in increasing order and
-///   reports exactly the snapshots at which the node has at least one
-///   incident static edge (Definition 3).
+/// * `for_each_active_time_in(v, range, order, f)` reports exactly the
+///   snapshots in `range` at which `v` has at least one incident static
+///   edge (Definition 3), each once, in `order`. The range is half-open
+///   over snapshot indices and may be empty, inverted (`start > end`, which
+///   reports nothing) or reach past `num_timestamps()` (clipped);
+/// * outside `0..num_timestamps()` a node is inactive, and a view reports
+///   no static edges there (a storage may panic instead), never those of an
+///   inner snapshot the view does not hold;
+/// * the neighbor visitors report static edges first, then causal edges in
+///   increasing snapshot order (of the view, for a view).
 ///
 /// Every graph is `Sync`: the traversal kernel ([`crate::kernel`]) may
 /// expand a wide BFS level across the rayon pool.
@@ -59,9 +114,20 @@ pub trait EvolvingGraph: Sync {
     /// [`EvolvingGraph::for_each_static_out`]).
     fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId));
 
-    /// Visits, in increasing order, every snapshot index at which `v` is an
-    /// active node.
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex));
+    /// Visits, in `order`, every snapshot index inside the half-open `range`
+    /// at which `v` is an active node. An empty or inverted range visits
+    /// nothing; a range reaching past the last snapshot is clipped to it.
+    ///
+    /// This is the one required active-time method: activeness checks,
+    /// whole-history enumeration and both neighbor visitors are provided on
+    /// top of it.
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    );
 
     // ------------------------------------------------------------------
     // Provided methods
@@ -93,15 +159,19 @@ pub trait EvolvingGraph: Sync {
         None
     }
 
+    /// Visits, in increasing order, every snapshot index at which `v` is an
+    /// active node: the full range, ascending.
+    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
+        let all = TimeIndex(0)..TimeIndex::from_index(self.num_timestamps());
+        self.for_each_active_time_in(v, all, TimeOrder::Ascending, f);
+    }
+
     /// Whether the temporal node `(v, t)` is active (Definition 3): it has at
-    /// least one incident static edge at snapshot `t`.
+    /// least one incident static edge at snapshot `t`. A one-slot range.
     fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
         let mut active = false;
-        self.for_each_active_time(v, &mut |ti| {
-            if ti == t {
-                active = true;
-            }
-        });
+        let slot = t..TimeIndex(t.0.saturating_add(1));
+        self.for_each_active_time_in(v, slot, TimeOrder::Ascending, &mut |_| active = true);
         active
     }
 
@@ -149,9 +219,9 @@ pub trait EvolvingGraph: Sync {
     /// Visits every *forward neighbor* (Definition 5) of the temporal node
     /// `(v, t)`:
     ///
-    /// * `(w, t)` for every static edge `(v, w)` in snapshot `t`, and
+    /// * `(w, t)` for every static edge `(v, w)` in snapshot `t`, then
     /// * `(v, t′)` for every later snapshot `t′ > t` at which `v` is active
-    ///   (the causal edges `E′` of Theorem 1).
+    ///   (the causal edges `E′` of Theorem 1), earliest first.
     ///
     /// If `(v, t)` is inactive nothing is visited — temporal paths cannot
     /// start at an inactive node (Definition 4).
@@ -162,16 +232,15 @@ pub trait EvolvingGraph: Sync {
         self.for_each_static_out(tn.node, tn.time, &mut |w| {
             f(TemporalNode::new(w, tn.time));
         });
-        self.for_each_active_time(tn.node, &mut |t| {
-            if t > tn.time {
-                f(TemporalNode::new(tn.node, t));
-            }
+        let later = TimeIndex(tn.time.0 + 1)..TimeIndex::from_index(self.num_timestamps());
+        self.for_each_active_time_in(tn.node, later, TimeOrder::Ascending, &mut |t| {
+            f(TemporalNode::new(tn.node, t));
         });
     }
 
     /// Visits every *backward neighbor* of `(v, t)`: the temporal nodes of
-    /// which `(v, t)` is a forward neighbor. Used by the backward-in-time
-    /// searches of Section V.
+    /// which `(v, t)` is a forward neighbor. Static in-edges at `t` come
+    /// first, then the earlier active snapshots of `v`, earliest first.
     fn for_each_backward_neighbor(&self, tn: TemporalNode, f: &mut dyn FnMut(TemporalNode)) {
         if !self.is_active(tn.node, tn.time) {
             return;
@@ -179,10 +248,9 @@ pub trait EvolvingGraph: Sync {
         self.for_each_static_in(tn.node, tn.time, &mut |u| {
             f(TemporalNode::new(u, tn.time));
         });
-        self.for_each_active_time(tn.node, &mut |t| {
-            if t < tn.time {
-                f(TemporalNode::new(tn.node, t));
-            }
+        let earlier = TimeIndex(0)..tn.time;
+        self.for_each_active_time_in(tn.node, earlier, TimeOrder::Ascending, &mut |t| {
+            f(TemporalNode::new(tn.node, t));
         });
     }
 
@@ -252,7 +320,9 @@ pub trait EvolvingGraph: Sync {
 }
 
 /// Blanket implementation so `&G` can be handed to algorithms generic over
-/// `G: EvolvingGraph`.
+/// `G: EvolvingGraph`. It forwards the required methods and the one
+/// provided method a storage overrides (`time_index_of`), so wrapping a
+/// reference loses no fast path.
 impl<G: EvolvingGraph + ?Sized> EvolvingGraph for &G {
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()
@@ -275,11 +345,17 @@ impl<G: EvolvingGraph + ?Sized> EvolvingGraph for &G {
     fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
         (**self).for_each_static_in(v, t, f)
     }
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        (**self).for_each_active_time(v, f)
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        (**self).for_each_active_time_in(v, range, order, f)
     }
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        (**self).is_active(v, t)
+    fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {
+        (**self).time_index_of(timestamp)
     }
 }
 
@@ -371,6 +447,119 @@ mod tests {
                     g.backward_neighbors(b).contains(&a),
                     "{a:?} -> {b:?} not inverted"
                 );
+            }
+        }
+    }
+
+    /// The primitive's contract on `g`: `active_times` is Definition 3
+    /// (some static edge at the snapshot); for every node, every range with
+    /// ends in `0..=n + 2` (empty, inverted and clipped ones included) and
+    /// both orders, the ranged visit is the matching filter of
+    /// `active_times`; `is_active` is membership, false past the end; and
+    /// the neighbor visitors deliver static edges first, then causal edges
+    /// earliest first.
+    fn assert_ranged_contract<G: EvolvingGraph>(g: &G, label: &str) {
+        let n = g.num_timestamps() as u32;
+        for v in (0..g.num_nodes()).map(NodeId::from_index) {
+            let all = g.active_times(v);
+            let definition: Vec<TimeIndex> = (0..n)
+                .map(TimeIndex)
+                .filter(|&t| {
+                    let static_edges = g.static_out_neighbors(v, t).len();
+                    static_edges + g.static_in_neighbors(v, t).len() > 0
+                })
+                .collect();
+            assert_eq!(all, definition, "{label}: active times of {v:?}");
+            for t in (0..n + 3).map(TimeIndex) {
+                assert_eq!(
+                    g.is_active(v, t),
+                    all.contains(&t),
+                    "{label}: {v:?} at {t:?}"
+                );
+            }
+            for a in 0..n + 3 {
+                for b in 0..n + 3 {
+                    let mut want: Vec<TimeIndex> = all
+                        .iter()
+                        .copied()
+                        .filter(|t| (a..b).contains(&t.0))
+                        .collect();
+                    for order in [TimeOrder::Ascending, TimeOrder::Descending] {
+                        let mut got = Vec::new();
+                        let range = TimeIndex(a)..TimeIndex(b);
+                        g.for_each_active_time_in(v, range, order, &mut |t| got.push(t));
+                        assert_eq!(got, want, "{label}: {v:?} over {a}..{b} {order:?}");
+                        want.reverse();
+                    }
+                }
+            }
+            for t in (0..n).map(TimeIndex) {
+                let tn = TemporalNode::new(v, t);
+                let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+                if all.contains(&t) {
+                    let out = g.static_out_neighbors(v, t).into_iter();
+                    fwd.extend(out.map(|w| TemporalNode::new(w, t)));
+                    let later = all.iter().filter(|&&s| s > t);
+                    fwd.extend(later.map(|&s| TemporalNode::new(v, s)));
+                    let inn = g.static_in_neighbors(v, t).into_iter();
+                    bwd.extend(inn.map(|u| TemporalNode::new(u, t)));
+                    let earlier = all.iter().filter(|&&s| s < t);
+                    bwd.extend(earlier.map(|&s| TemporalNode::new(v, s)));
+                }
+                assert_eq!(g.forward_neighbors(tn), fwd, "{label}: forward of {tn:?}");
+                assert_eq!(g.backward_neighbors(tn), bwd, "{label}: backward of {tn:?}");
+            }
+        }
+    }
+
+    /// A directed graph of seeded random edges, with a sparse snapshot so
+    /// that some nodes skip snapshots.
+    fn random_edges(num_nodes: u32, num_timestamps: u32, count: usize) -> Vec<(u32, u32, u32)> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(m)) as u32
+        };
+        let edges = (0..count).map(|_| (next(num_nodes), next(num_nodes), next(num_timestamps)));
+        edges.filter(|&(u, v, t)| u != v && t != 3).collect()
+    }
+
+    #[test]
+    fn every_implementor_keeps_the_ranged_visit_contract() {
+        use crate::csr::CsrAdjacency;
+        use crate::instrument::CountingView;
+        use crate::reverse::ReversedView;
+        use crate::snapshots::SnapshotSequence;
+        use crate::window::TimeWindowView;
+
+        let edges = random_edges(24, 9, 90);
+        let graphs = [
+            ("paper", figure1(), None),
+            (
+                "random",
+                AdjacencyListGraph::from_indexed_edges(24, 9, &edges).unwrap(),
+                Some(SnapshotSequence::from_indexed_edges(24, 9, &edges).unwrap()),
+            ),
+        ];
+        for (name, g, snapshots) in &graphs {
+            let csr = CsrAdjacency::from_graph(g);
+            let last = TimeIndex::from_index(g.num_timestamps() - 1);
+            let window = TimeWindowView::new(&csr, TimeIndex(1), last).unwrap();
+            let inner = TimeWindowView::new(g, TimeIndex(0), TimeIndex(1)).unwrap();
+            assert_ranged_contract(g, &format!("{name} adjacency"));
+            assert_ranged_contract(&csr, &format!("{name} csr"));
+            assert_ranged_contract(&&csr, &format!("{name} &csr"));
+            assert_ranged_contract(&window, &format!("{name} window"));
+            assert_ranged_contract(&inner, &format!("{name} first two snapshots"));
+            assert_ranged_contract(&ReversedView::new(g), &format!("{name} reversed"));
+            let reversed_window = ReversedView::new(window);
+            assert_ranged_contract(&reversed_window, &format!("{name} reversed window"));
+            let counted = CountingView::new(&reversed_window);
+            assert_ranged_contract(&counted, &format!("{name} counted"));
+            if let Some(snapshots) = snapshots {
+                assert_ranged_contract(snapshots, &format!("{name} snapshots"));
             }
         }
     }

@@ -16,14 +16,16 @@
 //! that follows the traversal. Counting costs one relaxed increment per
 //! event — enough contention to perturb parallel *wall-clock* numbers, so
 //! benches measure time on the bare graph and work on the counted view.
-//! Note the view instruments the *provided* neighbor visitors: a layout's
-//! own fast-path overrides (e.g. [`crate::csr::CsrAdjacency`]'s
-//! slice-direct `for_each_forward_neighbor`) are bypassed under counting,
-//! which is exactly what makes counters layout-independent.
+//! The view counts the three required enumeration methods, and every
+//! provided method and the traversal kernel reach the graph only through
+//! them. No storage overrides a neighbor visitor, so a counted traversal
+//! walks the same code as an uncounted one and the counters do not depend
+//! on the layout.
 
+use core::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::graph::EvolvingGraph;
+use crate::graph::{EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TimeIndex, Timestamp};
 
 /// A snapshot of the work counters of a [`CountingView`].
@@ -33,12 +35,17 @@ pub struct TraversalCounters {
     pub static_out_calls: u64,
     /// Calls to `for_each_static_in` (backward traversals).
     pub static_in_calls: u64,
-    /// Calls to `for_each_active_time` (activeness checks and causal-edge
-    /// enumeration).
+    /// Calls to the ranged active-time visit `for_each_active_time_in`
+    /// (one-slot activeness checks and causal-edge enumeration).
     pub active_time_calls: u64,
     /// Total neighbors / active times delivered across all calls — the edge
     /// work of the traversal.
     pub neighbors_delivered: u64,
+    /// The active times among `neighbors_delivered`. In a kernel search
+    /// these are the causal edges it walks plus one per root activeness
+    /// check; in a single-source search the causal cursor keeps them at
+    /// most the number of active temporal nodes.
+    pub active_times_delivered: u64,
 }
 
 impl TraversalCounters {
@@ -65,6 +72,7 @@ pub struct CountingView<'g, G> {
     static_in_calls: AtomicU64,
     active_time_calls: AtomicU64,
     neighbors_delivered: AtomicU64,
+    active_times_delivered: AtomicU64,
 }
 
 impl<'g, G: EvolvingGraph> CountingView<'g, G> {
@@ -76,6 +84,7 @@ impl<'g, G: EvolvingGraph> CountingView<'g, G> {
             static_in_calls: AtomicU64::new(0),
             active_time_calls: AtomicU64::new(0),
             neighbors_delivered: AtomicU64::new(0),
+            active_times_delivered: AtomicU64::new(0),
         }
     }
 
@@ -91,6 +100,7 @@ impl<'g, G: EvolvingGraph> CountingView<'g, G> {
             static_in_calls: self.static_in_calls.load(Ordering::Relaxed),
             active_time_calls: self.active_time_calls.load(Ordering::Relaxed),
             neighbors_delivered: self.neighbors_delivered.load(Ordering::Relaxed),
+            active_times_delivered: self.active_times_delivered.load(Ordering::Relaxed),
         }
     }
 
@@ -101,6 +111,7 @@ impl<'g, G: EvolvingGraph> CountingView<'g, G> {
         self.static_in_calls.store(0, Ordering::Relaxed);
         self.active_time_calls.store(0, Ordering::Relaxed);
         self.neighbors_delivered.store(0, Ordering::Relaxed);
+        self.active_times_delivered.store(0, Ordering::Relaxed);
     }
 }
 
@@ -141,12 +152,20 @@ impl<G: EvolvingGraph> EvolvingGraph for CountingView<'_, G> {
         });
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
         self.active_time_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.for_each_active_time(v, &mut |t| {
-            self.neighbors_delivered.fetch_add(1, Ordering::Relaxed);
-            f(t);
-        });
+        self.inner
+            .for_each_active_time_in(v, range, order, &mut |t| {
+                self.neighbors_delivered.fetch_add(1, Ordering::Relaxed);
+                self.active_times_delivered.fetch_add(1, Ordering::Relaxed);
+                f(t);
+            });
     }
 }
 

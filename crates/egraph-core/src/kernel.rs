@@ -18,10 +18,30 @@
 //! * **wide**, chunked over the pool with `fetch_min` claims into per-chunk
 //!   buffers spliced in chunk order, with the same answer.
 //!
+//! A hop from `(v, t)` follows `v`'s static out-edges at `t` and its causal
+//! edges to later active times. The causal edges `E′` are quadratic in each
+//! node's active count, but level-synchronous order makes most of them
+//! redundant: the first expansion of `v` already offers every later active
+//! time a claim. A per-node *causal cursor* `lo[v]` — the earliest time at
+//! which `v` has been expanded — removes the redundancy. Expanding `(v, t)`
+//! delivers only the active times in `(t, lo[v])`, through the graph's
+//! ranged active-time visit, then lowers `lo[v]` to `t` (`fetch_min` on a
+//! wide level). The delivered intervals are disjoint, so a single-source
+//! search walks each node's causal edges at most once per active time:
+//! Theorem 2's bound in static edges plus active nodes. For the shared
+//! frontier a later expansion at the same level may carry a smaller source
+//! index, so the suffix is skipped only when the key of the node that set
+//! the cursor is no larger than the expander's; otherwise the expander
+//! delivers its whole suffix. A skipped delivery could only have met a
+//! slot already as good, so answers and first-discoverer parents are those
+//! of the plain loop.
+//!
 //! Seeds enter at any level, in key order: a search seeds its sources at
 //! level 0, and a [`crate::resume`] extension seeds each touched node of an
 //! appended snapshot at its cheapest causal entry (`node_best + 1`), the
-//! stable-value reuse of Afarin et al.
+//! stable-value reuse of Afarin et al. An extension settles only the new
+//! snapshot, so its causal bound is that snapshot and it follows static
+//! edges alone.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
@@ -30,8 +50,8 @@ use rayon::prelude::*;
 
 use crate::distance::{DistanceMap, MultiSourceMap};
 use crate::error::{GraphError, Result};
-use crate::graph::EvolvingGraph;
-use crate::ids::TemporalNode;
+use crate::graph::{EvolvingGraph, TimeOrder};
+use crate::ids::{TemporalNode, TimeIndex};
 
 /// Default frontier width below which a level expands serially.
 /// `EGRAPH_PAR_THRESHOLD` overrides it per process (read once), the query
@@ -127,27 +147,45 @@ pub(crate) fn into_keys<S: Slot>(slots: Vec<S>) -> Vec<S::Key> {
 }
 
 /// The loop over one slot table. Temporal node `tn` owns
-/// `slots[tn.flat_index(num_nodes) - base]`; `neighbours(tn, f)` calls `f`
-/// on every node one hop from `tn`.
-pub(crate) struct Kernel<'a, S, N> {
+/// `slots[tn.flat_index(num_nodes) - base]`. One hop from `(v, t)` follows
+/// `v`'s static out-edges at `t`, then its causal edges to the active times
+/// in `(t, end)` that the causal cursor has not already handed on.
+pub(crate) struct Kernel<'a, S, G> {
     slots: &'a [S],
+    graph: &'a G,
     num_nodes: usize,
     base: usize,
-    neighbours: N,
+    end: u32,
+    /// Per node, the earliest time at which it has been expanded (`end`
+    /// before any): every later active time has been offered a claim from
+    /// that expansion or an earlier one. Relaxed suffices: the cursor
+    /// publishes no other data. The slot of the node that set it was final
+    /// before its level began, and the deliveries it stands for finish
+    /// before the level's join.
+    cursor: Vec<AtomicU32>,
 }
 
-impl<'a, S, N> Kernel<'a, S, N>
-where
-    S: Slot,
-    N: Fn(TemporalNode, &mut dyn FnMut(TemporalNode)) + Sync,
-{
-    pub(crate) fn new(slots: &'a [S], num_nodes: usize, base: usize, neighbours: N) -> Self {
+impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
+    /// A kernel over `slots` whose causal edges stop before snapshot `end`.
+    pub(crate) fn new(
+        slots: &'a [S],
+        graph: &'a G,
+        num_nodes: usize,
+        base: usize,
+        end: TimeIndex,
+    ) -> Self {
         Kernel {
             slots,
+            graph,
             num_nodes,
             base,
-            neighbours,
+            end: end.0,
+            cursor: (0..num_nodes).map(|_| AtomicU32::new(end.0)).collect(),
         }
+    }
+
+    fn slot(&self, tn: TemporalNode) -> &S {
+        &self.slots[tn.flat_index(self.num_nodes) - self.base]
     }
 
     /// Runs the level loop from `seeds`. A level at least `threshold` wide
@@ -181,10 +219,10 @@ where
                     let from = tn.flat_index(self.num_nodes);
                     let key = S::claim(&self.slots[from - self.base], level);
                     let (next, parents) = (&mut next, &mut parents);
-                    (self.neighbours)(tn, &mut move |nbr| {
+                    self.expand(tn, false, move |nbr| {
                         // The common case, a slot already as good, costs one
                         // plain load; the claim itself is out of line.
-                        if key < self.slots[nbr.flat_index(self.num_nodes) - self.base].load() {
+                        if key < self.slot(nbr).load() {
                             self.claim(nbr, key, from as u64, next, parents);
                         }
                     });
@@ -199,6 +237,49 @@ where
                 (true, Some(&(key, _, _))) => S::level(key),
                 (true, None) => return (reached, depth),
             };
+        }
+    }
+
+    /// Calls `f` on every node one hop from the frontier node `tn = (v, t)`
+    /// that could still improve: `v`'s static out-edges at `t`, then `v`'s
+    /// active times in `(t, upper)`, earliest first, and lowers `v`'s cursor
+    /// to `t` (`wide`: with `fetch_min`).
+    ///
+    /// `upper` is the cursor `lo` when the node `(v, lo)` that set it holds a
+    /// key no larger than `tn`'s: that expansion, or one before it, offered
+    /// every active time past `lo` a claim no worse than `tn`'s, so the
+    /// suffix would claim nothing and is skipped. Otherwise (a shared
+    /// frontier whose setter came from a larger source index at the same
+    /// level) `upper` is `end`. Each node's deliveries are thus disjoint
+    /// intervals, at most its active count in a single-source search, and
+    /// skipped deliveries change no slot and so no parent.
+    #[inline]
+    fn expand(&self, tn: TemporalNode, wide: bool, mut f: impl FnMut(TemporalNode)) {
+        let (v, t) = (tn.node, tn.time);
+        self.graph
+            .for_each_static_out(v, t, &mut |w| f(TemporalNode::new(w, t)));
+        let cursor = &self.cursor[v.index()];
+        let lo = if wide {
+            cursor.fetch_min(t.0, Relaxed)
+        } else {
+            let lo = cursor.load(Relaxed);
+            if t.0 < lo {
+                cursor.store(t.0, Relaxed);
+            }
+            lo
+        };
+        let setter = TemporalNode::new(v, TimeIndex(lo));
+        let upper = if lo < self.end && self.slot(setter).load() <= self.slot(tn).load() {
+            lo
+        } else {
+            self.end
+        };
+        if t.0 + 1 < upper {
+            let later = TimeIndex(t.0 + 1)..TimeIndex(upper);
+            self.graph
+                .for_each_active_time_in(v, later, TimeOrder::Ascending, &mut |s| {
+                    f(TemporalNode::new(v, s))
+                });
         }
     }
 
@@ -231,10 +312,9 @@ where
         let buffers: Vec<Vec<TemporalNode>> = frontier
             .par_iter()
             .fold(Vec::new, |mut acc, &tn| {
-                let from = tn.flat_index(self.num_nodes) - self.base;
-                let key = S::claim(&self.slots[from], level);
-                (self.neighbours)(tn, &mut |nbr| {
-                    let slot = &self.slots[nbr.flat_index(self.num_nodes) - self.base];
+                let key = S::claim(self.slot(tn), level);
+                self.expand(tn, true, |nbr| {
+                    let slot = self.slot(nbr);
                     // One claimant sees the slot unreached; rivals only lower
                     // the key. The plain load skips updates that cannot help.
                     if slot.load() > key && slot.fetch_min(key) == S::UNREACHED {
@@ -247,6 +327,11 @@ where
         next.reserve(buffers.iter().map(Vec::len).sum());
         buffers.into_iter().for_each(|buffer| next.extend(buffer));
     }
+}
+
+/// One past `graph`'s last snapshot: a full search's causal bound.
+fn graph_end<G: EvolvingGraph>(graph: &G) -> TimeIndex {
+    TimeIndex::from_index(graph.num_timestamps())
 }
 
 /// Validates that `root` is inside the graph and active: Definition 4
@@ -300,12 +385,8 @@ pub fn distances<G: EvolvingGraph>(
     let slots = table::<AtomicU32>(n * t);
     let mut parents = with_parents.then(|| vec![NO_PARENT; slots.len()]);
     let seeds = vec![(0, root, NO_PARENT)];
-    let (reached, depth) =
-        Kernel::new(&slots, n, 0, |tn, f| graph.for_each_forward_neighbor(tn, f)).run(
-            seeds,
-            parents.as_deref_mut(),
-            threshold,
-        );
+    let kernel = Kernel::new(&slots, graph, n, 0, graph_end(graph));
+    let (reached, depth) = kernel.run(seeds, parents.as_deref_mut(), threshold);
     let dist = into_keys(slots);
     Ok(DistanceMap::from_table(
         n, t, root, dist, parents, reached, depth,
@@ -337,11 +418,7 @@ pub fn nearest_sources<G: EvolvingGraph>(
     let (n, t) = (graph.num_nodes(), graph.num_timestamps());
     let slots = table::<AtomicU64>(n * t);
     let seeds = (0..).zip(sources).map(|(i, &s)| (i, s, NO_PARENT));
-    Kernel::new(&slots, n, 0, |tn, f| graph.for_each_forward_neighbor(tn, f)).run(
-        seeds.collect(),
-        None,
-        threshold,
-    );
+    Kernel::new(&slots, graph, n, 0, graph_end(graph)).run(seeds.collect(), None, threshold);
     let keys = into_keys(slots);
     Ok(MultiSourceMap::from_keys(n, t, sources.to_vec(), &keys))
 }
@@ -573,10 +650,11 @@ mod tests {
         ];
         let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
         pool.install(|| {
-            Kernel::new(&slots, g.num_nodes(), 0, |tn, f| {
-                g.for_each_forward_neighbor(tn, f)
-            })
-            .run(seeds, Some(&mut parents), 0)
+            Kernel::new(&slots, &g, g.num_nodes(), 0, graph_end(&g)).run(
+                seeds,
+                Some(&mut parents),
+                0,
+            )
         });
         let dist = into_keys(slots);
         assert_eq!(dist[claimed.flat_index(3)], 1);

@@ -89,7 +89,8 @@ pub trait Resumable {
 }
 
 /// Runs the kernel over one appended row of `num_nodes` slots — slot `v`
-/// is `(v, t_new)` and a hop follows the static edges inside `t_new` — from
+/// is `(v, t_new)` and a hop follows the static edges inside `t_new`, the
+/// causal bound `t_new + 1` leaving no causal edge — from
 /// `(key, node, parent)` seeds, and returns the row's keys.
 fn settle_row<G: EvolvingGraph, S: Slot>(
     graph: &G,
@@ -100,10 +101,12 @@ fn settle_row<G: EvolvingGraph, S: Slot>(
 ) -> Vec<S::Key> {
     let row = kernel::table::<S>(num_nodes);
     let seeds = seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent));
-    Kernel::new(&row, num_nodes, t_new.index() * num_nodes, |tn, f| {
-        graph.for_each_static_out(tn.node, t_new, &mut |w| f(TemporalNode::new(w, t_new)))
-    })
-    .run(seeds.collect(), parents, usize::MAX);
+    let end = TimeIndex(t_new.0 + 1);
+    Kernel::new(&row, graph, num_nodes, t_new.index() * num_nodes, end).run(
+        seeds.collect(),
+        parents,
+        usize::MAX,
+    );
     kernel::into_keys(row)
 }
 

@@ -11,8 +11,16 @@
 //! The query builder runs every backward search as a forward search on this
 //! view, and any other forward-only algorithm can run backwards on it
 //! without modification.
+//!
+//! The view costs a backward search nothing per step. Its static edges are
+//! the inner graph's in-edges (and vice versa), and its ranged active-time
+//! visit maps the range through `t → n − 1 − t` and flips the order, so the
+//! inner storage answers it with the same binary search and slice walk as a
+//! forward search, and nothing is allocated per call.
 
-use crate::graph::EvolvingGraph;
+use core::ops::Range;
+
+use crate::graph::{EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// A time- and direction-reversed view over an evolving graph.
@@ -77,18 +85,27 @@ impl<G: EvolvingGraph> EvolvingGraph for ReversedView<G> {
         self.inner.for_each_static_out(v, self.map_time(t), f)
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        // Active times must be visited in increasing *view* order, i.e.
-        // decreasing original order.
-        let mut times: Vec<TimeIndex> = Vec::new();
-        self.inner.for_each_active_time(v, &mut |t| times.push(t));
-        for &t in times.iter().rev() {
-            f(self.map_time(t));
+    /// View range `[a, b)`, clipped to the view, is inner range
+    /// `[n − b, n − a)`; ascending view time is descending inner time.
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        let n = self.num_timestamps();
+        let (a, b) = (range.start.index().min(n), range.end.index().min(n));
+        if a >= b {
+            return;
         }
-    }
-
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        self.inner.is_active(v, self.map_time(t))
+        let inner = TimeIndex::from_index(n - b)..TimeIndex::from_index(n - a);
+        self.inner.for_each_active_time_in(
+            v,
+            inner,
+            order.reversed(),
+            &mut |t| f(self.map_time(t)),
+        );
     }
 }
 

@@ -9,8 +9,10 @@
 //! Activeness information is derived lazily and cached, so query performance
 //! matches [`crate::adjacency::AdjacencyListGraph`] once the cache is warm.
 
+use core::ops::Range;
+
 use crate::error::{GraphError, Result};
-use crate::graph::EvolvingGraph;
+use crate::graph::{visit_sorted_times, EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TimeIndex, Timestamp};
 use crate::static_graph::StaticGraph;
 
@@ -191,16 +193,16 @@ impl EvolvingGraph for SnapshotSequence {
         }
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        if v.index() < self.active.len() {
-            for &t in &self.active[v.index()] {
-                f(t);
-            }
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        if let Some(times) = self.active.get(v.index()) {
+            visit_sorted_times(times, range, order, f)
         }
-    }
-
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        v.index() < self.active.len() && self.active[v.index()].binary_search(&t).is_ok()
     }
 }
 

@@ -9,8 +9,10 @@
 //! which is also the natural way to ask "who was influenced between 2010 and
 //! 2014" in the citation application.
 
+use core::ops::Range;
+
 use crate::error::{GraphError, Result};
-use crate::graph::EvolvingGraph;
+use crate::graph::{EvolvingGraph, TimeOrder};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// A contiguous-in-time view `[start, end]` (inclusive) over an evolving
@@ -125,25 +127,33 @@ impl<G: EvolvingGraph> EvolvingGraph for TimeWindowView<G> {
     }
 
     fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.inner.for_each_static_out(v, self.to_inner_time(t), f)
+        if t.index() < self.num_timestamps() {
+            self.inner.for_each_static_out(v, self.to_inner_time(t), f)
+        }
     }
 
     fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.inner.for_each_static_in(v, self.to_inner_time(t), f)
+        if t.index() < self.num_timestamps() {
+            self.inner.for_each_static_in(v, self.to_inner_time(t), f)
+        }
     }
 
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        let start = self.start;
-        let end = self.end;
-        self.inner.for_each_active_time(v, &mut |t| {
-            if t >= start && t <= end {
-                f(TimeIndex::from_index(t.index() - start.index()));
-            }
-        });
-    }
-
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        self.inner.is_active(v, self.to_inner_time(t))
+    /// Clips `range` to the window, then shifts it onto the inner graph.
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        let len = self.num_timestamps();
+        let clip = |t: TimeIndex| self.to_inner_time(TimeIndex::from_index(t.index().min(len)));
+        let start = self.start.index();
+        let inner = clip(range.start)..clip(range.end);
+        self.inner
+            .for_each_active_time_in(v, inner, order, &mut |t| {
+                f(TimeIndex::from_index(t.index() - start))
+            });
     }
 }
 
@@ -203,5 +213,23 @@ mod tests {
         // the t3 occurrence remains, at window index 1.
         assert_eq!(w.active_times(NodeId(1)), vec![TimeIndex(1)]);
         assert!(!w.is_active(NodeId(1), TimeIndex(0)));
+    }
+
+    #[test]
+    fn snapshots_past_the_window_end_are_empty() {
+        // The window [t1, t2] holds two snapshots; inner snapshot t3 (where
+        // node 1 is active and edges 1–2 and 0–2 live) is not one of them.
+        let g = paper_figure1();
+        let w = TimeWindowView::new(&g, TimeIndex(0), TimeIndex(1)).unwrap();
+        for t in [TimeIndex(2), TimeIndex(7)] {
+            for v in 0..3 {
+                let v = NodeId(v);
+                assert!(!w.is_active(v, t), "{v:?} at {t:?}");
+                assert!(w.static_out_neighbors(v, t).is_empty(), "{v:?} at {t:?}");
+                assert!(w.static_in_neighbors(v, t).is_empty(), "{v:?} at {t:?}");
+                assert!(w.forward_neighbors(TemporalNode::new(v, t)).is_empty());
+            }
+        }
+        assert!(g.is_active(NodeId(1), TimeIndex(2)));
     }
 }

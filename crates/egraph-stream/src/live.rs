@@ -26,10 +26,11 @@
 //! [`version`]: LiveGraph::version
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_core::error::{GraphError, Result};
-use egraph_core::graph::EvolvingGraph;
+use egraph_core::graph::{EvolvingGraph, TimeOrder};
 use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 
 use crate::event::EdgeEvent;
@@ -312,11 +313,14 @@ impl EvolvingGraph for LiveGraph {
     fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
         self.graph.for_each_static_in(v, t, f)
     }
-    fn for_each_active_time(&self, v: NodeId, f: &mut dyn FnMut(TimeIndex)) {
-        self.graph.for_each_active_time(v, f)
-    }
-    fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        self.graph.is_active(v, t)
+    fn for_each_active_time_in(
+        &self,
+        v: NodeId,
+        range: Range<TimeIndex>,
+        order: TimeOrder,
+        f: &mut dyn FnMut(TimeIndex),
+    ) {
+        self.graph.for_each_active_time_in(v, range, order, f)
     }
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {
         EvolvingGraph::time_index_of(&self.graph, timestamp)
@@ -326,6 +330,43 @@ impl EvolvingGraph for LiveGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ranged_active_times_and_neighbors_match_the_sealed_csr() {
+        // The paper example plus one appended seal: for every range (empty,
+        // inverted and clipped ones included) and both orders, the live
+        // graph's ranged visit is the filter of the node's active times, and
+        // its neighbor visitors equal the CSR's.
+        let mut live = LiveGraph::from_graph(&egraph_core::examples::paper_figure1());
+        live.insert(NodeId(0), NodeId(2)).unwrap();
+        live.seal_snapshot(4).unwrap();
+        let csr = live.graph().clone();
+        let n = live.num_timestamps() as u32;
+        for v in (0..live.num_nodes()).map(NodeId::from_index) {
+            let all = csr.active_slice(v).to_vec();
+            assert_eq!(live.active_times(v), all);
+            for t in (0..n + 2).map(TimeIndex) {
+                assert_eq!(live.is_active(v, t), all.contains(&t));
+                let tn = egraph_core::ids::TemporalNode::new(v, t);
+                assert_eq!(live.forward_neighbors(tn), csr.forward_neighbors(tn));
+                assert_eq!(live.backward_neighbors(tn), csr.backward_neighbors(tn));
+            }
+            for (a, b) in (0..n + 2).flat_map(|a| (0..n + 2).map(move |b| (a, b))) {
+                let mut want: Vec<TimeIndex> = all
+                    .iter()
+                    .copied()
+                    .filter(|t| (a..b).contains(&t.0))
+                    .collect();
+                for order in [TimeOrder::Ascending, TimeOrder::Descending] {
+                    let mut got = Vec::new();
+                    let range = TimeIndex(a)..TimeIndex(b);
+                    live.for_each_active_time_in(v, range, order, &mut |t| got.push(t));
+                    assert_eq!(got, want, "{v:?} over {a}..{b} {order:?}");
+                    want.reverse();
+                }
+            }
+        }
+    }
 
     #[test]
     fn events_stay_invisible_until_sealed() {

@@ -9,6 +9,10 @@
 //! time-reversed shapes, against a backward-neighbour search that never
 //! builds a `ReversedView`.
 //!
+//! Every cell runs twice against the same expectation: on the workload's
+//! `AdjacencyListGraph` and on its `CsrAdjacency::from_graph` copy, so
+//! backward and windowed views over the CSR layout are pinned too.
+//!
 //! A cell compares the strategy's payload exactly: per-source distances,
 //! BFS-tree parents (`with_parents`), nearest-source attributions, or
 //! per-source arrival tables. Once per strategy it also compares the
@@ -359,6 +363,7 @@ fn every_engine_matches_the_oracle_on_every_shape() {
     let pools = pools();
     for workload in workloads() {
         let g = &workload.graph;
+        let csr = CsrAdjacency::from_graph(g);
         for sources in &workload.source_sets {
             for (start, end, window) in windows(g.num_timestamps() as u32) {
                 for orientation in ORIENTATIONS {
@@ -388,6 +393,16 @@ fn every_engine_matches_the_oracle_on_every_shape() {
                                     &got,
                                     if derive { &full } else { &plain },
                                     "{shape}: {:?} threshold {threshold}, {threads} threads",
+                                    search.descriptor().strategy(),
+                                );
+                                // The same cell over the CSR layout.
+                                let got = pool.install(|| search.run(&csr));
+                                let got = got.map(|r| project(&r, kind, g, derive));
+                                assert_eq!(
+                                    &got,
+                                    if derive { &full } else { &plain },
+                                    "{shape} on CSR: {:?} threshold {threshold}, {threads} \
+                                     threads",
                                     search.descriptor().strategy(),
                                 );
                             }
