@@ -8,15 +8,17 @@
 //! blow-up) is visible in the series.
 //!
 //! Both production-shaped contestants go through the `Search` builder —
-//! `Strategy::Serial` and `Strategy::Algebraic` — with the prebuilt variant
-//! using `Prepared` to separate block-assembly cost from iteration cost; the
-//! dense engine stays on its free function, as it exists only for this
-//! ablation and has no strategy surface.
+//! `Strategy::Serial` and `Strategy::Algebraic`. The prebuilt variant builds
+//! one `BlockAdjacency` outside the timed loop and times
+//! `algebraic_bfs_blocked` alone, to separate block-assembly cost from
+//! iteration cost; the dense engine stays on its free function, as it exists
+//! only for this ablation and has no strategy surface.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::alg_comparison_workload;
-use egraph_matrix::algebraic_bfs::algebraic_bfs_dense;
-use egraph_query::{Prepared, Search, Strategy};
+use egraph_matrix::algebraic_bfs::{algebraic_bfs_blocked, algebraic_bfs_dense};
+use egraph_matrix::block::BlockAdjacency;
+use egraph_query::{Search, Strategy};
 
 fn alg1_vs_alg2(c: &mut Criterion) {
     let sizes = [100usize, 200, 400, 800];
@@ -49,15 +51,9 @@ fn alg1_vs_alg2(c: &mut Criterion) {
             },
         );
 
-        let prepared = Prepared::new(&graph);
+        let blocks = BlockAdjacency::from_graph(&graph);
         group.bench_with_input(BenchmarkId::new("alg2_blocked_prebuilt", n), &n, |b, _| {
-            b.iter(|| {
-                let result = Search::from(root)
-                    .strategy(Strategy::Algebraic)
-                    .run_prepared(&prepared)
-                    .unwrap();
-                std::hint::black_box(result.num_reached())
-            })
+            b.iter(|| std::hint::black_box(algebraic_bfs_blocked(&blocks, root).num_reached()))
         });
 
         // The dense engine is only feasible for the smaller sizes.

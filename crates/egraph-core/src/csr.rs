@@ -296,31 +296,6 @@ impl CsrAdjacency {
         self.out_slice(u, t).contains(&v)
     }
 
-    /// Whether the temporal node `(v, t)` is active (Definition 3).
-    pub fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        self.active[v.index()].binary_search(&t).is_ok()
-    }
-
-    /// Size of the node universe.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of sealed snapshots.
-    pub fn num_timestamps(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Total number of static edges (each undirected edge counted once).
-    pub fn num_static_edges(&self) -> usize {
-        self.num_static_edges
-    }
-
-    /// Whether edges are directed.
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
     /// All active temporal nodes at snapshot `t`.
     pub fn active_at(&self, t: TimeIndex) -> Vec<TemporalNode> {
         (0..self.num_nodes)

@@ -266,6 +266,7 @@ impl Reader<'_> {
 mod tests {
     use super::*;
     use egraph_core::csr::CsrAdjacency;
+    use egraph_core::graph::EvolvingGraph;
     use egraph_core::ids::NodeId;
 
     fn fixture(directed: bool) -> CsrAdjacency {

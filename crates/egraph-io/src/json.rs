@@ -1,4 +1,5 @@
-//! JSON serialisation of graphs and search results.
+//! JSON serialisation of graphs, and the JSON value model and parser the
+//! workspace's wire formats are built on.
 //!
 //! This module pins down a concrete interchange representation so downstream
 //! tooling — notebooks, plotting scripts, the benchmark report generator,
@@ -9,37 +10,33 @@
 //!
 //! The value model ([`Value`]) and parser are public: other crates build
 //! their own document codecs on top of them (`egraph-query`'s descriptor and
-//! result codecs, `egraph-serve`'s request/response framing). Input can be a
-//! complete in-memory string ([`parse_value`], which requires the document
-//! to span the whole input) or a byte stream ([`read_value`], which consumes
-//! exactly one JSON value from a [`BufRead`] and leaves the stream
-//! positioned after it — the shape a network protocol needs to read
-//! consecutive frames off one connection).
+//! result codecs, the one JSON form of a search result; `egraph-serve`'s
+//! request/response framing). [`parse_value`] parses a complete in-memory
+//! document, which must span the whole input: HTTP bodies arrive whole and
+//! chunked encoding delimits subscription frames, so nothing reads JSON off
+//! a stream.
 //!
 //! The parser accepts the full JSON string grammar (`\uXXXX` escapes with
 //! surrogate pairs, all short escapes) and rejects what the grammar rejects
-//! (unescaped control characters, lone surrogates, truncated documents). A
+//! (unescaped control characters, lone surrogates, truncated documents,
+//! numbers with leading zeros or digit-less fractions and exponents). A
 //! nesting-depth bound ([`MAX_DEPTH`]) turns adversarially deep documents
 //! into a clean [`JsonError`] instead of a stack overflow — a serving layer
 //! parses untrusted bytes.
 //!
-//! Two ready-made document shapes are defined here:
-//!
-//! * a graph document: `{"num_nodes", "directed", "timestamps", "edges"}`
-//!   with edges as `[src, dst, time_index]` triples;
-//! * a BFS-result document ([`BfsResultDocument`]): root coordinates, graph
-//!   dimensions and the reached `(node, time, distance)` triples.
+//! One ready-made document shape is defined here, the graph document:
+//! `{"num_nodes", "directed", "timestamps", "edges"}` with edges as
+//! `[src, dst, time_index]` triples. It is the one format that records
+//! directedness, timestamp labels and empty snapshots.
 
 use egraph_core::adjacency::AdjacencyListGraph;
-use egraph_core::distance::DistanceMap;
 use egraph_core::graph::EvolvingGraph;
-use egraph_core::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
+use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 
 // `write!` into a `String` cannot fail, so its `fmt::Result` is ignored.
 use core::fmt::{self, Write as _};
-use std::io::BufRead;
 
-/// Deepest object/array nesting [`parse_value`] / [`read_value`] accept.
+/// Deepest object/array nesting [`parse_value`] accepts.
 /// Beyond it the parser reports a syntax error instead of recursing toward
 /// a stack overflow.
 pub const MAX_DEPTH: usize = 128;
@@ -53,8 +50,6 @@ pub enum JsonError {
     Shape(String),
     /// The document decodes to an invalid graph (e.g. unsorted timestamps).
     Graph(String),
-    /// The underlying stream failed while reading (message, byte offset).
-    Io(String, usize),
 }
 
 impl fmt::Display for JsonError {
@@ -63,7 +58,6 @@ impl fmt::Display for JsonError {
             JsonError::Syntax(msg, at) => write!(f, "JSON syntax error at byte {at}: {msg}"),
             JsonError::Shape(msg) => write!(f, "unexpected JSON document shape: {msg}"),
             JsonError::Graph(msg) => write!(f, "decoded graph is invalid: {msg}"),
-            JsonError::Io(msg, at) => write!(f, "I/O error at byte {at} of JSON input: {msg}"),
         }
     }
 }
@@ -72,102 +66,6 @@ impl std::error::Error for JsonError {}
 
 /// Result alias for JSON round-trip helpers.
 pub type Result<T> = std::result::Result<T, JsonError>;
-
-/// A self-describing JSON document for one BFS run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BfsResultDocument {
-    /// Root node identifier.
-    pub root_node: u32,
-    /// Root snapshot index.
-    pub root_time: u32,
-    /// Number of nodes in the traversed graph's universe.
-    pub num_nodes: usize,
-    /// Number of snapshots in the traversed graph.
-    pub num_timestamps: usize,
-    /// Reached temporal nodes as `(node, time, distance)` triples.
-    pub reached: Vec<(u32, u32, u32)>,
-}
-
-impl BfsResultDocument {
-    /// Builds a document from a [`DistanceMap`].
-    pub fn from_distance_map(map: &DistanceMap) -> Self {
-        BfsResultDocument {
-            root_node: map.root().node.0,
-            root_time: map.root().time.0,
-            num_nodes: map.num_nodes(),
-            num_timestamps: map.num_timestamps(),
-            reached: map
-                .reached()
-                .into_iter()
-                .map(|(tn, d)| (tn.node.0, tn.time.0, d))
-                .collect(),
-        }
-    }
-
-    /// Reconstructs a [`DistanceMap`] from the document.
-    pub fn to_distance_map(&self) -> DistanceMap {
-        let root = TemporalNode::from_raw(self.root_node, self.root_time);
-        let reached: Vec<(TemporalNode, u32)> = self
-            .reached
-            .iter()
-            .map(|&(v, t, d)| (TemporalNode::from_raw(v, t), d))
-            .collect();
-        DistanceMap::from_reached(self.num_nodes, self.num_timestamps, root, &reached)
-    }
-
-    /// Encodes the document as a JSON string.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"root_node\":");
-        write_json_u64(&mut out, self.root_node as u64);
-        out.push_str(",\"root_time\":");
-        write_json_u64(&mut out, self.root_time as u64);
-        out.push_str(",\"num_nodes\":");
-        write_json_u64(&mut out, self.num_nodes as u64);
-        out.push_str(",\"num_timestamps\":");
-        write_json_u64(&mut out, self.num_timestamps as u64);
-        out.push_str(",\"reached\":[");
-        for (i, &(v, t, d)) in self.reached.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{v},{t},{d}]");
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Decodes a document from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let value = parse_value(json)?;
-        let obj = value.as_object("BFS-result document")?;
-        let reached = obj
-            .get("reached")?
-            .as_array("reached")?
-            .iter()
-            .map(|triple| {
-                let triple = triple.as_array("reached entry")?;
-                if triple.len() != 3 {
-                    return Err(JsonError::Shape(
-                        "reached entries must be [node, time, distance] triples".into(),
-                    ));
-                }
-                Ok((
-                    triple[0].as_u32("reached node")?,
-                    triple[1].as_u32("reached time")?,
-                    triple[2].as_u32("reached distance")?,
-                ))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(BfsResultDocument {
-            root_node: obj.get("root_node")?.as_u32("root_node")?,
-            root_time: obj.get("root_time")?.as_u32("root_time")?,
-            num_nodes: obj.get("num_nodes")?.as_usize("num_nodes")?,
-            num_timestamps: obj.get("num_timestamps")?.as_usize("num_timestamps")?,
-            reached,
-        })
-    }
-}
 
 /// Serialises a graph to a JSON string.
 pub fn graph_to_json(graph: &AdjacencyListGraph) -> Result<String> {
@@ -224,16 +122,6 @@ pub fn graph_from_json(json: &str) -> Result<AdjacencyListGraph> {
             .map_err(|e| JsonError::Graph(e.to_string()))?;
     }
     Ok(graph)
-}
-
-/// Serialises a BFS result to a JSON string.
-pub fn bfs_result_to_json(map: &DistanceMap) -> Result<String> {
-    Ok(BfsResultDocument::from_distance_map(map).to_json())
-}
-
-/// Deserialises a BFS result from a JSON string.
-pub fn bfs_result_from_json(json: &str) -> Result<DistanceMap> {
-    Ok(BfsResultDocument::from_json(json)?.to_distance_map())
 }
 
 // ---------------------------------------------------------------------------
@@ -530,137 +418,54 @@ fn put_digits_before(buf: &mut [u8], mut end: usize, mut x: u64) -> usize {
 }
 
 /// Parses a complete JSON document from `input`. The document must span the
-/// whole input (trailing non-whitespace is an error); use [`read_value`] to
-/// consume one value from a longer stream.
+/// whole input: trailing non-whitespace is an error.
 pub fn parse_value(input: &str) -> Result<Value> {
     let mut parser = Parser {
-        src: SliceSource {
-            bytes: input.as_bytes(),
-            pos: 0,
-        },
+        bytes: input.as_bytes(),
+        pos: 0,
         depth: 0,
     };
-    parser.skip_whitespace()?;
+    parser.skip_whitespace();
     let value = parser.value()?;
-    parser.skip_whitespace()?;
-    if parser.src.peek()?.is_some() {
-        return Err(JsonError::Syntax(
-            "trailing characters after document".into(),
-            parser.src.pos(),
-        ));
+    parser.skip_whitespace();
+    if parser.peek().is_some() {
+        return parser.error("trailing characters after document");
     }
     Ok(value)
 }
 
-/// Reads exactly one JSON value from `reader`, leaving the stream positioned
-/// at the first byte after it (trailing bytes are *not* an error — the next
-/// frame of a protocol can follow immediately). Leading whitespace is
-/// skipped; whitespace after the value is left unread.
-///
-/// # Errors
-/// [`JsonError::Syntax`] for invalid or truncated documents and
-/// [`JsonError::Io`] if the underlying reader fails mid-value.
-pub fn read_value<R: BufRead>(reader: &mut R) -> Result<Value> {
-    let mut parser = Parser {
-        src: ReaderSource {
-            reader,
-            peeked: None,
-            eof: false,
-            pos: 0,
-        },
-        depth: 0,
-    };
-    parser.skip_whitespace()?;
-    parser.value()
-}
-
 // ---------------------------------------------------------------------------
-// Recursive-descent parser over pluggable byte sources.
+// Recursive-descent parser over an in-memory byte slice.
 // ---------------------------------------------------------------------------
 
-/// One byte of lookahead over either a slice or a stream. `peek` is the only
-/// operation that can fail (stream I/O); `advance` consumes the peeked byte.
-trait ByteSource {
-    fn peek(&mut self) -> Result<Option<u8>>;
-    fn advance(&mut self);
-    fn pos(&self) -> usize;
-}
-
-struct SliceSource<'a> {
+struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-}
-
-impl ByteSource for SliceSource<'_> {
-    fn peek(&mut self) -> Result<Option<u8>> {
-        Ok(self.bytes.get(self.pos).copied())
-    }
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-    fn pos(&self) -> usize {
-        self.pos
-    }
-}
-
-struct ReaderSource<'a, R: BufRead> {
-    reader: &'a mut R,
-    peeked: Option<u8>,
-    eof: bool,
-    pos: usize,
-}
-
-impl<R: BufRead> ByteSource for ReaderSource<'_, R> {
-    fn peek(&mut self) -> Result<Option<u8>> {
-        if self.peeked.is_none() && !self.eof {
-            let mut byte = [0u8; 1];
-            loop {
-                match self.reader.read(&mut byte) {
-                    Ok(0) => {
-                        self.eof = true;
-                        break;
-                    }
-                    Ok(_) => {
-                        self.peeked = Some(byte[0]);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(JsonError::Io(e.to_string(), self.pos)),
-                }
-            }
-        }
-        Ok(self.peeked)
-    }
-    fn advance(&mut self) {
-        if self.peeked.take().is_some() {
-            self.pos += 1;
-        }
-    }
-    fn pos(&self) -> usize {
-        self.pos
-    }
-}
-
-struct Parser<S: ByteSource> {
-    src: S,
     depth: usize,
 }
 
-impl<S: ByteSource> Parser<S> {
+impl Parser<'_> {
     fn error<T>(&self, msg: &str) -> Result<T> {
-        Err(JsonError::Syntax(msg.into(), self.src.pos()))
+        Err(JsonError::Syntax(msg.into(), self.pos))
     }
 
-    fn skip_whitespace(&mut self) -> Result<()> {
-        while matches!(self.src.peek()?, Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.src.advance();
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn advance(&mut self) {
+        self.pos += 1;
+    }
+
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.advance();
         }
-        Ok(())
     }
 
     fn expect(&mut self, byte: u8) -> Result<()> {
-        if self.src.peek()? == Some(byte) {
-            self.src.advance();
+        if self.peek() == Some(byte) {
+            self.advance();
             Ok(())
         } else {
             self.error(&format!("expected '{}'", byte as char))
@@ -668,7 +473,7 @@ impl<S: ByteSource> Parser<S> {
     }
 
     fn value(&mut self) -> Result<Value> {
-        match self.src.peek()? {
+        match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => Ok(Value::String(self.string()?)),
@@ -682,10 +487,10 @@ impl<S: ByteSource> Parser<S> {
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value> {
         for &expected in text.as_bytes() {
-            if self.src.peek()? != Some(expected) {
+            if self.peek() != Some(expected) {
                 return self.error(&format!("expected '{text}'"));
             }
-            self.src.advance();
+            self.advance();
         }
         Ok(value)
     }
@@ -704,25 +509,25 @@ impl<S: ByteSource> Parser<S> {
         self.descend()?;
         self.expect(b'{')?;
         let mut entries = Vec::new();
-        self.skip_whitespace()?;
-        if self.src.peek()? == Some(b'}') {
-            self.src.advance();
+        self.skip_whitespace();
+        if self.peek() == Some(b'}') {
+            self.advance();
             self.depth -= 1;
             return Ok(Value::Object(entries));
         }
         loop {
-            self.skip_whitespace()?;
+            self.skip_whitespace();
             let key = self.string()?;
-            self.skip_whitespace()?;
+            self.skip_whitespace();
             self.expect(b':')?;
-            self.skip_whitespace()?;
+            self.skip_whitespace();
             let value = self.value()?;
             entries.push((key, value));
-            self.skip_whitespace()?;
-            match self.src.peek()? {
-                Some(b',') => self.src.advance(),
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b',') => self.advance(),
                 Some(b'}') => {
-                    self.src.advance();
+                    self.advance();
                     self.depth -= 1;
                     return Ok(Value::Object(entries));
                 }
@@ -735,20 +540,20 @@ impl<S: ByteSource> Parser<S> {
         self.descend()?;
         self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_whitespace()?;
-        if self.src.peek()? == Some(b']') {
-            self.src.advance();
+        self.skip_whitespace();
+        if self.peek() == Some(b']') {
+            self.advance();
             self.depth -= 1;
             return Ok(Value::Array(items));
         }
         loop {
-            self.skip_whitespace()?;
+            self.skip_whitespace();
             items.push(self.value()?);
-            self.skip_whitespace()?;
-            match self.src.peek()? {
-                Some(b',') => self.src.advance(),
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b',') => self.advance(),
                 Some(b']') => {
-                    self.src.advance();
+                    self.advance();
                     self.depth -= 1;
                     return Ok(Value::Array(items));
                 }
@@ -761,13 +566,13 @@ impl<S: ByteSource> Parser<S> {
     fn hex_code_unit(&mut self) -> Result<u16> {
         let mut unit: u16 = 0;
         for _ in 0..4 {
-            let digit = match self.src.peek()? {
+            let digit = match self.peek() {
                 Some(c @ b'0'..=b'9') => c - b'0',
                 Some(c @ b'a'..=b'f') => c - b'a' + 10,
                 Some(c @ b'A'..=b'F') => c - b'A' + 10,
                 _ => return self.error("expected 4 hex digits after \\u"),
             };
-            self.src.advance();
+            self.advance();
             unit = unit << 4 | digit as u16;
         }
         Ok(unit)
@@ -780,17 +585,16 @@ impl<S: ByteSource> Parser<S> {
         // survive intact (continuation bytes never collide with '"' or '\\').
         let mut out: Vec<u8> = Vec::new();
         loop {
-            match self.src.peek()? {
+            match self.peek() {
                 None => return self.error("unterminated string"),
                 Some(b'"') => {
-                    self.src.advance();
-                    return String::from_utf8(out).map_err(|_| {
-                        JsonError::Syntax("invalid UTF-8 in string".into(), self.src.pos())
-                    });
+                    self.advance();
+                    return String::from_utf8(out)
+                        .or_else(|_| self.error("invalid UTF-8 in string"));
                 }
                 Some(b'\\') => {
-                    self.src.advance();
-                    match self.src.peek()? {
+                    self.advance();
+                    match self.peek() {
                         Some(b'"') => out.push(b'"'),
                         Some(b'\\') => out.push(b'\\'),
                         Some(b'/') => out.push(b'/'),
@@ -800,7 +604,7 @@ impl<S: ByteSource> Parser<S> {
                         Some(b'b') => out.push(0x08),
                         Some(b'f') => out.push(0x0C),
                         Some(b'u') => {
-                            self.src.advance();
+                            self.advance();
                             let scalar = self.unicode_escape()?;
                             let mut buf = [0u8; 4];
                             out.extend_from_slice(scalar.encode_utf8(&mut buf).as_bytes());
@@ -809,7 +613,7 @@ impl<S: ByteSource> Parser<S> {
                         }
                         _ => return self.error("unsupported escape sequence"),
                     }
-                    self.src.advance();
+                    self.advance();
                 }
                 // The grammar forbids unescaped control characters inside
                 // strings; truncated or binary-garbage input must not slip
@@ -817,7 +621,7 @@ impl<S: ByteSource> Parser<S> {
                 Some(c) if c < 0x20 => return self.error("unescaped control character in string"),
                 Some(c) => {
                     out.push(c);
-                    self.src.advance();
+                    self.advance();
                 }
             }
         }
@@ -830,70 +634,68 @@ impl<S: ByteSource> Parser<S> {
         match unit {
             0xD800..=0xDBFF => {
                 // High surrogate: a low surrogate escape must follow.
-                if self.src.peek()? != Some(b'\\') {
+                if self.peek() != Some(b'\\') {
                     return self.error("lone high surrogate in \\u escape");
                 }
-                self.src.advance();
-                if self.src.peek()? != Some(b'u') {
+                self.advance();
+                if self.peek() != Some(b'u') {
                     return self.error("lone high surrogate in \\u escape");
                 }
-                self.src.advance();
+                self.advance();
                 let low = self.hex_code_unit()?;
                 if !(0xDC00..=0xDFFF).contains(&low) {
                     return self.error("invalid low surrogate in \\u escape");
                 }
                 let scalar = 0x10000 + ((unit as u32 - 0xD800) << 10) + (low as u32 - 0xDC00);
-                char::from_u32(scalar)
-                    .ok_or_else(|| JsonError::Syntax("invalid surrogate pair".into(), 0))
+                char::from_u32(scalar).map_or_else(|| self.error("invalid surrogate pair"), Ok)
             }
             0xDC00..=0xDFFF => self.error("lone low surrogate in \\u escape"),
-            _ => char::from_u32(unit as u32)
-                .ok_or_else(|| JsonError::Syntax("invalid \\u escape".into(), 0)),
+            _ => char::from_u32(unit as u32).map_or_else(|| self.error("invalid \\u escape"), Ok),
         }
     }
 
-    fn number(&mut self) -> Result<Value> {
-        let mut text = String::new();
-        if self.src.peek()? == Some(b'-') {
-            text.push('-');
-            self.src.advance();
+    /// Consumes a run of decimal digits; reports `what` if there is none.
+    fn digits(&mut self, what: &str) -> Result<()> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return self.error(what);
         }
-        while let Some(c) = self.src.peek()? {
-            if !c.is_ascii_digit() {
-                break;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.advance();
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, the number
+    /// grammar of RFC 8259: no leading zeros, and a fraction or exponent
+    /// needs at least one digit.
+    fn number(&mut self) -> Result<Value> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.advance();
+        }
+        if self.peek() == Some(b'0') {
+            self.advance();
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return self.error("leading zero in number");
             }
-            text.push(c as char);
-            self.src.advance();
+        } else {
+            self.digits("expected a digit in number")?;
         }
         let mut integral = true;
-        if self.src.peek()? == Some(b'.') {
+        if self.peek() == Some(b'.') {
             integral = false;
-            text.push('.');
-            self.src.advance();
-            while let Some(c) = self.src.peek()? {
-                if !c.is_ascii_digit() {
-                    break;
-                }
-                text.push(c as char);
-                self.src.advance();
-            }
+            self.advance();
+            self.digits("expected a digit after the decimal point")?;
         }
-        if matches!(self.src.peek()?, Some(b'e' | b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
-            text.push('e');
-            self.src.advance();
-            if let Some(c @ (b'+' | b'-')) = self.src.peek()? {
-                text.push(c as char);
-                self.src.advance();
+            self.advance();
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.advance();
             }
-            while let Some(c) = self.src.peek()? {
-                if !c.is_ascii_digit() {
-                    break;
-                }
-                text.push(c as char);
-                self.src.advance();
-            }
+            self.digits("expected a digit in the exponent")?;
         }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("number is ASCII");
         if integral {
             // Exact integer path: i64 covers every timestamp label without
             // rounding through f64.
@@ -914,7 +716,6 @@ mod tests {
     use super::*;
     use egraph_core::examples::paper_figure1;
     use egraph_core::graph::EvolvingGraph;
-    use egraph_core::kernel::distances;
 
     #[test]
     fn graph_round_trips_through_json() {
@@ -928,36 +729,32 @@ mod tests {
     }
 
     #[test]
-    fn bfs_result_round_trips_through_json() {
-        let g = paper_figure1();
-        let map = distances(&g, TemporalNode::from_raw(0, 0), false, usize::MAX).unwrap();
-        let json = bfs_result_to_json(&map).unwrap();
-        let back = bfs_result_from_json(&json).unwrap();
-        assert_eq!(back.as_flat_slice(), map.as_flat_slice());
-        assert_eq!(back.root(), map.root());
-        assert_eq!(back.num_reached(), map.num_reached());
-    }
-
-    #[test]
-    fn document_structure_is_stable() {
-        let g = paper_figure1();
-        let map = distances(&g, TemporalNode::from_raw(0, 1), false, usize::MAX).unwrap();
-        let doc = BfsResultDocument::from_distance_map(&map);
-        assert_eq!(doc.root_node, 0);
-        assert_eq!(doc.root_time, 1);
-        assert_eq!(doc.reached.len(), 3);
-        let json = doc.to_json();
-        assert!(json.contains("\"root_node\":0"));
-        let parsed = BfsResultDocument::from_json(&json).unwrap();
-        assert_eq!(parsed, doc);
-    }
-
-    #[test]
     fn malformed_json_is_rejected() {
         assert!(graph_from_json("{not json").is_err());
-        assert!(bfs_result_from_json("[]").is_err());
         assert!(graph_from_json("{}").is_err());
         assert!(graph_from_json("{\"num_nodes\": 2} trailing").is_err());
+        // RFC 8259's number grammar: no leading zeros, and a fraction or
+        // exponent needs a digit on both sides of its marker.
+        for bad in [
+            "01", "00", "-01", "1.", "-.5", ".5", "1.e5", "1e", "1e+", "-", "--1", "+1",
+        ] {
+            assert!(parse_value(bad).is_err(), "{bad:?} must not parse");
+        }
+        let err = parse_value("-").unwrap_err().to_string();
+        assert!(err.contains("expected a digit"), "{err}");
+        assert!(!err.contains("range"), "{err}");
+        let good = [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("-12", Value::Int(-12)),
+            ("0.25", Value::Number(0.25)),
+            ("1.5e-3", Value::Number(1.5e-3)),
+            ("2E+2", Value::Number(200.0)),
+            ("-9223372036854775808", Value::Int(i64::MIN)),
+        ];
+        for (text, value) in good {
+            assert_eq!(parse_value(text).unwrap(), value, "{text:?}");
+        }
     }
 
     #[test]
@@ -1097,28 +894,6 @@ mod tests {
         assert!(parse_value("-").is_err());
         assert!(parse_value("\"abc").is_err());
         assert!(parse_value("\"abc\\").is_err());
-    }
-
-    #[test]
-    fn read_value_consumes_exactly_one_value_from_a_stream() {
-        use std::io::Read;
-        let mut stream = std::io::BufReader::new(" {\"a\": 1}[2,3] rest".as_bytes());
-        let first = read_value(&mut stream).unwrap();
-        assert_eq!(first, Value::Object(vec![("a".into(), Value::Int(1))]));
-        let second = read_value(&mut stream).unwrap();
-        assert_eq!(second, Value::Array(vec![Value::Int(2), Value::Int(3)]));
-        // The stream is positioned right after the second value.
-        let mut rest = String::new();
-        stream.read_to_string(&mut rest).unwrap();
-        assert_eq!(rest, " rest");
-    }
-
-    #[test]
-    fn read_value_reports_truncated_streams() {
-        let mut stream = std::io::BufReader::new("{\"a\": [1, 2".as_bytes());
-        assert!(read_value(&mut stream).is_err());
-        let mut empty = std::io::BufReader::new("".as_bytes());
-        assert!(read_value(&mut empty).is_err());
     }
 
     #[test]

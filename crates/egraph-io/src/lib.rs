@@ -1,12 +1,12 @@
 //! # egraph-io
 //!
-//! Input/output for evolving graphs and search results:
+//! Input/output for evolving graphs:
 //!
 //! * [`edgelist`] — plain-text `src dst time` temporal edge lists (read and
 //!   write), the interchange format used by public temporal-graph datasets;
-//! * [`json`] — hand-rolled JSON round-tripping of graphs and BFS results,
-//!   plus the public [`json::Value`] model and stream reader other crates
-//!   build wire formats on;
+//! * [`json`] — hand-rolled JSON round-tripping of graphs, plus the public
+//!   [`json::Value`] model and parser other crates build wire formats on
+//!   (search results have one JSON form, `egraph_query::codec`'s);
 //! * [`binary`] — the compact CRC-framed binary event codec (varint
 //!   lengths, exact `i64` seal labels) that `egraph-log` segment files and
 //!   the replication wire are made of;
@@ -34,8 +34,7 @@ pub use edgelist::{
     parse_edge_list, read_edge_list, to_edge_list_string, write_edge_list, EdgeListError,
 };
 pub use json::{
-    bfs_result_from_json, bfs_result_to_json, graph_from_json, graph_to_json, json_u64_len,
-    parse_value, push_json_u64, read_value, write_json_i64, write_json_string, write_json_u64,
-    BfsResultDocument, JsonError, U32ArrayWriter, Value,
+    graph_from_json, graph_to_json, json_u64_len, parse_value, push_json_u64, write_json_i64,
+    write_json_string, write_json_u64, JsonError, U32ArrayWriter, Value,
 };
 pub use report::{linear_fit, SeriesTable};

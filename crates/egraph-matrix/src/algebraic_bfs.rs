@@ -195,10 +195,18 @@ mod tests {
     #[test]
     fn blocked_engine_matches_algorithm_1_on_the_paper_example() {
         let g = paper_figure1();
+        // One block matrix, built once, serves every root.
+        let blocks = BlockAdjacency::from_graph(&g);
         for &root in &g.active_nodes() {
             let alg1 = distances(&g, root, false, usize::MAX).unwrap();
             let alg2 = algebraic_bfs(&g, root).unwrap();
             assert_eq!(alg1.as_flat_slice(), alg2.as_flat_slice(), "root {root:?}");
+            let prebuilt = algebraic_bfs_blocked(&blocks, root);
+            assert_eq!(
+                alg1.as_flat_slice(),
+                prebuilt.as_flat_slice(),
+                "root {root:?}"
+            );
         }
     }
 

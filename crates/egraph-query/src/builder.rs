@@ -369,9 +369,9 @@ impl Search {
     /// Whether the traversal executes on time-reversed coordinates: a
     /// backward traversal is a forward traversal on the time-reversed
     /// graph, and composing with an explicit [`Search::reverse`] toggles
-    /// once more. The single source of truth for [`Search::run`],
-    /// [`Search::run_prepared`] and [`Search::descriptor`] alike — the
-    /// cache key must never desynchronise from actual execution.
+    /// once more. The single source of truth for [`Search::run`] and
+    /// [`Search::descriptor`] alike — the cache key must never
+    /// desynchronise from actual execution.
     fn effective_reverse(&self) -> bool {
         self.reversed ^ (self.direction == Direction::Backward)
     }
@@ -475,51 +475,6 @@ impl Search {
             },
             e => e,
         })
-    }
-
-    /// Executes the search against a [`Prepared`](crate::prepared::Prepared)
-    /// graph, reusing its prebuilt engine structures where the query shape
-    /// allows.
-    ///
-    /// Today that covers full-graph, forward, parent-less
-    /// [`Strategy::Algebraic`] queries, which skip the per-run
-    /// [`BlockAdjacency`](egraph_matrix::block::BlockAdjacency) assembly;
-    /// every other shape silently falls back to [`Search::run`] on the
-    /// underlying graph. Answers and errors are identical to [`Search::run`]
-    /// in all cases.
-    pub fn run_prepared<G: EvolvingGraph>(
-        &self,
-        prepared: &crate::prepared::Prepared<'_, G>,
-    ) -> Result<Arc<SearchResult>> {
-        let graph = prepared.graph();
-        if self.strategy != Strategy::Algebraic || self.with_parents || self.sources.is_empty() {
-            return self.run(graph);
-        }
-        let num_timestamps = graph.num_timestamps();
-        // Delegate every resolution error to the ordinary path so the two
-        // entry points cannot drift on error cases.
-        let Ok((start, end)) = self.window.resolve(num_timestamps) else {
-            return self.run(graph);
-        };
-        if self.effective_reverse() || start != 0 || end + 1 != num_timestamps {
-            return self.run(graph);
-        }
-        let map = ViewMap {
-            window_start: 0,
-            view_len: num_timestamps,
-            reversed: false,
-        };
-        let mut maps = Vec::with_capacity(self.sources.len());
-        for view_source in self.sources_to_view(map)? {
-            // `algebraic_bfs` = root validation + block assembly + blocked
-            // power iteration; only the assembly is skipped here.
-            check_root(graph, view_source)?;
-            maps.push(egraph_matrix::algebraic_bfs::algebraic_bfs_blocked(
-                prepared.blocks(),
-                view_source,
-            ));
-        }
-        Ok(Arc::new(SearchResult::from_maps(maps, false)))
     }
 
     /// Maps every source into the view's coordinates, or reports the first

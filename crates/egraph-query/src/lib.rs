@@ -88,19 +88,16 @@
 mod builder;
 pub mod codec;
 mod descriptor;
-mod prepared;
 mod result;
 mod view_map;
 
 pub use builder::{Direction, Search, Strategy, WindowSpec};
 pub use descriptor::{AppendRepair, QueryDescriptor, QueryExecutor};
-pub use prepared::Prepared;
 pub use result::SearchResult;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::builder::{Direction, Search, Strategy, WindowSpec};
     pub use crate::descriptor::{AppendRepair, QueryDescriptor, QueryExecutor};
-    pub use crate::prepared::Prepared;
     pub use crate::result::SearchResult;
 }

@@ -126,6 +126,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
+use egraph_core::graph::EvolvingGraph;
 use egraph_io::{write_json_i64, write_json_string, write_json_u64};
 use egraph_log::{decode_segment, EventLog, Sealed};
 use egraph_query::codec::{

@@ -74,6 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use egraph_core::error::Result;
+use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::TimeIndex;
 use egraph_core::resume::{Resumable, ResumableBfs, ResumableForemost, ResumableShared};
 use egraph_query::{AppendRepair, QueryDescriptor, QueryExecutor, Search, SearchResult, Strategy};

@@ -42,6 +42,7 @@ use std::time::Instant;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_core::error::GraphError;
+use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 use egraph_io::binary::LogRecord;
 use egraph_io::checkpoint::{decode_checkpoint, encode_append_record};

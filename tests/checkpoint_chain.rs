@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use egraph_core::csr::CsrAdjacency;
+use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::NodeId;
 use egraph_fault::{self as fault, Rule};
 use egraph_io::checkpoint::{decode_checkpoint, encode_append_record, encode_checkpoint};

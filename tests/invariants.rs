@@ -11,11 +11,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use evolving_graphs::io::{
-    bfs_result_from_json, bfs_result_to_json, graph_from_json, graph_to_json, read_edge_list,
-    to_edge_list_string,
-};
+use evolving_graphs::io::{graph_from_json, graph_to_json, read_edge_list, to_edge_list_string};
 use evolving_graphs::prelude::*;
+use evolving_graphs::query::codec::{search_result_from_json, search_result_to_json};
 
 const TRIALS: u64 = 64;
 
@@ -199,7 +197,8 @@ fn serialisation_round_trips() {
         if let Some(&root) = g.active_nodes().first() {
             let result = Search::from(root).run(&g).unwrap();
             let map = result.distance_map();
-            let round = bfs_result_from_json(&bfs_result_to_json(map).unwrap()).unwrap();
+            let round = search_result_from_json(&search_result_to_json(&result)).unwrap();
+            let round = round.distance_map();
             assert_eq!(round.as_flat_slice(), map.as_flat_slice(), "trial {trial}");
         }
     }
