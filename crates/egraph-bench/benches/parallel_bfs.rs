@@ -28,7 +28,11 @@
 //! 4. **One thread costs nothing.** `Serial` and `Parallel` run the same
 //!    traversal kernel, and on a one-thread pool every level expands
 //!    serially, so the bench asserts `Parallel` at `threads = 1` runs at
-//!    ≥ 0.9× `Serial` on every scale, on any host.
+//!    ≥ 0.9× `Serial` on every scale, on any host. The two sides are timed
+//!    in alternating rounds of one loop and the median per-round ratio is
+//!    asserted, so both see the same host state; timed one after the other,
+//!    two timings of one loop differed by more than 10% on a shared 2-vCPU
+//!    host.
 //!
 //! Traversals run on the PR 4 `CsrAdjacency` layout — contiguous per-
 //! snapshot pools — which is what makes chunked parallel expansion hit
@@ -58,6 +62,8 @@ const WIDE_THRESHOLD: usize = 256;
 const REQUIRED_SPEEDUP: f64 = 1.5;
 /// Assertion bar for `Parallel` on a one-thread pool, relative to `Serial`.
 const REQUIRED_SINGLE_THREAD_RATIO: f64 = 0.9;
+/// Alternating rounds behind that ratio (odd, so the median is one round).
+const PAIRED_ROUNDS: usize = 21;
 
 struct ScaleReport {
     scale: usize,
@@ -84,6 +90,34 @@ fn min_time_ns<T>(samples: usize, reps: usize, mut f: impl FnMut() -> T) -> f64 
         best = best.min(start.elapsed().as_nanos() as f64 / reps as f64);
     }
     best
+}
+
+/// Times `a` and `b` in `rounds` alternating rounds of one run each: a round
+/// times both back to back and swaps which goes first, so a slow spell on
+/// the host lands on both. Returns each side's minimum and the median over
+/// rounds of `a`'s time over `b`'s, which stays near the true ratio while
+/// fewer than half the rounds are split by a change in host load.
+fn paired_time_ns<T, U>(
+    rounds: usize,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> U,
+) -> (f64, f64, f64) {
+    let mut pairs: Vec<(f64, f64)> = (0..rounds)
+        .map(|round| {
+            if round % 2 == 0 {
+                let ns_a = min_time_ns(1, 1, &mut a);
+                (ns_a, min_time_ns(1, 1, &mut b))
+            } else {
+                let ns_b = min_time_ns(1, 1, &mut b);
+                (min_time_ns(1, 1, &mut a), ns_b)
+            }
+        })
+        .collect();
+    let min_a = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let min_b = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    pairs.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+    let (ns_a, ns_b) = pairs[rounds / 2];
+    (min_a, min_b, ns_a / ns_b)
 }
 
 fn parallel_bfs_bench(c: &mut Criterion) {
@@ -167,10 +201,18 @@ fn parallel_bfs_bench(c: &mut Criterion) {
             }
 
             // --- and the wall-clock trajectory. ---------------------------
-            let serial_ns = min_time_ns(5, 3, || serial_query.run(&graph).unwrap().num_reached());
+            // Serial and the one-thread pool run one loop: time them paired.
+            let (serial_ns, inline_ns, inline_ratio) = paired_time_ns(
+                PAIRED_ROUNDS,
+                || serial_query.run(&graph).unwrap().num_reached(),
+                || inline.install(|| parallel_query.run(&graph).unwrap().num_reached()),
+            );
             let pools: Vec<(usize, f64, f64)> = POOL_SIZES
                 .iter()
                 .map(|&threads| {
+                    if threads == 1 {
+                        return (1, inline_ns, inline_ratio);
+                    }
                     let pool = ThreadPoolBuilder::new()
                         .num_threads(threads)
                         .build()
@@ -199,11 +241,12 @@ fn parallel_bfs_bench(c: &mut Criterion) {
                 })
                 .collect();
 
-            let single = pools.iter().find(|&&(t, _, _)| t == 1).map(|&(_, _, s)| s);
             assert!(
-                single.is_some_and(|s| s >= REQUIRED_SINGLE_THREAD_RATIO),
+                inline_ratio >= REQUIRED_SINGLE_THREAD_RATIO,
                 "scale {scale}: Parallel on a one-thread pool is the serial loop and must run \
-                 at >= {REQUIRED_SINGLE_THREAD_RATIO}x Serial; measured {single:?}"
+                 at >= {REQUIRED_SINGLE_THREAD_RATIO}x Serial; median paired ratio \
+                 {inline_ratio:.2} (minima: serial {serial_ns:.0} ns, one-thread pool \
+                 {inline_ns:.0} ns)"
             );
 
             println!(
@@ -336,7 +379,9 @@ fn write_json_summary(
          asserted identical and each path's causal deliveries at most the active temporal \
          nodes; distances \
          asserted bit-for-bit identical; the 1-thread pool runs the serial kernel \
-         loop and is asserted at >= required_single_thread_ratio x serial on every host; \
+         loop and is asserted at >= required_single_thread_ratio x serial on every host, \
+         as the median ratio of alternating paired runs (its speedup_vs_serial; serial_bfs_ns \
+         and its bfs_ns are those runs' minima); \
          on hosts with >= 2 cores the bench asserts best speedup >= required_speedup, \
          on single-core hosts it records ratios only (no speedup is physically possible \
          there); threshold_sweep documents the \

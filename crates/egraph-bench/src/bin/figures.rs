@@ -7,8 +7,9 @@
 //! cargo run --release -p egraph-bench --bin figures -- fig5 --scale 4
 //! ```
 //!
-//! Experiment identifiers match DESIGN.md / EXPERIMENTS.md:
-//! `fig1-3`, `fig4`, `eq2`, `fig5`, `sec5`, `abl-a`, `abl-b`, `abl-c`.
+//! Experiment identifiers (one section each; `paper` selects the first
+//! three, `ablations` the last three): `fig1-3`, `fig4`, `eq2`, `fig5`,
+//! `sec5`, `abl-a`, `abl-b`, `abl-c`.
 
 use std::time::Instant;
 

@@ -5,8 +5,8 @@
 //! that the quick terminal reproduction and the statistically rigorous
 //! Criterion runs measure exactly the same workloads.
 //!
-//! The experiment identifiers (FIG5, ABL-A, …) match the per-experiment index
-//! in `DESIGN.md` and the result log in `EXPERIMENTS.md`.
+//! The experiment identifiers (FIG5, ABL-A, …) are the section names the
+//! `figures` binary takes on its command line and prints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -290,11 +290,6 @@ impl AdjacencyListGraph {
         }
     }
 
-    /// Total number of temporal nodes (active or not): `num_nodes × n_t`.
-    pub fn num_temporal_nodes(&self) -> usize {
-        self.num_nodes * self.timestamps.len()
-    }
-
     /// Iterates over all static edges as `(src, dst, time)` triples. Each
     /// undirected edge is reported once with the end point order in which it
     /// was inserted.

@@ -67,6 +67,14 @@ pub(crate) fn visit_sorted_times(
 
 /// Abstract interface over evolving-graph representations.
 ///
+/// Definition 1 reads an evolving graph as a time-ordered sequence of static
+/// graphs `G_n = ⟨G[1], …, G[n]⟩`. The trait keeps that reading without
+/// storing a graph per snapshot: snapshot `t` is the static graph whose edges
+/// [`EvolvingGraph::for_each_static_out`] reports at `t`, and
+/// [`EvolvingGraph::timestamp`] is its label. Two storages implement it:
+/// [`crate::adjacency::AdjacencyListGraph`], built incrementally, and
+/// [`crate::csr::CsrAdjacency`], flattened from it to serve.
+///
 /// Implementations must uphold the following invariants, which the traversal
 /// algorithms rely on:
 ///
@@ -531,19 +539,17 @@ mod tests {
         use crate::csr::CsrAdjacency;
         use crate::instrument::CountingView;
         use crate::reverse::ReversedView;
-        use crate::snapshots::SnapshotSequence;
         use crate::window::TimeWindowView;
 
         let edges = random_edges(24, 9, 90);
         let graphs = [
-            ("paper", figure1(), None),
+            ("paper", figure1()),
             (
                 "random",
                 AdjacencyListGraph::from_indexed_edges(24, 9, &edges).unwrap(),
-                Some(SnapshotSequence::from_indexed_edges(24, 9, &edges).unwrap()),
             ),
         ];
-        for (name, g, snapshots) in &graphs {
+        for (name, g) in &graphs {
             let csr = CsrAdjacency::from_graph(g);
             let last = TimeIndex::from_index(g.num_timestamps() - 1);
             let window = TimeWindowView::new(&csr, TimeIndex(1), last).unwrap();
@@ -558,9 +564,6 @@ mod tests {
             assert_ranged_contract(&reversed_window, &format!("{name} reversed window"));
             let counted = CountingView::new(&reversed_window);
             assert_ranged_contract(&counted, &format!("{name} counted"));
-            if let Some(snapshots) = snapshots {
-                assert_ranged_contract(snapshots, &format!("{name} snapshots"));
-            }
         }
     }
 

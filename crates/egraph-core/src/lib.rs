@@ -58,7 +58,6 @@
 //! | [`graph`] | the [`graph::EvolvingGraph`] trait |
 //! | [`adjacency`] | adjacency-list representation (incremental) |
 //! | [`csr`] | CSR-flattened representation (contiguous serve path) |
-//! | [`snapshots`] | snapshot-sequence representation |
 //! | [`kernel`] | Algorithm 1 and the shared frontier: the one level-synchronous traversal loop behind every hop engine, serial or across the rayon pool |
 //! | [`paths`] | temporal-path validation, enumeration, walk counting |
 //! | [`resume`] | resumable BFS/foremost state for incremental re-search |
@@ -70,7 +69,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
-pub mod components;
 pub mod csr;
 pub mod distance;
 pub mod error;
@@ -80,11 +78,9 @@ pub mod graph;
 pub mod ids;
 pub mod instrument;
 pub mod kernel;
-pub mod metrics;
 pub mod paths;
 pub mod resume;
 pub mod reverse;
-pub mod snapshots;
 pub mod static_equiv;
 pub mod static_graph;
 pub mod window;
@@ -92,7 +88,6 @@ pub mod window;
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::adjacency::AdjacencyListGraph;
-    pub use crate::components::{weak_components, WeakComponents};
     pub use crate::csr::{CsrAdjacency, CsrColumns, CsrParts};
     pub use crate::distance::{DistanceMap, MultiSourceMap};
     pub use crate::error::{GraphError, Result};
@@ -100,11 +95,9 @@ pub mod prelude {
     pub use crate::graph::{EvolvingGraph, TimeOrder};
     pub use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timestamp};
     pub use crate::instrument::{CountingView, TraversalCounters};
-    pub use crate::metrics::GraphMetrics;
     pub use crate::paths::{enumerate_paths, is_temporal_path, walk_count_vector};
     pub use crate::resume::{Resumable, ResumableBfs, ResumableForemost, ResumableShared};
     pub use crate::reverse::ReversedView;
-    pub use crate::snapshots::{Snapshot, SnapshotSequence};
     pub use crate::static_equiv::EquivalentStaticGraph;
     pub use crate::static_graph::StaticGraph;
     pub use crate::window::TimeWindowView;
@@ -116,6 +109,5 @@ pub use distance::{DistanceMap, MultiSourceMap};
 pub use error::{GraphError, Result};
 pub use graph::EvolvingGraph;
 pub use ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
-pub use snapshots::SnapshotSequence;
 pub use static_equiv::EquivalentStaticGraph;
 pub use static_graph::StaticGraph;

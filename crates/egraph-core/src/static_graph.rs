@@ -1,11 +1,12 @@
 //! A minimal static directed graph used as a substrate.
 //!
-//! Two places need an ordinary (non-evolving) graph:
+//! Three places need an ordinary (non-evolving) graph:
 //!
-//! * the snapshots of a [`crate::snapshots::SnapshotSequence`], and
 //! * the *equivalent static graph* `G = (V, Ẽ ∪ E′)` constructed in the proof
 //!   of Theorem 1, on which classical BFS must agree with the evolving-graph
-//!   BFS of Algorithm 1.
+//!   BFS of Algorithm 1;
+//! * the flattened and per-snapshot graphs of the `egraph-baselines` crate;
+//! * the acyclicity check of the nilpotency lemma (`egraph-matrix`).
 //!
 //! The implementation is intentionally small: adjacency lists, degree
 //! queries, and a textbook BFS.
@@ -75,16 +76,6 @@ impl StaticGraph {
             .get(u)
             .map(|adj| adj.contains(&(v as u32)))
             .unwrap_or(false)
-    }
-
-    /// Out-neighbors of `u`.
-    pub fn out_neighbors(&self, u: usize) -> &[u32] {
-        &self.out_adj[u]
-    }
-
-    /// In-neighbors of `u`.
-    pub fn in_neighbors(&self, u: usize) -> &[u32] {
-        &self.in_adj[u]
     }
 
     /// Out-degree of `u`.

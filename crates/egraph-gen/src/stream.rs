@@ -2,10 +2,10 @@
 //!
 //! The Figure 5 experiment grows one evolving graph by repeatedly adding
 //! random static edges and re-running BFS after each growth step. The
-//! incremental-update ablation (ABL-C in DESIGN.md) needs the same pattern as
-//! a reusable object: a deterministic stream of edge batches that can either
-//! be applied incrementally to one [`AdjacencyListGraph`] or replayed from
-//! scratch, so the two strategies can be compared.
+//! incremental-update ablation (`abl-c` in the `figures` binary) needs the
+//! same pattern as a reusable object: a deterministic stream of edge batches
+//! that can either be applied incrementally to one [`AdjacencyListGraph`] or
+//! replayed from scratch, so the two strategies can be compared.
 
 use egraph_core::adjacency::AdjacencyListGraph;
 use egraph_core::ids::{NodeId, TimeIndex};

@@ -3,7 +3,7 @@
 //! The benchmark harness regenerates the paper's Figure 5 as a *series* —
 //! edge count versus measured run time — rather than as a plot. This module
 //! holds the small table type used to print such series consistently, both
-//! as an aligned text table (for the terminal and EXPERIMENTS.md) and as CSV
+//! as an aligned text table (for the terminal) and as CSV
 //! (for plotting elsewhere).
 
 use std::fmt::Write as _;

@@ -150,18 +150,6 @@ impl BlockAdjacency {
         m
     }
 
-    /// The temporal nodes in time-major order (the row/column ordering of
-    /// `M_n`), active or not.
-    pub fn all_temporal_nodes(&self) -> Vec<TemporalNode> {
-        let mut out = Vec::with_capacity(self.dimension());
-        for t in 0..self.num_timestamps {
-            for v in 0..self.num_nodes {
-                out.push(TemporalNode::from_raw(v as u32, t as u32));
-            }
-        }
-        out
-    }
-
     /// The active temporal nodes in time-major order — the row/column
     /// labelling of `A_n`.
     pub fn active_temporal_nodes(&self) -> Vec<TemporalNode> {

@@ -1,11 +1,10 @@
 //! Coordinate (triplet) sparse matrix builder.
 //!
 //! Sparse matrices are most conveniently assembled as `(row, col, value)`
-//! triplets and then compressed into CSR or CSC form. Duplicate entries are
-//! summed during compression, matching the usual sparse-assembly convention.
+//! triplets and then compressed into CSC form. Duplicate entries are summed
+//! during compression, matching the usual sparse-assembly convention.
 
 use crate::csc::CscMatrix;
-use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 
 /// A sparse matrix under assembly, stored as unsorted triplets.
@@ -70,11 +69,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Compresses into CSR form, summing duplicates.
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_triplets(self.rows, self.cols, &self.entries)
-    }
-
     /// Compresses into CSC form, summing duplicates.
     pub fn to_csc(&self) -> CscMatrix {
         CscMatrix::from_triplets(self.rows, self.cols, &self.entries)
@@ -114,13 +108,10 @@ mod tests {
         coo.push_one(2, 0);
         coo.push(0, 1, 1.0);
         let d = coo.to_dense();
-        let csr = coo.to_csr();
         let csc = coo.to_csc();
         let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(csr.matvec(&x), d.matvec(&x));
         assert_eq!(csc.matvec(&x), d.matvec(&x));
-        assert_eq!(csr.nnz(), 3); // duplicate summed into one stored entry
-        assert_eq!(csc.nnz(), 3);
+        assert_eq!(csc.nnz(), 3); // duplicate summed into one stored entry
     }
 
     #[test]

@@ -91,15 +91,9 @@ impl CscMatrix {
         self.col_ptr[c] == self.col_ptr[c + 1]
     }
 
-    /// Whether row `r` stores no entries. CSC has no row index, so this is a
-    /// scan over the stored entries (`O(nnz)`); the proof of Theorem 6 charges
-    /// `O(|V[t]|)` for the batched version, which
-    /// [`CscMatrix::nonempty_rows`] provides.
-    pub fn row_is_empty(&self, r: usize) -> bool {
-        !self.row_idx.iter().any(|&x| x as usize == r)
-    }
-
     /// Marks which rows contain at least one entry, in one `O(nnz)` sweep.
+    /// CSC has no row index, so this batched form is how the proof of
+    /// Theorem 6's `O(|V[t]|)` row-activeness charge is met.
     pub fn nonempty_rows(&self) -> Vec<bool> {
         let mut mask = vec![false; self.rows];
         for &r in &self.row_idx {
@@ -188,7 +182,6 @@ mod tests {
         assert_eq!(a.get(1, 2), 3.0);
         assert_eq!(a.get(2, 0), 0.0);
         assert!(!a.col_is_empty(1));
-        assert!(a.row_is_empty(2));
         assert_eq!(a.nonempty_rows(), vec![true, true, false]);
         assert_eq!(a.nonempty_cols(), vec![true, true, true]);
     }

@@ -34,15 +34,6 @@ impl DenseMatrix {
         m
     }
 
-    /// Builds a matrix from row-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        DenseMatrix { rows, cols, data }
-    }
-
     /// Builds a 0/1 matrix from a list of `(row, col)` positions.
     pub fn from_ones(rows: usize, cols: usize, ones: &[(usize, usize)]) -> Self {
         let mut m = Self::zeros(rows, cols);
@@ -214,6 +205,15 @@ impl DenseMatrix {
 mod tests {
     use super::*;
 
+    /// `[[1, 2, 3], [4, 5, 6]]`.
+    fn one_to_six() -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(2, 3);
+        for i in 0..6 {
+            a.set(i / 3, i % 3, (i + 1) as f64);
+        }
+        a
+    }
+
     #[test]
     fn identity_matvec_is_identity() {
         let i = DenseMatrix::identity(4);
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn matvec_matches_manual_computation() {
-        let a = DenseMatrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = one_to_six();
         assert_eq!(a.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
         assert_eq!(a.transpose_matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn transpose_round_trips() {
-        let a = DenseMatrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = one_to_six();
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose().get(2, 1), 6.0);
     }

@@ -5,9 +5,8 @@
 //!
 //! The crate is built from scratch on top of `egraph-core`:
 //!
-//! * dense ([`dense::DenseMatrix`]) and sparse ([`csr::CsrMatrix`],
-//!   [`csc::CscMatrix`], [`coo::CooMatrix`]) matrices with serial and
-//!   rayon-parallel mat-vec kernels;
+//! * dense ([`dense::DenseMatrix`]) and sparse ([`csc::CscMatrix`],
+//!   [`coo::CooMatrix`]) matrices with serial mat-vec kernels;
 //! * the block adjacency matrices `M_n` / `A_n` of Section III-C
 //!   ([`block::BlockAdjacency`]) and the `⊙` product of Section III-B
 //!   ([`odot`]);
@@ -40,20 +39,16 @@ pub mod algebraic_bfs;
 pub mod block;
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dense;
-pub mod dynamic_walks;
 pub mod naive_sum;
 pub mod nilpotent;
 pub mod odot;
-pub mod parallel;
 pub mod path_count;
 
 pub use algebraic_bfs::{algebraic_bfs, algebraic_bfs_blocked, algebraic_bfs_dense};
 pub use block::BlockAdjacency;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use egraph_core::distance::DistanceMap;
 
@@ -63,14 +58,9 @@ pub mod prelude {
     pub use crate::block::BlockAdjacency;
     pub use crate::coo::CooMatrix;
     pub use crate::csc::CscMatrix;
-    pub use crate::csr::CsrMatrix;
     pub use crate::dense::DenseMatrix;
-    pub use crate::dynamic_walks::{
-        broadcast_scores, dynamic_communicability, receive_scores, safe_alpha,
-    };
     pub use crate::naive_sum::{identity_padded_product, naive_path_sum, plain_product};
     pub use crate::nilpotent::{all_snapshots_acyclic, is_nilpotent, lemma1_check};
     pub use crate::odot::{activeness_mask, causal_apply, odot_componentwise, odot_literal};
-    pub use crate::parallel::{par_csc_transpose_matvec, par_csr_matvec, par_dense_matvec};
     pub use crate::path_count::{iterate_sequence, matrix_walk_counts, total_path_count};
 }

@@ -144,15 +144,6 @@ impl QueryDescriptor {
         }
         search
     }
-
-    /// Whether the hop engines serve this query (per-source
-    /// [`DistanceMap`](egraph_core::distance::DistanceMap) payload).
-    pub fn is_hop_query(&self) -> bool {
-        matches!(
-            self.strategy,
-            Strategy::Serial | Strategy::Parallel | Strategy::Algebraic
-        )
-    }
 }
 
 /// How a cached result is repaired when snapshots are appended — the rows of

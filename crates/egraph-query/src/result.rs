@@ -218,14 +218,6 @@ impl SearchResult {
         }
     }
 
-    /// Distance from source number `index` to `tn`.
-    ///
-    /// # Panics
-    /// See [`SearchResult::distance_maps`].
-    pub fn distance_from(&self, index: usize, tn: TemporalNode) -> Option<u32> {
-        self.hop_maps().get(index).and_then(|m| m.distance(tn))
-    }
-
     // ------------------------------------------------------------------
     // Union views
     // ------------------------------------------------------------------

@@ -68,11 +68,37 @@
 //! use evolving_graphs::core::bfs::bfs;
 //! ```
 //!
+//! The graph storages are the adjacency list (to build) and its CSR
+//! flattening (to serve); the snapshot-sequence storage, the CSR matrix with
+//! its rayon mat-vecs, dynamic walks, weak components and `GraphMetrics`,
+//! none of which any search used, are gone too:
+//!
+//! ```compile_fail
+//! use evolving_graphs::prelude::SnapshotSequence;
+//! ```
+//!
+//! ```compile_fail
+//! use evolving_graphs::matrix::CsrMatrix;
+//! ```
+//!
+//! ```compile_fail
+//! use evolving_graphs::matrix::dynamic_walks::dynamic_communicability;
+//! ```
+//!
+//! ```compile_fail
+//! use evolving_graphs::core::metrics::GraphMetrics;
+//! ```
+//!
+//! ```compile_fail
+//! use evolving_graphs::core::components::weak_components;
+//! ```
+//!
 //! while the same imports without the removed names do:
 //!
 //! ```
-//! use evolving_graphs::prelude::{Direction, Search};
+//! use evolving_graphs::prelude::{AdjacencyListGraph, CsrAdjacency, Direction, Search};
 //! use evolving_graphs::core::kernel::distances;
+//! use evolving_graphs::matrix::{CscMatrix, DenseMatrix};
 //! ```
 //!
 //! [`Search`]: egraph_query::Search

@@ -157,18 +157,19 @@ fn incremental_equals_batch_construction() {
     }
 }
 
-/// The adjacency-list and snapshot-sequence representations agree.
+/// The adjacency-list storage (built incrementally) and the CSR storage
+/// flattened from it (served) agree.
 #[test]
 fn representations_agree() {
     for trial in 0..TRIALS {
         let (n, t, edges) = random_edges(trial);
         let adj = AdjacencyListGraph::from_indexed_edges(n, t, &edges).unwrap();
-        let snap = SnapshotSequence::from_indexed_edges(n, t, &edges).unwrap();
-        assert_eq!(adj.num_static_edges(), snap.num_static_edges());
-        assert_eq!(adj.active_nodes(), snap.active_nodes());
+        let csr = CsrAdjacency::from_graph(&adj);
+        assert_eq!(adj.num_static_edges(), csr.num_static_edges());
+        assert_eq!(adj.active_nodes(), csr.active_nodes());
         if let Some(&root) = adj.active_nodes().first() {
             let search = Search::from(root);
-            let (a, b) = (search.run(&adj).unwrap(), search.run(&snap).unwrap());
+            let (a, b) = (search.run(&adj).unwrap(), search.run(&csr).unwrap());
             assert_eq!(a.reached(), b.reached(), "trial {trial}");
         }
     }
