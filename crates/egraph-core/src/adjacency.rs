@@ -230,24 +230,6 @@ impl AdjacencyListGraph {
         Ok(true)
     }
 
-    /// Inserts an edge given a timestamp *label* rather than an index.
-    ///
-    /// The label must resolve to an **existing** snapshot: this method never
-    /// creates snapshots implicitly, so a label that falls between existing
-    /// labels (or after the last one) is rejected rather than silently
-    /// rounded to a neighboring snapshot — append new snapshots explicitly
-    /// with [`AdjacencyListGraph::push_timestamp`] first.
-    ///
-    /// # Errors
-    /// [`GraphError::UnknownTimestamp`] if no snapshot carries `label`, plus
-    /// the [`AdjacencyListGraph::add_edge`] errors.
-    pub fn add_edge_at(&mut self, u: NodeId, v: NodeId, label: Timestamp) -> Result<()> {
-        let t = self
-            .time_index_of(label)
-            .ok_or(GraphError::UnknownTimestamp { timestamp: label })?;
-        self.add_edge(u, v, t)
-    }
-
     /// Whether the static edge `(u, v)` exists at snapshot `t`.
     pub fn has_static_edge(&self, u: NodeId, v: NodeId, t: TimeIndex) -> bool {
         if u.index() >= self.num_nodes || t.index() >= self.timestamps.len() {
@@ -280,16 +262,6 @@ impl AdjacencyListGraph {
         &self.active[v.index()]
     }
 
-    /// The first active snapshot of `v` that is strictly later than `t`, if
-    /// any. Useful for "next hop in time" style traversals.
-    pub fn next_active_time(&self, v: NodeId, t: TimeIndex) -> Option<TimeIndex> {
-        let times = self.active_slice(v);
-        match times.binary_search(&t) {
-            Ok(pos) => times.get(pos + 1).copied(),
-            Err(pos) => times.get(pos).copied(),
-        }
-    }
-
     /// Iterates over all static edges as `(src, dst, time)` triples. Each
     /// undirected edge is reported once with the end point order in which it
     /// was inserted.
@@ -307,15 +279,6 @@ impl AdjacencyListGraph {
             }
         }
         out
-    }
-
-    /// Total degree (in + out) of the temporal node `(v, t)`.
-    pub fn temporal_degree(&self, v: NodeId, t: TimeIndex) -> usize {
-        if self.directed {
-            self.out_slice(v, t).len() + self.in_slice(v, t).len()
-        } else {
-            self.out_slice(v, t).len()
-        }
     }
 
     /// Returns all active temporal nodes at snapshot `t`.
@@ -485,47 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_at_rejects_labels_between_and_beyond_snapshots() {
-        let mut g = AdjacencyListGraph::directed(3, vec![10, 30]).unwrap();
-        // Between existing labels: no implicit snapshot creation.
-        assert_eq!(
-            g.add_edge_at(NodeId(0), NodeId(1), 20).unwrap_err(),
-            GraphError::UnknownTimestamp { timestamp: 20 }
-        );
-        // Beyond the last label: same.
-        assert_eq!(
-            g.add_edge_at(NodeId(0), NodeId(1), 40).unwrap_err(),
-            GraphError::UnknownTimestamp { timestamp: 40 }
-        );
-        assert_eq!(g.num_static_edges(), 0);
-        // Exact labels resolve.
-        g.add_edge_at(NodeId(0), NodeId(1), 30).unwrap();
-        assert!(g.has_static_edge(NodeId(0), NodeId(1), TimeIndex(1)));
-    }
-
-    #[test]
     fn grow_nodes_extends_universe() {
         let mut g = AdjacencyListGraph::directed_with_unit_times(2, 2);
         g.grow_nodes(5);
         assert_eq!(g.num_nodes(), 5);
         g.add_edge(NodeId(4), NodeId(0), TimeIndex(1)).unwrap();
         assert!(g.is_active(NodeId(4), TimeIndex(1)));
-    }
-
-    #[test]
-    fn next_active_time_finds_strictly_later_snapshot() {
-        let g = crate::examples::paper_figure1();
-        // Node 1 (paper label 2) is active at t1 and t3.
-        assert_eq!(
-            g.next_active_time(NodeId(1), TimeIndex(0)),
-            Some(TimeIndex(2))
-        );
-        assert_eq!(g.next_active_time(NodeId(1), TimeIndex(2)), None);
-        // Node 0 (paper label 1) is active at t1 and t2.
-        assert_eq!(
-            g.next_active_time(NodeId(0), TimeIndex(0)),
-            Some(TimeIndex(1))
-        );
     }
 
     #[test]
@@ -536,14 +464,5 @@ mod tests {
             at_t1,
             vec![TemporalNode::from_raw(0, 0), TemporalNode::from_raw(1, 0)]
         );
-    }
-
-    #[test]
-    fn temporal_degree_counts_both_directions() {
-        let mut g = AdjacencyListGraph::directed_with_unit_times(3, 1);
-        g.add_edge(NodeId(0), NodeId(1), TimeIndex(0)).unwrap();
-        g.add_edge(NodeId(2), NodeId(1), TimeIndex(0)).unwrap();
-        assert_eq!(g.temporal_degree(NodeId(1), TimeIndex(0)), 2);
-        assert_eq!(g.temporal_degree(NodeId(0), TimeIndex(0)), 1);
     }
 }

@@ -235,15 +235,6 @@ impl ResumableBfs {
         self.num_nodes
     }
 
-    /// The frontier snapshot: minimum distance at which `v` was ever
-    /// reached, or `None`.
-    pub fn best_distance(&self, v: NodeId) -> Option<u32> {
-        match self.node_best.get(v.index()) {
-            Some(&d) if d != UNREACHED => Some(d),
-            _ => None,
-        }
-    }
-
     /// Distance of a covered temporal node, or `None` if unreached (or not
     /// yet covered).
     pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
@@ -700,11 +691,6 @@ mod tests {
         assert_eq!(
             foremost.into_result().arrivals(),
             earliest_arrival(&g, root).arrivals()
-        );
-        // The brand-new node is reached only through the appended snapshot.
-        assert_eq!(
-            state.best_distance(NodeId(5)),
-            state.distance(TemporalNode::new(NodeId(5), t))
         );
     }
 

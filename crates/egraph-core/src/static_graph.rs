@@ -78,16 +78,6 @@ impl StaticGraph {
             .unwrap_or(false)
     }
 
-    /// Out-degree of `u`.
-    pub fn out_degree(&self, u: usize) -> usize {
-        self.out_adj[u].len()
-    }
-
-    /// In-degree of `u`.
-    pub fn in_degree(&self, u: usize) -> usize {
-        self.in_adj[u].len()
-    }
-
     /// All edges as `(src, dst)` pairs.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.num_edges);
@@ -168,8 +158,6 @@ mod tests {
         assert_eq!(g.num_nodes(), 6);
         assert!(g.has_edge(2, 5));
         assert!(!g.has_edge(5, 2));
-        assert_eq!(g.out_degree(2), 1);
-        assert_eq!(g.in_degree(5), 1);
     }
 
     #[test]

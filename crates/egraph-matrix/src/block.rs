@@ -127,12 +127,6 @@ impl BlockAdjacency {
             .sum()
     }
 
-    /// Total stored entries over the diagonal blocks, i.e. `|Ẽ|` (directed)
-    /// or `2|Ẽ|` (undirected).
-    pub fn nnz_static(&self) -> usize {
-        self.blocks.iter().map(|b| b.nnz()).sum()
-    }
-
     /// The off-diagonal block `M[ti,tj]` as a dense matrix: a diagonal 0/1
     /// matrix with a one at `(v, v)` iff `v` is active at both times. Equation
     /// (4) of the paper is `causal_block(t1, t2)` of the Figure 1 graph.
@@ -230,7 +224,6 @@ mod tests {
         assert_eq!(blocks.block(TimeIndex(0)).nnz(), 1);
         assert_eq!(blocks.block(TimeIndex(1)).get(0, 2), 1.0);
         assert_eq!(blocks.block(TimeIndex(2)).get(1, 2), 1.0);
-        assert_eq!(blocks.nnz_static(), 3);
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl CscMatrix {
         }
     }
 
-    /// Builds the CSC form of a 0/1 adjacency matrix from edge pairs.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let triplets: Vec<(u32, u32, f64)> = edges.iter().map(|&(r, c)| (r, c, 1.0)).collect();
-        Self::from_triplets(n, n, &triplets)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -200,14 +194,6 @@ mod tests {
         let a = CscMatrix::from_triplets(2, 2, &[(1, 1, 1.0), (1, 1, 4.0)]);
         assert_eq!(a.nnz(), 1);
         assert_eq!(a.get(1, 1), 5.0);
-    }
-
-    #[test]
-    fn from_edges_builds_adjacency() {
-        let a = CscMatrix::from_edges(3, &[(0, 1), (1, 2)]);
-        assert_eq!(a.get(0, 1), 1.0);
-        assert_eq!(a.get(1, 2), 1.0);
-        assert_eq!(a.nnz(), 2);
     }
 
     #[test]

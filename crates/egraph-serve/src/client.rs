@@ -123,12 +123,9 @@ impl Client {
             if !retryable || retries + 1 >= policy.attempts {
                 return outcome.map(|response| (response, retries));
             }
-            let sleep = match &outcome {
-                Ok(response) => match response.retry_after {
-                    Some(secs) => Duration::from_secs(secs).mul_f64(rng.gen_range(1.0f64..1.5)),
-                    None => backoff.mul_f64(rng.gen_range(0.5f64..1.0)),
-                },
-                Err(_) => backoff.mul_f64(rng.gen_range(0.5f64..1.0)),
+            let sleep = match outcome.as_ref().ok().and_then(|r| r.retry_after) {
+                Some(secs) => Duration::from_secs(secs).mul_f64(rng.gen_range(1.0f64..1.5)),
+                None => backoff.mul_f64(rng.gen_range(0.5f64..1.0)),
             };
             if !sleep.is_zero() {
                 std::thread::sleep(sleep);
@@ -153,27 +150,8 @@ impl Client {
     /// snapshot the server seals; a non-`200` is returned as `Err` with the
     /// server's error body in the message.
     pub fn subscribe(&self, descriptor: &QueryDescriptor) -> std::io::Result<Subscription> {
-        let stream = self.send_request("POST", "/subscribe", &descriptor_to_json(descriptor))?;
-        let mut reader = BufReader::new(stream);
-        let head = http::read_response_head(&mut reader)?;
-        if head.status != 200 {
-            let body = match head.framing {
-                http::BodyFraming::Sized(n) => {
-                    String::from_utf8_lossy(&http::read_body(&mut reader, n)?).into_owned()
-                }
-                http::BodyFraming::Chunked => String::new(),
-            };
-            return Err(std::io::Error::other(format!(
-                "subscribe rejected with {}: {body}",
-                head.status
-            )));
-        }
-        if !matches!(head.framing, http::BodyFraming::Chunked) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "subscription responses must be chunked",
-            ));
-        }
+        let body = descriptor_to_json(descriptor);
+        let reader = self.open_stream("POST", "/subscribe", &body, "subscribe")?;
         Ok(Subscription { reader })
     }
 
@@ -186,7 +164,41 @@ impl Client {
     /// tools can use it to mirror a log.
     pub fn tail_log(&self, from: u64) -> std::io::Result<(TailInit, LogTail)> {
         let path = format!("/log/tail?from={from}");
-        let stream = self.send_request("GET", &path, "")?;
+        let mut reader = self.open_stream("GET", &path, "", "tail")?;
+        let init_frame = http::read_chunk(&mut reader)?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "tail stream closed before its init frame",
+            )
+        })?;
+        let value = egraph_io::parse_value(init_frame.trim()).map_err(invalid)?;
+        let object = value.as_object("tail init frame").map_err(invalid)?;
+        let init = object
+            .get("init")
+            .and_then(|v| v.as_object("init"))
+            .map_err(invalid)?;
+        let init = TailInit {
+            num_nodes: count(&init, "num_nodes")?,
+            directed: init
+                .get("directed")
+                .and_then(|v| v.as_bool("directed"))
+                .map_err(invalid)?,
+            latest: count(&object, "latest")? as u64,
+        };
+        Ok((init, LogTail { reader }))
+    }
+
+    /// Sends a request whose `200` answer is a chunked stream and returns
+    /// the stream positioned at its first chunk. Any other status comes
+    /// back as `Err` carrying `"{what} rejected with {status}: {body}"`.
+    fn open_stream(
+        &self,
+        method: &str,
+        path: &str,
+        body: &str,
+        what: &str,
+    ) -> std::io::Result<BufReader<TcpStream>> {
+        let stream = self.send_request(method, path, body)?;
         let mut reader = BufReader::new(stream);
         let head = http::read_response_head(&mut reader)?;
         if head.status != 200 {
@@ -197,24 +209,14 @@ impl Client {
                 http::BodyFraming::Chunked => String::new(),
             };
             return Err(std::io::Error::other(format!(
-                "tail rejected with {}: {body}",
+                "{what} rejected with {}: {body}",
                 head.status
             )));
         }
         if !matches!(head.framing, http::BodyFraming::Chunked) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "tail responses must be chunked",
-            ));
+            return Err(invalid(format!("{what} responses must be chunked")));
         }
-        let init_frame = http::read_chunk(&mut reader)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "tail stream closed before its init frame",
-            )
-        })?;
-        let init = parse_tail_init(init_frame.trim())?;
-        Ok((init, LogTail { reader }))
+        Ok(reader)
     }
 
     /// `GET /checkpoint/latest` against a durable leader: the newest
@@ -230,7 +232,7 @@ impl Client {
         let raw = match head.framing {
             http::BodyFraming::Sized(n) => http::read_body(&mut reader, n)?,
             http::BodyFraming::Chunked => {
-                return Err(invalid("checkpoint responses must be sized".into()))
+                return Err(invalid("checkpoint responses must be sized"))
             }
         };
         match head.status {
@@ -274,33 +276,16 @@ pub struct TailSegment {
     pub bytes: Vec<u8>,
 }
 
-fn invalid(message: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+fn invalid(message: impl ToString) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message.to_string())
 }
 
-fn parse_tail_init(frame: &str) -> std::io::Result<TailInit> {
-    let value = egraph_io::parse_value(frame).map_err(|e| invalid(e.to_string()))?;
-    let object = value
-        .as_object("tail init frame")
-        .map_err(|e| invalid(e.to_string()))?;
-    let init = object
-        .get("init")
-        .and_then(|v| v.as_object("init"))
-        .map_err(|e| invalid(e.to_string()))?;
-    Ok(TailInit {
-        num_nodes: init
-            .get("num_nodes")
-            .and_then(|v| v.as_usize("num_nodes"))
-            .map_err(|e| invalid(e.to_string()))?,
-        directed: init
-            .get("directed")
-            .and_then(|v| v.as_bool("directed"))
-            .map_err(|e| invalid(e.to_string()))?,
-        latest: object
-            .get("latest")
-            .and_then(|v| v.as_usize("latest"))
-            .map_err(|e| invalid(e.to_string()))? as u64,
-    })
+/// The unsigned field `key` of a tail frame's JSON object.
+fn count(object: &egraph_io::json::Object<'_>, key: &str) -> std::io::Result<usize> {
+    object
+        .get(key)
+        .and_then(|v| v.as_usize(key))
+        .map_err(invalid)
 }
 
 /// A replication stream: yields sealed segments as the leader ships them.
@@ -316,25 +301,13 @@ impl LogTail {
         let Some(header) = http::read_chunk(&mut self.reader)? else {
             return Ok(None);
         };
-        let value = egraph_io::parse_value(header.trim()).map_err(|e| invalid(e.to_string()))?;
-        let object = value
-            .as_object("tail segment header")
-            .map_err(|e| invalid(e.to_string()))?;
-        let seq = object
-            .get("seq")
-            .and_then(|v| v.as_usize("seq"))
-            .map_err(|e| invalid(e.to_string()))? as u64;
-        let len = object
-            .get("len")
-            .and_then(|v| v.as_usize("len"))
-            .map_err(|e| invalid(e.to_string()))?;
-        let latest = object
-            .get("latest")
-            .and_then(|v| v.as_usize("latest"))
-            .map_err(|e| invalid(e.to_string()))? as u64;
-        let bytes = http::read_chunk_bytes(&mut self.reader)?.ok_or_else(|| {
-            invalid("tail stream ended between a segment header and its bytes".into())
-        })?;
+        let value = egraph_io::parse_value(header.trim()).map_err(invalid)?;
+        let object = value.as_object("tail segment header").map_err(invalid)?;
+        let seq = count(&object, "seq")? as u64;
+        let len = count(&object, "len")?;
+        let latest = count(&object, "latest")? as u64;
+        let bytes = http::read_chunk_bytes(&mut self.reader)?
+            .ok_or_else(|| invalid("tail stream ended between a segment header and its bytes"))?;
         if bytes.len() != len {
             return Err(invalid(format!(
                 "segment header declared {len} bytes but the chunk carries {}",

@@ -31,9 +31,11 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::net::TcpStream;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use crate::lock;
 
 /// How long an admitted connection waits for a finishing thread before a
 /// new thread is made for it. A finishing thread only has to close its
@@ -95,10 +97,6 @@ pub(crate) struct ConnectionThreads {
     claimed: Condvar,
     /// `close_and_wait` waits here for the last thread to exit.
     exited: Condvar,
-}
-
-fn lock(mutex: &Mutex<State>) -> MutexGuard<'_, State> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ConnectionThreads {

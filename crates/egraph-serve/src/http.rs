@@ -185,7 +185,7 @@ fn read_head_line<R: BufRead>(
 }
 
 /// Human-readable reason phrase for the status codes the server emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -201,73 +201,77 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Connection: close` response with a JSON body.
-pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write_response_with_retry_after(stream, status, body, None)
-}
+/// The content type of every response except a checkpoint file's.
+pub(crate) const JSON: &str = "application/json";
 
-/// Like [`write_response`], optionally adding a `Retry-After: <secs>`
-/// header — how a load-shedding `503` tells clients when to come back.
-pub fn write_response_with_retry_after(
+/// Writes a `Connection: close` response head; `headers` carries the body
+/// framing and any other header, each line CRLF-terminated.
+fn write_head(
     stream: &mut impl Write,
     status: u16,
-    body: &str,
+    content_type: &str,
+    headers: &str,
+) -> io::Result<()> {
+    let reason = status_reason(status);
+    let head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{headers}Connection: close\r\n\r\n"
+    );
+    stream.write_all(head.as_bytes())
+}
+
+/// Writes a complete `Connection: close` response carrying `body` as
+/// `content_type`, optionally with a `Retry-After: <secs>` header — how a
+/// load-shedding `503` tells clients when to come back. Raw bytes
+/// (`application/octet-stream`) are how `GET /checkpoint/latest` ships a
+/// checkpoint file verbatim, CRC framing included.
+pub(crate) fn write_sized_response(
+    stream: &mut impl Write,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
     retry_after: Option<u64>,
 ) -> io::Result<()> {
-    let retry_header = match retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_header}Connection: close\r\n\r\n",
-        status_reason(status),
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    let mut headers = format!("Content-Length: {}\r\n", body.len());
+    if let Some(secs) = retry_after {
+        headers += &format!("Retry-After: {secs}\r\n");
+    }
+    write_head(stream, status, content_type, &headers)?;
+    stream.write_all(body)?;
     stream.flush()
 }
 
-/// Writes a complete `Connection: close` response carrying raw bytes
-/// (`application/octet-stream`) — how `GET /checkpoint/latest` ships a
-/// checkpoint file verbatim, CRC framing included.
-pub fn write_response_bytes(stream: &mut impl Write, status: u16, body: &[u8]) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/octet-stream\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        status_reason(status),
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+/// Writes a complete `Connection: close` response with a JSON body.
+pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
+    write_sized_response(stream, status, JSON, body.as_bytes(), None)
 }
 
 /// Starts a streaming (chunked) `200` response; the body follows as
 /// [`write_chunk`] calls, terminated by [`write_final_chunk`].
 pub fn write_chunked_head(stream: &mut impl Write) -> io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-    )?;
+    write_head(stream, 200, JSON, "Transfer-Encoding: chunked\r\n")?;
+    stream.flush()
+}
+
+/// Writes one chunk: its size line, `payload`, then `tail`, which ends in
+/// the chunk's CRLF; the size counts what precedes that CRLF.
+fn write_chunk_with(stream: &mut impl Write, payload: &[u8], tail: &[u8]) -> io::Result<()> {
+    write!(stream, "{:x}\r\n", payload.len() + tail.len() - 2)?;
+    stream.write_all(payload)?;
+    stream.write_all(tail)?;
     stream.flush()
 }
 
 /// Writes one chunk carrying `payload` plus a trailing newline (the newline
 /// gives subscribers line-delimited frames regardless of chunk boundaries).
 pub fn write_chunk(stream: &mut impl Write, payload: &str) -> io::Result<()> {
-    write!(stream, "{:x}\r\n", payload.len() + 1)?;
-    stream.write_all(payload.as_bytes())?;
-    stream.write_all(b"\n\r\n")?;
-    stream.flush()
+    write_chunk_with(stream, payload.as_bytes(), b"\n\r\n")
 }
 
 /// Writes one chunk carrying raw bytes, with no trailing newline — the
 /// framing the replication stream uses to ship sealed segment files
 /// verbatim (segments are binary; a text terminator would corrupt them).
 pub fn write_chunk_bytes(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write!(stream, "{:x}\r\n", payload.len())?;
-    stream.write_all(payload)?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
+    write_chunk_with(stream, payload, b"\r\n")
 }
 
 /// Terminates a chunked response.
@@ -277,7 +281,7 @@ pub fn write_final_chunk(stream: &mut impl Write) -> io::Result<()> {
 }
 
 /// A client-side view of a response: status code and the full body.
-/// Chunked responses are read frame-by-frame instead, via [`read_chunk`].
+/// Chunked responses are read frame-by-frame instead, via `read_chunk`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// The status code.
@@ -290,7 +294,7 @@ pub struct Response {
 }
 
 /// What a response head declared about its body framing.
-pub enum BodyFraming {
+pub(crate) enum BodyFraming {
     /// `Content-Length: n`.
     Sized(usize),
     /// `Transfer-Encoding: chunked` — read frames with [`read_chunk`].
@@ -299,7 +303,7 @@ pub enum BodyFraming {
 
 /// A parsed response head: the status, how the body is framed, and the
 /// retry hint (if any) before the body has been read.
-pub struct ResponseHead {
+pub(crate) struct ResponseHead {
     /// The status code.
     pub status: u16,
     /// How the body is framed.
@@ -309,7 +313,7 @@ pub struct ResponseHead {
 }
 
 /// Reads a response head, returning the status and how the body is framed.
-pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead> {
+pub(crate) fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut head_bytes = 0;
     let status_line = read_head_line(reader, &mut head_bytes).map_err(request_error_to_io)?;
@@ -353,7 +357,7 @@ pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead
 }
 
 /// Reads a complete non-chunked response.
-pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+pub(crate) fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     let head = read_response_head(reader)?;
     let body = match head.framing {
         BodyFraming::Sized(n) => String::from_utf8(read_body(reader, n)?)
@@ -375,7 +379,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
 
 /// Reads one chunk of a chunked response; `None` means the final chunk
 /// arrived and the stream is done.
-pub fn read_chunk<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+pub(crate) fn read_chunk<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
     match read_chunk_bytes(reader)? {
         Some(raw) => {
             let payload = String::from_utf8(raw)
@@ -389,7 +393,7 @@ pub fn read_chunk<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
 /// Reads one chunk as raw bytes (no UTF-8 requirement) — the counterpart
 /// of [`write_chunk_bytes`], used for segment payloads on the replication
 /// stream. `None` means the final chunk arrived.
-pub fn read_chunk_bytes<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_chunk_bytes<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let size_line = read_head_line(reader, &mut 0).map_err(request_error_to_io)?;
     let size = usize::from_str_radix(size_line.trim(), 16)
@@ -547,8 +551,14 @@ mod tests {
     #[test]
     fn retry_after_round_trips_on_a_shed_response() {
         let mut wire = Vec::new();
-        write_response_with_retry_after(&mut wire, 503, "{\"error\": \"overloaded\"}", Some(2))
-            .unwrap();
+        write_sized_response(
+            &mut wire,
+            503,
+            JSON,
+            b"{\"error\": \"overloaded\"}",
+            Some(2),
+        )
+        .unwrap();
         let response = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
         assert_eq!(response.status, 503);
         assert_eq!(response.retry_after, Some(2));
@@ -595,7 +605,7 @@ mod tests {
     fn binary_responses_round_trip_every_byte() {
         let body: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
         let mut wire = Vec::new();
-        write_response_bytes(&mut wire, 200, &body).unwrap();
+        write_sized_response(&mut wire, 200, "application/octet-stream", &body, None).unwrap();
         let mut reader = BufReader::new(wire.as_slice());
         let head = read_response_head(&mut reader).unwrap();
         assert_eq!(head.status, 200);

@@ -7,11 +7,13 @@
 //! driven by snapshot seals.
 //!
 //! The build environment has no registry access, so there is no framework
-//! underneath — the HTTP codec ([`http`]), admission layer
-//! ([`singleflight`]) and server loop are plain `std`. Each admitted
-//! connection runs on a connection thread of its own, from a bounded set
-//! that parks its threads between connections; engines and cache repairs
-//! run on the workspace's in-tree rayon pool.
+//! underneath — everything is plain `std`:
+//!
+//! [`http`] is the HTTP/1.1 codec, [`client`] the blocking client and
+//! [`server`] the server, whose handlers are split by suite into its
+//! `read`, `write` and `follower` submodules. Two private modules hold
+//! single-flight admission and the bounded set of connection threads;
+//! engines and cache repairs run on the workspace's in-tree rayon pool.
 //!
 //! ## Quickstart
 //!
@@ -53,70 +55,36 @@
 //! curl -s localhost:PORT/stats
 //! ```
 //!
-//! ## The three serving tiers
+//! ## How it serves
 //!
-//! 1. **Peek** — a current cache entry is served off a shard read lock;
-//!    hot standing queries cost an `Arc` bump and one serialization.
-//! 2. **Single-flight** — concurrent requests for the same (canonical)
-//!    descriptor coalesce: one leader computes, every follower *parks its
-//!    connection* — not a thread — and is answered by the leader from the
-//!    same bytes. A burst of N identical cold queries does one traversal,
-//!    counted as 1 miss + (N−1) [`coalesced`](egraph_stream::CacheStats).
-//! 3. **Compute** — through the cache, so repairs follow the invalidation
-//!    matrix (extend where the descriptor allows, recompute otherwise) and
-//!    the next burst starts at tier 1.
-//!
-//! ## Standing queries
-//!
-//! `POST /subscribe` holds the connection open (chunked transfer encoding)
-//! and pushes a frame per sealed snapshot: `{"seq", "version", "label",
-//! "segments_sealed", "segments_replayed", "follower_lag_seals",
-//! "outcome", "result"}`. Frames are generated through the same cache as
-//! `/query`, so a subscription to an extendable query is advanced
-//! incrementally, not recomputed. Seal→broadcast sections are serialized —
-//! every subscriber sees every seal, in order, exactly once.
-//!
-//! ## Durability & replication
-//!
-//! [`Server::start_durable`] write-ahead logs every ingested event into an
-//! `egraph-log` segment directory and fsyncs each seal before
-//! acknowledging it; after a crash or restart,
-//! [`DurableGraph::open`](egraph_stream::DurableGraph::open) (or the
-//! `--data-dir` flag of the `egraph-serve` binary) replays the log and the
-//! server resumes byte-identically. [`Server::start_follower`] tails a
-//! leader's sealed-segment stream over `GET /log/tail` (see
-//! [`Client::tail_log`]) and serves reads and subscriptions from its own
-//! replica and cache — delta-sync read scaling on the same wire format the
-//! disk uses. A follower *forwards* `/ingest` to its leader with bounded
-//! retries, so clients may write to any server in the group.
-//!
-//! ## Overload & fault tolerance
-//!
-//! Connections run on their own bounded threads, separate from the rayon
-//! pool that runs engines and repairs, so a handler that waits on another
-//! connection cannot starve it. Admission is bounded
-//! ([`ServerConfig::max_inflight`] connections, and as many connection
-//! threads at most): past the bound, connections are shed with `503` +
-//! `Retry-After` straight from the accept thread, and
-//! [`Client::post_with_retry`] honors the hint with jittered backoff
-//! ([`RetryPolicy`]). `/stats` reports the threads created and alive.
-//! The whole write/replication path is instrumented with `egraph-fault`
-//! failpoints (zero-cost in release builds); the workspace's chaos suite
-//! (`tests/chaos.rs`) scripts them to prove the durability contract under
-//! injected fsync failures, torn writes, crashes and overload.
+//! Each mechanism is documented once, where it is implemented: the
+//! [`server`] module covers the `/query` tiers, standing-query push,
+//! durability and replication ([`Server::start_durable`],
+//! [`Server::start_follower`]), bounded admission and the failpoints the
+//! chaos suite (`tests/chaos.rs`) scripts; [`Client::post_with_retry`]
+//! covers the client side of load shedding.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub mod client;
 mod connections;
 pub mod http;
 pub mod server;
-pub mod singleflight;
+mod singleflight;
 
 pub use client::{Client, LogTail, RetryPolicy, Subscription, TailInit, TailSegment};
 pub use http::Response;
 pub use server::{Server, ServerConfig, ServerStats};
+
+/// Locks `mutex`, recovering it if a thread panicked while holding it: a
+/// panicking handler is caught on its connection thread, and must not take
+/// the server's shared state down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {

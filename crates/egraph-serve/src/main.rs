@@ -23,13 +23,7 @@ struct Args {
     follow: Option<SocketAddr>,
     nodes: usize,
     undirected: bool,
-    port: Option<u16>,
-    max_inflight: Option<usize>,
-    retry_after: Option<u64>,
-    forward_attempts: Option<u32>,
-    forward_backoff_ms: Option<u64>,
-    checkpoint_every: Option<u64>,
-    retain_checkpoints: Option<usize>,
+    config: ServerConfig,
 }
 
 const USAGE: &str = "usage: egraph-serve [--data-dir DIR | --follow HOST:PORT] \
@@ -81,14 +75,9 @@ fn parse_args() -> Result<Args, String> {
         follow: None,
         nodes: 16,
         undirected: false,
-        port: None,
-        max_inflight: None,
-        retry_after: None,
-        forward_attempts: None,
-        forward_backoff_ms: None,
-        checkpoint_every: None,
-        retain_checkpoints: None,
+        config: ServerConfig::default(),
     };
+    let config = &mut args.config;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |what: &str| argv.next().ok_or(format!("{flag} needs a {what}"));
@@ -107,17 +96,19 @@ fn parse_args() -> Result<Args, String> {
             }
             "--nodes" => args.nodes = parsed(&flag, value("count")?)?,
             "--undirected" => args.undirected = true,
-            "--port" => args.port = Some(parsed(&flag, value("port")?)?),
-            "--max-inflight" => args.max_inflight = Some(parsed(&flag, value("count")?)?),
-            "--retry-after" => args.retry_after = Some(parsed(&flag, value("seconds")?)?),
-            "--forward-attempts" => args.forward_attempts = Some(parsed(&flag, value("count")?)?),
+            "--port" => {
+                let port: u16 = parsed(&flag, value("port")?)?;
+                config.bind = Some(SocketAddr::from(([127, 0, 0, 1], port)));
+            }
+            "--max-inflight" => config.max_inflight = parsed(&flag, value("count")?)?,
+            "--retry-after" => config.retry_after_secs = parsed(&flag, value("seconds")?)?,
+            "--forward-attempts" => config.forward_attempts = parsed(&flag, value("count")?)?,
             "--forward-backoff-ms" => {
-                args.forward_backoff_ms = Some(parsed(&flag, value("milliseconds")?)?)
+                let ms = parsed(&flag, value("milliseconds")?)?;
+                config.forward_backoff = Duration::from_millis(ms);
             }
-            "--checkpoint-every" => args.checkpoint_every = Some(parsed(&flag, value("count")?)?),
-            "--retain-checkpoints" => {
-                args.retain_checkpoints = Some(parsed(&flag, value("count")?)?)
-            }
+            "--checkpoint-every" => config.checkpoint_every = parsed(&flag, value("count")?)?,
+            "--retain-checkpoints" => config.retain_checkpoints = parsed(&flag, value("count")?)?,
             "--help" | "-h" => {
                 println!("{USAGE}\n\n{HELP}");
                 std::process::exit(0);
@@ -132,24 +123,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(args: Args) -> Result<Server, String> {
-    let defaults = ServerConfig::default();
-    let config = ServerConfig {
-        bind: args
-            .port
-            .map(|port| SocketAddr::from(([127, 0, 0, 1], port))),
-        max_inflight: args.max_inflight.unwrap_or(defaults.max_inflight),
-        retry_after_secs: args.retry_after.unwrap_or(defaults.retry_after_secs),
-        forward_attempts: args.forward_attempts.unwrap_or(defaults.forward_attempts),
-        forward_backoff: args
-            .forward_backoff_ms
-            .map(Duration::from_millis)
-            .unwrap_or(defaults.forward_backoff),
-        checkpoint_every: args.checkpoint_every.unwrap_or(defaults.checkpoint_every),
-        retain_checkpoints: args
-            .retain_checkpoints
-            .unwrap_or(defaults.retain_checkpoints),
-        ..defaults
-    };
+    let config = args.config;
     config.validate()?;
     if let Some(leader) = args.follow {
         return Server::start_follower(leader, config).map_err(|e| e.to_string());

@@ -24,7 +24,9 @@
 
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use crate::lock;
 
 use egraph_query::QueryDescriptor;
 
@@ -64,10 +66,6 @@ pub struct LeaderGuard<'a> {
     finished: bool,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl SingleFlight {
     /// An empty admission table.
     pub fn new() -> Self {
@@ -102,11 +100,6 @@ impl SingleFlight {
                 finished: false,
             },
         )
-    }
-
-    /// Number of open flights (tests / stats).
-    pub fn open_flights(&self) -> usize {
-        lock(&self.slots).len()
     }
 
     fn close(&self, descriptor: &QueryDescriptor, slot: &Slot) -> Vec<TcpStream> {
@@ -181,6 +174,12 @@ mod tests {
     use egraph_query::Search;
     use std::io::BufReader;
     use std::net::TcpListener;
+
+    impl SingleFlight {
+        fn open_flights(&self) -> usize {
+            lock(&self.slots).len()
+        }
+    }
 
     fn descriptor(node: u32) -> QueryDescriptor {
         Search::from(TemporalNode::from_raw(node, 0)).descriptor()

@@ -1388,3 +1388,87 @@ fn a_follower_rebootstraps_from_a_checkpoint_after_compaction() {
     follower.shutdown();
     leader.shutdown();
 }
+
+#[test]
+fn a_rebootstrapped_follower_pushes_its_subscribers_the_new_version() {
+    let _gate = gate();
+    let dir = TempDir::new("rebootstrap-frame");
+    let addr = TcpListener::bind(("127.0.0.1", 0))
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let leader_config = ServerConfig {
+        bind: Some(addr),
+        checkpoint_every: 2,
+        retain_checkpoints: 1,
+        ..ServerConfig::default()
+    };
+    let start_leader = || -> Server {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let recovered = DurableGraph::open_or_create(dir.path(), 6, true).unwrap();
+            match Server::start_durable(recovered, leader_config.clone()) {
+                Ok(server) => return server,
+                Err(err) => {
+                    assert!(Instant::now() < deadline, "leader could not rebind: {err}");
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+            }
+        }
+    };
+
+    // Version 2 on the leader, bootstrapped from its checkpoint by the
+    // follower, with a subscriber on the follower.
+    let mut leader = start_leader();
+    let leader_client = Client::new(addr);
+    for body in [
+        r#"{"events": [[0, 1], [1, 2]], "seal": 0}"#,
+        r#"{"events": [[2, 3], [0, 4]], "seal": 1}"#,
+    ] {
+        assert_eq!(leader_client.post("/ingest", body).unwrap().status, 200);
+    }
+    let follower_config = ServerConfig {
+        forward_backoff: Duration::from_millis(25),
+        ..ServerConfig::default()
+    };
+    let mut follower = Server::start_follower(addr, follower_config).unwrap();
+    let follower_client = Client::new(follower.addr());
+    let descriptor = Search::from(TemporalNode::from_raw(0, 0)).descriptor();
+    let mut subscription = follower_client.subscribe(&descriptor).unwrap();
+    let initial = subscription.next_frame().unwrap().unwrap();
+    assert!(
+        initial.starts_with("{\"seq\": 0, \"version\": 2,"),
+        "{initial}"
+    );
+
+    // While the leader is down, four seals move its log to version 6 and
+    // compact it past the follower's resume point.
+    leader.shutdown();
+    drop(leader);
+    {
+        let mut durable = DurableGraph::open(dir.path()).unwrap().graph;
+        durable.set_checkpoint_policy(2, 1);
+        for (label, (u, v)) in [(2i64, (3u32, 5u32)), (3, (4, 5)), (4, (5, 0)), (5, (0, 2))] {
+            durable.insert(NodeId(u), NodeId(v)).unwrap();
+            durable.seal_snapshot(label).unwrap();
+        }
+    }
+
+    // Nothing is ingested after the restart: the re-bootstrap alone must
+    // push the subscriber a frame at version 6, carrying the newest label
+    // and the leader's answer there.
+    let mut leader = start_leader();
+    let frame = subscription.next_frame().unwrap().unwrap();
+    assert!(
+        frame.starts_with("{\"seq\": 1, \"version\": 6, \"label\": 5,"),
+        "{frame}"
+    );
+    let from_leader = leader_client.query(&descriptor).unwrap();
+    assert_eq!(from_leader.status, 200, "{}", from_leader.body);
+    assert!(
+        frame.ends_with(&format!("\"result\": {}}}", from_leader.body)),
+        "{frame}"
+    );
+    follower.shutdown();
+    leader.shutdown();
+}
