@@ -10,6 +10,15 @@
 //! grows with it — and emits a machine-readable `BENCH_incremental.json`
 //! summary (work counters + speedups per history length) for the perf
 //! trajectory.
+//!
+//! `CountingView` does not see copies, so the bench also runs under a
+//! counting global allocator and records the bytes one `QueryCache::execute`
+//! repair allocates — forward, shared-frontier and resettled — asserting
+//! each stays within the repaired result's table bytes plus `O(num_nodes)`:
+//! a repair may copy its table once, never twice.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egraph_bench::first_active_node;
@@ -22,6 +31,50 @@ use egraph_query::{Search, Strategy};
 use egraph_stream::{EdgeEvent, LiveGraph, QueryCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// The system allocator, plus one running total of the bytes it handed out
+/// (a reallocation counts its whole new block).
+struct CountingAlloc;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Bytes allocated while `f` runs. Taken on the calling thread with the
+/// pool idle, so no other thread's allocations land in the total.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATED.load(Relaxed);
+    let out = f();
+    (out, ALLOCATED.load(Relaxed) - before)
+}
+
+/// Slack per node a repair may allocate beside its tables: the frontier
+/// snapshot, the settled row's slots and causal cursors, and the level
+/// queues.
+const REPAIR_BYTES_PER_NODE: u64 = 96;
 
 /// Node universe and per-snapshot edge budget are fixed; only the history
 /// length varies, so any growth in the "extend" series would falsify the
@@ -50,6 +103,9 @@ struct MatrixReport {
     windowed_recompute_work: u64,
     resettle_work: u64,
     backward_recompute_work: u64,
+    forward_repair_alloc_bytes: u64,
+    shared_repair_alloc_bytes: u64,
+    resettle_alloc_bytes: u64,
 }
 
 fn build_live(history: usize, seed: u64) -> LiveGraph {
@@ -112,6 +168,19 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         let back = back_search.run(live.graph()).unwrap();
         let back_map = back.distance_map();
 
+        // The same forward, shared-frontier and backward queries, cached at
+        // the prefix so the delta's seal leaves one repair each.
+        let repair_cache = QueryCache::new();
+        let shared_search = Search::from_sources(sources).strategy(Strategy::SharedFrontier);
+        let repaired = [
+            Search::from(root),
+            shared_search.clone(),
+            back_search.clone(),
+        ];
+        for query in &repaired {
+            repair_cache.execute(&live, query).unwrap();
+        }
+
         let mut rng = SmallRng::seed_from_u64(0xDE17A + history as u64);
         seal_random_snapshot(&mut rng, &mut live, history as i64);
         let t_new = egraph_core::ids::TimeIndex::from_index(history);
@@ -168,7 +237,6 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         let shared_extend_work = extend_view.counters().total();
 
         let recompute_view = CountingView::new(live.graph());
-        let shared_search = Search::from_sources(sources).strategy(Strategy::SharedFrontier);
         let shared_scratch = shared_search.run(&recompute_view).unwrap();
         let shared_recompute_work = recompute_view.counters().total();
 
@@ -230,6 +298,35 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             "resettled backward result must equal recomputation (history {history})"
         );
 
+        // --- Bytes one cached repair allocates. ---------------------------
+        // Each result holds `num_nodes × (history + 1)` slots: one `u32`
+        // table for a hop map, two (distances, sources) for a shared one.
+        let table_bytes = (NUM_NODES * (history + 1) * 4) as u64;
+        let [forward_repair_alloc_bytes, shared_repair_alloc_bytes, resettle_alloc_bytes] =
+            repaired.each_ref().map(|query| {
+                let (result, bytes) = allocated_by(|| repair_cache.execute(&live, query).unwrap());
+                assert_eq!(
+                    result.reached(),
+                    query.run(live.graph()).unwrap().reached(),
+                    "the repaired answer must equal recomputation (history {history})"
+                );
+                bytes
+            });
+        for (what, bytes, tables) in [
+            ("forward repair", forward_repair_alloc_bytes, 1),
+            ("shared-frontier repair", shared_repair_alloc_bytes, 2),
+            ("resettle", resettle_alloc_bytes, 1),
+        ] {
+            let bound = tables * table_bytes + REPAIR_BYTES_PER_NODE * NUM_NODES as u64;
+            assert!(
+                bytes <= bound,
+                "history {history}: a {what} allocated {bytes} bytes, more than its \
+                 {tables} table(s) of {table_bytes} bytes plus {REPAIR_BYTES_PER_NODE} \
+                 per node ({bound})"
+            );
+        }
+        assert_eq!(repair_cache.stats().recomputes, 0);
+
         matrix_reports.push(MatrixReport {
             history,
             shared_extend_work,
@@ -238,6 +335,9 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             windowed_recompute_work,
             resettle_work,
             backward_recompute_work,
+            forward_repair_alloc_bytes,
+            shared_repair_alloc_bytes,
+            resettle_alloc_bytes,
         });
 
         println!(
@@ -412,7 +512,9 @@ fn write_matrix_json(reports: &[MatrixReport]) {
              \"shared_extend_work\": {}, \"shared_recompute_work\": {}, \
              \"shared_speedup\": {:.2}, \
              \"redimension_work\": {}, \"windowed_recompute_work\": {}, \
-             \"resettle_work\": {}, \"backward_recompute_work\": {}}}",
+             \"resettle_work\": {}, \"backward_recompute_work\": {}, \
+             \"forward_repair_alloc_bytes\": {}, \"shared_repair_alloc_bytes\": {}, \
+             \"resettle_alloc_bytes\": {}}}",
             r.history,
             EDGES_PER_SNAPSHOT,
             r.shared_extend_work,
@@ -422,11 +524,15 @@ fn write_matrix_json(reports: &[MatrixReport]) {
             r.windowed_recompute_work,
             r.resettle_work,
             r.backward_recompute_work,
+            r.forward_repair_alloc_bytes,
+            r.shared_repair_alloc_bytes,
+            r.resettle_alloc_bytes,
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"incremental_matrix\",\n  \"num_nodes\": {NUM_NODES},\n  \
          \"work_metric\": \"CountingView total (enumeration calls + delivered neighbors)\",\n  \
+         \"alloc_metric\": \"bytes one QueryCache::execute repair allocates\",\n  \
          \"rows\": [\"shared_frontier_extend\", \"bounded_window_redimension\", \
          \"effective_reversal_resettle\"],\n  \
          \"sizes\": [\n{rows}\n  ]\n}}\n"

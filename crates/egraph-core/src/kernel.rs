@@ -387,10 +387,17 @@ pub fn distances<G: EvolvingGraph>(
     let seeds = vec![(0, root, NO_PARENT)];
     let kernel = Kernel::new(&slots, graph, n, 0, graph_end(graph));
     let (reached, depth) = kernel.run(seeds, parents.as_deref_mut(), threshold);
-    let dist = into_keys(slots);
-    Ok(DistanceMap::from_table(
-        n, t, root, dist, parents, reached, depth,
-    ))
+    // Causal edges only go forward, so nothing before the root is reached.
+    Ok(DistanceMap {
+        num_nodes: n,
+        num_timestamps: t,
+        root,
+        dist: into_keys(slots),
+        parent: parents,
+        reached_count: reached,
+        max_distance: depth,
+        rows: root.time.index()..t,
+    })
 }
 
 /// Forward shared-frontier BFS, source `i` seeded with key `i`: the engine
@@ -418,9 +425,23 @@ pub fn nearest_sources<G: EvolvingGraph>(
     let (n, t) = (graph.num_nodes(), graph.num_timestamps());
     let slots = table::<AtomicU64>(n * t);
     let seeds = (0..).zip(sources).map(|(i, &s)| (i, s, NO_PARENT));
-    Kernel::new(&slots, graph, n, 0, graph_end(graph)).run(seeds.collect(), None, threshold);
+    let kernel = Kernel::new(&slots, graph, n, 0, graph_end(graph));
+    let (reached, depth) = kernel.run(seeds.collect(), None, threshold);
     let keys = into_keys(slots);
-    Ok(MultiSourceMap::from_keys(n, t, sources.to_vec(), &keys))
+    // Causal edges only go forward, so nothing before the earliest source
+    // is reached. An unreached key (`u64::MAX`) splits into UNREACHED and
+    // no source.
+    let first = sources.iter().map(|s| s.time.index()).min().unwrap_or(0);
+    Ok(MultiSourceMap {
+        num_nodes: n,
+        num_timestamps: t,
+        sources: sources.to_vec(),
+        dist: keys.iter().map(|&key| (key >> 32) as u32).collect(),
+        source_idx: keys.iter().map(|&key| key as u32).collect(),
+        reached_count: reached,
+        max_distance: depth,
+        rows: first..t,
+    })
 }
 
 #[cfg(test)]

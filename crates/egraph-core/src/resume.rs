@@ -9,9 +9,9 @@
 //! are final the moment they are computed. This module captures exactly the
 //! state needed to exploit that:
 //!
-//! * [`ResumableBfs`] — the flat distance table of Algorithm 1 plus a
-//!   per-node *frontier snapshot* (`node_best`: the minimum distance at which
-//!   each node was ever reached). Appending snapshot `t_new` seeds each node
+//! * [`ResumableBfs`] — the distance map of Algorithm 1 plus a per-node
+//!   *frontier snapshot* (`node_best`: the minimum distance at which each
+//!   node was ever reached). Appending snapshot `t_new` seeds each node
 //!   active at `t_new` with `node_best + 1` (its cheapest causal entry) and
 //!   relaxes static edges inside `t_new` with the kernel seeded at several
 //!   levels ([`crate::kernel`]) — work proportional to the new snapshot,
@@ -20,23 +20,34 @@
 //!   sweep. Appending `t_new` can only create arrivals *at* `t_new`, found by
 //!   one static BFS inside the new snapshot seeded from already-reached
 //!   nodes.
-//! * [`ResumableShared`] — the packed `(dist << 32) | source_index` claim
-//!   keys of the shared-frontier engines, plus a per-node minimum key. One
-//!   hop adds `1 << 32` to a key (distance + 1, same source attribution), so
-//!   the same seeded kernel runs on packed keys and the extension
-//!   reproduces the engines' deterministic smallest-source-index tie-break
-//!   exactly.
+//! * [`ResumableShared`] — the nearest-source map of the shared-frontier
+//!   engines plus a per-node minimum packed `(dist << 32) | source_index`
+//!   key. One hop adds `1 << 32` to a key (distance + 1, same source
+//!   attribution), so the same seeded kernel settles the appended row on
+//!   packed keys and the extension reproduces the engines' deterministic
+//!   smallest-source-index tie-break exactly.
 //!
 //! All three implement [`Resumable`], the one surface a caller advancing a
 //! state over sealed snapshots needs.
+//!
+//! **What a repair costs.** Capturing a state from a finished map
+//! ([`ResumableBfs::from_map`], [`ResumableShared::from_map`]) copies the
+//! map's tables once, into room sized for the rows the caller will append,
+//! so no extension reallocates them; the per-node frontier is rebuilt from
+//! the rows of the map's row span alone ([`DistanceMap::row_span`]). Each
+//! extension settles its row and updates the reached count, the maximum
+//! distance and the span from that row, so materialising the result
+//! ([`ResumableBfs::into_distance_map`], [`ResumableShared::into_map`])
+//! moves the tables without another pass. A repair is one table copy plus
+//! work proportional to the span and the settled rows.
 //!
 //! *Time-reversed* traversals (backward XOR `.reverse()`) need no state
 //! here. Causal edges only go forward in time, so a reversed traversal from
 //! a fixed-time root only reaches times at or before that root — strictly
 //! earlier than any appended snapshot. Its answer is therefore stable across
 //! an append (the stable core of Afarin et al.'s stable-vertex analysis),
-//! and repairing it is re-dimensioning: an `O(result)` copy into the grown
-//! dimensions with no graph work.
+//! and repairing it is re-dimensioning: a copy of the span's rows into the
+//! grown dimensions with no graph work.
 //!
 //! [`ResumableBfs`] also resumes BFS-tree *parents* when its source map
 //! recorded them: the retained per-node frontier remembers the earliest
@@ -51,11 +62,15 @@
 //! tests below and by the workspace's `live_stream_differential` and
 //! `cache_matrix_fuzz` suites; the `incremental_vs_recompute` bench asserts
 //! the delta-proportional work claims with
-//! [`crate::instrument::CountingView`] counters.
+//! [`crate::instrument::CountingView`] counters and the bytes a repair
+//! allocates with a counting allocator.
 
 use std::sync::atomic::{AtomicU32, AtomicU64};
 
-use crate::distance::{DistanceMap, MultiSourceMap, UNREACHED};
+use crate::distance::{
+    cover_row, relayout, remap_parents, span_rows, DistanceMap, MultiSourceMap, NO_SOURCE,
+    UNREACHED,
+};
 use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
 use crate::graph::EvolvingGraph;
@@ -88,26 +103,29 @@ pub trait Resumable {
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()>;
 }
 
+/// A settled row: its keys, how many slots it claimed and the deepest
+/// level that claimed one.
+type SettledRow<K> = (Vec<K>, usize, u32);
+
 /// Runs the kernel over one appended row of `num_nodes` slots — slot `v`
 /// is `(v, t_new)` and a hop follows the static edges inside `t_new`, the
 /// causal bound `t_new + 1` leaving no causal edge — from
-/// `(key, node, parent)` seeds, and returns the row's keys.
+/// `(key, node, parent)` seeds.
 fn settle_row<G: EvolvingGraph, S: Slot>(
     graph: &G,
     t_new: TimeIndex,
     num_nodes: usize,
     seeds: impl Iterator<Item = (S::Key, NodeId, u64)>,
     parents: Option<&mut [u64]>,
-) -> Vec<S::Key> {
+) -> SettledRow<S::Key> {
     let row = kernel::table::<S>(num_nodes);
-    let seeds = seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent));
+    // Sized once: the touched list bounds the seeds.
+    let mut seeded = Vec::with_capacity(seeds.size_hint().1.unwrap_or(0));
+    seeded.extend(seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent)));
     let end = TimeIndex(t_new.0 + 1);
-    Kernel::new(&row, graph, num_nodes, t_new.index() * num_nodes, end).run(
-        seeds.collect(),
-        parents,
-        usize::MAX,
-    );
-    kernel::into_keys(row)
+    let kernel = Kernel::new(&row, graph, num_nodes, t_new.index() * num_nodes, end);
+    let (claimed, depth) = kernel.run(seeded, parents, usize::MAX);
+    (kernel::into_keys(row), claimed, depth)
 }
 
 /// The snapshot an extension appends: the next uncovered one, which
@@ -138,15 +156,9 @@ fn next_snapshot<G: EvolvingGraph>(
     Ok(t_new)
 }
 
-/// Re-lays a time-major table of `rows` rows out for a node universe grown
-/// from `old` to `new`; the new columns hold `fill`.
-fn relayout<T: Copy>(table: &[T], rows: usize, old: usize, new: usize, fill: T) -> Vec<T> {
-    let mut out = Vec::with_capacity(rows * new);
-    for t in 0..rows {
-        out.extend_from_slice(&table[t * old..(t + 1) * old]);
-        out.resize((t + 1) * new, fill);
-    }
-    out
+/// Whole rows of room left in a table `num_nodes` wide.
+fn spare_rows<T>(table: &Vec<T>, num_nodes: usize) -> usize {
+    (table.capacity() - table.len()) / num_nodes.max(1)
 }
 
 /// Resumable state of a forward hop-distance BFS (Algorithm 1).
@@ -162,12 +174,10 @@ fn relayout<T: Copy>(table: &[T], rows: usize, old: usize, new: usize, fill: T) 
 /// produce.
 #[derive(Clone, Debug)]
 pub struct ResumableBfs {
-    root: TemporalNode,
-    num_nodes: usize,
-    /// Snapshots covered so far; `dist` has `num_nodes * num_timestamps`
-    /// entries in time-major layout.
-    num_timestamps: usize,
-    dist: Vec<u32>,
+    /// The covered prefix: its tables (BFS-tree parents as flat indices
+    /// when the source map recorded them), reached count, maximum distance
+    /// and row span, each kept current by every extension.
+    map: DistanceMap,
     /// The frontier snapshot: `node_best[v]` = minimum distance at which `v`
     /// was reached at any covered snapshot (`UNREACHED` if never).
     node_best: Vec<u32>,
@@ -175,9 +185,6 @@ pub struct ResumableBfs {
     /// witness a causal seed names as its parent. Meaningless where
     /// `node_best[v] == UNREACHED`.
     node_best_time: Vec<u32>,
-    /// BFS-tree parents as flat indices (`NO_PARENT` = root / unreached),
-    /// present iff the source map recorded parents.
-    parent: Option<Vec<u64>>,
 }
 
 impl ResumableBfs {
@@ -186,7 +193,10 @@ impl ResumableBfs {
     /// # Errors
     /// The same root-validation errors as [`distances`].
     pub fn start<G: EvolvingGraph>(graph: &G, root: TemporalNode) -> Result<Self> {
-        Ok(Self::from_map(&distances(graph, root, false, usize::MAX)?))
+        Ok(Self::from_map(
+            &distances(graph, root, false, usize::MAX)?,
+            0,
+        ))
     }
 
     /// Captures resumable state from an already-computed forward distance
@@ -196,102 +206,105 @@ impl ResumableBfs {
     /// cannot be resumed (see the module docs). If the map recorded
     /// BFS-tree parents, the extension maintains them (see the module docs
     /// on parent validity).
-    pub fn from_map(map: &DistanceMap) -> Self {
+    ///
+    /// The tables are copied once with room for `appended` more rows, so
+    /// that many extensions never reallocate them (more still work), and
+    /// the frontier is rebuilt from the rows of the map's span alone.
+    pub fn from_map(map: &DistanceMap, appended: usize) -> Self {
         let num_nodes = map.num_nodes();
-        let num_timestamps = map.num_timestamps();
-        let dist = map.as_flat_slice().to_vec();
         let mut node_best = vec![UNREACHED; num_nodes];
         let mut node_best_time = vec![0u32; num_nodes];
-        for (i, &d) in dist.iter().enumerate() {
-            if d == UNREACHED {
-                continue;
-            }
-            let v = i % num_nodes;
-            // Scanning in flat (time-major) order, a strict improvement is
-            // the *earliest* snapshot achieving the final minimum.
-            if d < node_best[v] {
-                node_best[v] = d;
-                node_best_time[v] = (i / num_nodes) as u32;
+        // Scanning the rows in time order, a strict improvement is the
+        // *earliest* snapshot achieving the final minimum.
+        for (t, row) in span_rows(&map.dist, num_nodes, map.row_span()) {
+            let frontier = node_best.iter_mut().zip(&mut node_best_time);
+            for ((best, best_time), &d) in frontier.zip(row) {
+                if d < *best {
+                    (*best, *best_time) = (d, t as u32);
+                }
             }
         }
+        let (n, rows, span) = (num_nodes, map.num_timestamps(), map.row_span());
+        let parent = map.parent.as_deref();
         ResumableBfs {
-            root: map.root(),
-            num_nodes,
-            num_timestamps,
-            dist,
+            map: DistanceMap {
+                dist: relayout(&map.dist, n, n, rows, span.clone(), appended, UNREACHED),
+                parent: parent.map(|p| relayout(p, n, n, rows, span.clone(), appended, NO_PARENT)),
+                rows: span,
+                ..*map
+            },
             node_best,
             node_best_time,
-            parent: map.parent_table().map(<[u64]>::to_vec),
         }
     }
 
     /// The root the traversal started from.
     pub fn root(&self) -> TemporalNode {
-        self.root
+        self.map.root()
     }
 
     /// Size of the node universe the state is laid out for.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.map.num_nodes()
     }
 
     /// Distance of a covered temporal node, or `None` if unreached (or not
     /// yet covered).
     pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
-        if tn.node.index() >= self.num_nodes || tn.time.index() >= self.num_timestamps {
-            return None;
-        }
-        match self.dist[tn.flat_index(self.num_nodes)] {
-            UNREACHED => None,
-            d => Some(d),
-        }
+        let inside =
+            tn.node.index() < self.map.num_nodes && tn.time.index() < self.map.num_timestamps;
+        inside.then(|| self.map.distance(tn)).flatten()
     }
 
     /// Materialises the covered prefix as an ordinary [`DistanceMap`] —
     /// distance-for-distance what a from-scratch [`distances`] over that prefix
-    /// produces — moving the tables rather than copying them. When parents
-    /// are tracked they are materialised too; the tree is *a* valid BFS tree
-    /// over those distances (see the module docs), not necessarily the one a
-    /// from-scratch run's visit order would pick.
+    /// produces — moving the tables rather than copying them, with no pass
+    /// over them. When parents are tracked they are materialised too; the
+    /// tree is *a* valid BFS tree over those distances (see the module docs),
+    /// not necessarily the one a from-scratch run's visit order would pick.
     pub fn into_distance_map(self) -> DistanceMap {
-        let reached = self.dist.iter().copied().filter(|&d| d != UNREACHED);
-        let (count, depth) = (reached.clone().count(), reached.max().unwrap_or(0));
-        let (n, t) = (self.num_nodes, self.num_timestamps);
-        DistanceMap::from_table(n, t, self.root, self.dist, self.parent, count, depth)
+        self.map
     }
 }
 
 impl Resumable for ResumableBfs {
     fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
+        self.map.num_timestamps
     }
 
     fn grow_nodes(&mut self, num_nodes: usize) {
-        if num_nodes <= self.num_nodes {
+        let map = &mut self.map;
+        if num_nodes <= map.num_nodes {
             return;
         }
-        let (rows, old) = (self.num_timestamps, self.num_nodes);
-        self.dist = relayout(&self.dist, rows, old, num_nodes, UNREACHED);
-        if let Some(parent) = self.parent.as_mut() {
-            // Parent pointers are flat indices, so they must be *remapped*,
-            // not just copied: a flat index bakes in the row stride.
-            for p in parent.iter_mut().filter(|p| **p != NO_PARENT) {
-                *p = TemporalNode::from_flat_index(*p as usize, old).flat_index(num_nodes) as u64;
-            }
-            *parent = relayout(parent, rows, old, num_nodes, NO_PARENT);
+        let (old, rows, span) = (map.num_nodes, map.num_timestamps, map.row_span());
+        let spare = spare_rows(&map.dist, old);
+        map.dist = relayout(
+            &map.dist,
+            old,
+            num_nodes,
+            rows,
+            span.clone(),
+            spare,
+            UNREACHED,
+        );
+        if let Some(parent) = map.parent.as_mut() {
+            *parent = relayout(parent, old, num_nodes, rows, span.clone(), spare, NO_PARENT);
+            remap_parents(parent, old, num_nodes, span);
         }
         self.node_best.resize(num_nodes, UNREACHED);
         self.node_best_time.resize(num_nodes, 0);
-        self.num_nodes = num_nodes;
+        map.num_nodes = num_nodes;
     }
 
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
-        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
+        let (n, t) = (self.map.num_nodes, self.map.num_timestamps);
+        let t_new = next_snapshot(graph, t, n, touched)?;
 
         // A causal seed's parent is its witness snapshot, a static
         // relaxation's its proposer; the first claim at the minimum distance
         // wins, so every parent sits at distance d − 1 across a valid edge.
-        let (n, best, best_time) = (self.num_nodes, &self.node_best, &self.node_best_time);
+        let (best, best_time) = (&self.node_best, &self.node_best_time);
         let seeds = touched
             .iter()
             .filter(|v| best[v.index()] != UNREACHED)
@@ -299,20 +312,25 @@ impl Resumable for ResumableBfs {
                 let witness = best_time[v.index()] as usize * n + v.index();
                 (best[v.index()] + 1, v, witness as u64)
             });
-        let parents = self.parent.as_mut().map(|p| {
-            let start = p.len();
-            p.resize(start + n, NO_PARENT);
-            &mut p[start..]
+        let map = &mut self.map;
+        let parents = map.parent.as_mut().map(|p| {
+            p.resize(p.len() + n, NO_PARENT);
+            &mut p[t * n..]
         });
-        let new_row = settle_row::<_, AtomicU32>(graph, t_new, n, seeds, parents);
-        for (v, &d) in new_row.iter().enumerate() {
-            if d < self.node_best[v] {
-                self.node_best[v] = d;
-                self.node_best_time[v] = self.num_timestamps as u32;
+        let (row, claimed, depth) = settle_row::<_, AtomicU32>(graph, t_new, n, seeds, parents);
+        let frontier = self.node_best.iter_mut().zip(&mut self.node_best_time);
+        for ((best, best_time), &d) in frontier.zip(&row) {
+            if d < *best {
+                (*best, *best_time) = (d, t as u32);
             }
         }
-        self.dist.extend_from_slice(&new_row);
-        self.num_timestamps += 1;
+        map.dist.extend_from_slice(&row);
+        if claimed > 0 {
+            map.reached_count += claimed;
+            map.max_distance = map.max_distance.max(depth);
+            cover_row(&mut map.rows, t);
+        }
+        map.num_timestamps += 1;
         Ok(())
     }
 }
@@ -393,7 +411,7 @@ impl Resumable for ResumableForemost {
             .iter()
             .filter(|v| self.arrival[v.index()].is_some())
             .map(|&v| (0, v, NO_PARENT));
-        let row = settle_row::<_, AtomicU32>(graph, t_new, self.arrival.len(), seeds, None);
+        let (row, _, _) = settle_row::<_, AtomicU32>(graph, t_new, self.arrival.len(), seeds, None);
         for (arrival, d) in self.arrival.iter_mut().zip(row) {
             if d != UNREACHED && arrival.is_none() {
                 *arrival = Some(t_new);
@@ -404,26 +422,31 @@ impl Resumable for ResumableForemost {
     }
 }
 
+/// The packed claim key of a slot: `(distance << 32) | source_index`, which
+/// an unreached slot (`UNREACHED`, `NO_SOURCE`) packs to `u64::MAX`.
+fn pack(d: u32, s: u32) -> u64 {
+    (u64::from(d) << 32) | u64::from(s)
+}
+
 /// Resumable state of a forward *shared-frontier* multi-source traversal
 /// ([`nearest_sources`] at any threshold).
 ///
-/// The retained state is exactly the engines' packed claim keys —
-/// `(distance << 32) | source_index`, `u64::MAX` = unreached — plus a
-/// per-node minimum key over the covered snapshots. One hop adds `HOP`
-/// (`1 << 32`) to a key: distance + 1 with the source attribution carried
-/// along, so the same seeded kernel that extends [`ResumableBfs`] runs on
-/// packed keys and settles every temporal node of the appended snapshot at
-/// its minimum key. Minimum packed key *is* the engines' answer — nearest
-/// source first, ties to the smallest source index — so the extension is
-/// key-for-key identical to a from-scratch run, duplicates and ties
-/// included.
+/// The retained state is the map itself — its distance and source-index
+/// tables — plus a per-node minimum packed key
+/// `(distance << 32) | source_index` over the covered snapshots. One hop
+/// adds `HOP` (`1 << 32`) to a key: distance + 1 with the source attribution
+/// carried along, so the same seeded kernel that extends [`ResumableBfs`]
+/// runs on packed keys and settles every temporal node of the appended
+/// snapshot at its minimum key. Minimum packed key *is* the engines' answer
+/// — nearest source first, ties to the smallest source index — so the
+/// extension is key-for-key identical to a from-scratch run, duplicates and
+/// ties included. Only the settled row is ever packed; the history stays in
+/// the map's two tables.
 #[derive(Clone, Debug)]
 pub struct ResumableShared {
-    sources: Vec<TemporalNode>,
-    num_nodes: usize,
-    num_timestamps: usize,
-    /// Packed `(dist << 32) | source_index` per temporal node, time-major.
-    key: Vec<u64>,
+    /// The covered prefix: its tables, reached count, maximum distance and
+    /// row span, each kept current by every extension.
+    map: MultiSourceMap,
     /// Minimum packed key at which each node was claimed at any covered
     /// snapshot (`u64::MAX` if never) — the shared-frontier analogue of
     /// [`ResumableBfs`]'s `node_best`.
@@ -436,75 +459,101 @@ impl ResumableShared {
     /// # Errors
     /// The same source-validation errors as [`nearest_sources`].
     pub fn start<G: EvolvingGraph>(graph: &G, sources: &[TemporalNode]) -> Result<Self> {
-        Ok(Self::from_map(&nearest_sources(
-            graph,
-            sources,
-            usize::MAX,
-        )?))
+        let map = nearest_sources(graph, sources, usize::MAX)?;
+        Ok(Self::from_map(&map, 0))
     }
 
     /// Captures resumable state from an already-computed *forward*
     /// unbounded-end shared-frontier map in the coordinates of the graph
-    /// that will later be extended.
-    pub fn from_map(map: &MultiSourceMap) -> Self {
-        let num_nodes = map.num_nodes();
-        let num_timestamps = map.num_timestamps();
-        let mut key = vec![u64::MAX; num_nodes * num_timestamps];
-        for (tn, d, s) in map.reached_with_sources() {
-            key[tn.flat_index(num_nodes)] = ((d as u64) << 32) | s as u64;
-        }
+    /// that will later be extended. Like [`ResumableBfs::from_map`], the
+    /// tables are copied once with room for `appended` more rows and the
+    /// frontier is rebuilt from the span's rows alone.
+    pub fn from_map(map: &MultiSourceMap, appended: usize) -> Self {
+        let (num_nodes, span) = (map.num_nodes(), map.row_span());
         let mut node_best = vec![u64::MAX; num_nodes];
-        for (i, &k) in key.iter().enumerate() {
-            let v = i % num_nodes;
-            if k < node_best[v] {
-                node_best[v] = k;
+        let dist_rows = span_rows(&map.dist, num_nodes, span.clone());
+        for ((_, dist), (_, source)) in dist_rows.zip(span_rows(&map.source_idx, num_nodes, span)) {
+            for ((best, &d), &s) in node_best.iter_mut().zip(dist).zip(source) {
+                *best = (*best).min(pack(d, s));
             }
         }
+        let (n, rows, span) = (num_nodes, map.num_timestamps(), map.row_span());
         ResumableShared {
-            sources: map.sources().to_vec(),
-            num_nodes,
-            num_timestamps,
-            key,
+            map: MultiSourceMap {
+                sources: map.sources.clone(),
+                dist: relayout(&map.dist, n, n, rows, span.clone(), appended, UNREACHED),
+                source_idx: relayout(
+                    &map.source_idx,
+                    n,
+                    n,
+                    rows,
+                    span.clone(),
+                    appended,
+                    NO_SOURCE,
+                ),
+                rows: span,
+                ..*map
+            },
             node_best,
         }
     }
 
     /// The sources the frontier was seeded with, in seed order.
     pub fn sources(&self) -> &[TemporalNode] {
-        &self.sources
+        self.map.sources()
     }
 
     /// Size of the node universe the state is laid out for.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.map.num_nodes()
     }
 
     /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
     /// key-for-key what a from-scratch [`nearest_sources`] over that prefix
-    /// produces.
+    /// produces — moving the tables rather than copying them, with no pass
+    /// over them.
     pub fn into_map(self) -> MultiSourceMap {
-        let (n, t) = (self.num_nodes, self.num_timestamps);
-        MultiSourceMap::from_keys(n, t, self.sources, &self.key)
+        self.map
     }
 }
 
 impl Resumable for ResumableShared {
     fn covered_timestamps(&self) -> usize {
-        self.num_timestamps
+        self.map.num_timestamps
     }
 
     fn grow_nodes(&mut self, num_nodes: usize) {
-        if num_nodes <= self.num_nodes {
+        let map = &mut self.map;
+        if num_nodes <= map.num_nodes {
             return;
         }
-        let (rows, old) = (self.num_timestamps, self.num_nodes);
-        self.key = relayout(&self.key, rows, old, num_nodes, u64::MAX);
+        let (old, rows, span) = (map.num_nodes, map.num_timestamps, map.row_span());
+        let spare = spare_rows(&map.dist, old);
+        map.dist = relayout(
+            &map.dist,
+            old,
+            num_nodes,
+            rows,
+            span.clone(),
+            spare,
+            UNREACHED,
+        );
+        map.source_idx = relayout(
+            &map.source_idx,
+            old,
+            num_nodes,
+            rows,
+            span,
+            spare,
+            NO_SOURCE,
+        );
         self.node_best.resize(num_nodes, u64::MAX);
-        self.num_nodes = num_nodes;
+        map.num_nodes = num_nodes;
     }
 
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
-        let t_new = next_snapshot(graph, self.num_timestamps, self.num_nodes, touched)?;
+        let (n, t) = (self.map.num_nodes, self.map.num_timestamps);
+        let t_new = next_snapshot(graph, t, n, touched)?;
 
         // The hop extension on packed keys: each touched node's cheapest
         // causal claim carries its source along, and the kernel's minimum
@@ -514,14 +563,19 @@ impl Resumable for ResumableShared {
             .iter()
             .filter(|v| best[v.index()] != u64::MAX)
             .map(|&v| (best[v.index()] + HOP, v, NO_PARENT));
-        let new_row = settle_row::<_, AtomicU64>(graph, t_new, self.num_nodes, seeds, None);
-        for (v, &k) in new_row.iter().enumerate() {
-            if k < self.node_best[v] {
-                self.node_best[v] = k;
-            }
+        let (row, claimed, depth) = settle_row::<_, AtomicU64>(graph, t_new, n, seeds, None);
+        for (best, &key) in self.node_best.iter_mut().zip(&row) {
+            *best = (*best).min(key);
         }
-        self.key.extend_from_slice(&new_row);
-        self.num_timestamps += 1;
+        let map = &mut self.map;
+        map.dist.extend(row.iter().map(|&key| (key >> 32) as u32));
+        map.source_idx.extend(row.iter().map(|&key| key as u32));
+        if claimed > 0 {
+            map.reached_count += claimed;
+            map.max_distance = map.max_distance.max(depth);
+            cover_row(&mut map.rows, t);
+        }
+        map.num_timestamps += 1;
         Ok(())
     }
 }
@@ -728,7 +782,7 @@ mod tests {
         let g = paper_figure1();
         for &root in &g.active_nodes() {
             let map = distances(&g, root, false, usize::MAX).unwrap();
-            let state = ResumableBfs::from_map(&map);
+            let state = ResumableBfs::from_map(&map, 0);
             assert_eq!(
                 state.clone().into_distance_map().as_flat_slice(),
                 map.as_flat_slice()
@@ -797,57 +851,215 @@ mod tests {
         assert_eq!(state.sources(), &sources[..]);
     }
 
+    /// Parent pointers are only required to be *valid* — each parent one
+    /// hop closer, across an edge that exists — because first-discoverer
+    /// order differs between extension and from-scratch runs.
+    fn assert_valid_parents(g: &AdjacencyListGraph, map: &DistanceMap, what: &str) {
+        assert!(map.has_parents(), "{what}");
+        for (tn, d) in map.reached() {
+            if tn == map.root() {
+                continue;
+            }
+            let p = map
+                .parent(tn)
+                .unwrap_or_else(|| panic!("reached non-root {tn:?} lacks a parent ({what})"));
+            assert_eq!(
+                map.distance(p),
+                Some(d - 1),
+                "parent {p:?} of {tn:?} not one hop closer ({what})"
+            );
+            let mut is_neighbor = false;
+            g.for_each_forward_neighbor(p, &mut |w| is_neighbor |= w == tn);
+            assert!(
+                is_neighbor,
+                "parent edge {p:?} -> {tn:?} does not exist ({what})"
+            );
+        }
+    }
+
+    /// Every reached slot of a time-major table `n` wide lies in `span`.
+    fn assert_span_covers(table: &[u32], n: usize, span: std::ops::Range<usize>, what: &str) {
+        for (i, _) in table.iter().enumerate().filter(|(_, &d)| d != UNREACHED) {
+            assert!(
+                span.contains(&(i / n)),
+                "slot {i} reached outside the span {span:?} ({what})"
+            );
+        }
+    }
+
+    /// Replays `random_growth_trace(seed, n, steps)`: `start` sees the graph
+    /// holding the first batch as snapshot 0, `step` the graph after each
+    /// later batch is sealed, with that batch's snapshot.
+    fn replay_growth<S>(
+        seed: u64,
+        n: usize,
+        steps: usize,
+        start: impl FnOnce(&AdjacencyListGraph) -> Option<S>,
+        mut step: impl FnMut(&mut S, &AdjacencyListGraph, TimeIndex),
+    ) {
+        let batches = random_growth_trace(seed, n, steps);
+        let mut g = AdjacencyListGraph::directed_with_unit_times(n, 1);
+        for &(u, v) in &batches[0] {
+            g.add_edge(NodeId(u), NodeId(v), TimeIndex(0)).unwrap();
+        }
+        let Some(mut state) = start(&g) else {
+            return;
+        };
+        for batch in &batches[1..] {
+            let t = g.push_timestamp(g.num_timestamps() as i64).unwrap();
+            for &(u, v) in batch {
+                g.add_edge(NodeId(u), NodeId(v), t).unwrap();
+            }
+            step(&mut state, &g, t);
+        }
+    }
+
     #[test]
     fn parent_links_survive_extension_with_exact_distances_and_valid_edges() {
         for seed in [11u64, 77, 0xFEED] {
-            let n = 18;
-            let batches = random_growth_trace(seed, n, 5);
-            let mut g = AdjacencyListGraph::directed_with_unit_times(n, 1);
-            for &(u, v) in &batches[0] {
-                g.add_edge(NodeId(u), NodeId(v), TimeIndex(0)).unwrap();
-            }
-            let Some(&root) = g.active_nodes().first() else {
-                continue;
-            };
-            let mut state = ResumableBfs::from_map(&distances(&g, root, true, usize::MAX).unwrap());
-            for batch in &batches[1..] {
-                let t = g.push_timestamp(g.num_timestamps() as i64).unwrap();
-                for &(u, v) in batch {
-                    g.add_edge(NodeId(u), NodeId(v), t).unwrap();
-                }
-                state.extend_snapshot(&g, &touched_at(&g, t)).unwrap();
-                let extended = state.clone().into_distance_map();
-                let scratch = distances(&g, root, true, usize::MAX).unwrap();
-                // Distances are pinned exactly; parent pointers are only
-                // required to be *valid* (parent one hop closer, edge exists
-                // in the effective direction), because first-discoverer order
-                // differs between extension and from-scratch runs.
-                assert_eq!(
-                    extended.as_flat_slice(),
-                    scratch.as_flat_slice(),
-                    "seed {seed}, snapshot {t:?}"
+            replay_growth(
+                seed,
+                18,
+                5,
+                |g| {
+                    let root = *g.active_nodes().first()?;
+                    let map = distances(g, root, true, usize::MAX).unwrap();
+                    Some((root, ResumableBfs::from_map(&map, 0)))
+                },
+                |(root, state), g, t| {
+                    state.extend_snapshot(g, &touched_at(g, t)).unwrap();
+                    let extended = state.clone().into_distance_map();
+                    let scratch = distances(g, *root, true, usize::MAX).unwrap();
+                    let what = format!("seed {seed}, snapshot {t:?}");
+                    assert_eq!(extended.as_flat_slice(), scratch.as_flat_slice(), "{what}");
+                    assert_valid_parents(g, &extended, &what);
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn extended_maps_carry_scratch_counts_and_a_covering_span() {
+        for seed in [5u64, 29, 0xD00D] {
+            for with_parents in [false, true] {
+                replay_growth(
+                    seed,
+                    20,
+                    6,
+                    |g| {
+                        let root = *g.active_nodes().first()?;
+                        let map = distances(g, root, with_parents, usize::MAX).unwrap();
+                        Some((root, ResumableBfs::from_map(&map, 0)))
+                    },
+                    |(root, state), g, t| {
+                        state.extend_snapshot(g, &touched_at(g, t)).unwrap();
+                        let extended = state.clone().into_distance_map();
+                        let scratch = distances(g, *root, with_parents, usize::MAX).unwrap();
+                        let what = format!("seed {seed}, parents {with_parents}, {t:?}");
+                        assert_eq!(extended.as_flat_slice(), scratch.as_flat_slice(), "{what}");
+                        assert_eq!(extended.num_reached(), scratch.num_reached(), "{what}");
+                        assert_eq!(extended.max_distance(), scratch.max_distance(), "{what}");
+                        assert_eq!(extended.has_parents(), with_parents, "{what}");
+                        if with_parents {
+                            assert_valid_parents(g, &extended, &what);
+                        }
+                        let span = extended.row_span();
+                        assert_span_covers(extended.as_flat_slice(), g.num_nodes(), span, &what);
+                    },
                 );
-                assert!(extended.has_parents());
-                for (tn, d) in extended.reached() {
-                    if tn == root {
-                        continue;
-                    }
-                    let p = extended.parent(tn).unwrap_or_else(|| {
-                        panic!("reached non-root {tn:?} lacks a parent (seed {seed})")
-                    });
-                    assert_eq!(
-                        extended.distance(p),
-                        Some(d - 1),
-                        "parent {p:?} of {tn:?} not one hop closer (seed {seed})"
-                    );
-                    let mut is_neighbor = false;
-                    g.for_each_forward_neighbor(p, &mut |w| is_neighbor |= w == tn);
-                    assert!(
-                        is_neighbor,
-                        "parent edge {p:?} -> {tn:?} does not exist (seed {seed})"
-                    );
-                }
             }
+        }
+    }
+
+    #[test]
+    fn extended_shared_maps_carry_scratch_counts_and_a_covering_span() {
+        for seed in [13u64, 61, 0xCAFE] {
+            replay_growth(
+                seed,
+                20,
+                6,
+                |g| {
+                    let active = g.active_nodes();
+                    let sources = vec![*active.get(1)?, active[0], active[1]];
+                    let map = nearest_sources(g, &sources, usize::MAX).unwrap();
+                    Some((sources, ResumableShared::from_map(&map, 0)))
+                },
+                |(sources, state), g, t| {
+                    state.extend_snapshot(g, &touched_at(g, t)).unwrap();
+                    let extended = state.clone().into_map();
+                    let scratch = nearest_sources(g, sources, usize::MAX).unwrap();
+                    let what = format!("seed {seed}, {t:?}");
+                    assert_eq!(extended.as_flat_slice(), scratch.as_flat_slice(), "{what}");
+                    assert_eq!(
+                        extended.reached_with_sources(),
+                        scratch.reached_with_sources(),
+                        "{what}"
+                    );
+                    assert_eq!(extended.num_reached(), scratch.num_reached(), "{what}");
+                    assert_eq!(extended.max_distance(), scratch.max_distance(), "{what}");
+                    let span = extended.row_span();
+                    assert_span_covers(extended.as_flat_slice(), g.num_nodes(), span, &what);
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn a_state_sized_for_its_rows_extends_without_moving_its_tables() {
+        let n = 16;
+        let batches = random_growth_trace(0x5EED, n, 7);
+        let mut g = AdjacencyListGraph::directed_with_unit_times(n, 1);
+        for &(u, v) in &batches[0] {
+            g.add_edge(NodeId(u), NodeId(v), TimeIndex(0)).unwrap();
+        }
+        let root = g.active_nodes()[0];
+        let map = distances(&g, root, true, usize::MAX).unwrap();
+        let shared_map = nearest_sources(&g, &[root], usize::MAX).unwrap();
+        for batch in &batches[1..] {
+            let t = g.push_timestamp(g.num_timestamps() as i64).unwrap();
+            for &(u, v) in batch {
+                g.add_edge(NodeId(u), NodeId(v), t).unwrap();
+            }
+        }
+        let k = batches.len() - 1;
+        let mut grown = g.clone();
+        grown.grow_nodes(n + 3);
+
+        // Sized for k rows, then extended k times — once in the map's own
+        // layout, once after the node universe grew.
+        for (graph, width) in [(&g, n), (&grown, n + 3)] {
+            let mut bfs = ResumableBfs::from_map(&map, k);
+            let mut shared = ResumableShared::from_map(&shared_map, k);
+            bfs.grow_nodes(width);
+            shared.grow_nodes(width);
+            let tables = |bfs: &ResumableBfs, shared: &ResumableShared| {
+                [
+                    bfs.map.dist.as_ptr() as usize,
+                    bfs.map.parent.as_ref().unwrap().as_ptr() as usize,
+                    shared.map.dist.as_ptr() as usize,
+                    shared.map.source_idx.as_ptr() as usize,
+                ]
+            };
+            let before = tables(&bfs, &shared);
+            for t in 1..=k {
+                let t = TimeIndex::from_index(t);
+                bfs.extend_snapshot(graph, &touched_at(graph, t)).unwrap();
+                shared
+                    .extend_snapshot(graph, &touched_at(graph, t))
+                    .unwrap();
+                assert_eq!(tables(&bfs, &shared), before, "width {width}, {t:?}");
+            }
+            let extended = bfs.into_distance_map();
+            let scratch = distances(graph, root, true, usize::MAX).unwrap();
+            assert_eq!(extended.as_flat_slice(), scratch.as_flat_slice());
+            assert_eq!(extended.num_reached(), scratch.num_reached());
+            assert_valid_parents(graph, &extended, &format!("width {width}"));
+            assert_eq!(
+                shared.into_map().reached_with_sources(),
+                nearest_sources(graph, &[root], usize::MAX)
+                    .unwrap()
+                    .reached_with_sources()
+            );
         }
     }
 }

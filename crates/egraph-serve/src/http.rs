@@ -91,39 +91,20 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
     }
 
     let mut content_length: Option<usize> = None;
-    loop {
-        let line = read_head_line(reader, &mut head_bytes)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(RequestError::Malformed(format!(
-                "header line without a colon: {line:?}"
-            )));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                let parsed: usize = value.parse().map_err(|_| {
-                    RequestError::Malformed(format!("unparseable content-length {value:?}"))
-                })?;
-                if content_length.replace(parsed).is_some() {
-                    return Err(RequestError::Malformed(
-                        "duplicate content-length header".into(),
-                    ));
-                }
-            }
-            // Chunked *requests* are not part of the dialect; rejecting the
-            // header beats silently misreading the framing.
-            "transfer-encoding" => {
-                return Err(RequestError::Malformed(
-                    "chunked request bodies are not supported".into(),
-                ))
-            }
-            _ => {}
-        }
-    }
+    read_headers(reader, &mut head_bytes, true, |name, value| match name {
+        "content-length" => match content_length.replace(parse_content_length(value)?) {
+            Some(_) => Err(RequestError::Malformed(
+                "duplicate content-length header".into(),
+            )),
+            None => Ok(()),
+        },
+        // Chunked *requests* are not part of the dialect; rejecting the
+        // header beats silently misreading the framing.
+        "transfer-encoding" => Err(RequestError::Malformed(
+            "chunked request bodies are not supported".into(),
+        )),
+        _ => Ok(()),
+    })?;
 
     let declared = content_length.unwrap_or(0);
     if declared > max_body {
@@ -182,6 +163,40 @@ fn read_head_line<R: BufRead>(
         line.pop();
     }
     Ok(line)
+}
+
+/// Reads the header lines of a head up to the blank line that ends it,
+/// charging each against the head's budget, and hands every `(name,
+/// value)` to `header`: the name lowercased, both trimmed. A line without a
+/// colon is refused as malformed when `strict`, and skipped otherwise.
+fn read_headers<R: BufRead>(
+    reader: &mut R,
+    head_bytes: &mut usize,
+    strict: bool,
+    mut header: impl FnMut(&str, &str) -> Result<(), RequestError>,
+) -> Result<(), RequestError> {
+    loop {
+        let line = read_head_line(reader, head_bytes)?;
+        if line.is_empty() {
+            return Ok(());
+        }
+        match line.split_once(':') {
+            Some((name, value)) => header(&name.trim().to_ascii_lowercase(), value.trim())?,
+            None if strict => {
+                return Err(RequestError::Malformed(format!(
+                    "header line without a colon: {line:?}"
+                )))
+            }
+            None => {}
+        }
+    }
+}
+
+/// Parses a `Content-Length` value.
+fn parse_content_length(value: &str) -> Result<usize, RequestError> {
+    value
+        .parse()
+        .map_err(|_| RequestError::Malformed(format!("unparseable content-length {value:?}")))
 }
 
 /// Human-readable reason phrase for the status codes the server emits.
@@ -324,31 +339,20 @@ pub(crate) fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<Respo
         .ok_or_else(|| bad(format!("unparseable status line {status_line:?}")))?;
     let mut framing = BodyFraming::Sized(0);
     let mut retry_after = None;
-    loop {
-        let line = read_head_line(reader, &mut head_bytes).map_err(request_error_to_io)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        match name.trim().to_ascii_lowercase().as_str() {
-            "content-length" => {
-                let n = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(format!("unparseable content-length {value:?}")))?;
-                framing = BodyFraming::Sized(n);
-            }
-            "transfer-encoding" if value.trim().eq_ignore_ascii_case("chunked") => {
+    let headers = read_headers(reader, &mut head_bytes, false, |name, value| {
+        match name {
+            "content-length" => framing = BodyFraming::Sized(parse_content_length(value)?),
+            "transfer-encoding" if value.eq_ignore_ascii_case("chunked") => {
                 framing = BodyFraming::Chunked;
             }
             // Only the delta-seconds form is part of the dialect (the
             // HTTP-date form never is emitted by this server).
-            "retry-after" => retry_after = value.trim().parse().ok(),
+            "retry-after" => retry_after = value.parse().ok(),
             _ => {}
         }
-    }
+        Ok(())
+    });
+    headers.map_err(request_error_to_io)?;
     Ok(ResponseHead {
         status,
         framing,
@@ -492,6 +496,21 @@ mod tests {
                 "{raw:?} must be Malformed"
             );
         }
+    }
+
+    #[test]
+    fn a_colon_less_header_line_is_refused_in_requests_and_skipped_in_responses() {
+        let raw = "GET /stats HTTP/1.1\r\nHost: x\r\nno colon here\r\n\r\n";
+        assert!(matches!(
+            parse(raw, 1024),
+            Err(RequestError::Malformed(m)) if m.contains("without a colon")
+        ));
+        let wire = "HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 2\r\n\
+                    Retry-After: 3\r\n\r\nok";
+        let response = read_response(&mut BufReader::new(wire.as_bytes())).unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, "ok");
+        assert_eq!(response.retry_after, Some(3));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! |---|---|---|
 //! | forward, unbounded-end window, hop strategy | **extended** from the cached result's per-node frontier ([`ResumableBfs`]) — parent links included (`with_parents` rides the same path) | `Extended` |
 //! | forward, unbounded-end window, `Foremost` | **extended** from the cached arrival table ([`ResumableForemost`]) | `Extended` |
-//! | forward, unbounded-end window, `SharedFrontier` | **extended** from the cached packed `(dist<<32)\|src` claims ([`ResumableShared`]) | `Extended` |
+//! | forward, unbounded-end window, `SharedFrontier` | **extended** from the cached distance and source tables, the settled row as packed `(dist<<32)\|src` claims ([`ResumableShared`]) | `Extended` |
 //! | bounded window end (any strategy / direction / reverse / parents) | **re-dimensioned**: the window never covers appended snapshots, so the answer is append-invariant modulo its time dimensions — coordinates are remapped, no edge is touched | `Redimensioned` |
-//! | effective time reversal, unbounded end | **stable-core resettle** (Afarin et al.): causal edges only go forward in time, so a reversed traversal from a fixed-time root never reaches an appended snapshot and the prior answer holds unchanged; it is re-dimensioned like a bounded window — an `O(result)` copy, no graph work | `Resettled` |
+//! | effective time reversal, unbounded end | **stable-core resettle** (Afarin et al.): causal edges only go forward in time, so a reversed traversal from a fixed-time root never reaches an appended snapshot and the prior answer holds unchanged; it is re-dimensioned like a bounded window — one table copy, no graph work | `Resettled` |
 //! | empty window | always errors; errors are never cached | — |
 //!
 //! The dispatch is keyed on the descriptor's [`AppendRepair`], stored on each
@@ -95,9 +95,9 @@ pub enum CacheOutcome {
     /// coordinates remapped, no graph work.
     Redimensioned,
     /// A stale time-reversed entry was reused as its stable core:
-    /// re-dimensioned to the grown graph — an `O(result)` copy, no graph
-    /// work. Causal edges only go forward in time, so a reversed traversal
-    /// never reaches an appended snapshot.
+    /// re-dimensioned to the grown graph — one table copy, no graph work.
+    /// Causal edges only go forward in time, so a reversed traversal never
+    /// reaches an appended snapshot.
     Resettled,
     /// A stale entry was recomputed from scratch. Only a descriptor with no
     /// repair ([`AppendRepair::None`], an empty window) would take this
@@ -569,15 +569,28 @@ fn repair_entry(
 ///
 /// The resumable state is rebuilt from the result instead of retained
 /// alongside it (the state duplicates the result's tables, so storing both
-/// doubled entry memory). The rebuild copies each table once and is no graph
-/// work, so repair work stays delta-proportional (pinned by the
-/// `incremental_vs_recompute` bench); the extended state then moves into
-/// the new result.
+/// doubled entry memory). What a repair costs:
+///
+/// * **one table copy** — each table is copied once, into room sized for
+///   the `num_sealed − covered` rows the repair appends, so no extension
+///   reallocates it;
+/// * **the span** — the per-node frontier is rebuilt from the rows of the
+///   result's row span alone, not the whole history;
+/// * **the settled rows** — each appended row is settled from that frontier
+///   (graph work proportional to the delta, pinned by the
+///   `incremental_vs_recompute` bench's `CountingView` counters), and the
+///   reached count, maximum distance and span are updated from it, so the
+///   extended state moves into the new result without another pass.
+///
+/// The same bench counts the bytes a repair allocates and asserts the
+/// single copy.
 fn extend_result(covered: usize, result: &SearchResult, live: &LiveGraph) -> SearchResult {
+    let appended = live.num_sealed() - covered;
     if let Some(maps) = result.try_distance_maps() {
         // `ResumableBfs::from_map` captures parent links when the map has
         // them, so a `with_parents` result takes the same extension.
-        let mut states: Vec<_> = maps.iter().map(ResumableBfs::from_map).collect();
+        let states = maps.iter().map(|map| ResumableBfs::from_map(map, appended));
+        let mut states: Vec<_> = states.collect();
         extend_states(&mut states, live);
         let maps = states.into_iter().map(ResumableBfs::into_distance_map);
         SearchResult::from_maps(maps.collect(), false)
@@ -590,7 +603,7 @@ fn extend_result(covered: usize, result: &SearchResult, live: &LiveGraph) -> Sea
         let tables = states.into_iter().map(ResumableForemost::into_result);
         SearchResult::from_arrivals(tables.collect(), false)
     } else {
-        let mut states = [ResumableShared::from_map(result.shared_map())];
+        let mut states = [ResumableShared::from_map(result.shared_map(), appended)];
         extend_states(&mut states, live);
         let [state] = states;
         SearchResult::from_shared(state.into_map(), false)
@@ -601,7 +614,8 @@ fn extend_result(covered: usize, result: &SearchResult, live: &LiveGraph) -> Sea
 /// re-dimension repair: distances / arrivals / attributions all keep their
 /// values (they are indexed by snapshot label position and node id, neither
 /// of which an append can move), new nodes and snapshots start unreached.
-/// An `O(result)` copy with no graph work.
+/// One table copy, reading only the rows of each map's span, with no graph
+/// work.
 fn redimension_result(result: &SearchResult, live: &LiveGraph) -> SearchResult {
     let graph = live.graph();
     let (num_nodes, num_timestamps) = (graph.num_nodes(), graph.num_timestamps());
