@@ -14,7 +14,7 @@
 use core::ops::Range;
 
 use crate::error::{GraphError, Result};
-use crate::graph::{visit_sorted_times, EvolvingGraph, TimeOrder};
+use crate::graph::{ActiveTimes, EvolvingGraph};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// An evolving graph stored as per-snapshot adjacency lists plus a per-node
@@ -312,26 +312,16 @@ impl EvolvingGraph for AdjacencyListGraph {
         self.num_static_edges
     }
 
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        for &w in self.out_slice(v, t) {
-            f(w);
-        }
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        self.out_slice(v, t)
     }
 
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        for &u in self.in_slice(v, t) {
-            f(u);
-        }
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        self.in_slice(v, t)
     }
 
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
-        visit_sorted_times(self.active_slice(v), range, order, f)
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
+        ActiveTimes::clip(self.active_slice(v), range)
     }
 
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {

@@ -68,6 +68,68 @@ pub(crate) fn relayout<T: Copy>(
     out
 }
 
+/// Where a view's row lands in the graph under it: rows `0..len` of a view
+/// are rows `start..start + len` of the graph, in reverse order when the
+/// view is `flipped` (time-reversed).
+#[derive(Clone, Copy)]
+struct RowPlacement {
+    start: usize,
+    len: usize,
+    flipped: bool,
+}
+
+impl RowPlacement {
+    fn row(&self, r: usize) -> usize {
+        self.start + if self.flipped { self.len - 1 - r } else { r }
+    }
+
+    /// The graph rows holding the view rows `span`.
+    fn span(&self, span: Range<usize>) -> Range<usize> {
+        match span.is_empty() {
+            true => self.start..self.start,
+            false => {
+                self.row(span.start).min(self.row(span.end - 1))
+                    ..self.row(span.start).max(self.row(span.end - 1)) + 1
+            }
+        }
+    }
+
+    /// Whether every row stays where it is.
+    fn is_identity(&self) -> bool {
+        self.start == 0 && !self.flipped
+    }
+
+    /// Moves the `span` rows of a view's time-major table `n` nodes wide to
+    /// their graph rows, in place, in a table `rows` high; every other slot
+    /// holds `fill`, as it did outside the span. Only the span's rows are
+    /// read.
+    fn place<T: Copy>(
+        &self,
+        table: &mut Vec<T>,
+        n: usize,
+        rows: usize,
+        span: Range<usize>,
+        fill: T,
+    ) {
+        let (a, b) = (span.start, span.end);
+        table.resize(rows * n, fill);
+        if self.is_identity() {
+            return;
+        }
+        if self.flipped {
+            for i in 0..(b - a) / 2 {
+                let (head, tail) = table.split_at_mut((b - 1 - i) * n);
+                head[(a + i) * n..(a + i + 1) * n].swap_with_slice(&mut tail[..n]);
+            }
+        }
+        let placed = self.span(span.clone());
+        table.copy_within(a * n..b * n, placed.start * n);
+        for r in span.filter(|r| !placed.contains(r)) {
+            table[r * n..(r + 1) * n].fill(fill);
+        }
+    }
+}
+
 /// Rewrites the parent flat indices stored in the `span` rows of a table
 /// `new` nodes wide from a row stride of `old` to `new`: a flat index bakes
 /// the stride in, so a relaid-out parent table must be remapped, not just
@@ -377,6 +439,82 @@ impl DistanceMap {
             parent,
             rows: span,
             ..*self
+        }
+    }
+}
+
+impl DistanceMap {
+    /// Re-expresses a map computed on a view — a time window starting at
+    /// snapshot `window_start`, time-`reversed` or both — in the coordinates
+    /// of the `num_timestamps`-snapshot graph under it, with `root` in those
+    /// coordinates. The span's rows move within the map's own table (and
+    /// its parent pointers are remapped with them), so a search through a
+    /// view builds no second table.
+    pub fn into_original(
+        mut self,
+        root: TemporalNode,
+        num_timestamps: usize,
+        window_start: usize,
+        reversed: bool,
+    ) -> Self {
+        let (n, span) = (self.num_nodes, self.rows.clone());
+        let placement = RowPlacement {
+            start: window_start,
+            len: self.num_timestamps,
+            flipped: reversed,
+        };
+        placement.place(&mut self.dist, n, num_timestamps, span.clone(), UNREACHED);
+        let rows = placement.span(span.clone());
+        if let Some(parents) = self.parent.as_mut() {
+            placement.place(parents, n, num_timestamps, span, NO_PARENT);
+            let slots = match placement.is_identity() {
+                true => &mut [],
+                false => &mut parents[rows.start * n..rows.end * n],
+            };
+            for p in slots.iter_mut().filter(|p| **p != NO_PARENT) {
+                let tn = TemporalNode::from_flat_index(*p as usize, n);
+                let t = TimeIndex::from_index(placement.row(tn.time.index()));
+                *p = TemporalNode::new(tn.node, t).flat_index(n) as u64;
+            }
+        }
+        DistanceMap {
+            num_timestamps,
+            root,
+            rows,
+            ..self
+        }
+    }
+}
+
+impl MultiSourceMap {
+    /// [`DistanceMap::into_original`] for a shared-frontier map: `sources`
+    /// are the seeds in the graph's coordinates, in seed order.
+    pub fn into_original(
+        mut self,
+        sources: Vec<TemporalNode>,
+        num_timestamps: usize,
+        window_start: usize,
+        reversed: bool,
+    ) -> Self {
+        let (n, span) = (self.num_nodes, self.rows.clone());
+        let placement = RowPlacement {
+            start: window_start,
+            len: self.num_timestamps,
+            flipped: reversed,
+        };
+        placement.place(&mut self.dist, n, num_timestamps, span.clone(), UNREACHED);
+        placement.place(
+            &mut self.source_idx,
+            n,
+            num_timestamps,
+            span.clone(),
+            NO_SOURCE,
+        );
+        MultiSourceMap {
+            num_timestamps,
+            sources,
+            rows: placement.span(span),
+            ..self
         }
     }
 }
@@ -853,5 +991,109 @@ mod tests {
         assert_eq!(m.distance(tn), Some(2));
         assert_eq!(m.max_distance(), 2);
         assert_eq!(m.num_reached(), 2);
+    }
+
+    #[test]
+    fn into_original_places_view_rows_like_the_entry_constructors() {
+        // Every window of the paper example, forward and reversed, with and
+        // without parents: moving the view table's rows in place must give
+        // the map the entry constructors build from the mapped reached set,
+        // within a row span that covers the constructors' exact one (a
+        // kernel's span runs from its earliest source to the end).
+        use crate::kernel::{distances, nearest_sources};
+        use crate::reverse::ReversedView;
+        use crate::window::TimeWindowView;
+        use crate::EvolvingGraph;
+
+        let g = crate::examples::paper_figure1();
+        let n = g.num_timestamps();
+        for (start, end) in (0..n).flat_map(|s| (s..n).map(move |e| (s, e))) {
+            let window =
+                TimeWindowView::new(&g, TimeIndex::from_index(start), TimeIndex::from_index(end));
+            let window = window.unwrap();
+            let len = end - start + 1;
+            for reversed in [false, true] {
+                let to_original = |tn: TemporalNode| {
+                    let r = if reversed {
+                        len - 1 - tn.time.index()
+                    } else {
+                        tn.time.index()
+                    };
+                    TemporalNode::new(tn.node, TimeIndex::from_index(start + r))
+                };
+                let flipped = ReversedView::new(&window);
+                for root in
+                    (0..len).flat_map(|t| (0..3).map(move |v| TemporalNode::from_raw(v, t as u32)))
+                {
+                    for with_parents in [false, true] {
+                        let view_map = match reversed {
+                            false => distances(&window, root, with_parents, usize::MAX),
+                            true => distances(&flipped, root, with_parents, usize::MAX),
+                        };
+                        let Ok(view_map) = view_map else { continue };
+                        let entries: Vec<_> = view_map
+                            .reached()
+                            .into_iter()
+                            .map(|(tn, d)| {
+                                (to_original(tn), d, view_map.parent(tn).map(to_original))
+                            })
+                            .collect();
+                        let placed =
+                            view_map
+                                .clone()
+                                .into_original(to_original(root), n, start, reversed);
+                        let built = DistanceMap::from_reached_with_parents(
+                            3,
+                            n,
+                            to_original(root),
+                            &entries,
+                        );
+                        let case = format!("{start}..={end}, reversed {reversed}, root {root:?}");
+                        assert_eq!(placed.as_flat_slice(), built.as_flat_slice(), "{case}");
+                        let (span, exact) = (placed.row_span(), built.row_span());
+                        assert!(
+                            exact.is_empty()
+                                || (span.start <= exact.start && exact.end <= span.end),
+                            "{case}"
+                        );
+                        assert_eq!(placed.num_reached(), built.num_reached(), "{case}");
+                        assert_eq!(placed.max_distance(), built.max_distance(), "{case}");
+                        if with_parents {
+                            for (tn, _) in built.reached() {
+                                assert_eq!(placed.parent(tn), built.parent(tn), "{case} at {tn:?}");
+                            }
+                        }
+                        let shared = match reversed {
+                            false => nearest_sources(&window, &[root, root], usize::MAX),
+                            true => nearest_sources(&flipped, &[root, root], usize::MAX),
+                        };
+                        let shared = shared.unwrap();
+                        let entries: Vec<_> = shared
+                            .reached_with_sources()
+                            .into_iter()
+                            .map(|(tn, d, s)| (to_original(tn), d, s))
+                            .collect();
+                        let sources = vec![to_original(root); 2];
+                        let placed = shared.into_original(sources.clone(), n, start, reversed);
+                        let built = MultiSourceMap::from_entries(3, n, sources, &entries);
+                        for tn in (0..n)
+                            .flat_map(|t| (0..3).map(move |v| TemporalNode::from_raw(v, t as u32)))
+                        {
+                            assert_eq!(placed.distance(tn), built.distance(tn), "{case} at {tn:?}");
+                            assert_eq!(
+                                placed.nearest_source_index(tn),
+                                built.nearest_source_index(tn)
+                            );
+                        }
+                        let (span, exact) = (placed.row_span(), built.row_span());
+                        assert!(
+                            exact.is_empty()
+                                || (span.start <= exact.start && exact.end <= span.end),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -12,15 +12,17 @@
 //! * the derived *forward* / *backward* neighbor relations (Definition 5)
 //!   that combine static edges with causal edges.
 //!
-//! One ranged primitive, [`EvolvingGraph::for_each_active_time_in`], is the
-//! only way a graph or a view reports active times. Activeness checks, the
-//! causal half of both neighbor visitors and the traversal kernel's causal
-//! cursor are all built on it, so a view that answers it (clipping, shifting
-//! or flipping the range) keeps every storage's binary search.
-//!
-//! Enumeration uses callback-style visitors (`&mut dyn FnMut`) so that view
-//! adaptors (time windows, reversed time) can implement the trait without
-//! allocating, while remaining object safe.
+//! Three required methods are the whole storage contract, and each returns
+//! a slice: a node's static out-row and in-row at a snapshot
+//! ([`EvolvingGraph::out_row`], [`EvolvingGraph::in_row`]) and its active
+//! times inside a range ([`EvolvingGraph::active_times_in`], a slice of the
+//! storage's sorted times plus the affine map a view applies to them). The
+//! traversal kernel loops over these slices directly, so a hop costs a slice
+//! walk and a search can stop a row early. Views map them without copying:
+//! a time window clips and shifts, a reversal swaps in- and out-rows and
+//! flips the time map. The callback visitors (`for_each_static_out`,
+//! `for_each_active_time_in`, ...), activeness checks and the neighbor
+//! relations are provided on top, for the oracle and the baselines.
 
 use core::ops::Range;
 
@@ -36,32 +38,92 @@ pub enum TimeOrder {
     Descending,
 }
 
-impl TimeOrder {
-    /// The opposite order: what a time-reversed view asks of its inner graph.
-    pub fn reversed(self) -> Self {
-        match self {
-            TimeOrder::Ascending => TimeOrder::Descending,
-            TimeOrder::Descending => TimeOrder::Ascending,
-        }
-    }
+/// One node's active times inside a range of snapshots: a slice of a
+/// storage's sorted snapshot indices plus the affine map from storage time
+/// to the time of the view that handed it out. The map is `s − offset`, or
+/// `offset − s` when `flipped` (a time-reversed view), in wrapping `u32`
+/// arithmetic, so composed views never leave the slice.
+#[derive(Clone, Copy, Debug)]
+pub struct ActiveTimes<'a> {
+    times: &'a [TimeIndex],
+    offset: u32,
+    flipped: bool,
 }
 
-/// The ranged active-time visit over one node's sorted active times: two
-/// `partition_point`s and a slice walk, with no allocation. Every storage
-/// that keeps a sorted per-node `Vec<TimeIndex>` answers
-/// [`EvolvingGraph::for_each_active_time_in`] with it.
-pub(crate) fn visit_sorted_times(
-    times: &[TimeIndex],
-    range: Range<TimeIndex>,
-    order: TimeOrder,
-    f: &mut dyn FnMut(TimeIndex),
-) {
-    let lo = times.partition_point(|&t| t < range.start);
-    let hi = lo + times[lo..].partition_point(|&t| t < range.end);
-    let times = &times[lo..hi];
-    match order {
-        TimeOrder::Ascending => times.iter().for_each(|&t| f(t)),
-        TimeOrder::Descending => times.iter().rev().for_each(|&t| f(t)),
+impl<'a> ActiveTimes<'a> {
+    /// No active times.
+    pub const EMPTY: ActiveTimes<'static> = ActiveTimes {
+        times: &[],
+        offset: 0,
+        flipped: false,
+    };
+
+    /// The times of a storage's sorted per-node `times` that lie in the
+    /// half-open `range`: two `partition_point`s, no allocation. An
+    /// inverted range yields none.
+    pub fn clip(times: &'a [TimeIndex], range: Range<TimeIndex>) -> Self {
+        let lo = times.partition_point(|&t| t < range.start);
+        let hi = lo + times[lo..].partition_point(|&t| t < range.end);
+        ActiveTimes {
+            times: &times[lo..hi],
+            offset: 0,
+            flipped: false,
+        }
+    }
+
+    /// The same times seen from a window starting at inner time `start`.
+    pub fn shifted(self, start: u32) -> Self {
+        let offset = if self.flipped {
+            self.offset.wrapping_sub(start)
+        } else {
+            self.offset.wrapping_add(start)
+        };
+        ActiveTimes { offset, ..self }
+    }
+
+    /// The same times seen from a reversed view whose last snapshot is
+    /// `last`: view time `last − t`.
+    pub fn flipped(self, last: u32) -> Self {
+        let offset = if self.flipped {
+            self.offset.wrapping_sub(last)
+        } else {
+            self.offset.wrapping_add(last)
+        };
+        ActiveTimes {
+            offset,
+            flipped: !self.flipped,
+            ..self
+        }
+    }
+
+    /// Number of active times.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Whether there are none.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// The active times in the view's time, earliest first.
+    #[inline]
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TimeIndex> + ExactSizeIterator + 'a {
+        let ActiveTimes {
+            times,
+            offset,
+            flipped,
+        } = *self;
+        let last = times.len().wrapping_sub(1);
+        (0..times.len()).map(move |i| {
+            if flipped {
+                TimeIndex(offset.wrapping_sub(times[last - i].0))
+            } else {
+                TimeIndex(times[i].0.wrapping_sub(offset))
+            }
+        })
     }
 }
 
@@ -69,24 +131,29 @@ pub(crate) fn visit_sorted_times(
 ///
 /// Definition 1 reads an evolving graph as a time-ordered sequence of static
 /// graphs `G_n = ⟨G[1], …, G[n]⟩`. The trait keeps that reading without
-/// storing a graph per snapshot: snapshot `t` is the static graph whose edges
-/// [`EvolvingGraph::for_each_static_out`] reports at `t`, and
+/// storing a graph per snapshot: snapshot `t` is the static graph whose
+/// out-rows [`EvolvingGraph::out_row`] returns at `t`, and
 /// [`EvolvingGraph::timestamp`] is its label. Two storages implement it:
 /// [`crate::adjacency::AdjacencyListGraph`], built incrementally, and
 /// [`crate::csr::CsrAdjacency`], flattened from it to serve.
+///
+/// The required surface is slices: the two rows and the ranged active
+/// times. Every other method, the callback visitors included, is provided
+/// on top of them, and no implementor overrides one except
+/// `time_index_of`.
 ///
 /// Implementations must uphold the following invariants, which the traversal
 /// algorithms rely on:
 ///
 /// * snapshot labels are strictly increasing in [`TimeIndex`] order;
-/// * `for_each_static_out`/`in` never report self-loops;
-/// * `for_each_active_time_in(v, range, order, f)` reports exactly the
-///   snapshots in `range` at which `v` has at least one incident static
-///   edge (Definition 3), each once, in `order`. The range is half-open
-///   over snapshot indices and may be empty, inverted (`start > end`, which
-///   reports nothing) or reach past `num_timestamps()` (clipped);
-/// * outside `0..num_timestamps()` a node is inactive, and a view reports
-///   no static edges there (a storage may panic instead), never those of an
+/// * rows never hold self-loops;
+/// * `active_times_in(v, range)` holds exactly the snapshots in `range` at
+///   which `v` has at least one incident static edge (Definition 3), each
+///   once. The range is half-open over snapshot indices and may be empty,
+///   inverted (`start > end`, which holds nothing) or reach past
+///   `num_timestamps()` (clipped);
+/// * outside `0..num_timestamps()` a node is inactive, and a view returns
+///   empty rows there (a storage may panic instead), never those of an
 ///   inner snapshot the view does not hold;
 /// * the neighbor visitors report static edges first, then causal edges in
 ///   increasing snapshot order (of the view, for a view).
@@ -113,33 +180,50 @@ pub trait EvolvingGraph: Sync {
     /// Total number of static edges `|Ẽ|` (each undirected edge counted once).
     fn num_static_edges(&self) -> usize;
 
-    /// Visits every node `w` such that the static edge `(v, w)` exists in
-    /// snapshot `t` (for undirected graphs: every neighbor of `v` at `t`).
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId));
+    /// The out-row of `v` at snapshot `t`: every node `w` such that the
+    /// static edge `(v, w)` exists there (for undirected graphs: every
+    /// neighbor of `v` at `t`).
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId];
 
-    /// Visits every node `u` such that the static edge `(u, v)` exists in
-    /// snapshot `t` (for undirected graphs this coincides with
-    /// [`EvolvingGraph::for_each_static_out`]).
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId));
+    /// The in-row of `v` at snapshot `t`: every node `u` such that the
+    /// static edge `(u, v)` exists there (for undirected graphs the out-row).
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId];
+
+    /// The snapshots inside the half-open `range` at which `v` is active.
+    /// An empty or inverted range holds none; a range reaching past the last
+    /// snapshot is clipped to it.
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_>;
+
+    // ------------------------------------------------------------------
+    // Provided methods
+    // ------------------------------------------------------------------
+
+    /// Visits every node of [`EvolvingGraph::out_row`].
+    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
+        self.out_row(v, t).iter().for_each(|&w| f(w));
+    }
+
+    /// Visits every node of [`EvolvingGraph::in_row`].
+    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
+        self.in_row(v, t).iter().for_each(|&u| f(u));
+    }
 
     /// Visits, in `order`, every snapshot index inside the half-open `range`
-    /// at which `v` is an active node. An empty or inverted range visits
-    /// nothing; a range reaching past the last snapshot is clipped to it.
-    ///
-    /// This is the one required active-time method: activeness checks,
-    /// whole-history enumeration and both neighbor visitors are provided on
-    /// top of it.
+    /// at which `v` is an active node: [`EvolvingGraph::active_times_in`]
+    /// walked one way or the other.
     fn for_each_active_time_in(
         &self,
         v: NodeId,
         range: Range<TimeIndex>,
         order: TimeOrder,
         f: &mut dyn FnMut(TimeIndex),
-    );
-
-    // ------------------------------------------------------------------
-    // Provided methods
-    // ------------------------------------------------------------------
+    ) {
+        let times = self.active_times_in(v, range).iter();
+        match order {
+            TimeOrder::Ascending => times.for_each(f),
+            TimeOrder::Descending => times.rev().for_each(f),
+        }
+    }
 
     /// All snapshot labels, earliest first.
     fn timestamps(&self) -> Vec<Timestamp> {
@@ -177,17 +261,15 @@ pub trait EvolvingGraph: Sync {
     /// Whether the temporal node `(v, t)` is active (Definition 3): it has at
     /// least one incident static edge at snapshot `t`. A one-slot range.
     fn is_active(&self, v: NodeId, t: TimeIndex) -> bool {
-        let mut active = false;
-        let slot = t..TimeIndex(t.0.saturating_add(1));
-        self.for_each_active_time_in(v, slot, TimeOrder::Ascending, &mut |_| active = true);
-        active
+        !self
+            .active_times_in(v, t..TimeIndex(t.0.saturating_add(1)))
+            .is_empty()
     }
 
     /// The snapshots at which `v` is active, in increasing order.
     fn active_times(&self, v: NodeId) -> Vec<TimeIndex> {
-        let mut out = Vec::new();
-        self.for_each_active_time(v, &mut |t| out.push(t));
-        out
+        let all = TimeIndex(0)..TimeIndex::from_index(self.num_timestamps());
+        self.active_times_in(v, all).iter().collect()
     }
 
     /// All active temporal nodes of the graph — the node set `V` of the
@@ -347,20 +429,14 @@ impl<G: EvolvingGraph + ?Sized> EvolvingGraph for &G {
     fn num_static_edges(&self) -> usize {
         (**self).num_static_edges()
     }
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        (**self).for_each_static_out(v, t, f)
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        (**self).out_row(v, t)
     }
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        (**self).for_each_static_in(v, t, f)
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        (**self).in_row(v, t)
     }
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
-        (**self).for_each_active_time_in(v, range, order, f)
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
+        (**self).active_times_in(v, range)
     }
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {
         (**self).time_index_of(timestamp)
@@ -564,6 +640,139 @@ mod tests {
             assert_ranged_contract(&reversed_window, &format!("{name} reversed window"));
             let counted = CountingView::new(&reversed_window);
             assert_ranged_contract(&counted, &format!("{name} counted"));
+        }
+    }
+
+    /// Where view time `t` lies in the storage under a view: the storage
+    /// snapshot, and whether the view swaps in- and out-rows there.
+    type ToBase<'a> = &'a dyn Fn(u32) -> Option<(u32, bool)>;
+
+    /// The slice contract on `g`, a view over `base` whose time map is
+    /// `to_base`: for every node and snapshot (past the end included) the
+    /// rows are the base's rows at the mapped snapshot, swapped where the
+    /// view reverses time, and empty outside the view; for every range
+    /// (empty, inverted and clipped ones included) the active-time slice
+    /// holds the view times whose mapped snapshot is active, earliest first;
+    /// and the provided visitors report exactly the slices. Rows past the
+    /// end are checked on a `view` only: a storage may panic there.
+    fn assert_slice_contract<G: EvolvingGraph>(
+        g: &G,
+        base: &AdjacencyListGraph,
+        to_base: ToBase<'_>,
+        view: bool,
+        label: &str,
+    ) {
+        let n = g.num_timestamps() as u32;
+        let past_end = if view { 2 } else { 0 };
+        for v in (0..g.num_nodes()).map(NodeId::from_index) {
+            for t in 0..n + past_end {
+                let (out, inn) = match to_base(t) {
+                    Some((b, false)) => (
+                        base.out_slice(v, TimeIndex(b)),
+                        base.in_slice(v, TimeIndex(b)),
+                    ),
+                    Some((b, true)) => (
+                        base.in_slice(v, TimeIndex(b)),
+                        base.out_slice(v, TimeIndex(b)),
+                    ),
+                    None => (&[][..], &[][..]),
+                };
+                let t = TimeIndex(t);
+                assert_eq!(g.out_row(v, t), out, "{label}: out-row of {v:?} at {t:?}");
+                assert_eq!(g.in_row(v, t), inn, "{label}: in-row of {v:?} at {t:?}");
+                let (mut visited_out, mut visited_in) = (Vec::new(), Vec::new());
+                g.for_each_static_out(v, t, &mut |w| visited_out.push(w));
+                g.for_each_static_in(v, t, &mut |u| visited_in.push(u));
+                assert_eq!(visited_out, out, "{label}: out-visitor of {v:?} at {t:?}");
+                assert_eq!(visited_in, inn, "{label}: in-visitor of {v:?} at {t:?}");
+            }
+            let active = base.active_slice(v);
+            for a in 0..n + 2 {
+                for b in 0..n + 2 {
+                    let want: Vec<TimeIndex> = (a..b.min(n))
+                        .filter(|&t| {
+                            to_base(t).is_some_and(|(s, _)| active.contains(&TimeIndex(s)))
+                        })
+                        .map(TimeIndex)
+                        .collect();
+                    let range = TimeIndex(a)..TimeIndex(b);
+                    let slice = g.active_times_in(v, range.clone());
+                    assert_eq!(slice.len(), want.len(), "{label}: {v:?} over {a}..{b}");
+                    let got: Vec<TimeIndex> = slice.iter().collect();
+                    assert_eq!(got, want, "{label}: {v:?} over {a}..{b}");
+                    let mut visited = Vec::new();
+                    g.for_each_active_time_in(v, range, TimeOrder::Descending, &mut |t| {
+                        visited.push(t)
+                    });
+                    visited.reverse();
+                    assert_eq!(
+                        visited, want,
+                        "{label}: descending visit of {v:?} over {a}..{b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_storage_and_view_hands_out_the_rows_and_times_its_visitors_report() {
+        use crate::csr::CsrAdjacency;
+        use crate::instrument::CountingView;
+        use crate::reverse::ReversedView;
+        use crate::window::TimeWindowView;
+
+        let edges = random_edges(24, 9, 90);
+        let graphs = [
+            ("paper", figure1()),
+            (
+                "random",
+                AdjacencyListGraph::from_indexed_edges(24, 9, &edges).unwrap(),
+            ),
+        ];
+        for (name, g) in &graphs {
+            let csr = CsrAdjacency::from_graph(g);
+            let n = g.num_timestamps() as u32;
+            let (start, last) = (1, n - 1);
+            let len = last - start + 1;
+            let same: ToBase<'_> = &|t| (t < n).then_some((t, false));
+            let shifted: ToBase<'_> = &|t| (t < len).then_some((start + t, false));
+            let flipped: ToBase<'_> = &|t| (t < n).then(|| (n - 1 - t, true));
+            let flipped_window: ToBase<'_> = &|t| (t < len).then(|| (last - t, true));
+            let window_of_flipped: ToBase<'_> = &|t| (t < len).then(|| (n - 1 - (start + t), true));
+            let window = TimeWindowView::new(&csr, TimeIndex(start), TimeIndex(last)).unwrap();
+            let reversed = ReversedView::new(g);
+            let window_first = TimeWindowView::new(&reversed, TimeIndex(start), TimeIndex(last));
+            let window_first = window_first.unwrap();
+            let counted_window = CountingView::new(&window);
+            assert_slice_contract(g, g, same, false, &format!("{name} adjacency"));
+            assert_slice_contract(&csr, g, same, false, &format!("{name} csr"));
+            assert_slice_contract(&&csr, g, same, false, &format!("{name} &csr"));
+            assert_slice_contract(&window, g, shifted, true, &format!("{name} window"));
+            assert_slice_contract(
+                &counted_window,
+                g,
+                shifted,
+                true,
+                &format!("{name} counted window"),
+            );
+            assert_slice_contract(&reversed, g, flipped, true, &format!("{name} reversed"));
+            let reversed_window = ReversedView::new(window);
+            assert_slice_contract(
+                &reversed_window,
+                g,
+                flipped_window,
+                true,
+                &format!("{name} reversed window"),
+            );
+            assert_slice_contract(
+                &window_first,
+                g,
+                window_of_flipped,
+                true,
+                &format!("{name} window of reversed"),
+            );
+            let twice = ReversedView::new(ReversedView::new(&csr));
+            assert_slice_contract(&twice, g, same, true, &format!("{name} reversed twice"));
         }
     }
 

@@ -10,36 +10,42 @@
 //! route through the counted primitives.
 //!
 //! Counters are atomics so the view also instruments the frontier-parallel
-//! engines, which since PR 5 genuinely run across the thread pool: each
-//! worker's increments land in the shared counters, and the pool's
-//! completion latch orders them before any [`CountingView::counters`] read
-//! that follows the traversal. Counting costs one relaxed increment per
-//! event — enough contention to perturb parallel *wall-clock* numbers, so
-//! benches measure time on the bare graph and work on the counted view.
-//! The view counts the three required enumeration methods, and every
-//! provided method and the traversal kernel reach the graph only through
-//! them. No storage overrides a neighbor visitor, so a counted traversal
-//! walks the same code as an uncounted one and the counters do not depend
-//! on the layout.
+//! engines, which genuinely run across the thread pool: each worker's
+//! increments land in the shared counters, and the pool's completion latch
+//! orders them before any [`CountingView::counters`] read that follows the
+//! traversal. Counting costs relaxed increments per row — enough contention
+//! to perturb parallel *wall-clock* numbers, so benches measure time on the
+//! bare graph and work on the counted view.
+//!
+//! **What a count means.** The view counts the three required methods, which
+//! hand out rows: each out-row, in-row or active-time slice counts one call
+//! plus the row's length in `neighbors_delivered`, whether or not the caller
+//! reads every entry. The kernel walks a pushed row to its end, so a
+//! push-only search counts exactly the hops it offers; a pull level counts
+//! each in-row it opens in full even when it stops at the first entry on the
+//! previous level, so its count is an upper bound on the entries it reads.
+//! Every provided method (the callback visitors, `is_active`, the neighbor
+//! relations) reaches the graph only through the three, so the counters do
+//! not depend on the layout.
 
 use core::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::graph::{EvolvingGraph, TimeOrder};
+use crate::graph::{ActiveTimes, EvolvingGraph};
 use crate::ids::{NodeId, TimeIndex, Timestamp};
 
 /// A snapshot of the work counters of a [`CountingView`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalCounters {
-    /// Calls to `for_each_static_out` — one per (node, snapshot) expansion.
+    /// Out-rows handed out (`out_row`) — one per pushed (node, snapshot).
     pub static_out_calls: u64,
-    /// Calls to `for_each_static_in` (backward traversals).
+    /// In-rows handed out (`in_row`) — one per slot a pull level checks.
     pub static_in_calls: u64,
-    /// Calls to the ranged active-time visit `for_each_active_time_in`
-    /// (one-slot activeness checks and causal-edge enumeration).
+    /// Active-time slices handed out (`active_times_in`): one-slot
+    /// activeness checks and causal-edge enumeration.
     pub active_time_calls: u64,
-    /// Total neighbors / active times delivered across all calls — the edge
-    /// work of the traversal.
+    /// Total length of every row and slice handed out — the edge work of
+    /// the traversal.
     pub neighbors_delivered: u64,
     /// The active times among `neighbors_delivered`. In a kernel search
     /// these are the causal edges it walks plus one per root activeness
@@ -104,6 +110,14 @@ impl<'g, G: EvolvingGraph> CountingView<'g, G> {
         }
     }
 
+    /// Counts one row of `len` entries handed out by the method `calls`
+    /// counts.
+    fn count(&self, calls: &AtomicU64, len: usize) {
+        calls.fetch_add(1, Ordering::Relaxed);
+        self.neighbors_delivered
+            .fetch_add(len as u64, Ordering::Relaxed);
+    }
+
     /// Resets every counter to zero (e.g. between the warm-up and measured
     /// runs of a benchmark).
     pub fn reset(&self) {
@@ -136,36 +150,25 @@ impl<G: EvolvingGraph> EvolvingGraph for CountingView<'_, G> {
         self.inner.num_static_edges()
     }
 
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.static_out_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.for_each_static_out(v, t, &mut |w| {
-            self.neighbors_delivered.fetch_add(1, Ordering::Relaxed);
-            f(w);
-        });
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        let row = self.inner.out_row(v, t);
+        self.count(&self.static_out_calls, row.len());
+        row
     }
 
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.static_in_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.for_each_static_in(v, t, &mut |w| {
-            self.neighbors_delivered.fetch_add(1, Ordering::Relaxed);
-            f(w);
-        });
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        let row = self.inner.in_row(v, t);
+        self.count(&self.static_in_calls, row.len());
+        row
     }
 
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
-        self.active_time_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .for_each_active_time_in(v, range, order, &mut |t| {
-                self.neighbors_delivered.fetch_add(1, Ordering::Relaxed);
-                self.active_times_delivered.fetch_add(1, Ordering::Relaxed);
-                f(t);
-            });
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
+        let times = self.inner.active_times_in(v, range);
+        self.count(&self.active_time_calls, times.len());
+        let delivered = times.len() as u64;
+        self.active_times_delivered
+            .fetch_add(delivered, Ordering::Relaxed);
+        times
     }
 }
 

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::distance::{DistanceMap, MultiSourceMap};
     pub use crate::error::{GraphError, Result};
     pub use crate::foremost::{earliest_arrival, temporal_distance_steps, ForemostResult};
-    pub use crate::graph::{EvolvingGraph, TimeOrder};
+    pub use crate::graph::{ActiveTimes, EvolvingGraph, TimeOrder};
     pub use crate::ids::{CausalEdge, NodeId, StaticEdge, TemporalNode, TimeIndex, Timestamp};
     pub use crate::instrument::{CountingView, TraversalCounters};
     pub use crate::paths::{enumerate_paths, is_temporal_path, walk_count_vector};

@@ -65,6 +65,7 @@
 //! [`crate::instrument::CountingView`] counters and the bytes a repair
 //! allocates with a counting allocator.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64};
 
 use crate::distance::{
@@ -75,7 +76,7 @@ use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
-use crate::kernel::{self, distances, nearest_sources, Kernel, Slot, NO_PARENT};
+use crate::kernel::{self, distances, nearest_sources, Kernel, Seed, Slot, NO_PARENT};
 
 /// Packed-key increment for one hop: distance + 1, same source attribution.
 const HOP: u64 = 1 << 32;
@@ -103,29 +104,80 @@ pub trait Resumable {
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()>;
 }
 
-/// A settled row: its keys, how many slots it claimed and the deepest
-/// level that claimed one.
-type SettledRow<K> = (Vec<K>, usize, u32);
+/// What settling a row works in: the row's slots (unreached between
+/// settles), the seed list and the kernel's scratch. A state keeps one
+/// across its extensions, so a repair that appends several rows allocates
+/// them once. It is not part of the state: a clone starts without it.
+struct RowScratch<S: Slot> {
+    row: Vec<S>,
+    seeds: Vec<Seed<S::Key>>,
+    kernel: kernel::Scratch,
+}
 
-/// Runs the kernel over one appended row of `num_nodes` slots — slot `v`
-/// is `(v, t_new)` and a hop follows the static edges inside `t_new`, the
-/// causal bound `t_new + 1` leaving no causal edge — from
-/// `(key, node, parent)` seeds.
-fn settle_row<G: EvolvingGraph, S: Slot>(
-    graph: &G,
-    t_new: TimeIndex,
-    num_nodes: usize,
-    seeds: impl Iterator<Item = (S::Key, NodeId, u64)>,
-    parents: Option<&mut [u64]>,
-) -> SettledRow<S::Key> {
-    let row = kernel::table::<S>(num_nodes);
-    // Sized once: the touched list bounds the seeds.
-    let mut seeded = Vec::with_capacity(seeds.size_hint().1.unwrap_or(0));
-    seeded.extend(seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent)));
-    let end = TimeIndex(t_new.0 + 1);
-    let kernel = Kernel::new(&row, graph, num_nodes, t_new.index() * num_nodes, end);
-    let (claimed, depth) = kernel.run(seeded, parents, usize::MAX);
-    (kernel::into_keys(row), claimed, depth)
+impl<S: Slot> Default for RowScratch<S> {
+    fn default() -> Self {
+        RowScratch {
+            row: Vec::new(),
+            seeds: Vec::new(),
+            kernel: kernel::Scratch::default(),
+        }
+    }
+}
+
+impl<S: Slot> Clone for RowScratch<S> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<S: Slot> fmt::Debug for RowScratch<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RowScratch")
+    }
+}
+
+impl<S: Slot> RowScratch<S> {
+    /// Runs the kernel over one appended row of `num_nodes` slots — slot
+    /// `v` is `(v, t_new)` and a hop follows the static edges inside
+    /// `t_new`, the causal bound `t_new + 1` leaving no causal edge — from
+    /// `(key, node, parent)` seeds drawn from the touched list. Returns how
+    /// many slots it claimed and the deepest level that claimed one; the
+    /// keys wait in the row for [`RowScratch::drain`].
+    fn settle<G: EvolvingGraph>(
+        &mut self,
+        graph: &G,
+        t_new: TimeIndex,
+        num_nodes: usize,
+        seeds: impl Iterator<Item = (S::Key, NodeId, u64)>,
+        parents: Option<&mut [u64]>,
+    ) -> (usize, u32) {
+        if self.row.len() < num_nodes {
+            self.row.resize_with(num_nodes, || S::from(S::UNREACHED));
+        }
+        // Every slot the row can reach is active at `t_new`, so the touched
+        // list that bounds the seeds also bounds any level.
+        let width = seeds.size_hint().1.unwrap_or(num_nodes);
+        self.kernel.reserve(width);
+        self.seeds.reserve(width);
+        let seeds = seeds.map(|(key, v, parent)| (key, TemporalNode::new(v, t_new), parent));
+        self.seeds.extend(seeds);
+        let (base, end) = (t_new.index() * num_nodes, TimeIndex(t_new.0 + 1));
+        let scratch = std::mem::take(&mut self.kernel);
+        let row = &self.row[..num_nodes];
+        let mut kernel = Kernel::new(row, graph, num_nodes, base, end, scratch);
+        let settled = kernel.run(&mut self.seeds, parents, usize::MAX);
+        self.kernel = kernel.into_scratch();
+        settled
+    }
+
+    /// The settled row's keys, each slot reset to unreached as it is read.
+    fn drain(&self, num_nodes: usize) -> impl Iterator<Item = S::Key> + '_ {
+        self.row[..num_nodes].iter().map(|slot| {
+            let key = slot.load();
+            slot.store(S::UNREACHED);
+            key
+        })
+    }
 }
 
 /// The snapshot an extension appends: the next uncovered one, which
@@ -185,6 +237,7 @@ pub struct ResumableBfs {
     /// witness a causal seed names as its parent. Meaningless where
     /// `node_best[v] == UNREACHED`.
     node_best_time: Vec<u32>,
+    scratch: RowScratch<AtomicU32>,
 }
 
 impl ResumableBfs {
@@ -235,6 +288,7 @@ impl ResumableBfs {
             },
             node_best,
             node_best_time,
+            scratch: RowScratch::default(),
         }
     }
 
@@ -317,14 +371,14 @@ impl Resumable for ResumableBfs {
             p.resize(p.len() + n, NO_PARENT);
             &mut p[t * n..]
         });
-        let (row, claimed, depth) = settle_row::<_, AtomicU32>(graph, t_new, n, seeds, parents);
+        let (claimed, depth) = self.scratch.settle(graph, t_new, n, seeds, parents);
+        map.dist.extend(self.scratch.drain(n));
         let frontier = self.node_best.iter_mut().zip(&mut self.node_best_time);
-        for ((best, best_time), &d) in frontier.zip(&row) {
+        for ((best, best_time), &d) in frontier.zip(&map.dist[t * n..]) {
             if d < *best {
                 (*best, *best_time) = (d, t as u32);
             }
         }
-        map.dist.extend_from_slice(&row);
         if claimed > 0 {
             map.reached_count += claimed;
             map.max_distance = map.max_distance.max(depth);
@@ -346,6 +400,7 @@ pub struct ResumableForemost {
     root: TemporalNode,
     num_timestamps: usize,
     arrival: Vec<Option<TimeIndex>>,
+    scratch: RowScratch<AtomicU32>,
 }
 
 impl ResumableForemost {
@@ -365,6 +420,7 @@ impl ResumableForemost {
             root: result.root(),
             num_timestamps,
             arrival: result.arrivals().to_vec(),
+            scratch: RowScratch::default(),
         }
     }
 
@@ -411,8 +467,9 @@ impl Resumable for ResumableForemost {
             .iter()
             .filter(|v| self.arrival[v.index()].is_some())
             .map(|&v| (0, v, NO_PARENT));
-        let (row, _, _) = settle_row::<_, AtomicU32>(graph, t_new, self.arrival.len(), seeds, None);
-        for (arrival, d) in self.arrival.iter_mut().zip(row) {
+        let n = self.arrival.len();
+        self.scratch.settle(graph, t_new, n, seeds, None);
+        for (arrival, d) in self.arrival.iter_mut().zip(self.scratch.drain(n)) {
             if d != UNREACHED && arrival.is_none() {
                 *arrival = Some(t_new);
             }
@@ -451,6 +508,7 @@ pub struct ResumableShared {
     /// snapshot (`u64::MAX` if never) — the shared-frontier analogue of
     /// [`ResumableBfs`]'s `node_best`.
     node_best: Vec<u64>,
+    scratch: RowScratch<AtomicU64>,
 }
 
 impl ResumableShared {
@@ -495,6 +553,7 @@ impl ResumableShared {
                 ..*map
             },
             node_best,
+            scratch: RowScratch::default(),
         }
     }
 
@@ -563,13 +622,13 @@ impl Resumable for ResumableShared {
             .iter()
             .filter(|v| best[v.index()] != u64::MAX)
             .map(|&v| (best[v.index()] + HOP, v, NO_PARENT));
-        let (row, claimed, depth) = settle_row::<_, AtomicU64>(graph, t_new, n, seeds, None);
-        for (best, &key) in self.node_best.iter_mut().zip(&row) {
-            *best = (*best).min(key);
-        }
+        let (claimed, depth) = self.scratch.settle(graph, t_new, n, seeds, None);
         let map = &mut self.map;
-        map.dist.extend(row.iter().map(|&key| (key >> 32) as u32));
-        map.source_idx.extend(row.iter().map(|&key| key as u32));
+        for (best, key) in self.node_best.iter_mut().zip(self.scratch.drain(n)) {
+            *best = (*best).min(key);
+            map.dist.push((key >> 32) as u32);
+            map.source_idx.push(key as u32);
+        }
         if claimed > 0 {
             map.reached_count += claimed;
             map.max_distance = map.max_distance.max(depth);

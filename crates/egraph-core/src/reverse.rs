@@ -20,7 +20,7 @@
 
 use core::ops::Range;
 
-use crate::graph::{EvolvingGraph, TimeOrder};
+use crate::graph::{ActiveTimes, EvolvingGraph};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// A time- and direction-reversed view over an evolving graph.
@@ -76,36 +76,32 @@ impl<G: EvolvingGraph> EvolvingGraph for ReversedView<G> {
         self.inner.num_static_edges()
     }
 
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
         // Out-edges of the view are in-edges of the original snapshot.
-        self.inner.for_each_static_in(v, self.map_time(t), f)
+        match t.index() < self.num_timestamps() {
+            true => self.inner.in_row(v, self.map_time(t)),
+            false => &[],
+        }
     }
 
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.inner.for_each_static_out(v, self.map_time(t), f)
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        match t.index() < self.num_timestamps() {
+            true => self.inner.out_row(v, self.map_time(t)),
+            false => &[],
+        }
     }
 
     /// View range `[a, b)`, clipped to the view, is inner range
-    /// `[n − b, n − a)`; ascending view time is descending inner time.
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
+    /// `[n − b, n − a)`; the answer's time map is flipped through
+    /// `t → n − 1 − t`.
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
         let n = self.num_timestamps();
         let (a, b) = (range.start.index().min(n), range.end.index().min(n));
         if a >= b {
-            return;
+            return ActiveTimes::EMPTY;
         }
         let inner = TimeIndex::from_index(n - b)..TimeIndex::from_index(n - a);
-        self.inner.for_each_active_time_in(
-            v,
-            inner,
-            order.reversed(),
-            &mut |t| f(self.map_time(t)),
-        );
+        self.inner.active_times_in(v, inner).flipped(n as u32 - 1)
     }
 }
 

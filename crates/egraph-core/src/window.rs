@@ -12,7 +12,7 @@
 use core::ops::Range;
 
 use crate::error::{GraphError, Result};
-use crate::graph::{EvolvingGraph, TimeOrder};
+use crate::graph::{ActiveTimes, EvolvingGraph};
 use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 
 /// A contiguous-in-time view `[start, end]` (inclusive) over an evolving
@@ -116,44 +116,37 @@ impl<G: EvolvingGraph> EvolvingGraph for TimeWindowView<G> {
             let t = TimeIndex::from_index(t);
             for v in 0..self.inner.num_nodes() {
                 let v = NodeId::from_index(v);
-                self.inner.for_each_static_out(v, t, &mut |w| {
-                    if self.inner.is_directed() || v < w {
-                        count += 1;
-                    }
-                });
+                let row = self.inner.out_row(v, t).iter();
+                count += row.filter(|&&w| self.inner.is_directed() || v < w).count();
             }
         }
         count
     }
 
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
         if t.index() < self.num_timestamps() {
-            self.inner.for_each_static_out(v, self.to_inner_time(t), f)
+            self.inner.out_row(v, self.to_inner_time(t))
+        } else {
+            &[]
         }
     }
 
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
         if t.index() < self.num_timestamps() {
-            self.inner.for_each_static_in(v, self.to_inner_time(t), f)
+            self.inner.in_row(v, self.to_inner_time(t))
+        } else {
+            &[]
         }
     }
 
-    /// Clips `range` to the window, then shifts it onto the inner graph.
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
+    /// Clips `range` to the window and shifts it onto the inner graph, whose
+    /// storage clips its sorted times with `partition_point`; the answer is
+    /// shifted back.
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
         let len = self.num_timestamps();
         let clip = |t: TimeIndex| self.to_inner_time(TimeIndex::from_index(t.index().min(len)));
-        let start = self.start.index();
         let inner = clip(range.start)..clip(range.end);
-        self.inner
-            .for_each_active_time_in(v, inner, order, &mut |t| {
-                f(TimeIndex::from_index(t.index() - start))
-            });
+        self.inner.active_times_in(v, inner).shifted(self.start.0)
     }
 }
 

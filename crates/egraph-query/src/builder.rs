@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use egraph_core::distance::MultiSourceMap;
 use egraph_core::error::{GraphError, Result};
 use egraph_core::foremost::{earliest_arrival, ForemostResult};
 use egraph_core::graph::EvolvingGraph;
@@ -525,10 +524,6 @@ impl Search {
         original_timestamps: usize,
         strategy: Strategy,
     ) -> Result<SearchResult> {
-        let num_nodes = view.num_nodes();
-        let identity =
-            map.window_start == 0 && !map.reversed && map.view_len == original_timestamps;
-
         let mut maps = Vec::with_capacity(self.sources.len());
         for (&source, &view_source) in self.sources.iter().zip(view_sources) {
             let view_result = match strategy {
@@ -549,36 +544,12 @@ impl Search {
                     unreachable!("dispatched in run_on")
                 }
             };
-            maps.push(if identity {
-                view_result
-            } else if self.with_parents {
-                let entries: Vec<(TemporalNode, u32, Option<TemporalNode>)> = view_result
-                    .reached()
-                    .into_iter()
-                    .map(|(tn, d)| {
-                        let parent = view_result.parent(tn).map(|p| map.node_to_original(p));
-                        (map.node_to_original(tn), d, parent)
-                    })
-                    .collect();
-                egraph_core::distance::DistanceMap::from_reached_with_parents(
-                    num_nodes,
-                    original_timestamps,
-                    source,
-                    &entries,
-                )
-            } else {
-                let entries: Vec<(TemporalNode, u32)> = view_result
-                    .reached()
-                    .into_iter()
-                    .map(|(tn, d)| (map.node_to_original(tn), d))
-                    .collect();
-                egraph_core::distance::DistanceMap::from_reached(
-                    num_nodes,
-                    original_timestamps,
-                    source,
-                    &entries,
-                )
-            });
+            maps.push(view_result.into_original(
+                source,
+                original_timestamps,
+                map.window_start,
+                map.reversed,
+            ));
         }
         Ok(SearchResult::from_maps(maps, map.reversed))
     }
@@ -622,9 +593,6 @@ impl Search {
         map: ViewMap,
         original_timestamps: usize,
     ) -> Result<SearchResult> {
-        let num_nodes = view.num_nodes();
-        let identity =
-            map.window_start == 0 && !map.reversed && map.view_len == original_timestamps;
         // Wide levels go to the pool, narrow ones run the kernel's serial
         // expansion. The packed-key claim makes the answer independent of
         // both the threshold and the pool size (differential suites pin it
@@ -635,21 +603,12 @@ impl Search {
             self.parallel_threshold
                 .unwrap_or_else(default_parallel_threshold),
         )?;
-        let shared = if identity {
-            shared
-        } else {
-            let entries: Vec<(TemporalNode, u32, usize)> = shared
-                .reached_with_sources()
-                .into_iter()
-                .map(|(tn, d, s)| (map.node_to_original(tn), d, s))
-                .collect();
-            MultiSourceMap::from_entries(
-                num_nodes,
-                original_timestamps,
-                self.sources.clone(),
-                &entries,
-            )
-        };
+        let shared = shared.into_original(
+            self.sources.clone(),
+            original_timestamps,
+            map.window_start,
+            map.reversed,
+        );
         Ok(SearchResult::from_shared(shared, map.reversed))
     }
 }

@@ -30,7 +30,7 @@ use std::ops::Range;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_core::error::{GraphError, Result};
-use egraph_core::graph::{EvolvingGraph, TimeOrder};
+use egraph_core::graph::{ActiveTimes, EvolvingGraph};
 use egraph_core::ids::{NodeId, TimeIndex, Timestamp};
 
 use crate::event::EdgeEvent;
@@ -307,20 +307,14 @@ impl EvolvingGraph for LiveGraph {
     fn num_static_edges(&self) -> usize {
         self.graph.num_static_edges()
     }
-    fn for_each_static_out(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.graph.for_each_static_out(v, t, f)
+    fn out_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        self.graph.out_row(v, t)
     }
-    fn for_each_static_in(&self, v: NodeId, t: TimeIndex, f: &mut dyn FnMut(NodeId)) {
-        self.graph.for_each_static_in(v, t, f)
+    fn in_row(&self, v: NodeId, t: TimeIndex) -> &[NodeId] {
+        self.graph.in_row(v, t)
     }
-    fn for_each_active_time_in(
-        &self,
-        v: NodeId,
-        range: Range<TimeIndex>,
-        order: TimeOrder,
-        f: &mut dyn FnMut(TimeIndex),
-    ) {
-        self.graph.for_each_active_time_in(v, range, order, f)
+    fn active_times_in(&self, v: NodeId, range: Range<TimeIndex>) -> ActiveTimes<'_> {
+        self.graph.active_times_in(v, range)
     }
     fn time_index_of(&self, timestamp: Timestamp) -> Option<TimeIndex> {
         EvolvingGraph::time_index_of(&self.graph, timestamp)
@@ -330,6 +324,7 @@ impl EvolvingGraph for LiveGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egraph_core::graph::TimeOrder;
 
     #[test]
     fn ranged_active_times_and_neighbors_match_the_sealed_csr() {
