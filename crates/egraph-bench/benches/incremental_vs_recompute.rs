@@ -15,7 +15,8 @@
 //! counting global allocator and records the bytes one `QueryCache::execute`
 //! repair allocates — forward, shared-frontier and resettled — asserting
 //! each stays within the repaired result's table bytes plus `O(num_nodes)`:
-//! a repair may copy its table once, never twice.
+//! a repair may copy its table once, never twice. A shared-frontier miss is
+//! held to its one table of packed keys the same way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -76,6 +77,14 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// queues.
 const REPAIR_BYTES_PER_NODE: u64 = 96;
 
+/// What a whole-graph search's two level queues may allocate per slot. A
+/// level spans many rows, so unlike a repair's one-row levels they outgrow
+/// a row: on this bench's graphs the widest shared-frontier levels hold
+/// about 4 rows' worth of 8-byte temporal nodes, and the queues' doubling
+/// growth allocates 13–15 bytes per slot. A second 8-byte table beside
+/// them exceeds the bound from 16 snapshots on.
+const SEARCH_QUEUE_BYTES_PER_SLOT: u64 = 16;
+
 /// Node universe and per-snapshot edge budget are fixed; only the history
 /// length varies, so any growth in the "extend" series would falsify the
 /// delta-proportionality claim.
@@ -106,6 +115,7 @@ struct MatrixReport {
     forward_repair_alloc_bytes: u64,
     shared_repair_alloc_bytes: u64,
     resettle_alloc_bytes: u64,
+    shared_miss_alloc_bytes: u64,
 }
 
 fn build_live(history: usize, seed: u64) -> LiveGraph {
@@ -300,8 +310,10 @@ fn incremental_vs_recompute(c: &mut Criterion) {
 
         // --- Bytes one cached repair allocates. ---------------------------
         // Each result holds `num_nodes × (history + 1)` slots: one `u32`
-        // table for a hop map, two (distances, sources) for a shared one.
-        let table_bytes = (NUM_NODES * (history + 1) * 4) as u64;
+        // table for a hop map, one `u64` table of packed keys (two `u32`
+        // tables' worth) for a shared one.
+        let slots = (NUM_NODES * (history + 1)) as u64;
+        let table_bytes = slots * 4;
         let [forward_repair_alloc_bytes, shared_repair_alloc_bytes, resettle_alloc_bytes] =
             repaired.each_ref().map(|query| {
                 let (result, bytes) = allocated_by(|| repair_cache.execute(&live, query).unwrap());
@@ -327,6 +339,22 @@ fn incremental_vs_recompute(c: &mut Criterion) {
         }
         assert_eq!(repair_cache.stats().recomputes, 0);
 
+        // A shared-frontier miss: the kernel's packed keys become the map,
+        // so one search allocates one 8-byte table, never a second copy of
+        // it, beside its level queues and per-node scratch.
+        let (missed, shared_miss_alloc_bytes) =
+            allocated_by(|| shared_search.run(live.graph()).unwrap());
+        assert_eq!(missed.shared_map().num_timestamps(), history + 1);
+        let bound =
+            slots * (8 + SEARCH_QUEUE_BYTES_PER_SLOT) + REPAIR_BYTES_PER_NODE * NUM_NODES as u64;
+        assert!(
+            shared_miss_alloc_bytes <= bound,
+            "history {history}: a shared-frontier search allocated \
+             {shared_miss_alloc_bytes} bytes, more than its 8-byte table plus \
+             {SEARCH_QUEUE_BYTES_PER_SLOT} bytes of queues per slot and \
+             {REPAIR_BYTES_PER_NODE} per node ({bound})"
+        );
+
         matrix_reports.push(MatrixReport {
             history,
             shared_extend_work,
@@ -338,6 +366,7 @@ fn incremental_vs_recompute(c: &mut Criterion) {
             forward_repair_alloc_bytes,
             shared_repair_alloc_bytes,
             resettle_alloc_bytes,
+            shared_miss_alloc_bytes,
         });
 
         println!(
@@ -514,7 +543,7 @@ fn write_matrix_json(reports: &[MatrixReport]) {
              \"redimension_work\": {}, \"windowed_recompute_work\": {}, \
              \"resettle_work\": {}, \"backward_recompute_work\": {}, \
              \"forward_repair_alloc_bytes\": {}, \"shared_repair_alloc_bytes\": {}, \
-             \"resettle_alloc_bytes\": {}}}",
+             \"resettle_alloc_bytes\": {}, \"shared_miss_alloc_bytes\": {}}}",
             r.history,
             EDGES_PER_SNAPSHOT,
             r.shared_extend_work,
@@ -527,12 +556,14 @@ fn write_matrix_json(reports: &[MatrixReport]) {
             r.forward_repair_alloc_bytes,
             r.shared_repair_alloc_bytes,
             r.resettle_alloc_bytes,
+            r.shared_miss_alloc_bytes,
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"incremental_matrix\",\n  \"num_nodes\": {NUM_NODES},\n  \
          \"work_metric\": \"CountingView total (enumeration calls + delivered neighbors)\",\n  \
-         \"alloc_metric\": \"bytes one QueryCache::execute repair allocates\",\n  \
+         \"alloc_metric\": \"bytes one QueryCache::execute repair (or one shared-frontier \
+         search) allocates\",\n  \
          \"rows\": [\"shared_frontier_extend\", \"bounded_window_redimension\", \
          \"effective_reversal_resettle\"],\n  \
          \"sizes\": [\n{rows}\n  ]\n}}\n"

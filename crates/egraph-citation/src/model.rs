@@ -22,7 +22,6 @@ pub type Epoch = Timestamp;
 
 /// One citation record: `citing` cites `cited` at `epoch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CitationRecord {
     /// The citing author `i`.
     pub citing: AuthorId,

@@ -17,7 +17,6 @@ use crate::model::{AuthorId, CitationNetwork, Epoch};
 
 /// One row of an influence ranking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InfluenceScore {
     /// The author being scored.
     pub author: AuthorId,

@@ -20,7 +20,6 @@ use crate::ids::{NodeId, TemporalNode, TimeIndex, Timestamp};
 /// An evolving graph stored as per-snapshot adjacency lists plus a per-node
 /// active-snapshot index.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdjacencyListGraph {
     timestamps: Vec<Timestamp>,
     num_nodes: usize,

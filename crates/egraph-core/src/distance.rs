@@ -1,10 +1,20 @@
-//! [`DistanceMap`]: the result of a breadth-first traversal.
+//! [`DistanceMap`] and [`MultiSourceMap`]: the results of the hop engines.
 //!
 //! Algorithm 1 returns `reached`, a dictionary from temporal nodes to their
 //! distances from the root. Because this crate uses dense node and snapshot
-//! indices, the dictionary is stored as a flat array indexed by
-//! `time * num_nodes + node`, with `u32::MAX` marking unreached temporal
-//! nodes. An optional parallel array of parent pointers lets callers recover
+//! indices, the dictionary is stored as a flat table indexed by
+//! `time * num_nodes + node`. Both maps hold one such table of *keys*, the
+//! values the traversal kernel ([`crate::kernel`]) claims slots with, and
+//! hand the kernel's table over as it is:
+//!
+//! * a single-source search keys a slot by its distance, a `u32`;
+//! * the shared frontier keys it by `(distance << 32) | source_index`, a
+//!   `u64`, so "nearest source, ties to the smallest index" is the smallest
+//!   key. The `u64` impl of this module's `Key` trait is the one place that
+//!   packing is defined.
+//!
+//! Either key's maximum marks an unreached slot. A distance map may also
+//! record a parallel table of parent pointers, from which callers recover
 //! an explicit shortest temporal path (the BFS tree of Section II-C).
 //!
 //! Every map also carries its *row span*: the half-open range of snapshots
@@ -15,29 +25,72 @@
 //! re-dimensioning included) visit only the span's rows, so they cost what
 //! the answer occupies rather than the whole history.
 
+use std::fmt::Debug;
 use std::ops::Range;
 
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
+use crate::kernel::Slot;
 
 /// Sentinel distance for unreached temporal nodes.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// Sentinel parent for the root / unreached nodes.
-const NO_PARENT: u64 = u64::MAX;
+/// Sentinel parent: the root, a seed without a witness, or unreached.
+pub(crate) const NO_PARENT: u64 = u64::MAX;
 
-/// The rows `span` of a time-major table `num_nodes` wide, each with its
-/// snapshot index.
-pub(crate) fn span_rows<T>(
-    table: &[T],
-    num_nodes: usize,
-    span: Range<usize>,
-) -> impl Iterator<Item = (usize, &[T])> {
-    let rows = &table[span.start * num_nodes..span.end * num_nodes];
-    span.zip(rows.chunks_exact(num_nodes.max(1)))
+/// A slot's key (see the module docs); smaller keys win. `UNREACHED`, the
+/// largest, marks a slot nothing has claimed. `level` reads a key's BFS
+/// level, its distance, and `hand_on` is the key a node holding this one
+/// offers its neighbours at `level`. The kernel claims keys in a `Slot`.
+pub(crate) trait Key: Copy + Ord + Default + Send + Sync + Debug {
+    type Slot: Slot<Key = Self> + Default + Debug;
+    const UNREACHED: Self;
+    fn level(self) -> u32;
+    fn hand_on(self, level: u32) -> Self;
+
+    /// The smallest key `level` holds: the one the smallest key hands on.
+    #[inline]
+    fn floor(level: u32) -> Self {
+        Self::default().hand_on(level)
+    }
+}
+
+impl Key for u32 {
+    type Slot = std::sync::atomic::AtomicU32;
+    const UNREACHED: u32 = UNREACHED;
+    #[inline]
+    fn level(self) -> u32 {
+        self
+    }
+    #[inline]
+    fn hand_on(self, level: u32) -> u32 {
+        level
+    }
+}
+
+/// The shared frontier's packed key, `(distance << 32) | source_index`. A
+/// hop replaces the distance and keeps the source, so source `i` seeds key
+/// `i`, and the unreached key `u64::MAX` reads as level [`UNREACHED`].
+impl Key for u64 {
+    type Slot = std::sync::atomic::AtomicU64;
+    const UNREACHED: u64 = u64::MAX;
+    #[inline]
+    fn level(self) -> u32 {
+        (self >> 32) as u32
+    }
+    #[inline]
+    fn hand_on(self, level: u32) -> u64 {
+        (u64::from(level) << 32) | (self & 0xFFFF_FFFF)
+    }
+}
+
+/// The source index a packed shared-frontier key carries: its key handed
+/// on at level 0, which is its source's seed key.
+fn source_of(key: u64) -> usize {
+    key.hand_on(0) as usize
 }
 
 /// Widens `span` to cover row `t`.
-pub(crate) fn cover_row(span: &mut Range<usize>, t: usize) {
+fn cover_row(span: &mut Range<usize>, t: usize) {
     *span = if Range::is_empty(span) {
         t..t + 1
     } else {
@@ -49,7 +102,7 @@ pub(crate) fn cover_row(span: &mut Range<usize>, t: usize) {
 /// rows, with room for `spare_rows` more: the `span` rows are copied, every
 /// other slot holds `fill`. Each slot is written once, and only the span's
 /// rows are read.
-pub(crate) fn relayout<T: Copy>(
+fn relayout<T: Copy>(
     table: &[T],
     old: usize,
     new: usize,
@@ -60,12 +113,27 @@ pub(crate) fn relayout<T: Copy>(
 ) -> Vec<T> {
     let mut out = Vec::with_capacity((rows + spare_rows) * new);
     out.resize(span.start * new, fill);
-    for (_, row) in span_rows(table, old, span) {
+    for row in table[span.start * old..span.end * old].chunks_exact(old.max(1)) {
         out.extend_from_slice(row);
         out.resize(out.len() + new - old, fill);
     }
     out.resize(rows * new, fill);
     out
+}
+
+/// Rewrites every recorded parent in `slots`, a flat index of row stride
+/// `old`, as `f` of its temporal node in row stride `new`: a flat index
+/// bakes in its stride and its row, so a table whose rows move or widen
+/// must move its parents' targets too.
+fn remap_parents(
+    slots: &mut [u64],
+    old: usize,
+    new: usize,
+    f: impl Fn(TemporalNode) -> TemporalNode,
+) {
+    for p in slots.iter_mut().filter(|p| **p != NO_PARENT) {
+        *p = f(TemporalNode::from_flat_index(*p as usize, old)).flat_index(new) as u64;
+    }
 }
 
 /// Where a view's row lands in the graph under it: rows `0..len` of a view
@@ -130,44 +198,264 @@ impl RowPlacement {
     }
 }
 
-/// Rewrites the parent flat indices stored in the `span` rows of a table
-/// `new` nodes wide from a row stride of `old` to `new`: a flat index bakes
-/// the stride in, so a relaid-out parent table must be remapped, not just
-/// copied.
-pub(crate) fn remap_parents(parents: &mut [u64], old: usize, new: usize, span: Range<usize>) {
-    if old == new {
-        return;
-    }
-    let slots = &mut parents[span.start * new..span.end * new];
-    for p in slots.iter_mut().filter(|p| **p != NO_PARENT) {
-        *p = TemporalNode::from_flat_index(*p as usize, old).flat_index(new) as u64;
-    }
-}
-
-/// Distances (and optionally BFS-tree parents) from a single root temporal
-/// node, as produced by [`crate::kernel::distances`].
-///
-/// `rows` is the map's row span (see the module docs): every reached slot
-/// lies in a snapshot inside it.
+/// The table behind both maps: the time-major keys (with, when a distance
+/// map records them, BFS-tree parents as flat indices laid out alike), the
+/// reached count, the maximum distance and the row span. Every walk,
+/// re-layout and re-placement of a result's rows is a method here.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct DistanceMap {
+pub(crate) struct KeyTable<K> {
     pub(crate) num_nodes: usize,
     pub(crate) num_timestamps: usize,
-    pub(crate) root: TemporalNode,
-    pub(crate) dist: Vec<u32>,
-    pub(crate) parent: Option<Vec<u64>>,
+    pub(crate) keys: Vec<K>,
+    pub(crate) parents: Option<Vec<u64>>,
     pub(crate) reached_count: usize,
     pub(crate) max_distance: u32,
     pub(crate) rows: Range<usize>,
 }
 
-impl DistanceMap {
+impl<K: Key> KeyTable<K> {
+    /// A table from explicit `(temporal node, key, parent)` entries, the
+    /// last one winning a slot; the row span is exactly the entries'
+    /// snapshots.
+    fn from_entries(
+        num_nodes: usize,
+        num_timestamps: usize,
+        with_parents: bool,
+        entries: impl Iterator<Item = (TemporalNode, K, Option<TemporalNode>)>,
+    ) -> Self {
+        let keys = vec![K::UNREACHED; num_nodes * num_timestamps];
+        let mut table = KeyTable {
+            num_nodes,
+            num_timestamps,
+            parents: with_parents.then(|| vec![NO_PARENT; keys.len()]),
+            keys,
+            reached_count: 0,
+            max_distance: 0,
+            rows: 0..0,
+        };
+        for (tn, key, parent) in entries {
+            let i = table.flat(tn);
+            table.keys[i] = key;
+            if let (Some(parents), Some(p)) = (table.parents.as_mut(), parent) {
+                parents[i] = p.flat_index(num_nodes) as u64;
+            }
+            cover_row(&mut table.rows, tn.time.index());
+        }
+        // The counters come from the final slots, so no overwritten entry
+        // can leave a max_distance no slot has.
+        let (mut reached, mut depth) = (0, 0);
+        table
+            .for_each_reached(|_, key, _| (reached, depth) = (reached + 1, depth.max(key.level())));
+        (table.reached_count, table.max_distance) = (reached, depth);
+        table
+    }
+
     #[inline]
     fn flat(&self, tn: TemporalNode) -> usize {
         tn.flat_index(self.num_nodes)
     }
 
+    /// The key of `tn`, or `None` if it is unreached.
+    #[inline]
+    fn get(&self, tn: TemporalNode) -> Option<K> {
+        Some(self.keys[self.flat(tn)]).filter(|&key| key != K::UNREACHED)
+    }
+
+    /// The key rows of the span, each with its snapshot index.
+    pub(crate) fn span_rows(&self) -> impl Iterator<Item = (usize, &[K])> {
+        let (n, span) = (self.num_nodes, self.rows.clone());
+        let rows = self.keys[span.start * n..span.end * n].chunks_exact(n.max(1));
+        span.zip(rows)
+    }
+
+    /// Calls `f(tn, key, parent)` for every reached slot in flat-index
+    /// (time-major) order; `parent` is the one recorded for `tn`, if any.
+    /// Only the rows of the span are visited.
+    fn for_each_reached(&self, mut f: impl FnMut(TemporalNode, K, Option<TemporalNode>)) {
+        let n = self.num_nodes;
+        for (t, row) in self.span_rows() {
+            for (v, &key) in row
+                .iter()
+                .enumerate()
+                .filter(|(_, &key)| key != K::UNREACHED)
+            {
+                let parent = self.parents.as_ref().map_or(NO_PARENT, |p| p[t * n + v]);
+                let parent = (parent != NO_PARENT)
+                    .then(|| TemporalNode::from_flat_index(parent as usize, n));
+                f(TemporalNode::from_raw(v as u32, t as u32), key, parent);
+            }
+        }
+    }
+
+    /// This table laid out `num_nodes` wide over `num_timestamps` rows, with
+    /// room for `spare_rows` more: every reached key and recorded parent
+    /// keeps its coordinates, and the other slots are unreached. Counts and
+    /// the span are unchanged, and only the span's rows are read.
+    pub(crate) fn relaid(
+        &self,
+        num_nodes: usize,
+        num_timestamps: usize,
+        spare_rows: usize,
+    ) -> Self {
+        let (old, span) = (self.num_nodes, self.rows.clone());
+        let (n, t, spare) = (num_nodes, num_timestamps, spare_rows);
+        let parents = self.parents.as_deref().map(|parents| {
+            let mut parents = relayout(parents, old, n, t, span.clone(), spare, NO_PARENT);
+            if old != n {
+                remap_parents(&mut parents[span.start * n..span.end * n], old, n, |tn| tn);
+            }
+            parents
+        });
+        KeyTable {
+            num_nodes,
+            num_timestamps,
+            keys: relayout(&self.keys, old, n, t, span.clone(), spare, K::UNREACHED),
+            parents,
+            rows: span,
+            ..*self
+        }
+    }
+
+    /// Re-expresses a table computed on a view — a time window starting at
+    /// snapshot `window_start`, time-`reversed` or both — in the coordinates
+    /// of the `num_timestamps`-snapshot graph under it. The span's rows move
+    /// within the table's own vectors (and recorded parents are remapped
+    /// with them), so a search through a view builds no second table.
+    fn into_original(mut self, num_timestamps: usize, window_start: usize, reversed: bool) -> Self {
+        let (n, span) = (self.num_nodes, self.rows.clone());
+        let placement = RowPlacement {
+            start: window_start,
+            len: self.num_timestamps,
+            flipped: reversed,
+        };
+        placement.place(
+            &mut self.keys,
+            n,
+            num_timestamps,
+            span.clone(),
+            K::UNREACHED,
+        );
+        let rows = placement.span(span.clone());
+        if let Some(parents) = self.parents.as_mut() {
+            placement.place(parents, n, num_timestamps, span, NO_PARENT);
+            if !placement.is_identity() {
+                let moved = |tn: TemporalNode| {
+                    TemporalNode::new(
+                        tn.node,
+                        TimeIndex::from_index(placement.row(tn.time.index())),
+                    )
+                };
+                remap_parents(&mut parents[rows.start * n..rows.end * n], n, n, moved);
+            }
+        }
+        KeyTable {
+            num_timestamps,
+            rows,
+            ..self
+        }
+    }
+
+    /// Appends the key row of the next snapshot, in which a kernel claimed
+    /// `claimed` slots, the deepest at level `depth`.
+    pub(crate) fn push_row(
+        &mut self,
+        row: impl Iterator<Item = K>,
+        (claimed, depth): (usize, u32),
+    ) {
+        self.keys.extend(row);
+        if claimed > 0 {
+            self.reached_count += claimed;
+            self.max_distance = self.max_distance.max(depth);
+            cover_row(&mut self.rows, self.num_timestamps);
+        }
+        self.num_timestamps += 1;
+    }
+}
+
+/// The accessors both maps answer alike from their key table.
+macro_rules! table_accessors {
+    () => {
+        /// Size of the node universe of the traversed graph.
+        pub fn num_nodes(&self) -> usize {
+            self.table.num_nodes
+        }
+
+        /// Number of snapshots of the traversed graph.
+        pub fn num_timestamps(&self) -> usize {
+            self.table.num_timestamps
+        }
+
+        /// The row span: the half-open range of snapshot indices outside
+        /// which no temporal node is reached (see the module docs).
+        pub fn row_span(&self) -> Range<usize> {
+            self.table.rows.clone()
+        }
+
+        /// Distance to `tn` from the root (the nearest source), or `None`
+        /// if `tn` was not reached.
+        #[inline]
+        pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
+            self.table.get(tn).map(Key::level)
+        }
+
+        /// Whether `tn` is reached from the root (any source): Definition 7.
+        #[inline]
+        pub fn is_reached(&self, tn: TemporalNode) -> bool {
+            self.table.get(tn).is_some()
+        }
+
+        /// Number of reached temporal nodes, the root (the sources)
+        /// included.
+        pub fn num_reached(&self) -> usize {
+            self.table.reached_count
+        }
+
+        /// The largest finite distance in the map: the BFS depth, or for a
+        /// shared frontier the eccentricity of the source *set* (not the
+        /// maximum per-source eccentricity, which it cannot observe).
+        pub fn max_distance(&self) -> u32 {
+            self.table.max_distance
+        }
+
+        /// All reached temporal nodes with their distances, in flat-index
+        /// (time-major) order.
+        pub fn reached(&self) -> Vec<(TemporalNode, u32)> {
+            let mut reached = Vec::with_capacity(self.num_reached());
+            self.table
+                .for_each_reached(|tn, key, _| reached.push((tn, key.level())));
+            reached
+        }
+
+        /// The distinct *node* identifiers reached at any snapshot — the
+        /// influence set `T(a, t)` of Section V is exactly this set for a
+        /// citation graph.
+        pub fn reached_node_ids(&self) -> Vec<NodeId> {
+            let mut seen = vec![false; self.num_nodes()];
+            for (_, row) in self.table.span_rows() {
+                for (seen, &key) in seen.iter_mut().zip(row) {
+                    *seen |= key != Key::UNREACHED;
+                }
+            }
+            seen.iter()
+                .enumerate()
+                .filter(|(_, &s)| s)
+                .map(|(v, _)| NodeId::from_index(v))
+                .collect()
+        }
+    };
+}
+
+/// Distances (and optionally BFS-tree parents) from a single root temporal
+/// node, as produced by [`crate::kernel::distances`].
+///
+/// Its row span (see the module docs) holds every reached slot.
+#[derive(Clone, Debug)]
+pub struct DistanceMap {
+    pub(crate) table: KeyTable<u32>,
+    pub(crate) root: TemporalNode,
+}
+
+impl DistanceMap {
     /// Builds a distance map from an explicit list of `(temporal node,
     /// distance)` pairs. The root must be included with distance 0 (it is
     /// added if missing). Intended for alternative BFS engines — notably the
@@ -199,8 +487,7 @@ impl DistanceMap {
         DistanceMap::from_entries(num_nodes, num_timestamps, root, true, entries)
     }
 
-    /// The root at distance 0 plus every non-root entry, last one winning;
-    /// the row span is exactly the entries' snapshots.
+    /// The root at distance 0 plus every non-root entry, last one winning.
     fn from_entries(
         num_nodes: usize,
         num_timestamps: usize,
@@ -208,120 +495,31 @@ impl DistanceMap {
         with_parents: bool,
         entries: impl Iterator<Item = (TemporalNode, u32, Option<TemporalNode>)>,
     ) -> Self {
-        let mut dist = vec![UNREACHED; num_nodes * num_timestamps];
-        let mut parent = with_parents.then(|| vec![NO_PARENT; dist.len()]);
-        dist[root.flat_index(num_nodes)] = 0;
-        let (mut reached, mut depth, mut rows) = (1, 0, 0..0);
-        cover_row(&mut rows, root.time.index());
-        for (tn, d, p) in entries.filter(|&(tn, _, _)| tn != root) {
-            let i = tn.flat_index(num_nodes);
-            reached += usize::from(dist[i] == UNREACHED);
-            (dist[i], depth) = (d, depth.max(d));
-            cover_row(&mut rows, tn.time.index());
-            if let (Some(parents), Some(p)) = (parent.as_mut(), p) {
-                parents[i] = p.flat_index(num_nodes) as u64;
-            }
-        }
-        DistanceMap {
-            num_nodes,
-            num_timestamps,
-            root,
-            dist,
-            parent,
-            reached_count: reached,
-            max_distance: depth,
-            rows,
-        }
+        let entries = entries.filter(|&(tn, _, _)| tn != root);
+        let entries = std::iter::once((root, 0, None)).chain(entries);
+        let table = KeyTable::from_entries(num_nodes, num_timestamps, with_parents, entries);
+        DistanceMap { table, root }
     }
+
+    table_accessors!();
 
     /// The root temporal node from which the traversal started.
     pub fn root(&self) -> TemporalNode {
         self.root
     }
 
-    /// Size of the node universe of the traversed graph.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of snapshots of the traversed graph.
-    pub fn num_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
-    /// The row span: the half-open range of snapshot indices outside which
-    /// no temporal node is reached (see the module docs).
-    pub fn row_span(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// The distance rows of the span, each with its snapshot index.
-    fn span_rows(&self) -> impl Iterator<Item = (usize, &[u32])> {
-        span_rows(&self.dist, self.num_nodes, self.rows.clone())
-    }
-
-    /// Distance from the root to `tn`, or `None` if `tn` was not reached.
-    #[inline]
-    pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
-        let d = self.dist[self.flat(tn)];
-        if d == UNREACHED {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// Whether `tn` is reachable from the root (Definition 7).
-    #[inline]
-    pub fn is_reached(&self, tn: TemporalNode) -> bool {
-        self.dist[self.flat(tn)] != UNREACHED
-    }
-
-    /// Number of reached temporal nodes, including the root.
-    pub fn num_reached(&self) -> usize {
-        self.reached_count
-    }
-
-    /// The largest finite distance in the map (the BFS depth).
-    pub fn max_distance(&self) -> u32 {
-        self.max_distance
-    }
-
-    /// All reached temporal nodes with their distances, in flat-index order.
-    pub fn reached(&self) -> Vec<(TemporalNode, u32)> {
-        let mut reached = Vec::with_capacity(self.reached_count);
-        self.for_each_reached(|tn, d, _| reached.push((tn, d)));
-        reached
-    }
-
     /// Calls `f(tn, distance, parent)` for every reached temporal node in
     /// flat-index (time-major) order, without allocating. `parent` is what
     /// [`DistanceMap::parent`] answers for `tn`, read in the same pass. Only
     /// the rows of the span are visited.
-    pub fn for_each_reached(&self, mut f: impl FnMut(TemporalNode, u32, Option<TemporalNode>)) {
-        for (t, row) in self.span_rows() {
-            for (v, &d) in row.iter().enumerate() {
-                if d == UNREACHED {
-                    continue;
-                }
-                let tn = TemporalNode::from_raw(v as u32, t as u32);
-                let parent = match &self.parent {
-                    Some(parents) if tn != self.root => {
-                        let p = parents[t * self.num_nodes + v];
-                        (p != NO_PARENT)
-                            .then(|| TemporalNode::from_flat_index(p as usize, self.num_nodes))
-                    }
-                    _ => None,
-                };
-                f(tn, d, parent);
-            }
-        }
+    pub fn for_each_reached(&self, f: impl FnMut(TemporalNode, u32, Option<TemporalNode>)) {
+        self.table.for_each_reached(f)
     }
 
     /// The reached temporal nodes at exactly distance `k` (one BFS layer).
     pub fn layer(&self, k: u32) -> Vec<TemporalNode> {
         let mut layer = Vec::new();
-        for (t, row) in self.span_rows() {
+        for (t, row) in self.table.span_rows() {
             for (v, _) in row.iter().enumerate().filter(|&(_, &d)| d == k) {
                 layer.push(TemporalNode::from_raw(v as u32, t as u32));
             }
@@ -329,17 +527,11 @@ impl DistanceMap {
         layer
     }
 
-    /// The distinct *node* identifiers reached at any time — the influence
-    /// set `T(a, t)` of Section V is exactly this set for a citation graph.
-    pub fn reached_node_ids(&self) -> Vec<NodeId> {
-        reached_columns(self.span_rows())
-    }
-
     /// The earliest snapshot at which each reached node is reached, keyed by
     /// node. Unreached nodes are absent.
     pub fn earliest_reach_times(&self) -> Vec<(NodeId, TimeIndex)> {
-        let mut earliest: Vec<Option<TimeIndex>> = vec![None; self.num_nodes];
-        for (t, row) in self.span_rows() {
+        let mut earliest: Vec<Option<TimeIndex>> = vec![None; self.num_nodes()];
+        for (t, row) in self.table.span_rows() {
             for (slot, &d) in earliest.iter_mut().zip(row) {
                 if d != UNREACHED && slot.is_none() {
                     *slot = Some(TimeIndex::from_index(t));
@@ -357,29 +549,25 @@ impl DistanceMap {
     /// "no parents recorded" from "reached with no parent (the root)", which
     /// [`DistanceMap::parent`] alone cannot.
     pub fn has_parents(&self) -> bool {
-        self.parent.is_some()
+        self.table.parents.is_some()
     }
 
     /// BFS-tree parent of `tn`, if parents were recorded and `tn` is reached
     /// and is not the root.
     pub fn parent(&self, tn: TemporalNode) -> Option<TemporalNode> {
-        let parents = self.parent.as_ref()?;
+        let parents = self.table.parents.as_ref()?;
         if !self.is_reached(tn) || tn == self.root {
             return None;
         }
-        let p = parents[self.flat(tn)];
-        if p == NO_PARENT {
-            None
-        } else {
-            Some(TemporalNode::from_flat_index(p as usize, self.num_nodes))
-        }
+        let p = parents[self.table.flat(tn)];
+        (p != NO_PARENT).then(|| TemporalNode::from_flat_index(p as usize, self.num_nodes()))
     }
 
     /// Reconstructs a shortest temporal path from the root to `tn` (inclusive
     /// of both end points) using the recorded parents. Returns `None` if `tn`
     /// is unreached or parents were not recorded.
     pub fn path_to(&self, tn: TemporalNode) -> Option<Vec<TemporalNode>> {
-        self.parent.as_ref()?;
+        self.table.parents.as_ref()?;
         if !self.is_reached(tn) {
             return None;
         }
@@ -396,8 +584,8 @@ impl DistanceMap {
     /// Histogram of distances: `hist[k]` = number of temporal nodes at
     /// distance `k`. Index 0 counts the root.
     pub fn distance_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.max_distance as usize + 1];
-        for (_, row) in self.span_rows() {
+        let mut hist = vec![0usize; self.max_distance() as usize + 1];
+        for (_, row) in self.table.span_rows() {
             for &d in row.iter().filter(|&&d| d != UNREACHED) {
                 hist[d as usize] += 1;
             }
@@ -408,7 +596,7 @@ impl DistanceMap {
     /// Raw flat distance slice (time-major), mainly for the matrix crate's
     /// equivalence tests.
     pub fn as_flat_slice(&self) -> &[u32] {
-        &self.dist
+        &self.table.keys
     }
 
     /// Re-expresses this map in the (grown) dimensions of an appended-to
@@ -424,26 +612,13 @@ impl DistanceMap {
     /// # Panics
     /// Debug-asserts that neither dimension shrinks.
     pub fn redimensioned(&self, num_nodes: usize, num_timestamps: usize) -> Self {
-        debug_assert!(num_nodes >= self.num_nodes && num_timestamps >= self.num_timestamps);
-        let (old, span) = (self.num_nodes, self.rows.clone());
-        let (n, t) = (num_nodes, num_timestamps);
-        let parent = self.parent.as_deref().map(|parents| {
-            let mut parents = relayout(parents, old, n, t, span.clone(), 0, NO_PARENT);
-            remap_parents(&mut parents, old, n, span.clone());
-            parents
-        });
+        debug_assert!(num_nodes >= self.num_nodes() && num_timestamps >= self.num_timestamps());
         DistanceMap {
-            num_nodes,
-            num_timestamps,
-            dist: relayout(&self.dist, old, n, t, span.clone(), 0, UNREACHED),
-            parent,
-            rows: span,
-            ..*self
+            table: self.table.relaid(num_nodes, num_timestamps, 0),
+            root: self.root,
         }
     }
-}
 
-impl DistanceMap {
     /// Re-expresses a map computed on a view — a time window starting at
     /// snapshot `window_start`, time-`reversed` or both — in the coordinates
     /// of the `num_timestamps`-snapshot graph under it, with `root` in those
@@ -451,92 +626,18 @@ impl DistanceMap {
     /// its parent pointers are remapped with them), so a search through a
     /// view builds no second table.
     pub fn into_original(
-        mut self,
+        self,
         root: TemporalNode,
         num_timestamps: usize,
         window_start: usize,
         reversed: bool,
     ) -> Self {
-        let (n, span) = (self.num_nodes, self.rows.clone());
-        let placement = RowPlacement {
-            start: window_start,
-            len: self.num_timestamps,
-            flipped: reversed,
-        };
-        placement.place(&mut self.dist, n, num_timestamps, span.clone(), UNREACHED);
-        let rows = placement.span(span.clone());
-        if let Some(parents) = self.parent.as_mut() {
-            placement.place(parents, n, num_timestamps, span, NO_PARENT);
-            let slots = match placement.is_identity() {
-                true => &mut [],
-                false => &mut parents[rows.start * n..rows.end * n],
-            };
-            for p in slots.iter_mut().filter(|p| **p != NO_PARENT) {
-                let tn = TemporalNode::from_flat_index(*p as usize, n);
-                let t = TimeIndex::from_index(placement.row(tn.time.index()));
-                *p = TemporalNode::new(tn.node, t).flat_index(n) as u64;
-            }
-        }
-        DistanceMap {
-            num_timestamps,
-            root,
-            rows,
-            ..self
-        }
+        let table = self
+            .table
+            .into_original(num_timestamps, window_start, reversed);
+        DistanceMap { table, root }
     }
 }
-
-impl MultiSourceMap {
-    /// [`DistanceMap::into_original`] for a shared-frontier map: `sources`
-    /// are the seeds in the graph's coordinates, in seed order.
-    pub fn into_original(
-        mut self,
-        sources: Vec<TemporalNode>,
-        num_timestamps: usize,
-        window_start: usize,
-        reversed: bool,
-    ) -> Self {
-        let (n, span) = (self.num_nodes, self.rows.clone());
-        let placement = RowPlacement {
-            start: window_start,
-            len: self.num_timestamps,
-            flipped: reversed,
-        };
-        placement.place(&mut self.dist, n, num_timestamps, span.clone(), UNREACHED);
-        placement.place(
-            &mut self.source_idx,
-            n,
-            num_timestamps,
-            span.clone(),
-            NO_SOURCE,
-        );
-        MultiSourceMap {
-            num_timestamps,
-            sources,
-            rows: placement.span(span),
-            ..self
-        }
-    }
-}
-
-/// The columns (nodes) holding a reached slot in any of `rows`, ascending.
-fn reached_columns<'a>(rows: impl Iterator<Item = (usize, &'a [u32])>) -> Vec<NodeId> {
-    let mut seen: Vec<bool> = Vec::new();
-    for (_, row) in rows {
-        seen.resize(row.len(), false);
-        for (seen, &d) in seen.iter_mut().zip(row) {
-            *seen |= d != UNREACHED;
-        }
-    }
-    seen.iter()
-        .enumerate()
-        .filter(|(_, &s)| s)
-        .map(|(v, _)| NodeId::from_index(v))
-        .collect()
-}
-
-/// Sentinel source index for unreached temporal nodes.
-pub(crate) const NO_SOURCE: u32 = u32::MAX;
 
 /// The result of a *shared-frontier* multi-source traversal
 /// ([`crate::kernel::nearest_sources`]): for every
@@ -546,35 +647,15 @@ pub(crate) const NO_SOURCE: u32 = u32::MAX;
 /// Distances are `min_s d_s(v, t)` over the per-source distances; ties are
 /// broken deterministically toward the smallest source index, so the serial
 /// and parallel engines (and any oracle built from per-source maps) agree
-/// exactly. `rows` is the map's row span, as for [`DistanceMap`].
+/// exactly. The map holds the kernel's packed keys (see the module docs)
+/// and a row span, as a [`DistanceMap`] does.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiSourceMap {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_timestamps: usize,
+    pub(crate) table: KeyTable<u64>,
     pub(crate) sources: Vec<TemporalNode>,
-    pub(crate) dist: Vec<u32>,
-    pub(crate) source_idx: Vec<u32>,
-    pub(crate) reached_count: usize,
-    pub(crate) max_distance: u32,
-    pub(crate) rows: Range<usize>,
 }
 
 impl MultiSourceMap {
-    /// A map of the given dimensions reaching nothing.
-    fn unreached(num_nodes: usize, num_timestamps: usize, sources: Vec<TemporalNode>) -> Self {
-        MultiSourceMap {
-            num_nodes,
-            num_timestamps,
-            sources,
-            dist: vec![UNREACHED; num_nodes * num_timestamps],
-            source_idx: vec![NO_SOURCE; num_nodes * num_timestamps],
-            reached_count: 0,
-            max_distance: 0,
-            rows: 0..0,
-        }
-    }
-
     /// Builds a map from explicit `(temporal node, distance, source index)`
     /// entries — the constructor query layers use to re-express a
     /// shared-frontier result computed on a view (time window, reversed time)
@@ -590,28 +671,20 @@ impl MultiSourceMap {
         sources: Vec<TemporalNode>,
         entries: &[(TemporalNode, u32, usize)],
     ) -> Self {
-        let mut map = MultiSourceMap::unreached(num_nodes, num_timestamps, sources);
-        for &(tn, d, s) in entries {
-            debug_assert!(s < map.sources.len(), "source index {s} out of range");
-            let i = tn.flat_index(num_nodes);
-            (map.dist[i], map.source_idx[i]) = match d {
-                UNREACHED => (UNREACHED, NO_SOURCE),
-                d => (d, s as u32),
+        let keys = entries.iter().map(|&(tn, d, s)| {
+            debug_assert!(s < sources.len(), "source index {s} out of range");
+            // Source `s` seeds key `s`, which a path of `d` hops hands on.
+            let key = match d {
+                UNREACHED => u64::UNREACHED,
+                d => (s as u64).hand_on(d),
             };
-            cover_row(&mut map.rows, tn.time.index());
-        }
-        // Last entry wins on duplicates; the counters come from the final
-        // slots, so no stale entry can leave a max_distance no slot has.
-        let (mut reached, mut depth) = (0, 0);
-        map.for_each_reached(|_, d, _| (reached, depth) = (reached + 1, depth.max(d)));
-        (map.reached_count, map.max_distance) = (reached, depth);
-        map
+            (tn, key, None)
+        });
+        let table = KeyTable::from_entries(num_nodes, num_timestamps, false, keys);
+        MultiSourceMap { table, sources }
     }
 
-    #[inline]
-    fn flat(&self, tn: TemporalNode) -> usize {
-        tn.flat_index(self.num_nodes)
-    }
+    table_accessors!();
 
     /// The sources the shared frontier was seeded with, in seed order.
     pub fn sources(&self) -> &[TemporalNode] {
@@ -623,86 +696,23 @@ impl MultiSourceMap {
         self.sources.len()
     }
 
-    /// Size of the node universe of the traversed graph.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of snapshots of the traversed graph.
-    pub fn num_timestamps(&self) -> usize {
-        self.num_timestamps
-    }
-
-    /// The row span: the half-open range of snapshot indices outside which
-    /// no temporal node is reached (see the module docs).
-    pub fn row_span(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Distance from the nearest source to `tn`, or `None` if unreached.
-    #[inline]
-    pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
-        let d = self.dist[self.flat(tn)];
-        if d == UNREACHED {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// Whether any source reaches `tn`.
-    #[inline]
-    pub fn is_reached(&self, tn: TemporalNode) -> bool {
-        self.dist[self.flat(tn)] != UNREACHED
-    }
-
     /// Index (into [`MultiSourceMap::sources`]) of the nearest source of
     /// `tn`: the smallest index among the sources at minimum distance.
     #[inline]
     pub fn nearest_source_index(&self, tn: TemporalNode) -> Option<usize> {
-        let s = self.source_idx[self.flat(tn)];
-        if s == NO_SOURCE {
-            None
-        } else {
-            Some(s as usize)
-        }
+        self.table.get(tn).map(source_of)
     }
 
     /// The nearest source of `tn` together with the distance from it.
     pub fn nearest_source(&self, tn: TemporalNode) -> Option<(TemporalNode, u32)> {
-        let i = self.flat(tn);
-        let s = self.source_idx[i];
-        if s == NO_SOURCE {
-            None
-        } else {
-            Some((self.sources[s as usize], self.dist[i]))
-        }
-    }
-
-    /// Number of reached temporal nodes, sources included.
-    pub fn num_reached(&self) -> usize {
-        self.reached_count
-    }
-
-    /// The largest nearest-source distance — the eccentricity of the source
-    /// *set* (not the maximum per-source eccentricity, which a shared
-    /// frontier cannot observe).
-    pub fn max_distance(&self) -> u32 {
-        self.max_distance
-    }
-
-    /// All reached temporal nodes with their nearest-source distances, in
-    /// flat-index (time-major) order.
-    pub fn reached(&self) -> Vec<(TemporalNode, u32)> {
-        let mut reached = Vec::with_capacity(self.reached_count);
-        self.for_each_reached(|tn, d, _| reached.push((tn, d)));
-        reached
+        let key = self.table.get(tn)?;
+        Some((self.sources[source_of(key)], key.level()))
     }
 
     /// All reached temporal nodes with their nearest-source distance and
     /// nearest-source index, in flat-index order.
     pub fn reached_with_sources(&self) -> Vec<(TemporalNode, u32, usize)> {
-        let mut reached = Vec::with_capacity(self.reached_count);
+        let mut reached = Vec::with_capacity(self.num_reached());
         self.for_each_reached(|tn, d, s| reached.push((tn, d, s)));
         reached
     }
@@ -712,25 +722,14 @@ impl MultiSourceMap {
     /// behind [`MultiSourceMap::reached_with_sources`]. Only the rows of the
     /// span are visited.
     pub fn for_each_reached(&self, mut f: impl FnMut(TemporalNode, u32, usize)) {
-        let (n, span) = (self.num_nodes, self.rows.clone());
-        let rows = span_rows(&self.dist, n, span.clone()).zip(span_rows(&self.source_idx, n, span));
-        for ((t, dist_row), (_, source_row)) in rows {
-            for (v, (&d, &s)) in dist_row.iter().zip(source_row).enumerate() {
-                if d != UNREACHED {
-                    f(TemporalNode::from_raw(v as u32, t as u32), d, s as usize);
-                }
-            }
-        }
+        self.table
+            .for_each_reached(|tn, key, _| f(tn, key.level(), source_of(key)));
     }
 
-    /// The distinct node identifiers reached at any snapshot by any source.
-    pub fn reached_node_ids(&self) -> Vec<NodeId> {
-        reached_columns(span_rows(&self.dist, self.num_nodes, self.rows.clone()))
-    }
-
-    /// Raw flat distance slice (time-major), `u32::MAX` = unreached.
-    pub fn as_flat_slice(&self) -> &[u32] {
-        &self.dist
+    /// Raw flat packed keys (time-major), `u64::MAX` = unreached: two maps
+    /// with equal slices agree on every distance and attribution.
+    pub fn as_flat_slice(&self) -> &[u64] {
+        &self.table.keys
     }
 
     /// Re-expresses this map in the (grown) dimensions of an appended-to
@@ -742,19 +741,26 @@ impl MultiSourceMap {
     /// # Panics
     /// Debug-asserts that neither dimension shrinks.
     pub fn redimensioned(&self, num_nodes: usize, num_timestamps: usize) -> Self {
-        debug_assert!(num_nodes >= self.num_nodes && num_timestamps >= self.num_timestamps);
-        let (old, span) = (self.num_nodes, self.rows.clone());
-        let (n, t) = (num_nodes, num_timestamps);
+        debug_assert!(num_nodes >= self.num_nodes() && num_timestamps >= self.num_timestamps());
         MultiSourceMap {
-            num_nodes,
-            num_timestamps,
+            table: self.table.relaid(num_nodes, num_timestamps, 0),
             sources: self.sources.clone(),
-            dist: relayout(&self.dist, old, n, t, span.clone(), 0, UNREACHED),
-            source_idx: relayout(&self.source_idx, old, n, t, span.clone(), 0, NO_SOURCE),
-            reached_count: self.reached_count,
-            max_distance: self.max_distance,
-            rows: span,
         }
+    }
+
+    /// [`DistanceMap::into_original`] for a shared-frontier map: `sources`
+    /// are the seeds in the graph's coordinates, in seed order.
+    pub fn into_original(
+        self,
+        sources: Vec<TemporalNode>,
+        num_timestamps: usize,
+        window_start: usize,
+        reversed: bool,
+    ) -> Self {
+        let table = self
+            .table
+            .into_original(num_timestamps, window_start, reversed);
+        MultiSourceMap { table, sources }
     }
 }
 

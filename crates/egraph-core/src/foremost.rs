@@ -23,7 +23,6 @@ use crate::ids::{NodeId, TemporalNode, TimeIndex};
 
 /// Earliest-arrival information from a single root.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ForemostResult {
     root: TemporalNode,
     /// `arrival[v]` = earliest snapshot index at which node `v` can be

@@ -19,7 +19,6 @@ use core::fmt;
 /// `IntEvolvingGraph` type of the reference Julia implementation and keeps
 /// per-node state addressable by plain indexing.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -70,7 +69,6 @@ impl From<NodeId> for u32 {
 /// [`Timestamp`] labels in their inner loops; they compare indices, which is
 /// equivalent because the snapshot sequence is sorted by label.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeIndex(pub u32);
 
 impl TimeIndex {
@@ -118,7 +116,6 @@ pub type Timestamp = i64;
 /// A temporal node `(v, t)` — a node observed at a particular snapshot
 /// (Definition 2 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TemporalNode {
     /// The node component `v`.
     pub node: NodeId,
@@ -175,7 +172,6 @@ impl From<(u32, u32)> for TemporalNode {
 /// A static edge `(u, v)` existing at snapshot `t` — an element of the
 /// time-labelled static edge set `Ẽ` of Theorem 1.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StaticEdge {
     /// Source node.
     pub src: NodeId,
@@ -196,7 +192,6 @@ impl StaticEdge {
 /// A causal edge `((v, s), (v, t))` with `s < t` connecting two active
 /// occurrences of the same node — an element of `E′` in Theorem 1.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CausalEdge {
     /// The node that persists through time.
     pub node: NodeId,

@@ -2,10 +2,9 @@
 //!
 //! Algorithm 1 is one loop, and Theorem 1 says why one loop is enough: BFS
 //! on an evolving graph is BFS on its equivalent static graph. Each temporal
-//! node owns one atomic slot holding its best *key* — an `AtomicU32`
-//! distance for single-source searches, an `AtomicU64` packed
-//! `(distance << 32) | source_index` for the shared frontier, so "nearest
-//! source, ties to the smallest index" is one integer minimum. A node at
+//! node owns one atomic slot holding its best *key*, a distance or a packed
+//! distance and source index, both defined in [`crate::distance`], where
+//! the kernel's finished table becomes the result. A node at
 //! level `k − 1` hands each neighbour the key "level `k`, my source"; the
 //! claim that finds the slot unreached enqueues it. The pool's join ends
 //! every wide level, so the key a node hands on is final; a slot publishes
@@ -69,10 +68,10 @@
 //!
 //! Seeds enter at any level, in key order: a search seeds its sources at
 //! level 0, and a [`crate::resume`] extension seeds each touched node of an
-//! appended snapshot at its cheapest causal entry (`node_best + 1`), the
-//! stable-value reuse of Afarin et al. An extension settles only the new
-//! snapshot, so its causal bound is that snapshot and it follows static
-//! edges alone.
+//! appended snapshot at its cheapest causal entry (its best key handed on
+//! one level deeper), the stable-value reuse of Afarin et al. An extension
+//! settles only the new snapshot, so its causal bound is that snapshot and
+//! it follows static edges alone.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -80,7 +79,7 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use crate::distance::{DistanceMap, MultiSourceMap};
+use crate::distance::{DistanceMap, Key, KeyTable, MultiSourceMap, NO_PARENT};
 use crate::error::{GraphError, Result};
 use crate::graph::EvolvingGraph;
 use crate::ids::{TemporalNode, TimeIndex};
@@ -127,32 +126,22 @@ pub fn default_parallel_threshold() -> usize {
     })
 }
 
-/// Sentinel parent: the root, a seed without a witness, or unreached.
-pub(crate) const NO_PARENT: u64 = u64::MAX;
-
 /// A seed: its key, its node, and the parent it records if it claims.
 pub(crate) type Seed<K> = (K, TemporalNode, u64);
 
-/// An atomic claim slot; smaller keys win. `level` reads a key's BFS level,
-/// `floor` is the smallest key a level holds, and `hand_on` is the key a
-/// node holding `key` offers its neighbours at `level`.
+/// An atomic claim slot holding a [`Key`]; smaller keys win.
 pub(crate) trait Slot: Sync + Sized + From<Self::Key> {
-    type Key: Copy + Ord + Send;
-    const UNREACHED: Self::Key;
+    type Key: Key;
     fn load(&self) -> Self::Key;
     fn store(&self, key: Self::Key);
     fn fetch_min(&self, key: Self::Key) -> Self::Key;
     fn into_key(self) -> Self::Key;
-    fn level(key: Self::Key) -> u32;
-    fn floor(level: u32) -> Self::Key;
-    fn hand_on(key: Self::Key, level: u32) -> Self::Key;
 }
 
 macro_rules! slot {
-    ($atomic:ident, $key:ty, $level:expr, $floor:expr, $hand_on:expr) => {
+    ($atomic:ident, $key:ty) => {
         impl Slot for $atomic {
             type Key = $key;
-            const UNREACHED: $key = <$key>::MAX;
             #[inline]
             fn load(&self) -> $key {
                 $atomic::load(self, Relaxed)
@@ -168,34 +157,16 @@ macro_rules! slot {
             fn into_key(self) -> $key {
                 self.into_inner()
             }
-            #[inline]
-            fn level(key: $key) -> u32 {
-                $level(key)
-            }
-            #[inline]
-            fn floor(level: u32) -> $key {
-                $floor(level)
-            }
-            #[inline]
-            fn hand_on(key: $key, level: u32) -> $key {
-                $hand_on(key, level)
-            }
         }
     };
 }
 
-slot!(AtomicU32, u32, |key| key, |level| level, |_, level| level);
-slot!(
-    AtomicU64,
-    u64,
-    |key| (key >> 32) as u32,
-    |level| u64::from(level) << 32,
-    |key, level| (u64::from(level) << 32) | (key & 0xFFFF_FFFF)
-);
+slot!(AtomicU32, u32);
+slot!(AtomicU64, u64);
 
 /// A fresh table of `len` unreached slots.
 pub(crate) fn table<S: Slot>(len: usize) -> Vec<S> {
-    (0..len).map(|_| S::from(S::UNREACHED)).collect()
+    (0..len).map(|_| S::from(S::Key::UNREACHED)).collect()
 }
 
 /// Collects a finished table into its keys, in place.
@@ -321,10 +292,10 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         let rows = self.flat(start)..self.flat(self.end);
         let mut seeds = seeds.drain(..).peekable();
         let (mut reached, mut depth, mut pulling) = (0, 0, false);
-        let mut level = seeds.peek().map_or(0, |s| S::level(s.0));
+        let mut level = seeds.peek().map_or(0, |s| s.0.level());
         loop {
             next.clear();
-            while let Some((key, tn, parent)) = seeds.next_if(|s| S::level(s.0) == level) {
+            while let Some((key, tn, parent)) = seeds.next_if(|s| s.0.level() == level) {
                 self.claim(tn, key, parent, next, &mut parents);
             }
             let width = frontier.len();
@@ -340,7 +311,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             } else {
                 for &tn in frontier.iter() {
                     let from = tn.flat_index(self.num_nodes);
-                    let key = S::hand_on(self.slots[from - self.base].load(), level);
+                    let key = self.slots[from - self.base].load().hand_on(level);
                     let (next, parents) = (&mut *next, &mut parents);
                     self.expand(tn, false, !pulling, move |nbr| {
                         // The common case, a slot already as good, costs one
@@ -360,7 +331,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             std::mem::swap(frontier, next);
             level = match (frontier.is_empty(), seeds.peek()) {
                 (false, _) => level + 1,
-                (true, Some(&(key, _, _))) => S::level(key),
+                (true, Some(&(key, _, _))) => key.level(),
                 (true, None) => return (reached, depth),
             };
         }
@@ -435,7 +406,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         let prev = self.slots[i].load();
         if key < prev {
             self.slots[i].store(key);
-            if prev == S::UNREACHED {
+            if prev == S::Key::UNREACHED {
                 next.push(tn);
                 if let Some(parents) = parents {
                     parents[i] = parent;
@@ -456,12 +427,12 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         let buffers: Vec<Vec<TemporalNode>> = frontier
             .par_iter()
             .fold(Vec::new, |mut acc, &tn| {
-                let key = S::hand_on(self.slot(tn).load(), level);
+                let key = self.slot(tn).load().hand_on(level);
                 self.expand(tn, true, statics, |nbr| {
                     let slot = self.slot(nbr);
                     // One claimant sees the slot unreached; rivals only lower
                     // the key. The plain load skips updates that cannot help.
-                    if slot.load() > key && slot.fetch_min(key) == S::UNREACHED {
+                    if slot.load() > key && slot.fetch_min(key) == S::Key::UNREACHED {
                         acc.push(nbr);
                     }
                 });
@@ -497,7 +468,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
     /// Pulls slot `i` at `level`, pushing it to `next` if it was unreached.
     #[inline]
     fn pull_slot(&self, i: usize, level: u32, next: &mut Vec<TemporalNode>) {
-        let (floor, prev) = (S::floor(level), level - 1);
+        let (floor, prev) = (S::Key::floor(level), level - 1);
         let key = self.slots[i].load();
         if key <= floor {
             return;
@@ -506,8 +477,8 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         let mut best = key;
         for &u in self.graph.in_row(tn.node, tn.time) {
             let from = self.slot(TemporalNode::new(u, tn.time)).load();
-            if S::level(from) == prev {
-                best = best.min(S::hand_on(from, level));
+            if from.level() == prev {
+                best = best.min(from.hand_on(level));
                 if best == floor {
                     break;
                 }
@@ -515,7 +486,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         }
         if best < key {
             self.slots[i].store(best);
-            if key == S::UNREACHED {
+            if key == S::Key::UNREACHED {
                 next.push(tn);
             }
         }
@@ -587,16 +558,16 @@ pub fn distances<G: EvolvingGraph>(
     let mut kernel = Kernel::new(&slots, graph, n, 0, graph_end(graph), Scratch::rows(n));
     let (reached, depth) = kernel.run(&mut seeds, parents.as_deref_mut(), threshold);
     // Causal edges only go forward, so nothing before the root is reached.
-    Ok(DistanceMap {
+    let table = KeyTable {
         num_nodes: n,
         num_timestamps: t,
-        root,
-        dist: into_keys(slots),
-        parent: parents,
+        keys: into_keys(slots),
+        parents,
         reached_count: reached,
         max_distance: depth,
         rows: root.time.index()..t,
-    })
+    };
+    Ok(DistanceMap { table, root })
 }
 
 /// Forward shared-frontier BFS, source `i` seeded with key `i`: the engine
@@ -629,20 +600,21 @@ pub fn nearest_sources<G: EvolvingGraph>(
         .collect();
     let mut kernel = Kernel::new(&slots, graph, n, 0, graph_end(graph), Scratch::rows(n));
     let (reached, depth) = kernel.run(&mut seeds, None, threshold);
-    let keys = into_keys(slots);
     // Causal edges only go forward, so nothing before the earliest source
-    // is reached. An unreached key (`u64::MAX`) splits into UNREACHED and
-    // no source.
+    // is reached.
     let first = sources.iter().map(|s| s.time.index()).min().unwrap_or(0);
-    Ok(MultiSourceMap {
+    let table = KeyTable {
         num_nodes: n,
         num_timestamps: t,
-        sources: sources.to_vec(),
-        dist: keys.iter().map(|&key| (key >> 32) as u32).collect(),
-        source_idx: keys.iter().map(|&key| key as u32).collect(),
+        keys: into_keys(slots),
+        parents: None,
         reached_count: reached,
         max_distance: depth,
         rows: first..t,
+    };
+    Ok(MultiSourceMap {
+        table,
+        sources: sources.to_vec(),
     })
 }
 

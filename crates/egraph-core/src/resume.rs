@@ -9,36 +9,37 @@
 //! are final the moment they are computed. This module captures exactly the
 //! state needed to exploit that:
 //!
-//! * [`ResumableBfs`] — the distance map of Algorithm 1 plus a per-node
-//!   *frontier snapshot* (`node_best`: the minimum distance at which each
-//!   node was ever reached). Appending snapshot `t_new` seeds each node
-//!   active at `t_new` with `node_best + 1` (its cheapest causal entry) and
-//!   relaxes static edges inside `t_new` with the kernel seeded at several
-//!   levels ([`crate::kernel`]) — work proportional to the new snapshot,
-//!   not the history.
+//! * [`ResumableBfs`] — the distance map of Algorithm 1, and
+//!   [`ResumableShared`] — the nearest-source map of the shared-frontier
+//!   engines. Both keep their map's one key table ([`crate::distance`]: a
+//!   distance, or a packed `(distance << 32) | source_index`) plus a per-node
+//!   *frontier snapshot*, the smallest key each node holds at any covered
+//!   snapshot. One extension serves both key types, the stable-value reuse
+//!   of Afarin et al.: appending snapshot `t_new` seeds each node active at
+//!   `t_new` with its best key handed on one level deeper (its cheapest
+//!   causal entry: distance + 1, from the same source) and relaxes static
+//!   edges inside `t_new` with the kernel seeded at several levels
+//!   ([`crate::kernel`]) — work proportional to the new snapshot, not the
+//!   history. The kernel settles the row at each slot's minimum key, so the
+//!   shared extension keeps the engines' smallest-source-index tie-break
+//!   exactly.
 //! * [`ResumableForemost`] — the earliest-arrival table of the foremost
 //!   sweep. Appending `t_new` can only create arrivals *at* `t_new`, found by
 //!   one static BFS inside the new snapshot seeded from already-reached
 //!   nodes.
-//! * [`ResumableShared`] — the nearest-source map of the shared-frontier
-//!   engines plus a per-node minimum packed `(dist << 32) | source_index`
-//!   key. One hop adds `1 << 32` to a key (distance + 1, same source
-//!   attribution), so the same seeded kernel settles the appended row on
-//!   packed keys and the extension reproduces the engines' deterministic
-//!   smallest-source-index tie-break exactly.
 //!
 //! All three implement [`Resumable`], the one surface a caller advancing a
 //! state over sealed snapshots needs.
 //!
 //! **What a repair costs.** Capturing a state from a finished map
 //! ([`ResumableBfs::from_map`], [`ResumableShared::from_map`]) copies the
-//! map's tables once, into room sized for the rows the caller will append,
-//! so no extension reallocates them; the per-node frontier is rebuilt from
+//! map's table once, into room sized for the rows the caller will append,
+//! so no extension reallocates it; the per-node frontier is rebuilt from
 //! the rows of the map's row span alone ([`DistanceMap::row_span`]). Each
 //! extension settles its row and updates the reached count, the maximum
 //! distance and the span from that row, so materialising the result
 //! ([`ResumableBfs::into_distance_map`], [`ResumableShared::into_map`])
-//! moves the tables without another pass. A repair is one table copy plus
+//! moves the table without another pass. A repair is one table copy plus
 //! work proportional to the span and the settled rows.
 //!
 //! *Time-reversed* traversals (backward XOR `.reverse()`) need no state
@@ -50,9 +51,9 @@
 //! grown dimensions with no graph work.
 //!
 //! [`ResumableBfs`] also resumes BFS-tree *parents* when its source map
-//! recorded them: the retained per-node frontier remembers the earliest
-//! snapshot achieving each node's best distance, so a causal seed's parent
-//! is known without rescanning history, and static relaxations record their
+//! recorded them: the frontier then also remembers the earliest snapshot
+//! achieving each node's best distance, so a causal seed's parent is known
+//! without rescanning history, and static relaxations record their
 //! proposer. Parent trees are not unique — any parent at distance `d − 1`
 //! across a valid edge witnesses a shortest path — and the extension
 //! guarantees exactly that invariant (the workspace differential suites
@@ -65,21 +66,12 @@
 //! [`crate::instrument::CountingView`] counters and the bytes a repair
 //! allocates with a counting allocator.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64};
-
-use crate::distance::{
-    cover_row, relayout, remap_parents, span_rows, DistanceMap, MultiSourceMap, NO_SOURCE,
-    UNREACHED,
-};
+use crate::distance::{DistanceMap, Key, KeyTable, MultiSourceMap, NO_PARENT, UNREACHED};
 use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
 use crate::graph::EvolvingGraph;
 use crate::ids::{NodeId, TemporalNode, TimeIndex};
-use crate::kernel::{self, distances, nearest_sources, Kernel, Seed, Slot, NO_PARENT};
-
-/// Packed-key increment for one hop: distance + 1, same source attribution.
-const HOP: u64 = 1 << 32;
+use crate::kernel::{self, distances, nearest_sources, Kernel, Seed, Slot};
 
 /// A traversal state that covers a prefix of a growing graph's snapshots
 /// and advances over the ones sealed after it.
@@ -108,35 +100,20 @@ pub trait Resumable {
 /// settles), the seed list and the kernel's scratch. A state keeps one
 /// across its extensions, so a repair that appends several rows allocates
 /// them once. It is not part of the state: a clone starts without it.
-struct RowScratch<S: Slot> {
-    row: Vec<S>,
-    seeds: Vec<Seed<S::Key>>,
+#[derive(Default, Debug)]
+struct RowScratch<K: Key> {
+    row: Vec<K::Slot>,
+    seeds: Vec<Seed<K>>,
     kernel: kernel::Scratch,
 }
 
-impl<S: Slot> Default for RowScratch<S> {
-    fn default() -> Self {
-        RowScratch {
-            row: Vec::new(),
-            seeds: Vec::new(),
-            kernel: kernel::Scratch::default(),
-        }
-    }
-}
-
-impl<S: Slot> Clone for RowScratch<S> {
+impl<K: Key> Clone for RowScratch<K> {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl<S: Slot> fmt::Debug for RowScratch<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RowScratch")
-    }
-}
-
-impl<S: Slot> RowScratch<S> {
+impl<K: Key> RowScratch<K> {
     /// Runs the kernel over one appended row of `num_nodes` slots — slot
     /// `v` is `(v, t_new)` and a hop follows the static edges inside
     /// `t_new`, the causal bound `t_new + 1` leaving no causal edge — from
@@ -148,11 +125,12 @@ impl<S: Slot> RowScratch<S> {
         graph: &G,
         t_new: TimeIndex,
         num_nodes: usize,
-        seeds: impl Iterator<Item = (S::Key, NodeId, u64)>,
+        seeds: impl Iterator<Item = (K, NodeId, u64)>,
         parents: Option<&mut [u64]>,
     ) -> (usize, u32) {
         if self.row.len() < num_nodes {
-            self.row.resize_with(num_nodes, || S::from(S::UNREACHED));
+            self.row
+                .resize_with(num_nodes, || K::Slot::from(K::UNREACHED));
         }
         // Every slot the row can reach is active at `t_new`, so the touched
         // list that bounds the seeds also bounds any level.
@@ -171,10 +149,10 @@ impl<S: Slot> RowScratch<S> {
     }
 
     /// The settled row's keys, each slot reset to unreached as it is read.
-    fn drain(&self, num_nodes: usize) -> impl Iterator<Item = S::Key> + '_ {
+    fn drain(&self, num_nodes: usize) -> impl Iterator<Item = K> + '_ {
         self.row[..num_nodes].iter().map(|slot| {
             let key = slot.load();
-            slot.store(S::UNREACHED);
+            slot.store(K::UNREACHED);
             key
         })
     }
@@ -208,9 +186,95 @@ fn next_snapshot<G: EvolvingGraph>(
     Ok(t_new)
 }
 
-/// Whole rows of room left in a table `num_nodes` wide.
-fn spare_rows<T>(table: &Vec<T>, num_nodes: usize) -> usize {
-    (table.capacity() - table.len()) / num_nodes.max(1)
+/// The frontier snapshot that extends a key table by one snapshot at a
+/// time, for either key type (see the module docs).
+#[derive(Clone, Debug)]
+struct Frontier<K: Key> {
+    /// Per node, the smallest key it holds at any covered snapshot
+    /// (unreached if none).
+    best: Vec<K>,
+    /// Per node, the earliest covered snapshot holding `best` — the witness
+    /// a causal seed names as its parent — kept only when the table records
+    /// parents. Meaningless where `best` is unreached.
+    best_time: Option<Vec<u32>>,
+    scratch: RowScratch<K>,
+}
+
+impl<K: Key> Frontier<K> {
+    /// The frontier of `table`, read off the rows of its span alone.
+    fn of(table: &KeyTable<K>) -> Self {
+        let mut frontier = Frontier {
+            best: vec![K::UNREACHED; table.num_nodes],
+            best_time: table.parents.as_ref().map(|_| vec![0; table.num_nodes]),
+            scratch: RowScratch::default(),
+        };
+        for (t, row) in table.span_rows() {
+            frontier.take_row(t, row);
+        }
+        frontier
+    }
+
+    /// Lowers each node's best key to its slot in `row`, snapshot `t`. Rows
+    /// come in time order, so a strict improvement is the earliest snapshot
+    /// holding the final best.
+    fn take_row(&mut self, t: usize, row: &[K]) {
+        for (v, (best, &key)) in self.best.iter_mut().zip(row).enumerate() {
+            if key < *best {
+                *best = key;
+                if let Some(times) = &mut self.best_time {
+                    times[v] = t as u32;
+                }
+            }
+        }
+    }
+
+    /// [`Resumable::grow_nodes`] for `table` and this frontier.
+    fn grow_nodes(&mut self, table: &mut KeyTable<K>, num_nodes: usize) {
+        let old = table.num_nodes;
+        if num_nodes <= old {
+            return;
+        }
+        let spare = (table.keys.capacity() - table.keys.len()) / old.max(1);
+        *table = table.relaid(num_nodes, table.num_timestamps, spare);
+        self.best.resize(num_nodes, K::UNREACHED);
+        if let Some(times) = &mut self.best_time {
+            times.resize(num_nodes, 0);
+        }
+    }
+
+    /// [`Resumable::extend_snapshot`] for `table` and this frontier.
+    fn extend<G: EvolvingGraph>(
+        &mut self,
+        table: &mut KeyTable<K>,
+        graph: &G,
+        touched: &[NodeId],
+    ) -> Result<()> {
+        let (n, t) = (table.num_nodes, table.num_timestamps);
+        let t_new = next_snapshot(graph, t, n, touched)?;
+
+        // A causal seed's parent is its witness snapshot, a static
+        // relaxation's its proposer; the first claim at the minimum key
+        // wins, so every parent sits one level up across a valid edge.
+        let (best, times) = (&self.best, &self.best_time);
+        let seeds = touched
+            .iter()
+            .filter(|v| best[v.index()] != K::UNREACHED)
+            .map(|&v| {
+                let key = best[v.index()];
+                let witness = times.as_ref().map_or(NO_PARENT, |times| {
+                    (times[v.index()] as usize * n + v.index()) as u64
+                });
+                (key.hand_on(key.level() + 1), v, witness)
+            });
+        let parents = table.parents.as_mut().map(|parents| {
+            parents.resize((t + 1) * n, NO_PARENT);
+            &mut parents[t * n..]
+        });
+        let settled = self.scratch.settle(graph, t_new, n, seeds, parents);
+        table.push_row(self.scratch.drain(n), settled);
+        self.take_row(t, &table.keys[t * n..]);
+        Ok(())
+    }
 }
 
 /// Resumable state of a forward hop-distance BFS (Algorithm 1).
@@ -219,25 +283,16 @@ fn spare_rows<T>(table: &Vec<T>, num_nodes: usize) -> usize {
 /// [`Resumable::extend_snapshot`] advances the covered prefix by one
 /// snapshot: because all causal edges into the new snapshot come from the
 /// same node at an earlier active time, each touched node's cheapest entry
-/// costs `node_best + 1`, and static edges inside the snapshot then relax
-/// those seeds with the kernel seeded at several levels.
+/// costs its best distance + 1, and static edges inside the snapshot then
+/// relax those seeds with the kernel seeded at several levels.
 /// [`ResumableBfs::into_distance_map`] materialises the ordinary
 /// [`DistanceMap`] a from-scratch [`distances`] over the covered prefix would
 /// produce.
 #[derive(Clone, Debug)]
 pub struct ResumableBfs {
-    /// The covered prefix: its tables (BFS-tree parents as flat indices
-    /// when the source map recorded them), reached count, maximum distance
-    /// and row span, each kept current by every extension.
+    /// The covered prefix, kept current by every extension.
     map: DistanceMap,
-    /// The frontier snapshot: `node_best[v]` = minimum distance at which `v`
-    /// was reached at any covered snapshot (`UNREACHED` if never).
-    node_best: Vec<u32>,
-    /// Earliest covered snapshot index achieving `node_best[v]` — the
-    /// witness a causal seed names as its parent. Meaningless where
-    /// `node_best[v] == UNREACHED`.
-    node_best_time: Vec<u32>,
-    scratch: RowScratch<AtomicU32>,
+    frontier: Frontier<u32>,
 }
 
 impl ResumableBfs {
@@ -260,35 +315,19 @@ impl ResumableBfs {
     /// BFS-tree parents, the extension maintains them (see the module docs
     /// on parent validity).
     ///
-    /// The tables are copied once with room for `appended` more rows, so
-    /// that many extensions never reallocate them (more still work), and
+    /// The table is copied once with room for `appended` more rows, so
+    /// that many extensions never reallocate it (more still work), and
     /// the frontier is rebuilt from the rows of the map's span alone.
     pub fn from_map(map: &DistanceMap, appended: usize) -> Self {
-        let num_nodes = map.num_nodes();
-        let mut node_best = vec![UNREACHED; num_nodes];
-        let mut node_best_time = vec![0u32; num_nodes];
-        // Scanning the rows in time order, a strict improvement is the
-        // *earliest* snapshot achieving the final minimum.
-        for (t, row) in span_rows(&map.dist, num_nodes, map.row_span()) {
-            let frontier = node_best.iter_mut().zip(&mut node_best_time);
-            for ((best, best_time), &d) in frontier.zip(row) {
-                if d < *best {
-                    (*best, *best_time) = (d, t as u32);
-                }
-            }
-        }
-        let (n, rows, span) = (num_nodes, map.num_timestamps(), map.row_span());
-        let parent = map.parent.as_deref();
+        let table = map
+            .table
+            .relaid(map.num_nodes(), map.num_timestamps(), appended);
         ResumableBfs {
+            frontier: Frontier::of(&table),
             map: DistanceMap {
-                dist: relayout(&map.dist, n, n, rows, span.clone(), appended, UNREACHED),
-                parent: parent.map(|p| relayout(p, n, n, rows, span.clone(), appended, NO_PARENT)),
-                rows: span,
-                ..*map
+                table,
+                root: map.root,
             },
-            node_best,
-            node_best_time,
-            scratch: RowScratch::default(),
         }
     }
 
@@ -306,14 +345,14 @@ impl ResumableBfs {
     /// yet covered).
     pub fn distance(&self, tn: TemporalNode) -> Option<u32> {
         let inside =
-            tn.node.index() < self.map.num_nodes && tn.time.index() < self.map.num_timestamps;
+            tn.node.index() < self.map.num_nodes() && tn.time.index() < self.map.num_timestamps();
         inside.then(|| self.map.distance(tn)).flatten()
     }
 
     /// Materialises the covered prefix as an ordinary [`DistanceMap`] —
     /// distance-for-distance what a from-scratch [`distances`] over that prefix
-    /// produces — moving the tables rather than copying them, with no pass
-    /// over them. When parents are tracked they are materialised too; the
+    /// produces — moving the table rather than copying it, with no pass
+    /// over it. When parents are tracked they are materialised too; the
     /// tree is *a* valid BFS tree over those distances (see the module docs),
     /// not necessarily the one a from-scratch run's visit order would pick.
     pub fn into_distance_map(self) -> DistanceMap {
@@ -323,69 +362,15 @@ impl ResumableBfs {
 
 impl Resumable for ResumableBfs {
     fn covered_timestamps(&self) -> usize {
-        self.map.num_timestamps
+        self.map.num_timestamps()
     }
 
     fn grow_nodes(&mut self, num_nodes: usize) {
-        let map = &mut self.map;
-        if num_nodes <= map.num_nodes {
-            return;
-        }
-        let (old, rows, span) = (map.num_nodes, map.num_timestamps, map.row_span());
-        let spare = spare_rows(&map.dist, old);
-        map.dist = relayout(
-            &map.dist,
-            old,
-            num_nodes,
-            rows,
-            span.clone(),
-            spare,
-            UNREACHED,
-        );
-        if let Some(parent) = map.parent.as_mut() {
-            *parent = relayout(parent, old, num_nodes, rows, span.clone(), spare, NO_PARENT);
-            remap_parents(parent, old, num_nodes, span);
-        }
-        self.node_best.resize(num_nodes, UNREACHED);
-        self.node_best_time.resize(num_nodes, 0);
-        map.num_nodes = num_nodes;
+        self.frontier.grow_nodes(&mut self.map.table, num_nodes);
     }
 
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
-        let (n, t) = (self.map.num_nodes, self.map.num_timestamps);
-        let t_new = next_snapshot(graph, t, n, touched)?;
-
-        // A causal seed's parent is its witness snapshot, a static
-        // relaxation's its proposer; the first claim at the minimum distance
-        // wins, so every parent sits at distance d − 1 across a valid edge.
-        let (best, best_time) = (&self.node_best, &self.node_best_time);
-        let seeds = touched
-            .iter()
-            .filter(|v| best[v.index()] != UNREACHED)
-            .map(|&v| {
-                let witness = best_time[v.index()] as usize * n + v.index();
-                (best[v.index()] + 1, v, witness as u64)
-            });
-        let map = &mut self.map;
-        let parents = map.parent.as_mut().map(|p| {
-            p.resize(p.len() + n, NO_PARENT);
-            &mut p[t * n..]
-        });
-        let (claimed, depth) = self.scratch.settle(graph, t_new, n, seeds, parents);
-        map.dist.extend(self.scratch.drain(n));
-        let frontier = self.node_best.iter_mut().zip(&mut self.node_best_time);
-        for ((best, best_time), &d) in frontier.zip(&map.dist[t * n..]) {
-            if d < *best {
-                (*best, *best_time) = (d, t as u32);
-            }
-        }
-        if claimed > 0 {
-            map.reached_count += claimed;
-            map.max_distance = map.max_distance.max(depth);
-            cover_row(&mut map.rows, t);
-        }
-        map.num_timestamps += 1;
-        Ok(())
+        self.frontier.extend(&mut self.map.table, graph, touched)
     }
 }
 
@@ -400,7 +385,7 @@ pub struct ResumableForemost {
     root: TemporalNode,
     num_timestamps: usize,
     arrival: Vec<Option<TimeIndex>>,
-    scratch: RowScratch<AtomicU32>,
+    scratch: RowScratch<u32>,
 }
 
 impl ResumableForemost {
@@ -479,36 +464,20 @@ impl Resumable for ResumableForemost {
     }
 }
 
-/// The packed claim key of a slot: `(distance << 32) | source_index`, which
-/// an unreached slot (`UNREACHED`, `NO_SOURCE`) packs to `u64::MAX`.
-fn pack(d: u32, s: u32) -> u64 {
-    (u64::from(d) << 32) | u64::from(s)
-}
-
 /// Resumable state of a forward *shared-frontier* multi-source traversal
 /// ([`nearest_sources`] at any threshold).
 ///
-/// The retained state is the map itself — its distance and source-index
-/// tables — plus a per-node minimum packed key
-/// `(distance << 32) | source_index` over the covered snapshots. One hop
-/// adds `HOP` (`1 << 32`) to a key: distance + 1 with the source attribution
-/// carried along, so the same seeded kernel that extends [`ResumableBfs`]
-/// runs on packed keys and settles every temporal node of the appended
-/// snapshot at its minimum key. Minimum packed key *is* the engines' answer
-/// — nearest source first, ties to the smallest source index — so the
-/// extension is key-for-key identical to a from-scratch run, duplicates and
-/// ties included. Only the settled row is ever packed; the history stays in
-/// the map's two tables.
+/// The retained state is the map itself — its one table of packed keys —
+/// plus the per-node minimum key over the covered snapshots, the extension
+/// [`ResumableBfs`] runs on distances run on packed keys. Minimum packed
+/// key *is* the engines' answer — nearest source first, ties to the
+/// smallest source index — so the extension is key-for-key identical to a
+/// from-scratch run, duplicates and ties included.
 #[derive(Clone, Debug)]
 pub struct ResumableShared {
-    /// The covered prefix: its tables, reached count, maximum distance and
-    /// row span, each kept current by every extension.
+    /// The covered prefix, kept current by every extension.
     map: MultiSourceMap,
-    /// Minimum packed key at which each node was claimed at any covered
-    /// snapshot (`u64::MAX` if never) — the shared-frontier analogue of
-    /// [`ResumableBfs`]'s `node_best`.
-    node_best: Vec<u64>,
-    scratch: RowScratch<AtomicU64>,
+    frontier: Frontier<u64>,
 }
 
 impl ResumableShared {
@@ -524,36 +493,18 @@ impl ResumableShared {
     /// Captures resumable state from an already-computed *forward*
     /// unbounded-end shared-frontier map in the coordinates of the graph
     /// that will later be extended. Like [`ResumableBfs::from_map`], the
-    /// tables are copied once with room for `appended` more rows and the
+    /// table is copied once with room for `appended` more rows and the
     /// frontier is rebuilt from the span's rows alone.
     pub fn from_map(map: &MultiSourceMap, appended: usize) -> Self {
-        let (num_nodes, span) = (map.num_nodes(), map.row_span());
-        let mut node_best = vec![u64::MAX; num_nodes];
-        let dist_rows = span_rows(&map.dist, num_nodes, span.clone());
-        for ((_, dist), (_, source)) in dist_rows.zip(span_rows(&map.source_idx, num_nodes, span)) {
-            for ((best, &d), &s) in node_best.iter_mut().zip(dist).zip(source) {
-                *best = (*best).min(pack(d, s));
-            }
-        }
-        let (n, rows, span) = (num_nodes, map.num_timestamps(), map.row_span());
+        let table = map
+            .table
+            .relaid(map.num_nodes(), map.num_timestamps(), appended);
         ResumableShared {
+            frontier: Frontier::of(&table),
             map: MultiSourceMap {
+                table,
                 sources: map.sources.clone(),
-                dist: relayout(&map.dist, n, n, rows, span.clone(), appended, UNREACHED),
-                source_idx: relayout(
-                    &map.source_idx,
-                    n,
-                    n,
-                    rows,
-                    span.clone(),
-                    appended,
-                    NO_SOURCE,
-                ),
-                rows: span,
-                ..*map
             },
-            node_best,
-            scratch: RowScratch::default(),
         }
     }
 
@@ -569,8 +520,8 @@ impl ResumableShared {
 
     /// Materialises the covered prefix as an ordinary [`MultiSourceMap`] —
     /// key-for-key what a from-scratch [`nearest_sources`] over that prefix
-    /// produces — moving the tables rather than copying them, with no pass
-    /// over them.
+    /// produces — moving the table rather than copying it, with no pass
+    /// over it.
     pub fn into_map(self) -> MultiSourceMap {
         self.map
     }
@@ -578,64 +529,15 @@ impl ResumableShared {
 
 impl Resumable for ResumableShared {
     fn covered_timestamps(&self) -> usize {
-        self.map.num_timestamps
+        self.map.num_timestamps()
     }
 
     fn grow_nodes(&mut self, num_nodes: usize) {
-        let map = &mut self.map;
-        if num_nodes <= map.num_nodes {
-            return;
-        }
-        let (old, rows, span) = (map.num_nodes, map.num_timestamps, map.row_span());
-        let spare = spare_rows(&map.dist, old);
-        map.dist = relayout(
-            &map.dist,
-            old,
-            num_nodes,
-            rows,
-            span.clone(),
-            spare,
-            UNREACHED,
-        );
-        map.source_idx = relayout(
-            &map.source_idx,
-            old,
-            num_nodes,
-            rows,
-            span,
-            spare,
-            NO_SOURCE,
-        );
-        self.node_best.resize(num_nodes, u64::MAX);
-        map.num_nodes = num_nodes;
+        self.frontier.grow_nodes(&mut self.map.table, num_nodes);
     }
 
     fn extend_snapshot<G: EvolvingGraph>(&mut self, graph: &G, touched: &[NodeId]) -> Result<()> {
-        let (n, t) = (self.map.num_nodes, self.map.num_timestamps);
-        let t_new = next_snapshot(graph, t, n, touched)?;
-
-        // The hop extension on packed keys: each touched node's cheapest
-        // causal claim carries its source along, and the kernel's minimum
-        // key per node is the engines' answer, ties included.
-        let best = &self.node_best;
-        let seeds = touched
-            .iter()
-            .filter(|v| best[v.index()] != u64::MAX)
-            .map(|&v| (best[v.index()] + HOP, v, NO_PARENT));
-        let (claimed, depth) = self.scratch.settle(graph, t_new, n, seeds, None);
-        let map = &mut self.map;
-        for (best, key) in self.node_best.iter_mut().zip(self.scratch.drain(n)) {
-            *best = (*best).min(key);
-            map.dist.push((key >> 32) as u32);
-            map.source_idx.push(key as u32);
-        }
-        if claimed > 0 {
-            map.reached_count += claimed;
-            map.max_distance = map.max_distance.max(depth);
-            cover_row(&mut map.rows, t);
-        }
-        map.num_timestamps += 1;
-        Ok(())
+        self.frontier.extend(&mut self.map.table, graph, touched)
     }
 }
 
@@ -937,8 +839,12 @@ mod tests {
     }
 
     /// Every reached slot of a time-major table `n` wide lies in `span`.
-    fn assert_span_covers(table: &[u32], n: usize, span: std::ops::Range<usize>, what: &str) {
-        for (i, _) in table.iter().enumerate().filter(|(_, &d)| d != UNREACHED) {
+    fn assert_span_covers<K: Key>(table: &[K], n: usize, span: std::ops::Range<usize>, what: &str) {
+        for (i, _) in table
+            .iter()
+            .enumerate()
+            .filter(|(_, &key)| key != K::UNREACHED)
+        {
             assert!(
                 span.contains(&(i / n)),
                 "slot {i} reached outside the span {span:?} ({what})"
@@ -1093,10 +999,9 @@ mod tests {
             shared.grow_nodes(width);
             let tables = |bfs: &ResumableBfs, shared: &ResumableShared| {
                 [
-                    bfs.map.dist.as_ptr() as usize,
-                    bfs.map.parent.as_ref().unwrap().as_ptr() as usize,
-                    shared.map.dist.as_ptr() as usize,
-                    shared.map.source_idx.as_ptr() as usize,
+                    bfs.map.table.keys.as_ptr() as usize,
+                    bfs.map.table.parents.as_ref().unwrap().as_ptr() as usize,
+                    shared.map.table.keys.as_ptr() as usize,
                 ]
             };
             let before = tables(&bfs, &shared);

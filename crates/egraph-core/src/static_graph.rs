@@ -15,7 +15,6 @@ use crate::ids::NodeId;
 
 /// A static directed graph over dense node identifiers `0..num_nodes`.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StaticGraph {
     out_adj: Vec<Vec<u32>>,
     in_adj: Vec<Vec<u32>>,

@@ -21,7 +21,6 @@ use rand::{Rng, SeedableRng};
 
 /// One citation: `citing` cites `cited` in a publication at `epoch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CitationEvent {
     /// The citing author.
     pub citing: u32,
@@ -33,7 +32,6 @@ pub struct CitationEvent {
 
 /// Parameters of the synthetic citation corpus.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CitationConfig {
     /// Number of authors in the field.
     pub num_authors: usize,
@@ -65,7 +63,6 @@ impl Default for CitationConfig {
 
 /// A generated corpus: the events plus the debut epoch of every author.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CitationCorpus {
     /// All citation events, ordered by epoch.
     pub events: Vec<CitationEvent>,

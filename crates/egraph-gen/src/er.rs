@@ -13,7 +13,6 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters of a per-snapshot Erdős–Rényi evolving graph.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErConfig {
     /// Size of the node universe.
     pub num_nodes: usize,

@@ -16,7 +16,6 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters of a temporal preferential-attachment graph.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PreferentialConfig {
     /// Size of the node universe.
     pub num_nodes: usize,

@@ -17,7 +17,6 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters of a uniform random evolving graph.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformRandomConfig {
     /// Size of the node universe.
     pub num_nodes: usize,

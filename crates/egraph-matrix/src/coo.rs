@@ -9,7 +9,6 @@ use crate::dense::DenseMatrix;
 
 /// A sparse matrix under assembly, stored as unsorted triplets.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,

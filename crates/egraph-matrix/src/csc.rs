@@ -11,7 +11,6 @@ use crate::dense::DenseMatrix;
 
 /// A sparse `rows × cols` matrix in compressed sparse column format.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,

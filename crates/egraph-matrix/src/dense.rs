@@ -8,7 +8,6 @@
 
 /// A dense `rows × cols` matrix of `f64`, stored row-major.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
