@@ -77,14 +77,6 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// queues.
 const REPAIR_BYTES_PER_NODE: u64 = 96;
 
-/// What a whole-graph search's two level queues may allocate per slot. A
-/// level spans many rows, so unlike a repair's one-row levels they outgrow
-/// a row: on this bench's graphs the widest shared-frontier levels hold
-/// about 4 rows' worth of 8-byte temporal nodes, and the queues' doubling
-/// growth allocates 13–15 bytes per slot. A second 8-byte table beside
-/// them exceeds the bound from 16 snapshots on.
-const SEARCH_QUEUE_BYTES_PER_SLOT: u64 = 16;
-
 /// Node universe and per-snapshot edge budget are fixed; only the history
 /// length varies, so any growth in the "extend" series would falsify the
 /// delta-proportionality claim.
@@ -341,17 +333,16 @@ fn incremental_vs_recompute(c: &mut Criterion) {
 
         // A shared-frontier miss: the kernel's packed keys become the map,
         // so one search allocates one 8-byte table, never a second copy of
-        // it, beside its level queues and per-node scratch.
+        // it, and lists no level wider than a pull level, so its level lists
+        // and per-node scratch stay within the repair's per-node slack.
         let (missed, shared_miss_alloc_bytes) =
             allocated_by(|| shared_search.run(live.graph()).unwrap());
         assert_eq!(missed.shared_map().num_timestamps(), history + 1);
-        let bound =
-            slots * (8 + SEARCH_QUEUE_BYTES_PER_SLOT) + REPAIR_BYTES_PER_NODE * NUM_NODES as u64;
+        let bound = slots * 8 + REPAIR_BYTES_PER_NODE * NUM_NODES as u64;
         assert!(
             shared_miss_alloc_bytes <= bound,
             "history {history}: a shared-frontier search allocated \
              {shared_miss_alloc_bytes} bytes, more than its 8-byte table plus \
-             {SEARCH_QUEUE_BYTES_PER_SLOT} bytes of queues per slot and \
              {REPAIR_BYTES_PER_NODE} per node ({bound})"
         );
 

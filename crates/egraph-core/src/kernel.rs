@@ -47,6 +47,16 @@
 //! chunk order; a wide pull splits the rows' slots, and each slot is written
 //! only by the chunk that holds it.
 //!
+//! **Listed and marked levels.** A level's claims are listed in claim
+//! order while there are at most a row's worth or `1/β` of the search's
+//! slots, whichever is more; beyond that they move into a bitmap of the
+//! search's rows, one bit per slot, and the level is expanded row by row.
+//! So a whole-graph search allocates its key table, two lists no longer
+//! than that cap and two bitmaps of an eighth of a byte per slot.
+//! Distances and attributions do not depend on the order a level is
+//! expanded in; first discoverers do, so a search recording parents lists
+//! every level.
+//!
 //! **The causal cursor.** A hop from `(v, t)` follows `v`'s static
 //! out-edges at `t` and its causal edges to later active times. The causal
 //! edges `E′` are quadratic in each node's active count, but level-synchronous
@@ -61,8 +71,10 @@
 //! Theorem 2's bound in static edges plus active nodes. For the shared
 //! frontier a later expansion at the same level may carry a smaller source
 //! index, so the suffix is skipped only when the key of the node that set
-//! the cursor is no larger than the expander's; otherwise the expander
-//! delivers its whole suffix. A skipped delivery could only have met a
+//! the cursor is no larger than the expander's; otherwise a second cursor,
+//! the last expansion that delivered its whole suffix, is tried the same
+//! way before the expander delivers its whole suffix and becomes that
+//! cursor. A skipped delivery could only have met a
 //! slot already as good, so answers and first-discoverer parents are those
 //! of the plain loop.
 //!
@@ -82,7 +94,7 @@ use rayon::prelude::*;
 use crate::distance::{DistanceMap, Key, KeyTable, MultiSourceMap, NO_PARENT};
 use crate::error::{GraphError, Result};
 use crate::graph::EvolvingGraph;
-use crate::ids::{TemporalNode, TimeIndex};
+use crate::ids::{NodeId, TemporalNode, TimeIndex};
 
 /// Default frontier width below which a level expands serially.
 /// `EGRAPH_PAR_THRESHOLD` overrides it per process (read once), the query
@@ -174,8 +186,109 @@ pub(crate) fn into_keys<S: Slot>(slots: Vec<S>) -> Vec<S::Key> {
     slots.into_iter().map(S::into_key).collect()
 }
 
+/// One level's claimed nodes: listed in claim order while there are at
+/// most `cap` of them, beyond that marked in a bitmap of the search's rows
+/// and visited row by row.
+#[derive(Debug, Default)]
+struct Claims {
+    list: Vec<TemporalNode>,
+    /// Once the list overflowed: bit `v % 64` of word `v / 64` of row
+    /// `t - first`, each row `words` words.
+    bits: Vec<u64>,
+    count: usize,
+    cap: usize,
+    first: u32,
+    rows: usize,
+    words: usize,
+}
+
+impl Claims {
+    /// Claims of a chunk of a wide level, listed in full until they join
+    /// the level's own.
+    fn chunk() -> Self {
+        Claims {
+            cap: usize::MAX,
+            ..Claims::default()
+        }
+    }
+
+    /// Lists up to `cap` claims a level; the bitmap covers `rows` rows of
+    /// `num_nodes` slots from row `first`.
+    fn shape(&mut self, cap: usize, first: u32, rows: usize, num_nodes: usize) {
+        (self.cap, self.first, self.rows) = (cap, first, rows);
+        self.words = num_nodes.div_ceil(64);
+    }
+
+    #[inline]
+    fn push(&mut self, tn: TemporalNode) {
+        if self.count < self.cap {
+            self.list.push(tn);
+        } else {
+            if self.count == self.cap {
+                self.overflow();
+            }
+            self.mark(tn);
+        }
+        self.count += 1;
+    }
+
+    /// Moves the full list into the bitmap.
+    #[cold]
+    #[inline(never)]
+    fn overflow(&mut self) {
+        self.bits.resize(self.rows * self.words, 0);
+        for i in 0..self.list.len() {
+            self.mark(self.list[i]);
+        }
+        self.list.clear();
+    }
+
+    fn mark(&mut self, tn: TemporalNode) {
+        let (t, v) = ((tn.time.0 - self.first) as usize, tn.node.index());
+        self.bits[t * self.words + v / 64] |= 1 << (v % 64);
+    }
+
+    /// Adds a wide level's chunk after these claims.
+    fn append(&mut self, chunk: Claims) {
+        chunk.list.into_iter().for_each(|tn| self.push(tn));
+    }
+
+    /// Whether the list holds every claim.
+    fn listed(&self) -> bool {
+        self.count <= self.cap
+    }
+
+    /// The rows the bitmap covers.
+    fn times(&self) -> Range<u32> {
+        self.first..self.first + self.rows as u32
+    }
+
+    /// Calls `f` on the marked nodes of row `t`, in node order.
+    fn for_each_in_row(&self, t: u32, mut f: impl FnMut(TemporalNode)) {
+        let words = &self.bits[(t - self.first) as usize * self.words..][..self.words];
+        for (base, &word) in (0..).step_by(64).zip(words) {
+            let mut ones = word;
+            while ones != 0 {
+                f(TemporalNode::new(
+                    NodeId(base + ones.trailing_zeros()),
+                    TimeIndex(t),
+                ));
+                ones &= ones - 1;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        if !self.listed() {
+            self.bits.fill(0);
+        }
+        self.list.clear();
+        self.count = 0;
+    }
+}
+
 /// A kernel's working memory beside its slots: the causal cursors and the
-/// two level queues. A caller settling rows in
+/// two levels' claims. A caller settling rows in
 /// turn hands it from one kernel to the next, so only the first allocates.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
@@ -186,12 +299,16 @@ pub(crate) struct Scratch {
     /// before its level began, and the deliveries it stands for finish
     /// before the level's join.
     cursor: Vec<AtomicU32>,
-    frontier: Vec<TemporalNode>,
-    next: Vec<TemporalNode>,
+    /// Per node, the time of the last expansion whose key the cursor's
+    /// setter could not cover, so that it handed on its whole suffix
+    /// (`end` before any): a shared frontier's second cursor.
+    suffix: Vec<AtomicU32>,
+    frontier: Claims,
+    next: Claims,
 }
 
 impl Scratch {
-    /// Scratch whose queues hold a level one row of `num_nodes` wide: the
+    /// Scratch whose lists hold a level one row of `num_nodes` wide: the
     /// presize for a whole-graph search.
     fn rows(num_nodes: usize) -> Self {
         let mut scratch = Scratch::default();
@@ -199,10 +316,10 @@ impl Scratch {
         scratch
     }
 
-    /// Room for levels `width` nodes wide in both queues.
+    /// Room for levels `width` nodes wide in both lists.
     pub(crate) fn reserve(&mut self, width: usize) {
-        self.frontier.reserve(width);
-        self.next.reserve(width);
+        self.frontier.list.reserve(width);
+        self.next.list.reserve(width);
     }
 }
 
@@ -230,10 +347,10 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         end: TimeIndex,
         mut scratch: Scratch,
     ) -> Self {
-        scratch.cursor.clear();
-        scratch
-            .cursor
-            .resize_with(num_nodes, || AtomicU32::new(end.0));
+        for cursor in [&mut scratch.cursor, &mut scratch.suffix] {
+            cursor.clear();
+            cursor.resize_with(num_nodes, || AtomicU32::new(end.0));
+        }
         Kernel {
             slots,
             graph,
@@ -261,25 +378,25 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         parents: Option<&mut [u64]>,
         threshold: usize,
     ) -> (usize, u32) {
-        let mut queues = [
+        let mut levels = [
             std::mem::take(&mut self.scratch.frontier),
             std::mem::take(&mut self.scratch.next),
         ];
-        let settled = self.levels(seeds, parents, threshold, &mut queues);
-        [self.scratch.frontier, self.scratch.next] = queues.map(|mut queue| {
-            queue.clear();
-            queue
+        let settled = self.levels(seeds, parents, threshold, &mut levels);
+        [self.scratch.frontier, self.scratch.next] = levels.map(|mut claims| {
+            claims.clear();
+            claims
         });
         settled
     }
 
-    /// [`Kernel::run`] over the two level `queues`.
+    /// [`Kernel::run`] over the two levels' claims.
     fn levels(
         &self,
         seeds: &mut Vec<Seed<S::Key>>,
         mut parents: Option<&mut [u64]>,
         threshold: usize,
-        [frontier, next]: &mut [Vec<TemporalNode>; 2],
+        [frontier, next]: &mut [Claims; 2],
     ) -> (usize, u32) {
         let pooled = parents.is_none() && rayon::current_num_threads() > 1;
         seeds.sort_by_key(|s| s.0);
@@ -290,6 +407,16 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             return (0, 0);
         };
         let rows = self.flat(start)..self.flat(self.end);
+        // Parents follow claim order, so a search recording them lists every
+        // level; any other lists a row's worth or `1/β` of its slots, the
+        // rest marked in a bitmap (see the module docs).
+        let cap = match parents {
+            Some(_) => usize::MAX,
+            None => (rows.len() / BETA).max(self.num_nodes),
+        };
+        for claims in [&mut *frontier, &mut *next] {
+            claims.shape(cap, start, (self.end - start) as usize, self.num_nodes);
+        }
         let mut seeds = seeds.drain(..).peekable();
         let (mut reached, mut depth, mut pulling) = (0, 0, false);
         let mut level = seeds.peek().map_or(0, |s| s.0.level());
@@ -298,7 +425,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             while let Some((key, tn, parent)) = seeds.next_if(|s| s.0.level() == level) {
                 self.claim(tn, key, parent, next, &mut parents);
             }
-            let width = frontier.len();
+            let width = frontier.count;
             pulling = parents.is_none()
                 && width > 0
                 && match pulling {
@@ -309,27 +436,28 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             if wide {
                 self.expand_wide(frontier, level, !pulling, next);
             } else {
-                for &tn in frontier.iter() {
-                    let from = tn.flat_index(self.num_nodes);
-                    let key = self.slots[from - self.base].load().hand_on(level);
-                    let (next, parents) = (&mut *next, &mut parents);
-                    self.expand(tn, false, !pulling, move |nbr| {
-                        // The common case, a slot already as good, costs one
-                        // plain load; the claim itself is out of line.
-                        if key < self.slot(nbr).load() {
-                            self.claim(nbr, key, from as u64, next, parents);
-                        }
-                    });
+                let statics = !pulling;
+                if frontier.listed() {
+                    for &tn in &frontier.list {
+                        self.visit(tn, level, statics, next, &mut parents);
+                    }
+                } else {
+                    for t in frontier.times() {
+                        let (next, parents) = (&mut *next, &mut parents);
+                        frontier.for_each_in_row(t, move |tn| {
+                            self.visit(tn, level, statics, next, parents);
+                        });
+                    }
                 }
             }
             if pulling {
                 self.pull(rows.clone(), level, wide, next);
             }
-            if !next.is_empty() {
-                (reached, depth) = (reached + next.len(), level);
+            if next.count > 0 {
+                (reached, depth) = (reached + next.count, level);
             }
             std::mem::swap(frontier, next);
-            level = match (frontier.is_empty(), seeds.peek()) {
+            level = match (frontier.count == 0, seeds.peek()) {
                 (false, _) => level + 1,
                 (true, Some(&(key, _, _))) => key.level(),
                 (true, None) => return (reached, depth),
@@ -346,6 +474,28 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         &self.slots[tn.flat_index(self.num_nodes) - self.base]
     }
 
+    /// Serial expansion of the frontier node `tn`, handing on keys of
+    /// `level`. Inlined into both of a level's loops, list and bitmap.
+    #[inline(always)]
+    fn visit(
+        &self,
+        tn: TemporalNode,
+        level: u32,
+        statics: bool,
+        next: &mut Claims,
+        parents: &mut Option<&mut [u64]>,
+    ) {
+        let from = tn.flat_index(self.num_nodes);
+        let key = self.slots[from - self.base].load().hand_on(level);
+        self.expand(tn, false, statics, move |nbr| {
+            // The common case, a slot already as good, costs one plain
+            // load; the claim itself is out of line.
+            if key < self.slot(nbr).load() {
+                self.claim(nbr, key, from as u64, next, parents);
+            }
+        });
+    }
+
     /// Calls `f` on every node one hop from the frontier node `tn = (v, t)`
     /// that could still improve: `v`'s static out-edges at `t` unless
     /// `statics` is off (a pull level claims those from the other end),
@@ -357,9 +507,11 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
     /// every active time past `lo` a claim no worse than `tn`'s, so the
     /// suffix would claim nothing and is skipped. Otherwise (a shared
     /// frontier whose setter came from a larger source index at the same
-    /// level) `upper` is `end`. Each node's deliveries are thus disjoint
-    /// intervals, at most its active count in a single-source search, and
-    /// skipped deliveries change no slot and so no parent.
+    /// level) `upper` is the second cursor under the same test, else `end`,
+    /// and an expander handing on its whole suffix sets that cursor. Each
+    /// node's deliveries are thus disjoint intervals, at most its active
+    /// count in a single-source search, and skipped deliveries change no
+    /// slot and so no parent.
     #[inline]
     fn expand(&self, tn: TemporalNode, wide: bool, statics: bool, mut f: impl FnMut(TemporalNode)) {
         let (v, t) = (tn.node, tn.time);
@@ -379,16 +531,38 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             lo
         };
         let setter = TemporalNode::new(v, TimeIndex(lo));
-        let upper = if lo < self.end && self.slot(setter).load() <= self.slot(tn).load() {
+        let upper = if lo == self.end {
+            // The node's first expansion: the cursor it set covers it.
+            self.end
+        } else if self.slot(setter).load() <= self.slot(tn).load() {
             lo
         } else {
-            self.end
+            self.second_cursor(tn)
         };
         if t.0 + 1 < upper {
             let later = self
                 .graph
                 .active_times_in(v, TimeIndex(t.0 + 1)..TimeIndex(upper));
             later.iter().for_each(|s| f(TemporalNode::new(v, s)));
+        }
+    }
+
+    /// The upper end of `tn`'s causal delivery when its cursor's setter
+    /// holds a larger key: the second cursor if that expansion's key is no
+    /// larger than `tn`'s, else `end`, `tn` becoming the second cursor. Any
+    /// expansion that handed on its whole suffix is a valid second cursor,
+    /// so racing stores need no order.
+    #[cold]
+    #[inline(never)]
+    fn second_cursor(&self, tn: TemporalNode) -> u32 {
+        let suffix = &self.scratch.suffix[tn.node.index()];
+        let whole = suffix.load(Relaxed);
+        let setter = TemporalNode::new(tn.node, TimeIndex(whole));
+        if whole < self.end && self.slot(setter).load() <= self.slot(tn).load() {
+            whole
+        } else {
+            suffix.store(tn.time.0, Relaxed);
+            self.end
         }
     }
 
@@ -399,7 +573,7 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         tn: TemporalNode,
         key: S::Key,
         parent: u64,
-        next: &mut Vec<TemporalNode>,
+        next: &mut Claims,
         parents: &mut Option<&mut [u64]>,
     ) {
         let i = tn.flat_index(self.num_nodes) - self.base;
@@ -415,31 +589,40 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
         }
     }
 
-    /// Wide expansion: `fetch_min` claims from every chunk into a private
-    /// buffer, the buffers spliced in chunk order.
-    fn expand_wide(
-        &self,
-        frontier: &[TemporalNode],
-        level: u32,
-        statics: bool,
-        next: &mut Vec<TemporalNode>,
-    ) {
-        let buffers: Vec<Vec<TemporalNode>> = frontier
-            .par_iter()
-            .fold(Vec::new, |mut acc, &tn| {
-                let key = self.slot(tn).load().hand_on(level);
-                self.expand(tn, true, statics, |nbr| {
-                    let slot = self.slot(nbr);
-                    // One claimant sees the slot unreached; rivals only lower
-                    // the key. The plain load skips updates that cannot help.
-                    if slot.load() > key && slot.fetch_min(key) == S::Key::UNREACHED {
-                        acc.push(nbr);
-                    }
-                });
-                acc
-            })
-            .collect();
-        splice(buffers, next);
+    /// Wide expansion: `fetch_min` claims from every chunk of the frontier
+    /// (of its list, or of its bitmap's rows) into private claims, appended
+    /// in chunk order.
+    fn expand_wide(&self, frontier: &Claims, level: u32, statics: bool, next: &mut Claims) {
+        let step = |acc: &mut Claims, tn: TemporalNode| {
+            let key = self.slot(tn).load().hand_on(level);
+            self.expand(tn, true, statics, |nbr| {
+                let slot = self.slot(nbr);
+                // One claimant sees the slot unreached; rivals only lower
+                // the key. The plain load skips updates that cannot help.
+                if slot.load() > key && slot.fetch_min(key) == S::Key::UNREACHED {
+                    acc.push(nbr);
+                }
+            });
+        };
+        let chunks: Vec<Claims> = match frontier.listed() {
+            true => frontier
+                .list
+                .par_iter()
+                .fold(Claims::chunk, |mut acc, &tn| {
+                    step(&mut acc, tn);
+                    acc
+                })
+                .collect(),
+            false => frontier
+                .times()
+                .into_par_iter()
+                .fold(Claims::chunk, |mut acc, t| {
+                    frontier.for_each_in_row(t, |tn| step(&mut acc, tn));
+                    acc
+                })
+                .collect(),
+        };
+        chunks.into_iter().for_each(|chunk| next.append(chunk));
     }
 
     /// The static half of a pull level, after the frontier's causal edges:
@@ -450,24 +633,24 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
     /// are chunked over the pool: each slot is written by its own chunk and
     /// read by others only to test for level `level − 1`, which no write of
     /// this level makes.
-    fn pull(&self, rows: Range<usize>, level: u32, wide: bool, next: &mut Vec<TemporalNode>) {
+    fn pull(&self, rows: Range<usize>, level: u32, wide: bool, next: &mut Claims) {
         if !wide {
             rows.for_each(|i| self.pull_slot(i, level, next));
             return;
         }
-        let buffers: Vec<Vec<TemporalNode>> = rows
+        let chunks: Vec<Claims> = rows
             .into_par_iter()
-            .fold(Vec::new, |mut acc, i| {
+            .fold(Claims::chunk, |mut acc, i| {
                 self.pull_slot(i, level, &mut acc);
                 acc
             })
             .collect();
-        splice(buffers, next);
+        chunks.into_iter().for_each(|chunk| next.append(chunk));
     }
 
     /// Pulls slot `i` at `level`, pushing it to `next` if it was unreached.
     #[inline]
-    fn pull_slot(&self, i: usize, level: u32, next: &mut Vec<TemporalNode>) {
+    fn pull_slot(&self, i: usize, level: u32, next: &mut Claims) {
         let (floor, prev) = (S::Key::floor(level), level - 1);
         let key = self.slots[i].load();
         if key <= floor {
@@ -491,12 +674,6 @@ impl<'a, S: Slot, G: EvolvingGraph> Kernel<'a, S, G> {
             }
         }
     }
-}
-
-/// Appends per-chunk `buffers` to `next` in chunk order.
-fn splice(buffers: Vec<Vec<TemporalNode>>, next: &mut Vec<TemporalNode>) {
-    next.reserve(buffers.iter().map(Vec::len).sum());
-    buffers.into_iter().for_each(|buffer| next.extend(buffer));
 }
 
 /// One past `graph`'s last snapshot: a full search's causal bound.
@@ -983,5 +1160,39 @@ mod tests {
                 assert!(g.forward_neighbors(hop[0]).contains(&hop[1]), "{hop:?}");
             }
         }
+    }
+
+    #[test]
+    fn levels_wider_than_their_list_are_marked_and_match_the_oracle() {
+        // 400 nodes × 4 snapshots list at most a row, 400 claims, a level;
+        // the widest level holds more, so it moves into the bitmap, and
+        // neither list outgrows its one-row presize.
+        let g = pulling_graph();
+        let (n, t) = (g.num_nodes(), g.num_timestamps());
+        let sources: Vec<TemporalNode> = g.active_nodes().into_iter().step_by(131).collect();
+        let slots = table::<AtomicU64>(n * t);
+        let mut seeds = (0..)
+            .zip(&sources)
+            .map(|(i, &s)| (i, s, NO_PARENT))
+            .collect();
+        let mut kernel = Kernel::new(&slots, &g, n, 0, graph_end(&g), Scratch::rows(n));
+        kernel.run(&mut seeds, None, usize::MAX);
+        let scratch = kernel.into_scratch();
+        let capacity = scratch
+            .frontier
+            .list
+            .capacity()
+            .max(scratch.next.list.capacity());
+        assert!(capacity <= n, "a list grew to {capacity}");
+        let mut widths = std::collections::HashMap::new();
+        for key in into_keys(slots)
+            .into_iter()
+            .filter(|&k| k != u64::UNREACHED)
+        {
+            *widths.entry(key.level()).or_insert(0) += 1;
+        }
+        let widest = widths.into_values().max().unwrap();
+        assert!(widest > n, "no level outgrew a row (widest {widest})");
+        assert_shared_matches_oracle(&g, &sources);
     }
 }

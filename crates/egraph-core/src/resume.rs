@@ -66,6 +66,8 @@
 //! [`crate::instrument::CountingView`] counters and the bytes a repair
 //! allocates with a counting allocator.
 
+use std::fmt;
+
 use crate::distance::{DistanceMap, Key, KeyTable, MultiSourceMap, NO_PARENT, UNREACHED};
 use crate::error::{GraphError, Result};
 use crate::foremost::{earliest_arrival, ForemostResult};
@@ -100,11 +102,17 @@ pub trait Resumable {
 /// settles), the seed list and the kernel's scratch. A state keeps one
 /// across its extensions, so a repair that appends several rows allocates
 /// them once. It is not part of the state: a clone starts without it.
-#[derive(Default, Debug)]
+#[derive(Default)]
 struct RowScratch<K: Key> {
     row: Vec<K::Slot>,
     seeds: Vec<Seed<K>>,
     kernel: kernel::Scratch,
+}
+
+impl<K: Key> fmt::Debug for RowScratch<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RowScratch")
+    }
 }
 
 impl<K: Key> Clone for RowScratch<K> {

@@ -28,6 +28,10 @@
 //! a payload cut at a record boundary decodes to an *earlier* state —
 //! callers check the version they expect.
 //!
+//! Payloads written before chaining (format 1: no start field, absolute
+//! offset rows, one whole graph) still load through
+//! [`upgrade_legacy_checkpoint`], which re-encodes one as a base record.
+//!
 //! Decoding is allocation-safe against arbitrary bytes: every claimed
 //! length is checked against the remaining input before reserving space, so
 //! a corrupt length field yields [`BinaryError::Truncated`], not an OOM.
@@ -79,10 +83,30 @@ pub fn encode_append_record(columns: CsrColumns<'_>, from: usize, version: u64) 
 /// into graph columns and the last record's version stamp. The inverse of
 /// [`encode_checkpoint`] and of concatenated [`encode_append_record`]s.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CsrParts, u64), BinaryError> {
-    let mut r = Reader { bytes, pos: 0 };
+    decode(bytes, false)
+}
+
+/// Re-encodes a format-1 payload (one whole graph, no start field, absolute
+/// offset rows) as the equivalent base record.
+pub fn upgrade_legacy_checkpoint(bytes: &[u8]) -> Result<Vec<u8>, BinaryError> {
+    let (parts, version) = decode(bytes, true)?;
+    Ok(encode_checkpoint(&parts, version))
+}
+
+/// Folds a payload's records; a format-1 payload holds exactly one.
+fn decode(bytes: &[u8], legacy: bool) -> Result<(CsrParts, u64), BinaryError> {
+    let mut r = Reader {
+        bytes,
+        pos: 0,
+        legacy,
+    };
     let mut parts = CsrParts::default();
     let mut version = r.record(&mut parts, true)?;
     while r.remaining() > 0 {
+        if legacy {
+            let trailing = format!("checkpoint payload has {} trailing bytes", r.remaining());
+            return Err(BinaryError::Corrupt(trailing));
+        }
         version = r.record(&mut parts, false)?;
     }
     Ok((parts, version))
@@ -114,6 +138,8 @@ fn write_side(out: &mut Vec<u8>, rows: &[Vec<u32>], pool: &[NodeId], from: usize
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Format 1: no start field, absolute offsets.
+    legacy: bool,
 }
 
 impl Reader<'_> {
@@ -161,7 +187,11 @@ impl Reader<'_> {
     fn record(&mut self, parts: &mut CsrParts, first: bool) -> Result<u64, BinaryError> {
         let corrupt = |detail: String| Err(BinaryError::Corrupt(format!("checkpoint {detail}")));
         let version = self.varint()?;
-        let start = self.length("start snapshot")?;
+        let start = if self.legacy {
+            0
+        } else {
+            self.length("start snapshot")?
+        };
         if start != parts.timestamps.len() {
             return corrupt(format!(
                 "record starts at snapshot {start} but the records before it end at {}",
@@ -217,7 +247,8 @@ impl Reader<'_> {
             let mut row = Vec::with_capacity(len);
             let mut offset = 0u32;
             for _ in 0..len {
-                offset = offset.wrapping_add(self.u32("offset")?);
+                let previous = if self.legacy { 0 } else { offset };
+                offset = previous.wrapping_add(self.u32("offset")?);
                 row.push(offset);
             }
             rows.push(row);

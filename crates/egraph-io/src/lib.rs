@@ -27,7 +27,9 @@ pub mod json;
 pub mod report;
 
 pub use binary::{crc32, decode_record, encode_record, BinaryError, Crc32, LogRecord};
-pub use checkpoint::{decode_checkpoint, encode_append_record, encode_checkpoint};
+pub use checkpoint::{
+    decode_checkpoint, encode_append_record, encode_checkpoint, upgrade_legacy_checkpoint,
+};
 pub use edgelist::{
     parse_edge_list, read_edge_list, to_edge_list_string, write_edge_list, EdgeListError,
 };

@@ -15,7 +15,11 @@
 //! ```
 //!
 //! `prev_seq` is `u64::MAX` in a base and strictly smaller than `last_seq`
-//! in a link, so every chain walk ends at a base.
+//! in a link, so every chain walk ends at a base. Files of format 1, which
+//! older builds wrote (`magic ++ 1u8 ++ last_seq ++ varint(payload_len) ++
+//! payload ++ crc32(payload)`, a whole graph in `egraph-io`'s format-1
+//! layout), are read as bases: their payload is upgraded to a base record
+//! on read, so data directories from those builds open and chain on.
 //!
 //! Installation is atomic against crashes at *every* byte offset: the
 //! bytes are written and fsynced to `checkpoint-<seq>.tmp`, renamed into
@@ -52,7 +56,7 @@ use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use egraph_io::binary::Crc32;
+use egraph_io::binary::{read_varint, Crc32};
 
 use crate::log::{corrupt, file_len, io_err, sync_dir, write_durable, Result};
 
@@ -65,6 +69,13 @@ pub const CHECKPOINT_FORMAT_VERSION: u8 = 2;
 /// Fixed header size: magic + version byte + `u64` last covered sequence +
 /// `u64` predecessor sequence + `u64` payload length.
 pub const CHECKPOINT_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8;
+
+/// The format older builds wrote, still read as a base.
+const LEGACY_FORMAT_VERSION: u8 = 1;
+
+/// Format 1's fixed header: magic + version byte + `u64` last covered
+/// sequence (a varint payload length follows).
+const LEGACY_HEADER_BYTES: usize = 4 + 1 + 8;
 
 /// The `prev_seq` a base carries.
 const NO_PREDECESSOR: u64 = u64::MAX;
@@ -118,20 +129,30 @@ fn encode_header(last_seq: u64, prev: Option<u64>, payload_len: usize) -> Vec<u8
 
 /// A checkpoint file's `(last_seq, predecessor)`, from its header alone.
 fn decode_header(bytes: &[u8]) -> std::result::Result<(u64, Option<u64>), String> {
-    if bytes.len() < CHECKPOINT_HEADER_BYTES {
+    let legacy = bytes.get(4) == Some(&LEGACY_FORMAT_VERSION);
+    let needed = if legacy {
+        LEGACY_HEADER_BYTES
+    } else {
+        CHECKPOINT_HEADER_BYTES
+    };
+    if bytes.len() < needed {
         return Err(format!(
-            "{} bytes is shorter than the {CHECKPOINT_HEADER_BYTES}-byte header",
+            "{} bytes is shorter than the {needed}-byte header",
             bytes.len()
         ));
     }
     if bytes[..4] != CHECKPOINT_MAGIC {
         return Err("bad magic".into());
     }
-    if bytes[4] != CHECKPOINT_FORMAT_VERSION {
+    if !legacy && bytes[4] != CHECKPOINT_FORMAT_VERSION {
         return Err(format!("unsupported format version {}", bytes[4]));
     }
     let last_seq = u64_at(bytes, 5);
-    let prev = u64_at(bytes, 13);
+    let prev = if legacy {
+        NO_PREDECESSOR
+    } else {
+        u64_at(bytes, 13)
+    };
     if prev != NO_PREDECESSOR && prev >= last_seq {
         return Err(format!(
             "link {last_seq} names predecessor {prev}, not an older one"
@@ -160,13 +181,24 @@ struct Frame {
     prev: Option<u64>,
     /// Where the payload sits in the file's bytes.
     payload: Range<usize>,
+    /// Format 1: the payload is in `egraph-io`'s format-1 layout.
+    legacy: bool,
 }
 
 /// Validates one checkpoint file's bytes — header, length and CRC.
 fn check_file(bytes: &[u8]) -> std::result::Result<Frame, String> {
     let (last_seq, prev) = decode_header(bytes)?;
-    let payload_len = u64_at(bytes, 21);
-    let framed = payload_len.checked_add(CHECKPOINT_HEADER_BYTES as u64 + 4);
+    let legacy = bytes[4] == LEGACY_FORMAT_VERSION;
+    // Format 2's CRC covers the header too; format 1's only the payload.
+    let (payload_at, payload_len, crc_from) = if legacy {
+        let (len, used) = read_varint(&bytes[LEGACY_HEADER_BYTES..])
+            .map_err(|err| format!("payload length: {err}"))?;
+        let at = LEGACY_HEADER_BYTES + used;
+        (at, len, at)
+    } else {
+        (CHECKPOINT_HEADER_BYTES, u64_at(bytes, 21), 0)
+    };
+    let framed = payload_len.checked_add(payload_at as u64 + 4);
     if framed != Some(bytes.len() as u64) {
         return Err(format!(
             "{} bytes present, payload length {payload_len}",
@@ -175,7 +207,7 @@ fn check_file(bytes: &[u8]) -> std::result::Result<Frame, String> {
     }
     let end = bytes.len() - 4;
     let stored = u32::from_le_bytes(bytes[end..].try_into().expect("4 crc bytes"));
-    let computed = egraph_io::crc32(&bytes[..end]);
+    let computed = egraph_io::crc32(&bytes[crc_from..end]);
     if stored != computed {
         return Err(format!(
             "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
@@ -184,7 +216,8 @@ fn check_file(bytes: &[u8]) -> std::result::Result<Frame, String> {
     Ok(Frame {
         last_seq,
         prev,
-        payload: CHECKPOINT_HEADER_BYTES..end,
+        payload: payload_at..end,
+        legacy,
     })
 }
 
@@ -201,6 +234,9 @@ pub fn decode_checkpoint_file(bytes: &[u8]) -> std::result::Result<(u64, &[u8]),
     let frame = check_file(bytes)?;
     if let Some(prev) = frame.prev {
         return Err(format!("a link onto {prev} is not self-contained"));
+    }
+    if frame.legacy {
+        return Err("a format-1 file is only read from a data directory".into());
     }
     Ok((frame.last_seq, &bytes[frame.payload]))
 }
@@ -272,7 +308,7 @@ pub struct ChainSize {
 /// `ckpt.read`), checking each file's CRC over its bytes in place: the
 /// chain's payloads concatenated, base first, and the chain's size. The
 /// base's buffer becomes the result, so the bulk of the state is never
-/// copied.
+/// copied (a format-1 base is upgraded instead).
 ///
 /// # Errors
 /// [`LogError::Io`](crate::log::LogError::Io) if a file cannot be read,
@@ -297,16 +333,21 @@ pub fn read_checkpoint_chain(dir: &Path, last_seq: u64) -> Result<(Vec<u8>, Chai
             return corrupt(&path, detail);
         }
         next = frame.prev;
-        newest_first.push((bytes, frame));
+        newest_first.push((path, bytes, frame));
     }
-    let (mut payload, base) = newest_first.pop().expect("a walk ends at a base");
+    let (path, mut payload, base) = newest_first.pop().expect("a walk ends at a base");
     let mut size = ChainSize {
         base_bytes: payload.len() as u64,
         ..ChainSize::default()
     };
-    payload.truncate(base.payload.end);
-    payload.drain(..base.payload.start);
-    for (bytes, frame) in newest_first.into_iter().rev() {
+    if base.legacy {
+        payload = egraph_io::checkpoint::upgrade_legacy_checkpoint(&payload[base.payload])
+            .or_else(|err| corrupt(&path, format!("format-1 payload: {err}")))?;
+    } else {
+        payload.truncate(base.payload.end);
+        payload.drain(..base.payload.start);
+    }
+    for (_, bytes, frame) in newest_first.into_iter().rev() {
         size.links_bytes += bytes.len() as u64;
         size.links += 1;
         payload.extend_from_slice(&bytes[frame.payload]);

@@ -15,8 +15,7 @@
 //!   any one damaged checkpoint file — the current chain's base included —
 //!   still recovers the twin, from the independent fallback chain;
 //! * **format 1**: a compacted data directory written by a build before
-//!   chaining, whose only checkpoint is of a format no longer read, is
-//!   refused loudly rather than rebuilt from a truncated history;
+//!   chaining opens, and the next checkpoint links onto its base;
 //! * **link start**: a link whose record does not start where its
 //!   predecessor ends is rejected, never folded;
 //! * **restart**: the first checkpoint after recovery links onto the chain
@@ -38,8 +37,7 @@ use egraph_fault::{self as fault, Rule};
 use egraph_io::checkpoint::{decode_checkpoint, encode_append_record, encode_checkpoint};
 use egraph_log::checkpoint_path;
 use egraph_serve::{Client, Server, ServerConfig};
-use egraph_stream::durable::DurableError;
-use egraph_stream::{DurableGraph, EdgeEvent};
+use egraph_stream::{DurableGraph, EdgeEvent, LiveGraph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -246,9 +244,9 @@ fn retention_under_compaction_survives_any_one_damaged_file() {
 }
 
 /// A data directory as the build before chaining left it: a directed
-/// 4-node graph, policy (2, 1) over seven seals, so only the format-1
-/// checkpoint 5 remains, segments 0..=5 are compacted and segment 6
-/// follows.
+/// 4-node graph, policy (2, 1) over seven seals of [`format1_batch`] — so
+/// only the format-1 checkpoint 5 remains, segments 0..=5 are compacted
+/// and segment 6 follows.
 const FORMAT1_DIR: [(&str, &str); 3] = [
     ("manifest.bin", "45474c4d0103000401802c2aec"),
     (
@@ -264,8 +262,21 @@ const FORMAT1_DIR: [(&str, &str); 3] = [
     ),
 ];
 
+/// Seal `s`'s events in [`FORMAT1_DIR`]: an edge and its unique reverse
+/// over the nodes sealed so far, plus a grow to 6 nodes in seal 3.
+fn format1_batch(s: u32) -> Vec<EdgeEvent> {
+    let mut events = Vec::new();
+    if s == 3 {
+        events.push(EdgeEvent::grow_nodes(6));
+    }
+    let n = if s > 3 { 6 } else { 4 };
+    let (u, v) = (NodeId(s % n), NodeId((s + 1) % n));
+    events.extend([EdgeEvent::insert(u, v), EdgeEvent::insert_unique(v, u)]);
+    events
+}
+
 #[test]
-fn a_format1_data_directory_is_refused_not_rebuilt() {
+fn a_format1_data_directory_opens_and_the_next_checkpoint_links_onto_it() {
     let _gate = gate();
     let dir = TempDir::new("format1");
     fs::create_dir_all(dir.path()).unwrap();
@@ -276,12 +287,43 @@ fn a_format1_data_directory_is_refused_not_rebuilt() {
             .collect();
         fs::write(dir.path().join(name), bytes).unwrap();
     }
-    // A version-1 checkpoint is an unknown format: its chain is unusable,
-    // and no other checkpoint covers the compacted segments 0..=5.
-    let Err(err) = DurableGraph::open(dir.path()) else {
-        panic!("a format-1 directory opened");
+    let mut twin = LiveGraph::directed(4);
+    let seal_twin = |twin: &mut LiveGraph, s: u32| {
+        for event in format1_batch(s) {
+            twin.apply(event).unwrap();
+        }
+        twin.seal_snapshot(10 * (i64::from(s) + 1)).unwrap();
     };
-    assert!(matches!(err, DurableError::Checkpoint(_)), "{err}");
+    for s in 0..7 {
+        seal_twin(&mut twin, s);
+    }
+
+    let recovered = DurableGraph::open(dir.path()).unwrap();
+    assert_eq!(recovered.checkpoint_seq, Some(5));
+    assert_eq!(recovered.segments_replayed, 1);
+    assert_eq!(recovered.graph.live().version(), 7);
+    assert_eq!(
+        recovered.graph.live().graph().to_parts(),
+        twin.graph().to_parts()
+    );
+
+    // The next checkpoint links onto the format-1 base, and the mixed
+    // chain reads back.
+    let mut durable = recovered.graph;
+    durable.set_checkpoint_policy(8, 2);
+    for event in format1_batch(7) {
+        durable.apply(event).unwrap();
+    }
+    let receipt = durable.seal_snapshot(80).unwrap();
+    assert_eq!(receipt.checkpoint.unwrap().unwrap().chain_links, 1);
+    seal_twin(&mut twin, 7);
+    drop(durable);
+    let recovered = DurableGraph::open(dir.path()).unwrap();
+    assert_eq!(recovered.checkpoint_seq, Some(7));
+    assert_eq!(
+        recovered.graph.live().graph().to_parts(),
+        twin.graph().to_parts()
+    );
 }
 
 #[test]
